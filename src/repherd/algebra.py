@@ -94,12 +94,6 @@ def make_path(quiver: Quiver, arrow_names, start=None) -> Path:
     return Path(quiver.arrow_src[idxs[0]], tuple(idxs))
 
 
-def _concat(quiver, p: Path, q: Path) -> Path:
-    if p.end(quiver) != q.start:
-        raise MalformedRelation("paths do not compose")
-    return Path(p.start, p.arrows + q.arrows)
-
-
 class BoundQuiverAlgebra:
     """kQ/I with the canonical normal-form basis and reduction table.
 
@@ -124,6 +118,7 @@ class BoundQuiverAlgebra:
             k = (p.start, p.end(quiver))
             self.basis_between.setdefault(k, []).append(i)
         self._opposite = None
+        self._gen_cogen = None              # filled by modules.gen_cogen
 
     # -- reduction ---------------------------------------------------------
 
@@ -150,10 +145,6 @@ class BoundQuiverAlgebra:
                 if c != f.zero:
                     acc[i] = f.add(acc[i], f.mul(s, c))
         return tuple(acc)
-
-    def mult_paths(self, p: Path, q: Path):
-        """Coordinates of the product p*q (p first, then q)."""
-        return self.reduce_path(_concat(self.quiver, p, q))
 
     def path_times_arrow(self, basis_idx: int, arrow: int):
         p = self.basis[basis_idx]

@@ -17,14 +17,12 @@ from .linalg import SpanTracker
 from .modules import (
     cokernel_of,
     compose,
+    gen_cogen,
     hom_basis,
-    indec_isomorphic,
     indecomposable_summands,
-    injective_at,
+    iso_class_index,
     morphism_flat,
-    projective_at,
     radical_of,
-    simple_at,
     socle_of,
 )
 
@@ -69,10 +67,7 @@ class IndecomposableCatalog:
         return len(self.nodes)
 
     def find(self, rep):
-        for i, node in enumerate(self.nodes):
-            if node.rep.dims == rep.dims and indec_isomorphic(node.rep, rep):
-                return i
-        return None
+        return iso_class_index(rep, [node.rep for node in self.nodes])
 
     def hom_basis(self, i, j):
         key = (i, j)
@@ -98,59 +93,34 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     """
     if budget is None:
         budget = Budget()
-    nv = alg.quiver.n_vertices
-    nodes = []
+    gc = gen_cogen(alg)
+    cat = IndecomposableCatalog(alg, [], True)
+    nodes = cat.nodes
+    queue = []
     total_dim = 0
     complete = True
 
-    def find(rep):
-        for i, node in enumerate(nodes):
-            if node.rep.dims == rep.dims and indec_isomorphic(node.rep, rep):
-                return i
-        return None
-
     def try_add(rep):
+        """Index of rep's node, adding, flagging and queueing a new one; None over budget."""
         nonlocal total_dim, complete
-        idx = find(rep)
+        idx = cat.find(rep)
         if idx is not None:
             return idx
         if len(nodes) + 1 > budget.max_modules or total_dim + rep.total_dim > budget.max_total_dim:
             complete = False
             return None
-        nodes.append(CatalogNode(rep))
+        node = CatalogNode(rep)
+        node.proj_vertex = iso_class_index(rep, gc.projectives)
+        node.inj_vertex = iso_class_index(rep, gc.injectives)
+        if rep.total_dim == 1:
+            node.simple_vertex = rep.dims.index(1)
+        nodes.append(node)
+        queue.append(len(nodes) - 1)
         total_dim += rep.total_dim
         return len(nodes) - 1
 
-    projs = [projective_at(alg, v) for v in range(nv)]
-    injs = [injective_at(alg, v) for v in range(nv)]
-    queue = []
-    for v, p in enumerate(projs):
-        if p.is_zero():
-            continue
-        idx = try_add(p)
-        if idx is not None and nodes[idx].proj_vertex is None:
-            nodes[idx].proj_vertex = v
-            queue.append(idx)
-    for v, iv in enumerate(injs):
-        if iv.is_zero():
-            continue
-        idx = try_add(iv)
-        if idx is not None:
-            if nodes[idx].inj_vertex is None:
-                nodes[idx].inj_vertex = v
-            if idx not in queue:
-                queue.append(idx)
-    # identify flags for seeds that were reached both ways
-    for i, node in enumerate(nodes):
-        for v, p in enumerate(projs):
-            if node.proj_vertex is None and node.rep.dims == p.dims and indec_isomorphic(node.rep, p):
-                node.proj_vertex = v
-        for v, iv in enumerate(injs):
-            if node.inj_vertex is None and node.rep.dims == iv.dims and indec_isomorphic(node.rep, iv):
-                node.inj_vertex = v
-        for v in range(nv):
-            if node.rep.dims == simple_at(alg, v).dims:
-                node.simple_vertex = v
+    for rep in gc.projectives + gc.injectives:
+        try_add(rep)
 
     pos = 0
     while pos < len(queue) and complete:
@@ -170,13 +140,12 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
             seq = almost_split_sequence(node.rep)
             neighbors.append(tz)
             neighbors.append(seq.middle)
-            tgt = find(tz)
+            tgt = cat.find(tz)
             if tgt is not None:
                 node.tau = tgt
         if node.inj_vertex is None:
             ti = ar_translate_inv(node.rep)
             neighbors.append(ti)
-            tgt = None
             if not ti.is_zero():
                 pieces_ti = indecomposable_summands(ti)
                 if len(pieces_ti) == 1:
@@ -188,37 +157,16 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
             if nb.is_zero():
                 continue
             for piece in indecomposable_summands(nb):
-                new_idx = try_add(piece)
-                if new_idx is None:
+                if try_add(piece) is None:
                     break
-                fresh = nodes[new_idx]
-                if fresh.name == "" and new_idx not in queue:
-                    _flag_node(alg, fresh, projs, injs)
-                    queue.append(new_idx)
 
+    cat.complete = complete
     if not complete and strict:
-        partial = IndecomposableCatalog(alg, nodes, False)
-        raise BudgetExceeded("enumeration exceeded the budget", partial=partial)
+        raise BudgetExceeded("enumeration exceeded the budget", partial=cat)
 
-    cat = IndecomposableCatalog(alg, nodes, complete)
     _fill_tau_tables(cat)
     _assign_names(cat)
     return cat
-
-
-def _flag_node(alg, node, projs, injs):
-    for v, p in enumerate(projs):
-        if node.rep.dims == p.dims and indec_isomorphic(node.rep, p):
-            node.proj_vertex = v
-            break
-    for v, iv in enumerate(injs):
-        if node.rep.dims == iv.dims and indec_isomorphic(node.rep, iv):
-            node.inj_vertex = v
-            break
-    for v in range(alg.quiver.n_vertices):
-        if node.rep.dims == simple_at(alg, v).dims:
-            node.simple_vertex = v
-            break
 
 
 def _fill_tau_tables(cat: IndecomposableCatalog):
@@ -345,12 +293,8 @@ def node_facts(cat: IndecomposableCatalog):
     """Per-node facts reused by the checks: pd, id, memberships."""
     if cat._facts is not None:
         return cat._facts
-    alg = cat.algebra
-    nv = alg.quiver.n_vertices
-    projs = [projective_at(alg, v) for v in range(nv)]
-    injs = [injective_at(alg, v) for v in range(nv)]
-    inj_list = [x for x in injs if not x.is_zero()]
-    proj_list = [x for x in projs if not x.is_zero()]
+    gc = gen_cogen(cat.algebra)
+    inj_list, proj_list = gc.injectives, gc.projectives
     facts = []
     for node in cat.nodes:
         x = node.rep

@@ -15,7 +15,6 @@ from .homological import (
     in_cogen,
     in_gen,
     inj_dim,
-    minimal_left_approx,
     minimal_right_approx,
     proj_dim,
     projective_cover,
@@ -23,17 +22,19 @@ from .homological import (
     syzygy,
     trace_of,
 )
+from .linalg import hstack
 from .modules import (
     ModuleMorphism,
     cokernel_of,
     direct_sum,
+    dual_module,
+    gen_cogen,
     hom_basis,
-    indec_isomorphic,
     indecomposable_summands,
-    injective_at,
     is_isomorphic,
+    iso_class_index,
     kernel_of,
-    projective_at,
+    top_of,
 )
 
 HOLDS = "Holds"
@@ -58,93 +59,55 @@ class CheckReport:
         }
 
 
-def _dedup_add_list(alg):
-    """Indecomposable projectives then new injectives: add(A + DA) generators."""
-    nv = alg.quiver.n_vertices
-    out = []
-    names = []
-    for v in range(nv):
-        p = projective_at(alg, v)
-        if not p.is_zero():
-            out.append(p)
-            names.append("P(%s)" % alg.quiver.vertices[v])
-    for v in range(nv):
-        iv = injective_at(alg, v)
-        if iv.is_zero():
-            continue
-        if not any(indec_isomorphic(iv, x) for x in out):
-            out.append(iv)
-            names.append("I(%s)" % alg.quiver.vertices[v])
-    return out, names
+def _projective_piece_names(k, prefix):
+    """When k is projective, name its summands by counting the top; else None.
 
-
-def _piece_class(alg, piece, add_list, add_names):
-    for x, name in zip(add_list, add_names):
-        if piece.dims == x.dims and indec_isomorphic(piece, x):
-            return name
-    return None
-
-
-def _projective_piece_names(alg, k):
-    """When k is projective, list its summands by counting the top; else None."""
-    from .modules import top_of
-
+    Applied with prefix "I" to the dual of a module over the opposite
+    algebra, this names the summands of an injective by counting its socle.
+    """
     if k.is_zero():
         return []
     omega, _ = kernel_of(projective_cover(k))
     if not omega.is_zero():
         return None
     top, _ = top_of(k)
-    names = []
-    for v in range(alg.quiver.n_vertices):
-        names.extend(["P(%s)" % alg.quiver.vertices[v]] * top.dims[v])
-    return names
+    verts = k.algebra.quiver.vertices
+    return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top.dims[v])]
 
 
-def _injective_piece_names(alg, k):
-    """When k is injective, list its summands by counting the socle; else None."""
-    from .homological import injective_envelope
-    from .modules import socle_of
-
-    if k.is_zero():
-        return []
-    omega, _ = cokernel_of(injective_envelope(k))
-    if not omega.is_zero():
-        return None
-    soc, _ = socle_of(k)
-    names = []
-    for v in range(alg.quiver.n_vertices):
-        names.extend(["I(%s)" % alg.quiver.vertices[v]] * soc.dims[v])
-    return names
-
-
-def _module_kernel_test(alg, m, add_list, add_names):
-    """Right and left approximation tests for one module outside add(A+DA)."""
+def _kernel_half(m, add_list, add_names, prefix, kind):
+    """The minimal right add_list-approximation of m, its kernel, the kernel's summand names,
+    and whether the kernel is projective."""
     f = minimal_right_approx(m, add_list)
     ker, _ = kernel_of(f)
-    knames = _projective_piece_names(alg, ker)
-    right_ok = knames is not None
-    if knames is None:
-        kpieces = indecomposable_summands(ker)
-        knames = [
-            _piece_class(alg, p, add_list, add_names) or "non-projective %s" % (p.dims,) for p in kpieces
-        ]
-    g = minimal_left_approx(m, add_list)
-    cok, _ = cokernel_of(g)
-    cnames = _injective_piece_names(alg, cok)
-    left_ok = cnames is not None
-    if cnames is None:
-        cpieces = indecomposable_summands(cok)
-        cnames = [
-            _piece_class(alg, p, add_list, add_names) or "non-injective %s" % (p.dims,) for p in cpieces
-        ]
+    names = _projective_piece_names(ker, prefix)
+    ok = names is not None
+    if not ok:
+        names = []
+        for p in indecomposable_summands(ker):
+            i = iso_class_index(p, add_list)
+            names.append(add_names[i] if i is not None else "non-%s %s" % (kind, p.dims))
+    return f, ker, names, ok
+
+
+def _module_kernel_test(alg, m):
+    """Right and left approximation tests for one module outside add(A+DA).
+
+    The left test is the right one for Dm over the opposite algebra: the
+    cokernel of the minimal left approximation of m is dual to the kernel of
+    the minimal right approximation of Dm by the duals of add(A+DA).
+    """
+    gc = gen_cogen(alg)
+    f, ker, knames, right_ok = _kernel_half(m, gc.modules, gc.names, "P", "projective")
+    dual_add = [dual_module(x) for x in gc.modules]
+    dg, dcok, cnames, left_ok = _kernel_half(dual_module(m), dual_add, gc.names, "I", "injective")
     detail = {
         "right_source_dims": list(f.source.dims),
         "kernel_dims": list(ker.dims),
         "kernel_pieces": knames,
         "right_kernel_projective": right_ok,
-        "left_target_dims": list(g.target.dims),
-        "cokernel_dims": list(cok.dims),
+        "left_target_dims": list(dg.source.dims),
+        "cokernel_dims": list(dcok.dims),
         "cokernel_pieces": cnames,
         "left_cokernel_injective": left_ok,
     }
@@ -155,7 +118,6 @@ def check_representation_hereditary(alg, budget: Budget | None = None, catalog=N
     """Kernel/cokernel conditions over the whole catalog, with the gl.dim oracle."""
     if catalog is None:
         catalog = enumerate_indecomposables(alg, budget)
-    add_list, add_names = _dedup_add_list(alg)
     outside = [node for node in catalog.nodes if not node.in_add_gen_cogen]
     report = CheckReport("representation_hereditary", HOLDS)
     if catalog.complete and not outside:
@@ -167,7 +129,7 @@ def check_representation_hereditary(alg, budget: Budget | None = None, catalog=N
     cond3 = True
     cond5 = True
     for node in outside:
-        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep, add_list, add_names)
+        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep)
         detail["module"] = node.name
         report.witnesses.append(detail)
         cond3 = cond3 and right_ok
@@ -192,8 +154,7 @@ def check_representation_hereditary(alg, budget: Budget | None = None, catalog=N
 
 def check_module_conditions(alg, m) -> CheckReport:
     """Per-module kernel/cokernel test; works without a catalog."""
-    add_list, add_names = _dedup_add_list(alg)
-    right_ok, left_ok, detail = _module_kernel_test(alg, m, add_list, add_names)
+    right_ok, left_ok, detail = _module_kernel_test(alg, m)
     report = CheckReport("module_conditions", HOLDS if (right_ok and left_ok) else FAILS)
     detail["module_dims"] = list(m.dims)
     report.witnesses.append(detail)
@@ -204,34 +165,19 @@ def check_torsionless_structure(alg, catalog) -> CheckReport:
     """Non-injectives in Gen DA are cosyzygies of projectives; dual; counts."""
     if not catalog.complete:
         raise IncompleteCatalog("torsionless structure needs a complete catalog")
-    nv = alg.quiver.n_vertices
     facts = node_facts(catalog)
-    cosyz = {}
-    syz = {}
-    for v in range(nv):
-        p = projective_at(alg, v)
-        if not p.is_zero():
-            cosyz[v] = cosyzygy(p)
-        iv = injective_at(alg, v)
-        if not iv.is_zero():
-            syz[v] = syzygy(iv)
+    gc = gen_cogen(alg)
+    cosyz = [cosyzygy(p) for p in gc.projectives]
+    syz = [syzygy(iv) for iv in gc.injectives]
     report = CheckReport("torsionless_structure", HOLDS)
     ok = True
     for i, node in enumerate(catalog.nodes):
         if node.inj_vertex is None and facts[i]["gen_da"]:
-            match = None
-            for v, c in cosyz.items():
-                if is_isomorphic(node.rep, c):
-                    match = v
-                    break
+            match = iso_class_index(node.rep, cosyz)
             report.witnesses.append({"part": "a", "module": node.name, "cosyzygy_of_projective_at": match})
             ok = ok and match is not None
         if node.proj_vertex is None and facts[i]["cogen_a"]:
-            match = None
-            for v, s in syz.items():
-                if is_isomorphic(node.rep, s):
-                    match = v
-                    break
+            match = iso_class_index(node.rep, syz)
             report.witnesses.append({"part": "b", "module": node.name, "syzygy_of_injective_at": match})
             ok = ok and match is not None
     count = sum(1 for i in range(len(catalog.nodes)) if facts[i]["cogen_a"])
@@ -336,17 +282,12 @@ def check_corollary_parts(alg, catalog) -> CheckReport:
 
 
 def _gate_hom_da_a(alg):
-    nv = alg.quiver.n_vertices
-    for i in range(nv):
-        iv = injective_at(alg, i)
-        if iv.is_zero():
-            continue
-        for j in range(nv):
-            pj = projective_at(alg, j)
-            if pj.is_zero():
-                continue
+    gc = gen_cogen(alg)
+    verts = alg.quiver.vertices
+    for i, iv in enumerate(gc.injectives):
+        for j, pj in enumerate(gc.projectives):
             if hom_basis(iv, pj):
-                return (alg.quiver.vertices[i], alg.quiver.vertices[j])
+                return (verts[i], verts[j])
     return None
 
 
@@ -404,8 +345,8 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
         ok = ok and (quasi or branch_b)
 
     # (iii) Hom(DA, tau X) != 0 implies Hom(DA, X) != 0, and the dual
-    inj_list = [injective_at(alg, v) for v in range(nv) if not injective_at(alg, v).is_zero()]
-    proj_list = [projective_at(alg, v) for v in range(nv) if not projective_at(alg, v).is_zero()]
+    gc = gen_cogen(alg)
+    inj_list, proj_list = gc.injectives, gc.projectives
     orbits_ok = True
     for i, node in enumerate(catalog.nodes):
         if node.proj_vertex is None:
@@ -441,8 +382,10 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     if main_report.verdict == HOLDS:
         ok = ok and orbit_dims_ok
 
-    # (v) shape of the minimal approximations for modules outside add(A + DA)
-    add_list, add_names = _dedup_add_list(alg)
+    # (v) shape of the minimal approximations for modules outside add(A + DA);
+    # the left-hand shape is the right-hand one for Dx over the opposite algebra
+    dual_proj = [dual_module(p) for p in proj_list]
+    dual_add = [dual_module(y) for y in gc.modules]
     shape_ok = True
     for node in catalog.nodes:
         if node.in_add_gen_cogen:
@@ -451,47 +394,11 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
         entry = {"part": "v", "module": node.name}
         gen_ok = not in_gen(inj_list, x) and not in_cogen(proj_list, x)
         entry["outside_gen_da_and_cogen_a"] = gen_ok
-        fr = minimal_right_approx(x, inj_list)
-        cok, cproj = cokernel_of(fr)
-        cover = projective_cover(cok)
-        lift = solve_factor_right(cproj, cover)
-        built_ok = False
-        if lift is not None:
-            from .linalg import hstack as _h
-
-            fld = alg.field
-            mats = []
-            for v in range(len(x.dims)):
-                mats.append(_h(fld, [fr.mats[v], lift.mats[v]], rows=x.dims[v]))
-            src = direct_sum(alg, [fr.source, cover.source])
-            fp = ModuleMorphism(src, x, tuple(mats)).check()
-            minimal = minimal_right_approx(x, add_list)
-            built_ok = _same_summand_multiset(fp.source, minimal.source) and _is_right_approx_morphism(
-                fp, add_list
-            )
+        built_ok = _built_right_approx_ok(x, inj_list, gc.modules)
         entry["constructed_equals_minimal_right_approx"] = built_ok
-        shape_ok = shape_ok and gen_ok and built_ok
-        # dual construction
-        gl_ = minimal_left_approx(x, proj_list)
-        kerx, kincl = kernel_of(gl_)
-        from .homological import injective_envelope, solve_factor_left
-
-        env = injective_envelope(kerx)
-        lift2 = solve_factor_left(kincl, env)
-        built2 = False
-        if lift2 is not None:
-            from .linalg import vstack as _v
-
-            fld = alg.field
-            mats = []
-            for v in range(len(x.dims)):
-                mats.append(_v(fld, [gl_.mats[v], lift2.mats[v]], cols=x.dims[v]))
-            dst = direct_sum(alg, [gl_.target, env.target])
-            fp2 = ModuleMorphism(x, dst, tuple(mats)).check()
-            minimal2 = minimal_left_approx(x, add_list)
-            built2 = _same_summand_multiset(fp2.target, minimal2.target) and _is_left_approx_morphism(fp2, add_list)
+        built2 = _built_right_approx_ok(dual_module(x), dual_proj, dual_add)
         entry["constructed_equals_minimal_left_approx"] = built2
-        shape_ok = shape_ok and built2
+        shape_ok = shape_ok and gen_ok and built_ok and built2
         report.witnesses.append(entry)
     report.witnesses.append({"part": "v", "ok": shape_ok})
     if main_report.verdict == HOLDS:
@@ -501,35 +408,26 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     return report
 
 
-def _same_summand_multiset(a, b) -> bool:
-    pa = indecomposable_summands(a)
-    pb = list(indecomposable_summands(b))
-    if len(pa) != len(pb):
+def _built_right_approx_ok(x, inj_list, add_list) -> bool:
+    """Whether the minimal right add(inj_list)-approximation of x, together with a lift of the
+    projective cover of its cokernel, is a minimal right add(add_list)-approximation of x."""
+    alg = x.algebra
+    fr = minimal_right_approx(x, inj_list)
+    cok, cproj = cokernel_of(fr)
+    cover = projective_cover(cok)
+    lift = solve_factor_right(cproj, cover)
+    if lift is None:
         return False
-    for p in pa:
-        for k, q0 in enumerate(pb):
-            if p.dims == q0.dims and indec_isomorphic(p, q0):
-                pb.pop(k)
-                break
-        else:
-            return False
-    return True
+    mats = [hstack(alg.field, [fr.mats[v], lift.mats[v]], rows=x.dims[v]) for v in range(len(x.dims))]
+    fp = ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
+    minimal = minimal_right_approx(x, add_list)
+    return is_isomorphic(fp.source, minimal.source) and _is_right_approx_morphism(fp, add_list)
 
 
 def _is_right_approx_morphism(f, xs) -> bool:
     for x in xs:
         for h in hom_basis(x, f.target):
             if solve_factor_right(f, h) is None:
-                return False
-    return True
-
-
-def _is_left_approx_morphism(f, xs) -> bool:
-    from .homological import solve_factor_left
-
-    for x in xs:
-        for h in hom_basis(f.source, x):
-            if solve_factor_left(f, h) is None:
                 return False
     return True
 
@@ -548,7 +446,7 @@ class TiltingContext:
             raise NotTilting("the base algebra has relations; a hereditary algebra is required")
         distinct = []
         for t in self.summands:
-            if not any(indec_isomorphic(t, u) for u in distinct):
+            if iso_class_index(t, distinct) is None:
                 distinct.append(t)
         if len(distinct) != h.quiver.n_vertices:
             raise NotTilting(
@@ -571,14 +469,11 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
     h = ctx.hereditary
     q = h.quiver
     catalog = enumerate_indecomposables(h, budget, strict=True)
+    gc = gen_cogen(h)
     report = CheckReport("tilted_sufficient", HOLDS)
 
     sinks = [v for v in range(q.n_vertices) if not q.out_arrows[v]]
-    rset = []
-    for v in range(q.n_vertices):
-        pv = projective_at(h, v)
-        if any(indec_isomorphic(pv, t) for t in distinct):
-            rset.append(v)
+    rset = [v for v, pv in enumerate(gc.projectives) if iso_class_index(pv, distinct) is not None]
     cond1 = set(sinks) <= set(rset)
     report.witnesses.append(
         {
@@ -596,7 +491,7 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
         cond2 = True
         bad = []
         for node in catalog.nodes:
-            if in_cogen(tau_t, node.rep) and not any(indec_isomorphic(node.rep, t) for t in tau_t):
+            if in_cogen(tau_t, node.rep) and iso_class_index(node.rep, tau_t) is None:
                 cond2 = False
                 bad.append(node.name)
         report.witnesses.append({"cond": "2", "holds": cond2, "violations": bad})
@@ -604,17 +499,16 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
         cond2 = True
         report.witnesses.append({"cond": "2", "holds": True, "violations": [], "note": "tau T = 0"})
 
-    iset = [injective_at(h, r) for r in rset]
-    xs = list(distinct) + [iv for iv in iset if not any(indec_isomorphic(iv, t) for t in distinct)]
+    iset = [gc.injectives[r] for r in rset]
+    xs = list(distinct) + [iv for iv in iset if iso_class_index(iv, distinct) is None]
     cond3 = True
     for v in range(q.n_vertices):
         if v in rset:
             continue
-        ih = injective_at(h, v)
-        phi = minimal_right_approx(ih, xs)
+        phi = minimal_right_approx(gc.injectives[v], xs)
         ker, _ = kernel_of(phi)
         pieces = indecomposable_summands(ker)
-        in_add_t = all(any(indec_isomorphic(p, t) for t in distinct) for p in pieces)
+        in_add_t = all(iso_class_index(p, distinct) is not None for p in pieces)
         report.witnesses.append(
             {
                 "cond": "3",
@@ -627,8 +521,8 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
 
     # the torsion-radical identity T = tau^{-1}(P / tP) + P', recorded when (1) holds
     if cond1:
-        nonsummand_proj = [projective_at(h, v) for v in range(q.n_vertices) if v not in rset]
-        summand_proj = [projective_at(h, v) for v in rset]
+        nonsummand_proj = [gc.projectives[v] for v in range(q.n_vertices) if v not in rset]
+        summand_proj = [gc.projectives[v] for v in rset]
         expected = list(summand_proj)
         if nonsummand_proj:
             p = direct_sum(h, nonsummand_proj)
@@ -637,7 +531,7 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
             ti = ar_translate_inv(quot)
             expected.extend(indecomposable_summands(ti))
         identity_ok = len(expected) == len(distinct) and all(
-            any(indec_isomorphic(e, t) for t in distinct) for e in expected
+            iso_class_index(e, distinct) is not None for e in expected
         )
         report.witnesses.append({"lemma": "T = tau^{-1}(P/tP) + P'", "holds": identity_ok})
 
@@ -649,9 +543,10 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
 # -- suite orchestration ----------------------------------------------------------
 
 
-def run_all_checks(alg, budget: Budget | None = None):
+def run_all_checks(alg, budget: Budget | None = None, catalog=None):
     """Every catalog-level check; returns (reports, catalog)."""
-    catalog = enumerate_indecomposables(alg, budget)
+    if catalog is None:
+        catalog = enumerate_indecomposables(alg, budget)
     reports = []
     main = check_representation_hereditary(alg, catalog=catalog)
     reports.append(main)

@@ -23,7 +23,7 @@ from .checks import (
     run_all_checks,
 )
 from .errors import BudgetExceeded, NotTilting, RepherdError
-from .modules import indec_isomorphic, indecomposable_summands, injective_at, projective_at
+from .modules import gen_cogen, indecomposable_summands, iso_class_index
 
 _EXIT = {HOLDS: 0, FAILS: 1, DEGENERATE: 2, INCONCLUSIVE: 3}
 
@@ -62,11 +62,11 @@ def cmd_info(args) -> int:
 
 
 def _catalog_for(alg, budget):
-    cached = rio.load_catalog_cache(alg)
+    cached = rio.load_catalog_cache(alg, budget)
     if cached is not None:
         return cached
     cat = enumerate_indecomposables(alg, budget)
-    rio.save_catalog_cache(alg, cat)
+    rio.save_catalog_cache(alg, cat, budget)
     return cat
 
 
@@ -80,7 +80,7 @@ def cmd_check(args) -> int:
         return _run_tilted(args, alg, args.tilting, budget)
     cat = _catalog_for(alg, budget)
     if args.suite == "all":
-        reports, cat = run_all_checks(alg, budget)
+        reports, _ = run_all_checks(alg, budget, catalog=cat)
         main = reports[0]
     else:
         main = check_representation_hereditary(alg, catalog=cat)
@@ -132,11 +132,8 @@ def emit_dot(cat, arrows) -> str:
 def cmd_check_module(args) -> int:
     alg = rio.load_algebra(args.algebra)
     m = rio.load_module(alg, args.module)
-    nv = alg.quiver.n_vertices
-    add_list = [projective_at(alg, v) for v in range(nv)] + [injective_at(alg, v) for v in range(nv)]
-    add_list = [x for x in add_list if not x.is_zero()]
-    pieces = indecomposable_summands(m)
-    outside = [p for p in pieces if not any(indec_isomorphic(p, x) for x in add_list)]
+    add_list = gen_cogen(alg).modules
+    outside = [p for p in indecomposable_summands(m) if iso_class_index(p, add_list) is None]
     if not outside:
         payload = {
             "tool_version": rio.TOOL_VERSION,
@@ -221,6 +218,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RepherdError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # a crash is an error, never a verdict
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .dims import DimValue
 from .errors import FieldTooSmall, NonSplit, VerificationFailed
 from .fields import PrimeField, Rationals
-from .linalg import Mat, SpanTracker, block_diag, col_space, hstack, kernel_basis, rank, solve
+from .linalg import Mat, SpanTracker, block_diag, col_space, hstack, kernel_basis, quotient_maps, rank, solve
 
 
 # -- polynomials (coefficient lists, ascending degree) ------------------------
@@ -66,12 +66,6 @@ def _p_divmod(f, a, b):
             a[d + i] = f.sub(a[d + i], f.mul(s, y))
         _p_trim(f, a)
     return _p_trim(f, q), a
-
-
-def _p_monic(f, a):
-    if not a:
-        return a
-    return _p_scale(f, f.inv(a[-1]), a)
 
 
 def _p_xgcd(f, a, b):
@@ -643,20 +637,9 @@ def _gm_sub(v: _GMod, basis: Mat) -> _GMod:
 
 
 def _gm_quotient(v: _GMod, wbasis: Mat):
-    from .modules import _extend_basis_cols  # reuse the column extension helper
-    from .linalg import inverse
-
-    f = v.g.field
-    d = v.dim
-    r = wbasis.cols
-    t = _extend_basis_cols(f, wbasis, d)
-    tinv = inverse(t) if d else Mat.zeros(f, 0, 0)
-    pent = tuple(tinv.entries[(r + i) * d + j] for i in range(d - r) for j in range(d))
-    proj = Mat(f, d - r, d, pent)
-    sent = tuple(t.entries[i * d + (r + j)] for i in range(d) for j in range(d - r))
-    sect = Mat(f, d, d - r, sent)
+    proj, sect = quotient_maps(v.g.field, wbasis)
     acts = tuple(proj.mul(a).mul(sect) for a in v.acts)
-    return _GMod(v.g, d - r, acts), proj
+    return _GMod(v.g, v.dim - wbasis.cols, acts), proj
 
 
 def _gm_radical_basis(v: _GMod, rad) -> Mat:
@@ -868,14 +851,7 @@ def _gm_pd(g, rad, idem_blocks, gens, m: _GMod, bound) -> DimValue:
 
 def gldim_end_gen_cogen(alg, bound=None) -> DimValue:
     """gl.dim End(A + DA), with one summand per isomorphism class."""
-    from .modules import direct_sum, indec_isomorphic, injective_at, projective_at
+    from .modules import direct_sum, gen_cogen
 
-    nv = alg.quiver.n_vertices
-    parts = [projective_at(alg, v) for v in range(nv)]
-    for v in range(nv):
-        iv = injective_at(alg, v)
-        if not any(indec_isomorphic(iv, p) for p in parts):
-            parts.append(iv)
-    m = direct_sum(alg, parts)
-    g = endomorphism_algebra(m)
+    g = endomorphism_algebra(direct_sum(alg, gen_cogen(alg).modules))
     return global_dimension(g, bound)

@@ -15,11 +15,13 @@ from .modules import (
     direct_sum,
     dual_module,
     dual_morphism,
+    gen_cogen,
     hom_basis,
     identity_morphism,
     image_of,
     indec_isomorphic,
     indecomposable_summands,
+    iso_class_index,
     kernel_of,
     morphism_add,
     morphism_combo,
@@ -138,16 +140,13 @@ class _PieceRegistry:
         self.items = []
 
     def key(self, rep: Representation):
-        pieces = indecomposable_summands(rep)
         out = []
-        for p in pieces:
-            for i, q0 in enumerate(self.items):
-                if indec_isomorphic(p, q0):
-                    out.append(i)
-                    break
-            else:
+        for p in indecomposable_summands(rep):
+            i = iso_class_index(p, self.items)
+            if i is None:
                 self.items.append(p)
-                out.append(len(self.items) - 1)
+                i = len(self.items) - 1
+            out.append(i)
         return tuple(sorted(out))
 
 
@@ -380,9 +379,8 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     alg = z.algebra
     fld = alg.field
     nv = alg.quiver.n_vertices
-    for v in range(nv):
-        if indec_isomorphic(z, projective_at(alg, v)):
-            raise ZProjective("almost split sequence requested for a projective module")
+    if iso_class_index(z, gen_cogen(alg).projectives) is not None:
+        raise ZProjective("almost split sequence requested for a projective module")
     tz = ar_translate(z)
     if tz.is_zero():
         raise VerificationFailed("translate of a non-projective module vanished")
@@ -537,19 +535,14 @@ def solve_factor_right(f: ModuleMorphism, h: ModuleMorphism):
 
 
 def solve_factor_left(f: ModuleMorphism, h: ModuleMorphism):
-    """g with g . f = h, where h : source(f) -> Y; None if impossible."""
-    y = h.target
-    fld = y.algebra.field
-    basis = hom_basis(f.target, y)
-    target = morphism_flat(h)
-    if not basis:
-        return None if any(t != fld.zero for t in target) else zero_morphism(f.target, y)
-    cols = [morphism_flat(compose(b, f)) for b in basis]
-    a = Mat(fld, len(target), len(basis), tuple(cols[j][i] for i in range(len(target)) for j in range(len(basis))))
-    sol = solve(a, Mat.column(fld, target))
-    if sol is None:
+    """g with g . f = h, where h : source(f) -> Y; None if impossible.
+
+    The dual of solve_factor_right over the opposite algebra.
+    """
+    dg = solve_factor_right(dual_morphism(f), dual_morphism(h))
+    if dg is None:
         return None
-    return morphism_combo(fld, basis, sol.col(0), f.target, y)
+    return ModuleMorphism(f.target, h.target, dual_morphism(dg).mats)
 
 
 # -- trace, reject, approximations ----------------------------------------------
@@ -672,53 +665,10 @@ def minimal_right_approx(m: Representation, xs) -> ModuleMorphism:
     return _assemble_columns(alg, m, comps)
 
 
-def _left_approx_property(comps, xs, m, hom_cache):
-    fld = m.algebra.field
-    for x in xs:
-        for h in hom_cache["from_m", id(x)]:
-            target = morphism_flat(h)
-            cols = []
-            for (u, comp) in comps:
-                for b in hom_cache[id(u), id(x)]:
-                    cols.append(morphism_flat(compose(b, comp)))
-            if not cols:
-                if any(t != fld.zero for t in target):
-                    return False
-                continue
-            a = Mat(
-                fld,
-                len(target),
-                len(cols),
-                tuple(cols[j][i] for i in range(len(target)) for j in range(len(cols))),
-            )
-            if solve(a, Mat.column(fld, target)) is None:
-                return False
-    return True
-
-
 def minimal_left_approx(m: Representation, xs) -> ModuleMorphism:
-    alg = m.algebra
-    hom_cache = {}
-    for x in xs:
-        hom_cache["from_m", id(x)] = hom_basis(m, x)
-        for u in xs:
-            hom_cache[id(u), id(x)] = hom_basis(u, x)
-    comps = []
-    for x in xs:
-        for h in hom_cache["from_m", id(x)]:
-            comps.append((x, h))
-    if not _left_approx_property(comps, xs, m, hom_cache):
-        raise VerificationFailed("universal map is not an approximation")
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(comps)):
-            trial = comps[:k] + comps[k + 1 :]
-            if _left_approx_property(trial, xs, m, hom_cache):
-                comps = trial
-                changed = True
-                break
-    if not comps:
-        dst = zero_rep(alg)
-        return zero_morphism(m, dst)
-    return _assemble_rows(alg, m, comps)
+    """Minimal left approximation of m by add of the given module list.
+
+    The dual of the minimal right approximation of Dm by the duals of xs.
+    """
+    g = dual_morphism(minimal_right_approx(dual_module(m), [dual_module(x) for x in xs]))
+    return ModuleMorphism(m, g.target, g.mats)

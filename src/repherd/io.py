@@ -11,7 +11,7 @@ import os
 import tempfile
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra, make_path
-from .errors import ParseError
+from .errors import ParseError, RepherdError
 from .fields import field_from_spec
 from .linalg import Mat
 from .modules import Representation
@@ -158,17 +158,19 @@ def report_file(alg, reports, cat=None) -> dict:
 # -- catalog cache -------------------------------------------------------------
 
 
-def cache_path(alg):
+def cache_path(alg, budget):
+    """The cache file of the catalog of alg at this budget, keyed by algebra, field and budget."""
     root = os.environ.get("REPHERD_CACHE_DIR")
     if not root or not getattr(alg, "digest", None):
         return None
     os.makedirs(root, exist_ok=True)
     suffix = "q" if alg.field.kind == "Q" else "p%d" % alg.field.p
-    return os.path.join(root, "%s-%s.json" % (alg.digest, suffix))
+    name = "%s-%s-m%d-d%d.json" % (alg.digest, suffix, budget.max_modules, budget.max_total_dim)
+    return os.path.join(root, name)
 
 
-def save_catalog_cache(alg, cat):
-    path = cache_path(alg)
+def save_catalog_cache(alg, cat, budget):
+    path = cache_path(alg, budget)
     if path is None:
         return
     data = {
@@ -190,13 +192,20 @@ def save_catalog_cache(alg, cat):
     dump_json(path, data)
 
 
-def load_catalog_cache(alg):
-    from .catalog import CatalogNode, IndecomposableCatalog
-
-    path = cache_path(alg)
+def load_catalog_cache(alg, budget):
+    """The cached catalog, or None when there is none or it cannot be read."""
+    path = cache_path(alg, budget)
     if path is None or not os.path.exists(path):
         return None
-    data = load_json(path)
+    try:
+        return _catalog_from_cache(alg, load_json(path))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RepherdError):
+        return None
+
+
+def _catalog_from_cache(alg, data):
+    from .catalog import CatalogNode, IndecomposableCatalog
+
     if data.get("tool_version") != TOOL_VERSION:
         return None
     nodes = []

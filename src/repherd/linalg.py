@@ -329,6 +329,20 @@ def extend_to_basis(field, basis: Mat) -> Mat:
     return Mat(field, n, n, ent)
 
 
+def quotient_maps(field, basis: Mat):
+    """Projection k^d -> k^d / span(basis) and a linear section of it.
+
+    With t the extension of `basis` to a basis of k^d, the projection is the
+    last d - r rows of t^{-1} and the section the last d - r columns of t.
+    """
+    d, r = basis.rows, basis.cols
+    t = extend_to_basis(field, basis)
+    tinv = inverse(t) if d else Mat.zeros(field, 0, 0)
+    proj = Mat(field, d - r, d, tinv.entries[r * d :])
+    sect = Mat(field, d, d - r, tuple(t.entries[i * d + r + j] for i in range(d) for j in range(d - r)))
+    return proj, sect
+
+
 class SpanTracker:
     """Incrementally maintained row space in reduced echelon form.
 

@@ -9,7 +9,7 @@ from .errors import (
     NonSplit,
     NonSplitEndomorphismRing,
 )
-from .linalg import Mat, SpanTracker, col_space, hstack, inverse, is_invertible, kernel_basis, solve, vstack
+from .linalg import Mat, col_space, hstack, is_invertible, kernel_basis, quotient_maps, solve, vstack
 
 
 class Representation:
@@ -162,10 +162,6 @@ def morphism_is_invertible(f: ModuleMorphism) -> bool:
     return all(is_invertible(m) for m in f.mats)
 
 
-def morphism_inverse(f: ModuleMorphism) -> ModuleMorphism:
-    return ModuleMorphism(f.target, f.source, tuple(inverse(m) for m in f.mats))
-
-
 # -- canonical modules -------------------------------------------------------
 
 
@@ -226,6 +222,37 @@ def simple_at(alg, v) -> Representation:
         for a in range(q.n_arrows)
     ]
     return Representation(alg, dims, mats, check=False)
+
+
+@dataclass(frozen=True)
+class GenCogen:
+    """The indecomposable summands of A + DA.
+
+    `modules` lists the projectives in vertex order, then each injective not
+    isomorphic to an earlier entry; `names` labels them P(v) and I(v).  The
+    order fixes the basis of End(A + DA) that the oracle works in.
+    """
+
+    projectives: tuple   # P(v) for every vertex v
+    injectives: tuple    # I(v) for every vertex v
+    modules: tuple
+    names: tuple
+
+
+def gen_cogen(alg) -> GenCogen:
+    """add(A + DA) of the algebra, built once and kept on the algebra object."""
+    if alg._gen_cogen is None:
+        verts = alg.quiver.vertices
+        projs = tuple(projective_at(alg, v) for v in range(len(verts)))
+        injs = tuple(injective_at(alg, v) for v in range(len(verts)))
+        modules = list(projs)
+        names = ["P(%s)" % v for v in verts]
+        for v, iv in zip(verts, injs):
+            if iso_class_index(iv, modules) is None:
+                modules.append(iv)
+                names.append("I(%s)" % v)
+        alg._gen_cogen = GenCogen(projs, injs, tuple(modules), tuple(names))
+    return alg._gen_cogen
 
 
 def dual_module(m: Representation) -> Representation:
@@ -329,48 +356,18 @@ def cokernel_of(f: ModuleMorphism):
 
 def cokernel_with_section(f: ModuleMorphism):
     """Cokernel plus a linear section of the projection (not a morphism)."""
-    fld = f.source.algebra.field
     q = f.source.algebra.quiver
     n = f.target
-    projs = []
-    sections = []
-    dims = []
-    for v in range(len(n.dims)):
-        b = col_space(f.mats[v])
-        r = b.cols
-        d = n.dims[v]
-        t = _extend_basis_cols(fld, b, d)
-        tinv = inverse(t) if d else Mat.zeros(fld, 0, 0)
-        # projection: last d-r rows of t^{-1}; section: last d-r columns of t
-        pent = tuple(tinv.entries[(r + i) * d + j] for i in range(d - r) for j in range(d))
-        projs.append(Mat(fld, d - r, d, pent))
-        sent = tuple(t.entries[i * d + (r + j)] for i in range(d) for j in range(d - r))
-        sections.append(Mat(fld, d, d - r, sent))
-        dims.append(d - r)
+    maps = [quotient_maps(n.algebra.field, col_space(m)) for m in f.mats]
+    projs = tuple(p for p, _ in maps)
+    sections = tuple(s for _, s in maps)
     mats = []
     for a in range(q.n_arrows):
         i, j = q.arrow_src[a], q.arrow_tgt[a]
         mats.append(projs[j].mul(n.mats[a]).mul(sections[i]))
-    cok = Representation(f.source.algebra, dims, mats)
-    proj = ModuleMorphism(n, cok, tuple(projs)).check()
-    return cok, proj, tuple(sections)
-
-
-def _extend_basis_cols(fld, b: Mat, d: int) -> Mat:
-    tracker = SpanTracker(fld, d)
-    cols = [b.col(j) for j in range(b.cols)]
-    for c in cols:
-        tracker.add(c)
-    z, o = fld.zero, fld.one
-    for k in range(d):
-        if tracker.dim == d:
-            break
-        vec = [z] * d
-        vec[k] = o
-        if tracker.add(vec):
-            cols.append(tuple(vec))
-    ent = tuple(cols[j][i] for i in range(d) for j in range(d))
-    return Mat(fld, d, d, ent)
+    cok = Representation(f.source.algebra, [p.rows for p in projs], mats)
+    proj = ModuleMorphism(n, cok, projs).check()
+    return cok, proj, sections
 
 
 def direct_sum(alg, reps):
@@ -387,32 +384,6 @@ def direct_sum(alg, reps):
 
     mats = [block_diag(alg.field, [r.mats[a] for r in reps]) for a in range(q.n_arrows)]
     return Representation(alg, dims, mats, summands=tuple(reps))
-
-
-def summand_inclusion(total: Representation, reps, k) -> ModuleMorphism:
-    fld = total.algebra.field
-    mats = []
-    for v in range(len(total.dims)):
-        before = sum(r.dims[v] for r in reps[:k])
-        dk = reps[k].dims[v]
-        m = [[fld.zero] * dk for _ in range(total.dims[v])]
-        for t in range(dk):
-            m[before + t][t] = fld.one
-        mats.append(Mat.from_rows(fld, m) if total.dims[v] else Mat.zeros(fld, 0, dk))
-    return ModuleMorphism(reps[k], total, tuple(mats))
-
-
-def summand_projection(total: Representation, reps, k) -> ModuleMorphism:
-    fld = total.algebra.field
-    mats = []
-    for v in range(len(total.dims)):
-        before = sum(r.dims[v] for r in reps[:k])
-        dk = reps[k].dims[v]
-        m = [[fld.zero] * total.dims[v] for _ in range(dk)]
-        for t in range(dk):
-            m[t][before + t] = fld.one
-        mats.append(Mat.from_rows(fld, m) if dk else Mat.zeros(fld, 0, total.dims[v]))
-    return ModuleMorphism(total, reps[k], tuple(mats))
 
 
 def radical_of(m: Representation):
@@ -492,23 +463,23 @@ class Decomposition:
 
 def decompose(m: Representation) -> Decomposition:
     idems = endomorphism_idempotents(m)
-    raw = [image_of(e)[0] for e in idems]
-    grouped = []
-    for p in raw:
-        for k, (q0, mult) in enumerate(grouped):
-            if indec_isomorphic(p, q0):
-                grouped[k] = (q0, mult + 1)
-                break
+    reps, mults = [], []
+    for e in idems:
+        p = image_of(e)[0]
+        k = iso_class_index(p, reps)
+        if k is None:
+            reps.append(p)
+            mults.append(1)
         else:
-            grouped.append((p, 1))
-    return Decomposition(grouped, idems)
+            mults[k] += 1
+    return Decomposition(list(zip(reps, mults)), idems)
 
 
 def indec_isomorphic(x: Representation, y: Representation) -> bool:
     """Isomorphism test for modules with local endomorphism rings."""
     if x.dims != y.dims:
         return False
-    if x.total_dim == 0:
+    if x is y or x.total_dim == 0:
         return True
     fwd = hom_basis(x, y)
     if not fwd:
@@ -519,6 +490,18 @@ def indec_isomorphic(x: Representation, y: Representation) -> bool:
             if morphism_is_invertible(compose(g, f)):
                 return True
     return False
+
+
+def iso_class_index(rep: Representation, cands):
+    """The first index i with rep isomorphic to cands[i], for indecomposable rep; else None.
+
+    Dimension vectors are compared here so that only candidates that can
+    match count as isomorphism tests.
+    """
+    for i, c in enumerate(cands):
+        if rep.dims == c.dims and indec_isomorphic(rep, c):
+            return i
+    return None
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
@@ -533,10 +516,8 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     if len(left) != len(right):
         return False
     for p in left:
-        for k, q0 in enumerate(right):
-            if indec_isomorphic(p, q0):
-                right.pop(k)
-                break
-        else:
+        k = iso_class_index(p, right)
+        if k is None:
             return False
+        right.pop(k)
     return True

@@ -1,0 +1,58 @@
+"""Exit codes mean what they say: crashes exit 4, and a cache never changes a verdict."""
+import json
+
+from repherd import checks, cli
+from repherd.cli import main
+
+from tests.conftest import fixture_path
+
+
+def test_cache_is_keyed_by_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
+    assert main(["check", fixture_path("tilted4.json"), "--budget-modules", "5"]) == 3
+    assert main(["check", fixture_path("tilted4.json")]) == 0
+
+
+def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
+    assert main(["check", fixture_path("a3.json")]) == 0
+    (cached,) = tmp_path.glob("*.json")
+    for junk in ("not json", "[]", '{"tool_version": "0.1.0", "nodes": [{}], "complete": true}'):
+        cached.write_text(junk)
+        assert main(["check", fixture_path("a3.json")]) == 0
+
+
+def test_suite_all_enumerates_once_and_cache_keeps_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    calls = []
+    real = cli.enumerate_indecomposables
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_indecomposables", counting)
+    monkeypatch.setattr(checks, "enumerate_indecomposables", counting)
+    argv = ["check", fixture_path("loop2.json"), "--suite", "all"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    fresh = capsys.readouterr().out
+
+    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(calls) == 2  # the second cached run enumerates nothing
+    assert capsys.readouterr().out == fresh * 2
+
+
+def test_crash_exits_4_with_one_line(tmp_path, capsys):
+    alg = tmp_path / "no_vertices.json"
+    alg.write_text(json.dumps({"field": "Q", "arrows": [], "relations": [], "length_bound": 2}))
+    assert main(["check", str(alg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: KeyError: ") and err.count("\n") == 1
+
+    mod = tmp_path / "bad_dims.json"
+    mod.write_text(json.dumps({"dims": {"1": "a"}}))
+    assert main(["check-module", fixture_path("kron.json"), str(mod)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
