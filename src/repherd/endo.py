@@ -2,7 +2,8 @@
 
 Endomorphism algebras, trace-form radicals, primitive idempotent lifting,
 and global dimension of the algebra computed from projective resolutions
-of the simple right modules.
+of the simple right modules.  The gl.dim oracle builds End(A + DA) from its
+Hom blocks, which carry their radical and idempotents, and certifies both.
 """
 from __future__ import annotations
 
@@ -225,7 +226,10 @@ class AbstractAlgebra:
     """A unital associative algebra given by structure constants.
 
     table[i][j] holds the coordinates of b_i * b_j over the basis; labels,
-    when present, tie basis elements back to module endomorphisms.
+    when present, tie basis elements back to module endomorphisms.  radical
+    and idempotents, when present, are a claimed basis of the Jacobson
+    radical and a claimed complete set of primitive orthogonal idempotents;
+    global_dimension certifies them before it uses them.
     """
 
     field: object
@@ -233,31 +237,39 @@ class AbstractAlgebra:
     table: tuple
     unit: tuple
     labels: tuple = None
+    radical: tuple = None
+    idempotents: tuple = None
+
+    def __post_init__(self):
+        z = self.field.zero
+        # the nonzero structure constants (t, c) of each product b_i * b_j
+        terms = tuple(tuple(tuple((t, c) for t, c in enumerate(e) if c != z) for e in row) for row in self.table)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_units", tuple(_unit_vec(self.field, self.dim, j) for j in range(self.dim)))
 
     def mult(self, x, y):
         f = self.field
         z = f.zero
         out = [z] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj != z]
         for i, xi in enumerate(x):
             if xi == z:
                 continue
-            ti = self.table[i]
-            for j, yj in enumerate(y):
-                if yj == z:
-                    continue
-                s = f.mul(xi, yj)
-                for t, c in enumerate(ti[j]):
-                    if c != z:
+            ti = self._terms[i]
+            for j, yj in ys:
+                if ti[j]:
+                    s = f.mul(xi, yj)
+                    for t, c in ti[j]:
                         out[t] = f.add(out[t], f.mul(s, c))
         return tuple(out)
 
     def lmat(self, x) -> Mat:
-        cols = [self.mult(x, _unit_vec(self.field, self.dim, j)) for j in range(self.dim)]
+        cols = [self.mult(x, u) for u in self._units]
         ent = tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim))
         return Mat(self.field, self.dim, self.dim, ent)
 
     def rmat(self, x) -> Mat:
-        cols = [self.mult(_unit_vec(self.field, self.dim, j), x) for j in range(self.dim)]
+        cols = [self.mult(u, x) for u in self._units]
         ent = tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim))
         return Mat(self.field, self.dim, self.dim, ent)
 
@@ -266,18 +278,18 @@ def _unit_vec(f, n, j):
     return tuple(f.one if i == j else f.zero for i in range(n))
 
 
-def make_algebra(field, table, unit, labels=None) -> AbstractAlgebra:
+def make_algebra(field, table, unit, labels=None, radical=None, idempotents=None) -> AbstractAlgebra:
     n = len(table)
-    g = AbstractAlgebra(field, n, tuple(tuple(tuple(r) for r in row) for row in table), tuple(unit), labels)
+    g = AbstractAlgebra(field, n, tuple(tuple(tuple(r) for r in row) for row in table), tuple(unit), labels,
+                        radical, idempotents)
     _validate_algebra(g)
     return g
 
 
 def _validate_algebra(g: AbstractAlgebra):
-    f = g.field
     n = g.dim
     for j in range(n):
-        ej = _unit_vec(f, n, j)
+        ej = g._units[j]
         if g.mult(g.unit, ej) != ej or g.mult(ej, g.unit) != ej:
             raise VerificationFailed("unit law fails at basis element %d" % j)
     triples = []
@@ -290,7 +302,7 @@ def _validate_algebra(g: AbstractAlgebra):
         for _ in range(300):
             triples.append((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
     for (i, j, k) in triples:
-        ei, ej, ek = (_unit_vec(f, n, t) for t in (i, j, k))
+        ei, ej, ek = (g._units[t] for t in (i, j, k))
         left = g.mult(g.table[i][j], ek)
         right = g.mult(ei, g.table[j][k])
         if left != right:
@@ -335,7 +347,7 @@ def algebra_radical(g: AbstractAlgebra):
     if isinstance(f, PrimeField) and f.p <= g.dim:
         raise FieldTooSmall("trace-form radical needs p > dim, got p=%d dim=%d" % (f.p, g.dim))
     n = g.dim
-    lmats = [g.lmat(_unit_vec(f, n, i)) for i in range(n)]
+    lmats = [g.lmat(u) for u in g._units]
     ent = []
     for i in range(n):
         Li = lmats[i]
@@ -372,8 +384,6 @@ def _assert_nilpotent(g, basis):
                     nxt.append(y)
         if not nxt:
             return
-        if len(nxt) >= len(cur):
-            pass  # dimension may stall before dropping; keep iterating
         cur = nxt
     raise VerificationFailed("radical candidate is not nilpotent")
 
@@ -381,25 +391,76 @@ def _assert_nilpotent(g, basis):
 # -- primitive idempotents ----------------------------------------------------
 
 
-def primitive_idempotents(g: AbstractAlgebra):
-    """Complete orthogonal primitive idempotents, lifted from g/rad."""
-    rad = algebra_radical(g)
+def primitive_idempotents(g: AbstractAlgebra, rad=None):
+    """Complete orthogonal primitive idempotents, lifted from g/rad.
+
+    rad is a basis of the radical of g; the trace form finds it when none is given.
+    """
+    if rad is None:
+        rad = algebra_radical(g)
     out = []
     _split_idempotent(g, rad, g.unit, out)
+    _assert_complete_orthogonal(g, out)
+    return out
+
+
+def _assert_complete_orthogonal(g, idems):
     f = g.field
     total = [f.zero] * g.dim
-    for e in out:
+    for e in idems:
         for i, c in enumerate(e):
             total[i] = f.add(total[i], c)
     if tuple(total) != g.unit:
         raise VerificationFailed("idempotents do not sum to the unit")
-    for i, e1 in enumerate(out):
-        for j, e2 in enumerate(out):
-            prod = g.mult(e1, e2)
-            want = e1 if i == j else tuple(f.zero for _ in range(g.dim))
-            if prod != want:
+    zero = (f.zero,) * g.dim
+    for i, e1 in enumerate(idems):
+        for j, e2 in enumerate(idems):
+            if g.mult(e1, e2) != (e1 if i == j else zero):
                 raise VerificationFailed("idempotents are not orthogonal")
-    return out
+
+
+def certify_structure(g: AbstractAlgebra):
+    """Prove that g.radical is the Jacobson radical of g and that g.idempotents
+    are complete orthogonal primitive idempotents with g/rad = k x ... x k.
+
+    A nilpotent two-sided ideal lies in the radical.  Orthogonal idempotents
+    outside the ideal that sum to 1 stay independent modulo it; when there
+    are as many of them as the ideal's codimension, the quotient is a product
+    of copies of k, which is semisimple, so the ideal is the whole radical.
+    Raises VerificationFailed when any step fails.
+    """
+    f = g.field
+    rad, idems = g.radical, g.idempotents
+    if rad is None or idems is None:
+        raise VerificationFailed("the algebra carries no radical and idempotents to certify")
+    # the functionals that vanish on the claimed radical cut it out exactly
+    ann = kernel_basis(Mat.from_rows(f, rad)) if rad else Mat.identity(f, g.dim)
+    if ann.cols != g.dim - len(rad):
+        raise VerificationFailed("claimed radical basis is not independent")
+    if ann.cols != len(idems):
+        raise VerificationFailed(
+            "claimed radical has codimension %d, but there are %d idempotents" % (ann.cols, len(idems))
+        )
+    funcs = [[(i, c) for i, c in enumerate(ann.col(j)) if c != f.zero] for j in range(ann.cols)]
+
+    def in_rad(x):
+        for w in funcs:
+            acc = f.zero
+            for i, c in w:
+                if x[i] != f.zero:
+                    acc = f.add(acc, f.mul(c, x[i]))
+            if acc != f.zero:
+                return False
+        return True
+
+    for r in rad:
+        for u in g._units:
+            if not in_rad(g.mult(u, r)) or not in_rad(g.mult(r, u)):
+                raise VerificationFailed("claimed radical is not a two-sided ideal")
+    _assert_nilpotent(g, rad)
+    if any(in_rad(e) for e in idems):
+        raise VerificationFailed("an idempotent lies in the claimed radical")
+    _assert_complete_orthogonal(g, idems)
 
 
 def _corner_basis(g, e):
@@ -407,7 +468,7 @@ def _corner_basis(g, e):
     cb = []
     tracker = SpanTracker(f, g.dim)
     for t in range(g.dim):
-        v = g.mult(g.mult(e, _unit_vec(f, g.dim, t)), e)
+        v = g.mult(g.mult(e, g._units[t]), e)
         if tracker.add(v):
             cb.append(v)
     return cb
@@ -621,19 +682,46 @@ def _gm_act(v: _GMod, x) -> Mat:
 
 
 def _gm_regular(g: AbstractAlgebra) -> _GMod:
-    acts = [g.rmat(_unit_vec(g.field, g.dim, t)) for t in range(g.dim)]
+    acts = [g.rmat(u) for u in g._units]
     return _GMod(g, g.dim, tuple(acts))
 
 
 def _gm_sub(v: _GMod, basis: Mat) -> _GMod:
+    rows = _unit_column_rows(basis)
     acts = []
     for t in range(v.g.dim):
-        img = v.acts[t].mul(basis)
-        x = solve(basis, img)
+        if rows is None:
+            x = solve(basis, v.acts[t].mul(basis))
+        else:
+            x = _restrict(v.acts[t], rows)
         if x is None:
             raise VerificationFailed("subspace not closed under the action")
         acts.append(x)
     return _GMod(v.g, basis.cols, tuple(acts))
+
+
+def _unit_column_rows(basis: Mat):
+    """The row of the 1 in each column when every column is a unit vector, else None."""
+    f = basis.field
+    rows = []
+    for j in range(basis.cols):
+        col = basis.col(j)
+        nz = [i for i, x in enumerate(col) if x != f.zero]
+        if len(nz) != 1 or col[nz[0]] != f.one:
+            return None
+        rows.append(nz[0])
+    return rows
+
+
+def _restrict(a: Mat, rows):
+    """a on the span of the unit vectors at rows, in that basis, or None if a leaves the span."""
+    z = a.field.zero
+    keep = set(rows)
+    others = [i for i in range(a.rows) if i not in keep]
+    cols = [a.entries[j::a.cols] for j in rows]
+    if any(col[i] != z for col in cols for i in others):
+        return None
+    return Mat(a.field, len(rows), len(rows), tuple(col[i] for i in rows for col in cols))
 
 
 def _gm_quotient(v: _GMod, wbasis: Mat):
@@ -747,7 +835,7 @@ def _algebra_generators(g: AbstractAlgebra):
     elements = [g.unit]
     gens = []
     for t in range(g.dim):
-        ut = _unit_vec(f, g.dim, t)
+        ut = g._units[t]
         if span.contains(ut):
             continue
         gens.append(t)
@@ -801,9 +889,12 @@ def global_dimension(g: AbstractAlgebra, bound=None) -> DimValue:
     """Max projective dimension of the simple right modules."""
     if bound is None:
         bound = g.dim + 2
-    f = g.field
-    rad = algebra_radical(g)
-    idems = primitive_idempotents(g)
+    if g.radical is None:
+        rad = algebra_radical(g)
+        idems = primitive_idempotents(g, rad)
+    else:
+        certify_structure(g)
+        rad, idems = g.radical, g.idempotents
     reg = _gm_regular(g)
     gens = _algebra_generators(g)
     idem_blocks = []
@@ -851,7 +942,84 @@ def _gm_pd(g, rad, idem_blocks, gens, m: _GMod, bound) -> DimValue:
 
 def gldim_end_gen_cogen(alg, bound=None) -> DimValue:
     """gl.dim End(A + DA), with one summand per isomorphism class."""
-    from .modules import direct_sum, gen_cogen
+    return global_dimension(gen_cogen_algebra(alg), bound)
 
-    g = endomorphism_algebra(direct_sum(alg, gen_cogen(alg).modules))
-    return global_dimension(g, bound)
+
+def gen_cogen_algebra(alg) -> AbstractAlgebra:
+    """End(M_0 + ... + M_{n-1}) for the summands M_i of gen_cogen(alg), block by block.
+
+    The basis is the union of the bases of Hom(M_j, M_i), each element tagged
+    (i, j); a product (i, j) * (j, k) is a composition in Hom(M_k, M_i), and
+    every other product is zero.  The basis of End(M_i) is id followed by a
+    basis of the kernel of phi -> phi_v[0, 0], where M_i is P(v) or I(v): the
+    basis of P(v) at v starts with the stationary path e_v, and I(v) is the
+    dual of P(v) over the opposite algebra, so phi_v[0, 0] is the scalar by
+    which phi acts on top P(v) or on soc I(v).  The algebra carries the
+    identities as its idempotents and every other basis element as its
+    radical; global_dimension certifies both.
+    """
+    from .modules import compose, gen_cogen, hom_basis, morphism_flat
+
+    gc = gen_cogen(alg)
+    mods = gc.modules
+    f = alg.field
+    blocks = {}  # (i, j) -> basis of Hom(M_j, M_i), in the order of the algebra's basis
+    for i, mi in enumerate(mods):
+        for j, mj in enumerate(mods):
+            hb = hom_basis(mj, mi)
+            if i == j:
+                hb = _local_basis(mi, gc.vertices[i], hb)
+            if hb:
+                blocks[(i, j)] = hb
+    offset, dim = {}, 0
+    for key, hb in blocks.items():
+        offset[key] = dim
+        dim += len(hb)
+    trackers = {}
+    for key, hb in blocks.items():
+        tracker = SpanTracker(f, len(morphism_flat(hb[0])), track=True)
+        for b in hb:
+            if not tracker.add(morphism_flat(b)):
+                raise VerificationFailed("hom basis is not independent")
+        trackers[key] = tracker
+    zero = (f.zero,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for (i, j), left in blocks.items():
+        for k in range(len(mods)):
+            right = blocks.get((j, k))
+            if right is None:
+                continue
+            tracker = trackers.get((i, k))
+            for s, b in enumerate(left):
+                for t, c in enumerate(right):
+                    prod = morphism_flat(compose(b, c))
+                    if all(x == f.zero for x in prod):
+                        continue
+                    coords = tracker.coords(prod) if tracker is not None else None
+                    if coords is None:
+                        raise VerificationFailed("composition left the Hom block")
+                    row = list(zero)
+                    row[offset[(i, k)]:offset[(i, k)] + len(coords)] = coords
+                    table[offset[(i, j)] + s][offset[(j, k)] + t] = tuple(row)
+    ids = {offset[(i, i)] for i in range(len(mods))}
+    unit = tuple(f.one if t in ids else f.zero for t in range(dim))
+    return make_algebra(
+        f, table, unit,
+        radical=tuple(_unit_vec(f, dim, t) for t in range(dim) if t not in ids),
+        idempotents=tuple(_unit_vec(f, dim, t) for t in sorted(ids)),
+    )
+
+
+def _local_basis(m, v, hb):
+    """The basis hb of End(m) re-based as id_m, then a basis of the kernel of phi -> phi_v[0, 0]."""
+    from .modules import identity_morphism, morphism_add, morphism_scale
+
+    f = m.algebra.field
+    lam = [b.mats[v].at(0, 0) for b in hb]
+    piv = next((t for t, x in enumerate(lam) if x != f.zero), None)
+    if piv is None:
+        raise VerificationFailed("identity not in endomorphism space")
+    inv = f.inv(lam[piv])
+    rest = [morphism_add(b, morphism_scale(f.neg(f.mul(x, inv)), hb[piv]))
+            for t, (b, x) in enumerate(zip(hb, lam)) if t != piv]
+    return [identity_morphism(m)] + rest

@@ -204,10 +204,19 @@ def load_catalog_cache(alg, budget):
 
 
 def _catalog_from_cache(alg, data):
-    from .catalog import CatalogNode, IndecomposableCatalog
+    """The catalog in a cache file, or None when its flags do not check out.
 
-    if data.get("tool_version") != TOOL_VERSION:
+    `complete` must be a bool, every vertex flag None or a vertex index,
+    every tau link None or a node index, and a node flagged P(v) or I(v) must
+    be isomorphic to P(v) or I(v).
+    """
+    from .catalog import CatalogNode, IndecomposableCatalog
+    from .modules import gen_cogen, iso_class_index
+
+    if data.get("tool_version") != TOOL_VERSION or not isinstance(data["complete"], bool):
         return None
+    gc = gen_cogen(alg)
+    n_vertices, n_nodes = alg.quiver.n_vertices, len(data["nodes"])
     nodes = []
     for nd in data["nodes"]:
         rep = module_from_dict(alg, nd["module"])
@@ -220,5 +229,17 @@ def _catalog_from_cache(alg, data):
             tau=nd["tau"],
             tau_inv=nd["tau_inv"],
         )
+        vertex_flags = (node.proj_vertex, node.inj_vertex, node.simple_vertex)
+        if not all(_index_or_none(x, n_vertices) for x in vertex_flags):
+            return None
+        if not all(_index_or_none(x, n_nodes) for x in (node.tau, node.tau_inv)):
+            return None
+        for v, canonical in ((node.proj_vertex, gc.projectives), (node.inj_vertex, gc.injectives)):
+            if v is not None and iso_class_index(rep, [canonical[v]]) is None:
+                return None
         nodes.append(node)
     return IndecomposableCatalog(alg, nodes, data["complete"])
+
+
+def _index_or_none(x, n):
+    return x is None or (type(x) is int and 0 <= x < n)

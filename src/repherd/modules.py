@@ -229,14 +229,16 @@ class GenCogen:
     """The indecomposable summands of A + DA.
 
     `modules` lists the projectives in vertex order, then each injective not
-    isomorphic to an earlier entry; `names` labels them P(v) and I(v).  The
-    order fixes the basis of End(A + DA) that the oracle works in.
+    isomorphic to an earlier entry; `names` labels them P(v) and I(v), and
+    `vertices` holds the index of each v.  The order fixes the basis of
+    End(A + DA) that the oracle works in.
     """
 
     projectives: tuple   # P(v) for every vertex v
     injectives: tuple    # I(v) for every vertex v
     modules: tuple
     names: tuple
+    vertices: tuple
 
 
 def gen_cogen(alg) -> GenCogen:
@@ -247,11 +249,13 @@ def gen_cogen(alg) -> GenCogen:
         injs = tuple(injective_at(alg, v) for v in range(len(verts)))
         modules = list(projs)
         names = ["P(%s)" % v for v in verts]
-        for v, iv in zip(verts, injs):
+        vertices = list(range(len(verts)))
+        for k, (v, iv) in enumerate(zip(verts, injs)):
             if iso_class_index(iv, modules) is None:
                 modules.append(iv)
                 names.append("I(%s)" % v)
-        alg._gen_cogen = GenCogen(projs, injs, tuple(modules), tuple(names))
+                vertices.append(k)
+        alg._gen_cogen = GenCogen(projs, injs, tuple(modules), tuple(names), tuple(vertices))
     return alg._gen_cogen
 
 

@@ -1,5 +1,8 @@
 """Exit codes mean what they say: crashes exit 4, and a cache never changes a verdict."""
+import copy
 import json
+
+import pytest
 
 from repherd import checks, cli
 from repherd.cli import main
@@ -56,3 +59,32 @@ def test_crash_exits_4_with_one_line(tmp_path, capsys):
     assert main(["check-module", fixture_path("kron.json"), str(mod)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
+
+def test_cached_flags_are_verified(tmp_path, monkeypatch, capsys):
+    """A cache file whose flags do not check out is a miss: the report is the uncached one."""
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    argv = ["check", fixture_path("a3.json")]
+    want = (main(argv), capsys.readouterr().out)
+    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
+    assert (main(argv), capsys.readouterr().out) == want
+    (cached,) = tmp_path.glob("*.json")
+    good = json.loads(cached.read_text())
+
+    wrong_proj = copy.deepcopy(good)
+    node = next(nd for nd in wrong_proj["nodes"] if nd["proj_vertex"] is None and nd["inj_vertex"] is None)
+    node["proj_vertex"] = 0
+    not_bool = dict(good, complete="yes")
+    for bad in (wrong_proj, not_bool):
+        cached.write_text(json.dumps(bad))
+        assert (main(argv), capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("p", [3, 13, 23])
+def test_oracle_works_over_small_prime_fields(tmp_path, p, capsys):
+    """The oracle needs no p > dim End(A + DA): tilted4 holds over GF(p) as over Q."""
+    data = json.loads(open(fixture_path("tilted4.json"), encoding="utf-8").read())
+    data["field"] = {"GFp": p}
+    path = tmp_path / "tilted4.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 0

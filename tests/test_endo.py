@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from repherd.dims import DimValue
 from repherd.endo import (
     algebra_radical,
+    certify_structure,
     endomorphism_algebra,
+    gen_cogen_algebra,
     gldim_end_gen_cogen,
     global_dimension,
     make_algebra,
@@ -13,12 +16,12 @@ from repherd.endo import (
     primitive_idempotents,
     rational_roots,
 )
-from repherd.errors import FieldTooSmall
+from repherd.errors import FieldTooSmall, VerificationFailed
 from repherd.fields import PrimeField, QQ
 from repherd.linalg import Mat
-from repherd.modules import direct_sum, injective_at, projective_at, simple_at
+from repherd.modules import direct_sum, gen_cogen, injective_at, projective_at, simple_at
 
-from tests.conftest import plain_rank
+from tests.conftest import load_fixture_algebra, plain_rank
 
 
 def test_end_simple_is_one_dimensional(loop2):
@@ -243,3 +246,35 @@ def test_idempotent_completeness_invariant(loop2):
     for e in idems:
         total = [QQ.add(a, b) for a, b in zip(total, e)]
     assert tuple(total) == g.unit
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "d4", "kron", "loop2", "sq", "tilted4", "tilted5"])
+def test_block_oracle_matches_generic_route(name):
+    """h5 is left out: the generic route takes several seconds on it."""
+    alg = load_fixture_algebra(name)
+    generic = endomorphism_algebra(direct_sum(alg, gen_cogen(alg).modules))
+    assert generic.radical is None
+    assert gldim_end_gen_cogen(alg) == global_dimension(generic)
+
+
+def _off_diagonal(g):
+    """A radical basis element that maps one summand into another."""
+    for r in g.radical:
+        for i, ei in enumerate(g.idempotents):
+            for j, ej in enumerate(g.idempotents):
+                if i != j and g.mult(ei, r) == r and g.mult(r, ej) == r:
+                    return r
+    raise AssertionError("no off-diagonal radical element")
+
+
+def test_certifier_rejects_a_wrong_radical(loop2):
+    g = gen_cogen_algebra(loop2)
+    certify_structure(g)
+    r = _off_diagonal(g)
+    too_small = replace(g, radical=tuple(x for x in g.radical if x != r))
+    too_large = replace(g, radical=g.radical + (g.idempotents[0],))
+    for bad in (too_small, too_large):
+        with pytest.raises(VerificationFailed):
+            certify_structure(bad)
+        with pytest.raises(VerificationFailed):
+            global_dimension(bad)
