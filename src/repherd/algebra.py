@@ -139,10 +139,10 @@ class BoundQuiverAlgebra:
             if p.length > self.length_bound:
                 raise PathTooLong("path of length %d exceeds bound %d" % (p.length, self.length_bound))
             s = f.coerce(scalar)
-            if s == f.zero:
+            if not s:
                 continue
             for i, c in enumerate(self.table[p.key()]):
-                if c != f.zero:
+                if c:
                     acc[i] = f.add(acc[i], f.mul(s, c))
         return tuple(acc)
 
@@ -177,7 +177,7 @@ def _validate_relations(quiver, field, relations, length_bound):
         terms = []
         for (scalar, p) in rel:
             s = field.coerce(scalar)
-            if s == field.zero:
+            if not s:
                 continue
             if not isinstance(p, Path):
                 raise MalformedRelation("relation term is not a path")
@@ -258,7 +258,7 @@ def build_algebra(quiver: Quiver, relations, field, length_bound: int) -> BoundQ
             unit = [z] * width
             unit[i] = f.one
             residue = ideal.reduce(unit)
-            if all(x == z for x in residue):
+            if not any(residue):
                 table[p.key()] = None  # fill with zeros later
                 continue
             coords = rep.coords(residue)
@@ -285,7 +285,7 @@ def build_algebra(quiver: Quiver, relations, field, length_bound: int) -> BoundQ
                 _, _, coords = entry
                 # coords are over the degree's basis paths in creation order
                 table[p.key()] = ("sparse", tuple(
-                    (base_offset + j, c) for j, c in enumerate(coords) if c != z
+                    (base_offset + j, c) for j, c in enumerate(coords) if c
                 ))
 
     dim = len(basis)

@@ -15,6 +15,7 @@ from .homological import (
     in_cogen,
     in_gen,
     inj_dim,
+    is_right_approx,
     minimal_right_approx,
     proj_dim,
     projective_cover,
@@ -421,15 +422,7 @@ def _built_right_approx_ok(x, inj_list, add_list) -> bool:
     mats = [hstack(alg.field, [fr.mats[v], lift.mats[v]], rows=x.dims[v]) for v in range(len(x.dims))]
     fp = ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
     minimal = minimal_right_approx(x, add_list)
-    return is_isomorphic(fp.source, minimal.source) and _is_right_approx_morphism(fp, add_list)
-
-
-def _is_right_approx_morphism(f, xs) -> bool:
-    for x in xs:
-        for h in hom_basis(x, f.target):
-            if solve_factor_right(f, h) is None:
-                return False
-    return True
+    return is_isomorphic(fp.source, minimal.source) and is_right_approx(fp, add_list)
 
 
 # -- tilted sufficiency ---------------------------------------------------------

@@ -45,8 +45,7 @@ def _emit(args, payload):
 
 
 def cmd_info(args) -> int:
-    data = rio.load_json(args.algebra)
-    alg = rio.algebra_from_dict(data)
+    alg = rio.load_algebra(args.algebra)
     payload = {
         "tool_version": rio.TOOL_VERSION,
         "algebra_digest": alg.digest,
@@ -151,8 +150,7 @@ def cmd_check_module(args) -> int:
 
 
 def _run_tilted(args, alg, tilting_path, budget) -> int:
-    data = rio.load_json(tilting_path)
-    summands = [rio.module_from_dict(alg, d) for d in data["summands"]]
+    summands = rio.load_summands(alg, tilting_path)
     try:
         report = check_tilted_sufficient(TiltingContext(alg, summands), budget)
     except NotTilting as exc:

@@ -21,7 +21,7 @@ from .linalg import Mat, SpanTracker, block_diag, col_space, hstack, kernel_basi
 
 
 def _p_trim(f, p):
-    while p and p[-1] == f.zero:
+    while p and not p[-1]:
         p.pop()
     return p
 
@@ -45,10 +45,10 @@ def _p_mul(f, a, b):
         return []
     out = [f.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == f.zero:
+        if not x:
             continue
         for j, y in enumerate(b):
-            if y != f.zero:
+            if y:
                 out[i + j] = f.add(out[i + j], f.mul(x, y))
     return _p_trim(f, out)
 
@@ -93,7 +93,7 @@ def _p_eval_matvec(f, poly, L: Mat, v):
     out = (f.zero,) * len(v)
     for c in reversed(poly):
         out = L.apply(out)
-        if c != f.zero:
+        if c:
             out = tuple(f.add(x, f.mul(c, y)) for x, y in zip(out, v))
     return out
 
@@ -108,7 +108,7 @@ def min_poly_of_matrix(L: Mat):
             break
         v = tuple(f.one if i == s else f.zero for i in range(n))
         w = _p_eval_matvec(f, mu, L, v)
-        if all(x == f.zero for x in w):
+        if not any(w):
             continue
         tracker = SpanTracker(f, n, track=True)
         vecs = [w]
@@ -161,7 +161,7 @@ def rational_roots(field, poly):
     roots = []
     # strip zero roots
     k = 0
-    while poly[0] == f.zero:
+    while not poly[0]:
         poly = poly[1:]
         k += 1
     if k:
@@ -190,7 +190,7 @@ def rational_roots(field, poly):
         if lam in seen:
             continue
         seen.add(lam)
-        if _p_eval_scalar(f, poly, lam) == f.zero:
+        if not _p_eval_scalar(f, poly, lam):
             mult = 0
             cur = poly
             while True:
@@ -199,7 +199,7 @@ def rational_roots(field, poly):
                     break
                 mult += 1
                 cur = q
-                if not cur or _p_eval_scalar(f, cur, lam) != f.zero:
+                if not cur or _p_eval_scalar(f, cur, lam):
                     break
             roots.append((lam, mult))
     return sorted(roots)
@@ -241,9 +241,8 @@ class AbstractAlgebra:
     idempotents: tuple = None
 
     def __post_init__(self):
-        z = self.field.zero
         # the nonzero structure constants (t, c) of each product b_i * b_j
-        terms = tuple(tuple(tuple((t, c) for t, c in enumerate(e) if c != z) for e in row) for row in self.table)
+        terms = tuple(tuple(tuple((t, c) for t, c in enumerate(e) if c) for e in row) for row in self.table)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_units", tuple(_unit_vec(self.field, self.dim, j) for j in range(self.dim)))
 
@@ -251,9 +250,9 @@ class AbstractAlgebra:
         f = self.field
         z = f.zero
         out = [z] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj != z]
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == z:
+            if not xi:
                 continue
             ti = self._terms[i]
             for j, yj in ys:
@@ -357,9 +356,9 @@ def algebra_radical(g: AbstractAlgebra):
             for s in range(n):
                 for t in range(n):
                     a = Li.at(s, t)
-                    if a != f.zero:
+                    if a:
                         b = Lj.at(t, s)
-                        if b != f.zero:
+                        if b:
                             acc = f.add(acc, f.mul(a, b))
             ent.append(acc)
     gram = Mat(f, n, n, tuple(ent))
@@ -441,15 +440,15 @@ def certify_structure(g: AbstractAlgebra):
         raise VerificationFailed(
             "claimed radical has codimension %d, but there are %d idempotents" % (ann.cols, len(idems))
         )
-    funcs = [[(i, c) for i, c in enumerate(ann.col(j)) if c != f.zero] for j in range(ann.cols)]
+    funcs = [[(i, c) for i, c in enumerate(ann.col(j)) if c] for j in range(ann.cols)]
 
     def in_rad(x):
         for w in funcs:
             acc = f.zero
             for i, c in w:
-                if x[i] != f.zero:
+                if x[i]:
                     acc = f.add(acc, f.mul(c, x[i]))
-            if acc != f.zero:
+            if acc:
                 return False
         return True
 
@@ -489,7 +488,7 @@ def _split_idempotent(g, rad, e, out):
     for x in (e1, e2):
         if g.mult(x, x) != x:
             raise VerificationFailed("splitter is not idempotent")
-    if any(c != f.zero for c in g.mult(e1, e2)):
+    if any(g.mult(e1, e2)):
         raise VerificationFailed("splitter pieces are not orthogonal")
     _split_idempotent(g, rad, e1, out)
     _split_idempotent(g, rad, e2, out)
@@ -521,7 +520,7 @@ def _corner_horner(g, poly, c, e):
     acc = tuple(f.zero for _ in range(g.dim))
     for coeff in reversed(poly):
         acc = g.mult(acc, c)
-        if coeff != f.zero:
+        if coeff:
             acc = tuple(f.add(x, f.mul(coeff, y)) for x, y in zip(acc, e))
     return acc
 
@@ -536,7 +535,7 @@ def _find_corner_splitter(g, e, cb, rad_tracker):
     squot = SpanTracker(f, g.dim, track=True)
     for v in cb:
         res = rad_tracker.reduce(v)
-        if any(x != f.zero for x in res) and squot.coords(res) is None:
+        if any(res) and squot.coords(res) is None:
             squot.add(res)
             sreps.append(v)
 
@@ -561,7 +560,7 @@ def _find_corner_splitter(g, e, cb, rad_tracker):
         coeffs = zker.col(j)
         z = zero
         for t, c0 in enumerate(coeffs):
-            if c0 != f.zero:
+            if c0:
                 z = tuple(f.add(a, f.mul(c0, b)) for a, b in zip(z, cb[t]))
         zs = s_coords(z)
         if zs is None:
@@ -614,7 +613,7 @@ def _find_corner_splitter(g, e, cb, rad_tracker):
         v = zero
         for t in range(len(cb)):
             c0 = f.from_int(rng.randint(-3, 3))
-            if c0 != f.zero:
+            if c0:
                 v = tuple(f.add(a, f.mul(c0, b)) for a, b in zip(v, cb[t]))
         candidates.append(v)
     for c in candidates:
@@ -676,7 +675,7 @@ def _gm_act(v: _GMod, x) -> Mat:
     f = v.g.field
     out = Mat.zeros(f, v.dim, v.dim)
     for t, c in enumerate(x):
-        if c != f.zero:
+        if c:
             out = out.add(v.acts[t].scale(c))
     return out
 
@@ -706,7 +705,7 @@ def _unit_column_rows(basis: Mat):
     rows = []
     for j in range(basis.cols):
         col = basis.col(j)
-        nz = [i for i, x in enumerate(col) if x != f.zero]
+        nz = [i for i, x in enumerate(col) if x]
         if len(nz) != 1 or col[nz[0]] != f.one:
             return None
         rows.append(nz[0])
@@ -715,11 +714,10 @@ def _unit_column_rows(basis: Mat):
 
 def _restrict(a: Mat, rows):
     """a on the span of the unit vectors at rows, in that basis, or None if a leaves the span."""
-    z = a.field.zero
     keep = set(rows)
     others = [i for i in range(a.rows) if i not in keep]
     cols = [a.entries[j::a.cols] for j in rows]
-    if any(col[i] != z for col in cols for i in others):
+    if any(col[i] for col in cols for i in others):
         return None
     return Mat(a.field, len(rows), len(rows), tuple(col[i] for i in rows for col in cols))
 
@@ -812,13 +810,13 @@ def _gm_hom(gens, v: _GMod, w: _GMod):
                 row = [z] * total
                 for k0 in range(v.dim):
                     val = av.at(k0, c)
-                    if val != z:
+                    if val:
                         row[r * v.dim + k0] = f.add(row[r * v.dim + k0], val)
                 for l0 in range(w.dim):
                     val = aw.at(r, l0)
-                    if val != z:
+                    if val:
                         row[l0 * v.dim + c] = f.sub(row[l0 * v.dim + c], val)
-                if any(x != z for x in row):
+                if any(row):
                     rows.append(row)
     ker = kernel_basis(Mat.from_rows(f, rows)) if rows else Mat.identity(f, total)
     out = []
@@ -878,7 +876,7 @@ def _gm_iso(gens, v: _GMod, w: _GMod) -> bool:
         acc = Mat.zeros(f, w.dim, v.dim)
         for h in homs:
             c = f.from_int(rng.randint(-3, 3))
-            if c != f.zero:
+            if c:
                 acc = acc.add(h.scale(c))
         if is_invertible(acc):
             return True
@@ -993,7 +991,7 @@ def gen_cogen_algebra(alg) -> AbstractAlgebra:
             for s, b in enumerate(left):
                 for t, c in enumerate(right):
                     prod = morphism_flat(compose(b, c))
-                    if all(x == f.zero for x in prod):
+                    if not any(prod):
                         continue
                     coords = tracker.coords(prod) if tracker is not None else None
                     if coords is None:
@@ -1016,7 +1014,7 @@ def _local_basis(m, v, hb):
 
     f = m.algebra.field
     lam = [b.mats[v].at(0, 0) for b in hb]
-    piv = next((t for t, x in enumerate(lam) if x != f.zero), None)
+    piv = next((t for t, x in enumerate(lam) if x), None)
     if piv is None:
         raise VerificationFailed("identity not in endomorphism space")
     inv = f.inv(lam[piv])

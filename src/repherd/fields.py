@@ -43,7 +43,7 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
@@ -111,7 +111,7 @@ class PrimeField:
 
     def inv(self, a):
         a %= self.p
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
@@ -138,7 +138,7 @@ class PrimeField:
             num, _, den = s.partition("/")
             try:
                 return self.mul(int(num) % self.p, self.inv(int(den) % self.p))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError("bad coefficient %r" % (text,)) from exc
         try:
             return int(s) % self.p
@@ -168,6 +168,6 @@ def field_from_spec(spec):
     """Build a field from its file form: "Q" or {"GFp": p}."""
     if spec == "Q":
         return QQ
-    if isinstance(spec, dict) and set(spec) == {"GFp"}:
-        return PrimeField(int(spec["GFp"]))
+    if isinstance(spec, dict) and set(spec) == {"GFp"} and type(spec["GFp"]) is int:
+        return PrimeField(spec["GFp"])
     raise ParseError("unknown field spec %r" % (spec,))

@@ -199,14 +199,14 @@ def left_mult_hom(alg, a_vertex: int, b_vertex: int, combo):
         for qpath in pb_paths[c]:
             acc = [fld.zero] * pa.dims[c]
             for (s, ppath) in combo:
-                if s == fld.zero:
+                if not s:
                     continue
                 from .algebra import Path
 
                 prod = Path(ppath.start, ppath.arrows + qpath.arrows)
                 coords = alg.reduce_path(prod)
                 for gidx, cval in enumerate(coords):
-                    if cval != fld.zero:
+                    if cval:
                         cv, ck = pos_a[gidx]
                         if cv != c:
                             raise VerificationFailed("product landed at the wrong vertex")
@@ -292,7 +292,7 @@ def transpose(m: Representation) -> Representation:
             combo = []
             for k, pth in enumerate(paths0[mdx][a_l]):
                 coeff = g.mats[a_l].at(off0[a_l][mdx] + k, col)
-                if coeff != alg.field.zero:
+                if coeff:
                     combo.append((coeff, pth))
             if not combo:
                 continue
@@ -432,7 +432,7 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
         coeffs = tuple(fld.one if i == 0 else fld.zero for i in range(len(reps)))
     hstar = zero_morphism(k0, tz)
     for c, h in zip(coeffs, reps):
-        if c != fld.zero:
+        if c:
             hstar = morphism_add(hstar, morphism_scale(c, h))
 
     # pushout: E = (tz + P0) / (hstar, -incl)(K)
@@ -525,7 +525,7 @@ def solve_factor_right(f: ModuleMorphism, h: ModuleMorphism):
     basis = hom_basis(x, f.source)
     target = morphism_flat(h)
     if not basis:
-        return None if any(t != fld.zero for t in target) else zero_morphism(x, f.source)
+        return None if any(target) else zero_morphism(x, f.source)
     cols = [morphism_flat(compose(f, b)) for b in basis]
     a = Mat(fld, len(target), len(basis), tuple(cols[j][i] for i in range(len(target)) for j in range(len(basis))))
     sol = solve(a, Mat.column(fld, target))
@@ -611,58 +611,64 @@ def _assemble_rows(alg, m, comps):
     return ModuleMorphism(m, dst, tuple(mats)).check()
 
 
-def _right_approx_property(comps, xs, m, hom_cache):
-    """Every basis morphism X_j -> m factors through the assembled map."""
-    fld = m.algebra.field
-    for x in xs:
-        for h in hom_cache[id(x), "to_m"]:
-            target = morphism_flat(h)
-            cols = []
-            for (u, comp) in comps:
-                for b in hom_cache[id(x), id(u)]:
-                    cols.append(morphism_flat(compose(comp, b)))
-            if not cols:
-                if any(t != fld.zero for t in target):
-                    return False
-                continue
-            a = Mat(
-                fld,
-                len(target),
-                len(cols),
-                tuple(cols[j][i] for i in range(len(target)) for j in range(len(cols))),
-            )
-            if solve(a, Mat.column(fld, target)) is None:
-                return False
-    return True
+def _spans(fld, vecs, dim) -> bool:
+    """Whether vectors that lie in a space of dimension dim span all of it."""
+    if len(vecs) < dim:
+        return False
+    return not dim or rank(Mat(fld, len(vecs), len(vecs[0]), tuple(x for v in vecs for x in v))) == dim
+
+
+def is_right_approx(f: ModuleMorphism, xs) -> bool:
+    """Whether every morphism from a module in xs to target(f) factors through f.
+
+    The composites f . b with b in Hom(X, source f) lie in Hom(X, target f),
+    so they span it exactly when their rank is dim Hom(X, target f).
+    """
+    fld = f.target.algebra.field
+    return all(
+        _spans(fld, [morphism_flat(compose(f, b)) for b in hom_basis(x, f.source)], len(hom_basis(x, f.target)))
+        for x in xs
+    )
 
 
 def minimal_right_approx(m: Representation, xs) -> ModuleMorphism:
-    """Minimal right approximation of m by add of the given module list."""
+    """Minimal right approximation of m by add of the given module list.
+
+    The universal map has one component per basis morphism h : X_i -> m.  A
+    set of components is a right approximation when, for every X_j, the
+    composites h . b with b in Hom(X_j, X_i) span Hom(X_j, m).  Dropping a
+    component only shrinks these spans, so a component that cannot be dropped
+    never becomes droppable, and one pass in order drops exactly what a greedy
+    search restarted after each removal drops.
+    """
     alg = m.algebra
-    hom_cache = {}
-    for x in xs:
-        hom_cache[id(x), "to_m"] = hom_basis(x, m)
-        for u in xs:
-            hom_cache[id(x), id(u)] = hom_basis(x, u)
+    fld = alg.field
+    to_m = [hom_basis(x, m) for x in xs]
     comps = []
-    for x in xs:
-        for h in hom_cache[id(x), "to_m"]:
+    blocks = []  # blocks[k][j]: the flattened h . b, b in Hom(X_j, X_i), for component k = (X_i, h)
+    for x, hs in zip(xs, to_m):
+        if not hs:
+            continue
+        into_x = [hom_basis(y, x) for y in xs]
+        for h in hs:
             comps.append((x, h))
-    if not _right_approx_property(comps, xs, m, hom_cache):
+            blocks.append([[morphism_flat(compose(h, b)) for b in bs] for bs in into_x])
+
+    def approximates(keep, js):
+        return all(_spans(fld, [vec for k in keep for vec in blocks[k][j]], len(to_m[j])) for j in js)
+
+    keep = list(range(len(comps)))
+    if not approximates(keep, range(len(xs))):
         raise VerificationFailed("universal map is not an approximation")
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(comps)):
-            trial = comps[:k] + comps[k + 1 :]
-            if _right_approx_property(trial, xs, m, hom_cache):
-                comps = trial
-                changed = True
-                break
-    if not comps:
+    for k in range(len(comps)):
+        trial = [t for t in keep if t != k]
+        # only the spans that component k feeds can shrink
+        if approximates(trial, [j for j in range(len(xs)) if blocks[k][j]]):
+            keep = trial
+    if not keep:
         src = zero_rep(alg)
         return zero_morphism(src, m)
-    return _assemble_columns(alg, m, comps)
+    return _assemble_columns(alg, m, [comps[k] for k in keep])
 
 
 def minimal_left_approx(m: Representation, xs) -> ModuleMorphism:

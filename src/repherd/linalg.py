@@ -2,6 +2,10 @@
 
 Everything is small and dense by design; matrices are immutable row-major
 tuples and all elimination is plain Gauss-Jordan with exact scalars.
+
+A scalar is tested for zero by its truth value (`if x:`, `any(row)`), never
+by `x != field.zero`: both field types make zero the only false element,
+and for `Fraction` the truth test skips the type dispatch of `__eq__`.
 """
 from __future__ import annotations
 
@@ -63,8 +67,7 @@ class Mat:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.entries)
+        return not any(self.entries)
 
     def transpose(self) -> "Mat":
         ent = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
@@ -101,13 +104,13 @@ class Mat:
             base = i * k
             for t in range(k):
                 a = se[base + t]
-                if a == z:
+                if not a:
                     continue
                 orow = t * m
                 obase = i * m
                 for j in range(m):
                     b = oe[orow + j]
-                    if b != z:
+                    if b:
                         out[obase + j] = f.add(out[obase + j], f.mul(a, b))
         return Mat(f, n, m, tuple(out))
 
@@ -122,9 +125,9 @@ class Mat:
             acc = z
             base = i * self.cols
             for j, v in enumerate(vec):
-                if v != z:
+                if v:
                     e = self.entries[base + j]
-                    if e != z:
+                    if e:
                         acc = f.add(acc, f.mul(e, v))
             out.append(acc)
         return tuple(out)
@@ -193,14 +196,13 @@ def block_diag(field, mats):
 
 def _eliminate(field, rows, ncols):
     """In-place Gauss-Jordan on a list of row lists; returns pivot columns."""
-    z = field.zero
     pivots = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if rows[i][c] != z:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -211,16 +213,16 @@ def _eliminate(field, rows, ncols):
             inv = field.inv(pv)
             rr = rows[r]
             for j in range(c, ncols):
-                if rr[j] != z:
+                if rr[j]:
                     rr[j] = field.mul(inv, rr[j])
         rr = rows[r]
         for i in range(nrows):
             if i != r:
                 f0 = rows[i][c]
-                if f0 != z:
+                if f0:
                     ri = rows[i]
                     for j in range(c, ncols):
-                        if rr[j] != z:
+                        if rr[j]:
                             ri[j] = field.sub(ri[j], field.mul(f0, rr[j]))
         pivots.append(c)
         r += 1
@@ -258,7 +260,7 @@ def kernel_basis(m: Mat) -> Mat:
         for k, pc in enumerate(pivots):
             # pivot row k gives x[pc] = -reduced[k][fc]
             val = reduced.at(k, fc)
-            if val != z:
+            if val:
                 vec[pc] = f.neg(val)
         cols.append(vec)
     ent = tuple(cols[j][i] for i in range(m.cols) for j in range(len(cols)))
@@ -365,19 +367,18 @@ class SpanTracker:
 
     def _reduce(self, vec, combo):
         f = self.field
-        z = f.zero
         v = list(vec)
         for k, p in enumerate(self.pivots):
             c = v[p]
-            if c != z:
+            if c:
                 row = self.rows[k]
                 for j in range(p, self.width):
-                    if row[j] != z:
+                    if row[j]:
                         v[j] = f.sub(v[j], f.mul(c, row[j]))
                 if combo is not None:
                     rc = self.combos[k]
                     for g, coeff in enumerate(rc):
-                        if coeff != z:
+                        if coeff:
                             combo[g] = f.sub(combo[g], f.mul(c, coeff))
         return v
 
@@ -400,7 +401,7 @@ class SpanTracker:
         v = self._reduce(vec, combo)
         pivot = None
         for j in range(self.width):
-            if v[j] != z:
+            if v[j]:
                 pivot = j
                 break
         if pivot is None:
@@ -414,14 +415,14 @@ class SpanTracker:
         # back-eliminate the new pivot from existing rows
         for k, row in enumerate(self.rows):
             c = row[pivot]
-            if c != z:
+            if c:
                 for j in range(self.width):
-                    if v[j] != z:
+                    if v[j]:
                         row[j] = f.sub(row[j], f.mul(c, v[j]))
                 if self.track:
                     rc = self.combos[k]
                     for g in range(self.ngens):
-                        if combo[g] != z:
+                        if combo[g]:
                             rc[g] = f.sub(rc[g], f.mul(c, combo[g]))
         # insert keeping pivots sorted
         idx = 0
@@ -441,10 +442,9 @@ class SpanTracker:
         z = f.zero
         combo = [z] * self.ngens
         v = self._reduce(vec, combo)
-        if any(x != z for x in v):
+        if any(v):
             return None
         return [f.neg(c) for c in combo]
 
     def contains(self, vec) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(vec))
+        return not any(self.reduce(vec))

@@ -135,7 +135,7 @@ def morphism_scale(s, f: ModuleMorphism) -> ModuleMorphism:
 def morphism_combo(fld, basis, coeffs, source, target) -> ModuleMorphism:
     out = zero_morphism(source, target)
     for c, b in zip(coeffs, basis):
-        if c != fld.zero:
+        if c:
             out = morphism_add(out, morphism_scale(c, b))
     return out
 
@@ -186,7 +186,7 @@ def projective_paths(alg, v):
             coords = alg.path_times_arrow(bidx, a)
             col = [f.zero] * dims[j]
             for gidx, cval in enumerate(coords):
-                if cval != f.zero:
+                if cval:
                     cvert, ck = pos[gidx]
                     if cvert != j:
                         raise InvalidRepresentation("path product left the expected vertex")
@@ -296,15 +296,15 @@ def hom_basis(m: Representation, n: Representation):
                 # (f_j * Ma)[r,c] = sum_k f_j[r,k] Ma[k,c]
                 for k in range(m.dims[j]):
                     val = Ma.at(k, c)
-                    if val != z:
+                    if val:
                         row[off[j] + r * m.dims[j] + k] = f.add(row[off[j] + r * m.dims[j] + k], val)
                 # -(Na * f_i)[r,c] = -sum_l Na[r,l] f_i[l,c]
                 for l in range(n.dims[i]):
                     val = Na.at(r, l)
-                    if val != z:
+                    if val:
                         idx = off[i] + l * m.dims[i] + c
                         row[idx] = f.sub(row[idx], val)
-                if any(x != z for x in row):
+                if any(row):
                     rows.append(row)
     if total == 0:
         return []

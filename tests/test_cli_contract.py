@@ -88,3 +88,25 @@ def test_oracle_works_over_small_prime_fields(tmp_path, p, capsys):
     path = tmp_path / "tilted4.json"
     path.write_text(json.dumps(data))
     assert main(["check", str(path)]) == 0
+
+
+def test_input_faults_name_the_file_and_key(tmp_path, capsys):
+    alg = tmp_path / "no_vertices.json"
+    alg.write_text(json.dumps({"field": "Q", "arrows": [], "relations": [], "length_bound": 2}))
+    assert main(["check", str(alg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(alg) in err and '"vertices"' in err
+
+    mod = tmp_path / "bad_dims.json"
+    for dims in ({"1": "a"}, {"1": -1}, {"1": [2]}):
+        mod.write_text(json.dumps({"dims": dims}))
+        assert main(["check-module", fixture_path("kron.json"), str(mod)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(mod) in err and '"dims"["1"]' in err
+
+    tilting = tmp_path / "no_summands.json"
+    tilting.write_text(json.dumps({"modules": []}))
+    assert main(["check-tilted", fixture_path("h5.json"), str(tilting)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tilting) in err and '"summands"' in err

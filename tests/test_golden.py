@@ -1,13 +1,15 @@
 """The `--json` reports, byte for byte, against the files in tests/golden/.
 
-The files pin `check --suite all` on a2, a3, loop2, d4 and sq, and the three
-shipped `check-module` pairs.  d4 is the small fixture that runs part (v) of
-the no-inj-to-proj suite, so the dual (left-hand) construction is covered.
+The files pin `check --suite all` on the nine shipped algebras, `check-tilted`
+on h5 with tilting_h5, and the three shipped `check-module` pairs.  d4 is the
+small fixture that runs part (v) of the no-inj-to-proj suite, so the dual
+(left-hand) construction is covered; kron, tilted4, tilted5, h5 and the
+tilted check carry the reports that the minimal approximations write.
 
 A change that means to alter a report regenerates the files, from the
 repository root and with REPHERD_CACHE_DIR unset:
 
-    for f in a2 a3 loop2 d4 sq; do
+    for f in a2 a3 loop2 d4 sq kron tilted4 tilted5 h5; do
         PYTHONPATH=src python -m repherd.cli check fixtures/$f.json --suite all \\
             --json tests/golden/check_${f}_suite_all.json
     done
@@ -16,6 +18,8 @@ repository root and with REPHERD_CACHE_DIR unset:
         PYTHONPATH=src python -m repherd.cli check-module fixtures/$a.json fixtures/$m.json \\
             --json tests/golden/check_module_${a}_${m}.json
     done
+    PYTHONPATH=src python -m repherd.cli check-tilted fixtures/h5.json fixtures/tilting_h5.json \\
+        --json tests/golden/check_tilted_h5_tilting_h5.json
 """
 import os
 
@@ -29,7 +33,10 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 CASES = [
     ("check_%s_suite_all.json" % name, ["check", fixture_path(name + ".json"), "--suite", "all"], code)
-    for name, code in (("a2", 2), ("a3", 0), ("loop2", 0), ("d4", 0), ("sq", 0))
+    for name, code in (
+        ("a2", 2), ("a3", 0), ("loop2", 0), ("d4", 0), ("sq", 0),
+        ("kron", 3), ("tilted4", 0), ("tilted5", 0), ("h5", 0),
+    )
 ] + [
     (
         "check_module_%s_%s.json" % (alg, mod),
@@ -37,6 +44,12 @@ CASES = [
         code,
     )
     for alg, mod, code in (("kron", "kron_regular", 0), ("kron", "kron_preproj", 0), ("tilted5", "tilted5_tauinv4p1", 2))
+] + [
+    (
+        "check_tilted_h5_tilting_h5.json",
+        ["check-tilted", fixture_path("h5.json"), fixture_path("tilting_h5.json")],
+        1,
+    )
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 from repherd.catalog import enumerate_indecomposables
 from repherd.dims import DimValue
 from repherd.errors import ZProjective
-from repherd.fields import QQ
+from repherd.fields import QQ, PrimeField
 from repherd.homological import (
     almost_split_sequence,
     ar_translate,
@@ -24,12 +24,14 @@ from repherd.homological import (
     syzygy,
     trace_of,
 )
-from repherd.linalg import Mat, rank
+from repherd.linalg import Mat, hstack, rank, solve
 from repherd.modules import (
     Representation,
     cokernel_of,
     compose,
     direct_sum,
+    dual_module,
+    gen_cogen,
     hom_basis,
     hom_dim,
     indec_isomorphic,
@@ -37,9 +39,12 @@ from repherd.modules import (
     injective_at,
     is_isomorphic,
     kernel_of,
+    morphism_flat,
     projective_at,
     simple_at,
 )
+
+from tests.conftest import catalog_of, load_fixture_algebra
 
 
 def addlist(alg):
@@ -310,3 +315,79 @@ def test_cosyzygy_matches_dual_route(loop2):
     env = injective_envelope(s1)
     c2, _ = cokernel_of(env)
     assert is_isomorphic(c, c2)
+
+
+# -- the one-pass minimal approximation against the greedy search it replaced --
+
+
+def _greedy_right_approx(m, xs):
+    """Reference: drop the first removable component, restart from the first, repeat.
+
+    A set of components is an approximation when every basis morphism
+    X -> m solves as a combination of the composites comp . b.
+    """
+    fld = m.algebra.field
+    homs = {}
+
+    def hom(x, y):
+        if (id(x), id(y)) not in homs:
+            homs[id(x), id(y)] = hom_basis(x, y)
+        return homs[id(x), id(y)]
+
+    def approximates(comps):
+        for x in xs:
+            for h in hom(x, m):
+                target = morphism_flat(h)
+                cols = [morphism_flat(compose(c, b)) for (u, c) in comps for b in hom(x, u)]
+                if not cols:
+                    if any(t != fld.zero for t in target):
+                        return False
+                    continue
+                a = Mat(fld, len(target), len(cols), tuple(c[i] for i in range(len(target)) for c in cols))
+                if solve(a, Mat.column(fld, target)) is None:
+                    return False
+        return True
+
+    comps = [(x, h) for x in xs for h in hom(x, m)]
+    assert approximates(comps)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(comps)):
+            trial = comps[:k] + comps[k + 1 :]
+            if approximates(trial):
+                comps, changed = trial, True
+                break
+    dims = tuple(sum(x.dims[v] for (x, _) in comps) for v in range(len(m.dims)))
+    mats = tuple(hstack(fld, [h.mats[v] for (_, h) in comps], rows=m.dims[v]) for v in range(len(m.dims)))
+    return dims, mats
+
+
+def _assert_same_approx(m, xs):
+    f = minimal_right_approx(m, xs)
+    dims, mats = _greedy_right_approx(m, xs)
+    assert f.source.dims == dims
+    assert all(a.eq(b) for a, b in zip(f.mats, mats))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", ["a3", "d4", "loop2", "sq", "tilted4"])
+def test_one_pass_approx_matches_greedy_search(name, field):
+    alg = load_fixture_algebra(name, field=field)
+    xs = gen_cogen(alg).modules
+    outside = [node.rep for node in catalog_of(alg).nodes if not node.in_add_gen_cogen]
+    assert outside
+    dual_xs = [dual_module(x) for x in xs]
+    for m in outside:
+        _assert_same_approx(m, xs)
+        _assert_same_approx(dual_module(m), dual_xs)
+
+
+@pytest.mark.parametrize("name", ["loop2", "tilted4"])
+def test_one_pass_approx_with_repeated_and_decomposable_modules(name):
+    alg = load_fixture_algebra(name)
+    gc = gen_cogen(alg)
+    xs = list(gc.modules) + [gc.modules[0], direct_sum(alg, [gc.modules[-1], gc.modules[0]])]
+    outside = [node.rep for node in catalog_of(alg).nodes if not node.in_add_gen_cogen]
+    for m in outside + [direct_sum(alg, outside[:2])]:
+        _assert_same_approx(m, xs)
