@@ -100,13 +100,14 @@ class BoundQuiverAlgebra:
     Immutable after construction; all operations are pure.
     """
 
-    def __init__(self, quiver, field, relations, length_bound, _basis, _table):
+    def __init__(self, quiver, field, relations, length_bound, _basis, _table, _zero_from):
         self.quiver = quiver
         self.field = field
         self.relations = relations          # tuple of tuples (scalar, Path)
         self.length_bound = length_bound
         self.basis = _basis                 # tuple of Path, lex order
-        self.table = _table                 # path key -> coord tuple over basis
+        self.table = _table                 # path key -> coord tuple over basis, lengths < zero_from
+        self.zero_from = _zero_from         # every path at least this long is 0
         self.dim = len(_basis)
         self.basis_index = {p.key(): i for i, p in enumerate(_basis)}
         n = quiver.n_vertices
@@ -119,6 +120,7 @@ class BoundQuiverAlgebra:
             self.basis_between.setdefault(k, []).append(i)
         self._opposite = None
         self._gen_cogen = None              # filled by modules.gen_cogen
+        self._projectives = {}              # vertex -> (P(v), paths), filled by modules.projective_paths
 
     # -- reduction ---------------------------------------------------------
 
@@ -127,7 +129,7 @@ class BoundQuiverAlgebra:
 
     def reduce_path(self, p: Path):
         """Coordinates of a path over the basis; paths beyond the bound are 0."""
-        if p.length > self.length_bound:
+        if p.length >= self.zero_from:
             return (self.field.zero,) * self.dim
         return self.table[p.key()]
 
@@ -141,7 +143,7 @@ class BoundQuiverAlgebra:
             s = f.coerce(scalar)
             if not s:
                 continue
-            for i, c in enumerate(self.table[p.key()]):
+            for i, c in enumerate(self.reduce_path(p)):
                 if c:
                     acc[i] = f.add(acc[i], f.mul(s, c))
         return tuple(acc)
@@ -208,27 +210,28 @@ def build_algebra(quiver: Quiver, relations, field, length_bound: int) -> BoundQ
         raise MalformedRelation("length_bound must be >= 2")
     rels = _validate_relations(quiver, field, relations, length_bound)
 
-    # all paths per length, in lex order on (length, arrow-name sequence)
-    paths_by_len = [[Path(v, ()) for v in range(quiver.n_vertices)]]
-    for ell in range(1, length_bound + 1):
-        nxt = []
-        for p in paths_by_len[ell - 1]:
-            for a in quiver.out_arrows[p.end(quiver)]:
-                nxt.append(Path(p.start, p.arrows + (a,)))
-        paths_by_len.append(nxt)
-
-    paths_ending_at = []  # per length: vertex -> list of paths
-    for ell, plist in enumerate(paths_by_len):
-        m = {}
-        for p in plist:
-            m.setdefault(p.end(quiver), []).append(p)
-        paths_ending_at.append(m)
+    # paths per length, in lex order on (length, arrow-name sequence), and
+    # per length the paths ending at each vertex; built one degree at a time
+    paths_by_len = []
+    paths_ending_at = []
 
     basis = []
     table = {}
     f = field
     for ell in range(0, length_bound + 1):
-        plist = paths_by_len[ell]
+        if ell == 0:
+            plist = [Path(v, ()) for v in range(quiver.n_vertices)]
+        else:
+            plist = [
+                Path(p.start, p.arrows + (a,))
+                for p in paths_by_len[ell - 1]
+                for a in quiver.out_arrows[p.end(quiver)]
+            ]
+        paths_by_len.append(plist)
+        ending = {}
+        for p in plist:
+            ending.setdefault(p.end(quiver), []).append(p)
+        paths_ending_at.append(ending)
         index_of = {p.key(): i for i, p in enumerate(plist)}
         width = len(plist)
         ideal = SpanTracker(f, width)
@@ -287,6 +290,10 @@ def build_algebra(quiver: Quiver, relations, field, length_bound: int) -> BoundQ
                 table[p.key()] = ("sparse", tuple(
                     (base_offset + j, c) for j, c in enumerate(coords) if c
                 ))
+        if not new_basis:
+            # every path of this length lies in the ideal, so every longer
+            # one does too: the algebra ends here, below the length bound
+            break
 
     dim = len(basis)
 
@@ -300,7 +307,7 @@ def build_algebra(quiver: Quiver, relations, field, length_bound: int) -> BoundQ
         return tuple(vec)
 
     dense = {k: densify(v) for k, v in table.items()}
-    return BoundQuiverAlgebra(quiver, field, rels, length_bound, tuple(basis), dense)
+    return BoundQuiverAlgebra(quiver, field, rels, length_bound, tuple(basis), dense, ell)
 
 
 def opposite_algebra(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:

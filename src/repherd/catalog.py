@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, IncompleteCatalog
+from .errors import BudgetExceeded, IncompleteCatalog, VerificationFailed
 from .homological import (
     almost_split_sequence,
     ar_translate,
@@ -119,46 +119,58 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         total_dim += rep.total_dim
         return len(nodes) - 1
 
+    def add_summands(rep):
+        """Add rep's new indecomposable summands; False once over budget."""
+        return all(try_add(piece) is not None for piece in indecomposable_summands(rep))
+
+    def add_translate(rep):
+        """(node index or None over budget, the piece) for a translate of an indecomposable."""
+        pieces = indecomposable_summands(rep)
+        if len(pieces) != 1:
+            raise VerificationFailed("a translate of an indecomposable module is not indecomposable")
+        return try_add(pieces[0]), pieces[0]
+
     for rep in gc.projectives + gc.injectives:
         try_add(rep)
 
+    # Knitting.  A node's neighbours, in the order that fixes node names:
+    # rad P, I/soc I, then tau and the middle of the sequence ending at the
+    # node, then tau^{-1} and the middle of the sequence ending there.  A
+    # node with a tau link got both of its tau-side neighbours as the
+    # tau^{-1} side of its translate, and dually, so each sequence is built
+    # once; the skipped steps could only re-find nodes, which keeps the order.
     pos = 0
     while pos < len(queue) and complete:
         idx = queue[pos]
         pos += 1
         node = nodes[idx]
-        neighbors = []
         if node.proj_vertex is not None:
             rad, _ = radical_of(node.rep)
-            neighbors.append(rad)
+            if not add_summands(rad):
+                break
         if node.inj_vertex is not None:
             soc, incl = socle_of(node.rep)
             quot, _ = cokernel_of(incl)
-            neighbors.append(quot)
-        if node.proj_vertex is None:
-            tz = ar_translate(node.rep)
-            seq = almost_split_sequence(node.rep)
-            neighbors.append(tz)
-            neighbors.append(seq.middle)
-            tgt = cat.find(tz)
-            if tgt is not None:
-                node.tau = tgt
-        if node.inj_vertex is None:
-            ti = ar_translate_inv(node.rep)
-            neighbors.append(ti)
-            if not ti.is_zero():
-                pieces_ti = indecomposable_summands(ti)
-                if len(pieces_ti) == 1:
-                    seq = almost_split_sequence(pieces_ti[0])
-                    neighbors.append(seq.middle)
-        for nb in neighbors:
-            if not complete:
+            if not add_summands(quot):
                 break
-            if nb.is_zero():
-                continue
-            for piece in indecomposable_summands(nb):
-                if try_add(piece) is None:
-                    break
+        if node.proj_vertex is None and node.tau is None:
+            seq = almost_split_sequence(node.rep)
+            j, _ = add_translate(seq.left.source)
+            if j is None:
+                break
+            node.tau = j
+            nodes[j].tau_inv = idx
+            if not add_summands(seq.middle):
+                break
+        if node.inj_vertex is None and node.tau_inv is None:
+            j, piece = add_translate(ar_translate_inv(node.rep))
+            if j is None:
+                break
+            node.tau_inv = j
+            if nodes[j].tau is None:
+                nodes[j].tau = idx
+            if not add_summands(almost_split_sequence(piece).middle):
+                break
 
     cat.complete = complete
     if not complete and strict:

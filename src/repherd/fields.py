@@ -10,16 +10,33 @@ from fractions import Fraction
 from .errors import ParseError
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the primes up to 41 as bases is exact for every n below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017); larger p are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < PRIME_LIMIT."""
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -91,6 +108,8 @@ class PrimeField:
     kind = "GFp"
 
     def __init__(self, p: int):
+        if p >= PRIME_LIMIT:
+            raise ParseError("GF(p) needs a prime p < %d, got %r" % (PRIME_LIMIT, p))
         if not _is_prime(p):
             raise ParseError("GF(p) needs a prime p, got %r" % (p,))
         self.p = p

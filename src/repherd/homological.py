@@ -248,16 +248,21 @@ def _assemble_blocks(alg, src_parts, dst_parts, blocks):
 
 def transpose(m: Representation) -> Representation:
     """Tr m over the opposite algebra, from a minimal projective presentation."""
+    if m.is_zero():
+        return zero_rep(m.algebra.opposite)
+    return _transpose_with_cover(m)[0]
+
+
+def _transpose_with_cover(m: Representation):
+    """(Tr m, the projective cover of m, the inclusion of its kernel)."""
     from .algebra import Path
 
     alg = m.algebra
     op = alg.opposite
-    if m.is_zero():
-        return zero_rep(op)
     cover0, verts0, paths0 = _cover_data(m)
     k0, incl = kernel_of(cover0)
     if k0.is_zero():
-        return zero_rep(op)
+        return zero_rep(op), cover0, incl
     cover1, verts1, paths1 = _cover_data(k0)
     g = compose(incl, cover1)  # P1 -> P0
     p0, p1 = cover0.source, cover1.source
@@ -301,7 +306,7 @@ def transpose(m: Representation) -> Representation:
     src_parts = [projective_at(op, v) for v in verts0]
     dst_parts = [projective_at(op, v) for v in verts1]
     gstar, _, _ = _assemble_blocks(op, src_parts, dst_parts, blocks)
-    return cokernel_of(gstar)[0]
+    return cokernel_of(gstar)[0], cover0, incl
 
 
 def ar_translate(m: Representation) -> Representation:
@@ -381,11 +386,11 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     nv = alg.quiver.n_vertices
     if iso_class_index(z, gen_cogen(alg).projectives) is not None:
         raise ZProjective("almost split sequence requested for a projective module")
-    tz = ar_translate(z)
+    tr, cover, incl = _transpose_with_cover(z)
+    tz = dual_module(tr)
     if tz.is_zero():
         raise VerificationFailed("translate of a non-projective module vanished")
-    cover = projective_cover(z)
-    k0, incl = kernel_of(cover)
+    k0 = incl.source
     hk = hom_basis(k0, tz)
     if not hk:
         raise VerificationFailed("no extension cocycles available")

@@ -166,9 +166,16 @@ def morphism_is_invertible(f: ModuleMorphism) -> bool:
 
 
 def projective_paths(alg, v):
-    """P(v) together with its per-vertex lists of basis paths."""
+    """P(v) together with its per-vertex lists of basis paths, built once per algebra."""
     q = alg.quiver
     vi = q.vindex[str(v)] if not isinstance(v, int) else v
+    if vi not in alg._projectives:
+        alg._projectives[vi] = _build_projective(alg, vi)
+    return alg._projectives[vi]
+
+
+def _build_projective(alg, vi):
+    q = alg.quiver
     f = alg.field
     local = [[] for _ in range(q.n_vertices)]  # per end vertex: global basis idx
     for i in alg.basis_from[vi]:

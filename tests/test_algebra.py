@@ -1,10 +1,16 @@
+import json
 import random
+import time
 
 import pytest
 
 from repherd.algebra import Path, Quiver, build_algebra, make_path, opposite_algebra
+from repherd.cli import main
 from repherd.errors import MalformedRelation, NotAdmissible, PathTooLong
 from repherd.fields import QQ
+from repherd.io import algebra_from_dict
+
+from tests.conftest import fixture_path
 
 
 def test_a2_basis(a2):
@@ -189,3 +195,46 @@ def test_admissibility_every_bound_length_path_vanishes(loop2, tilted5):
             frontier = nxt
         for p in frontier:
             assert all(x == alg.field.zero for x in alg.reduce_path(p))
+
+
+def _loop2_data(length_bound):
+    with open(fixture_path("loop2.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["length_bound"] = length_bound
+    return data
+
+
+def test_large_length_bound_stops_at_the_first_vanishing_degree(loop2):
+    start = time.perf_counter()
+    big = algebra_from_dict(_loop2_data(2000))
+    assert time.perf_counter() - start < 5.0
+    assert big.basis == loop2.basis and big.table == loop2.table
+    alpha = loop2.quiver.aindex["alpha"]
+    z = (QQ.zero,) * loop2.dim
+    for n in (2, 3, 1999, 2000, 2001):
+        assert big.reduce_path(Path(0, (alpha,) * n)) == z
+    assert big.normal_form([(1, Path(0, (alpha,) * 2000))]) == z
+    with pytest.raises(PathTooLong):
+        big.normal_form([(1, Path(0, (alpha,) * 2001))])
+
+
+def test_not_admissible_exactly_when_bound_length_paths_survive():
+    q = Quiver(["1"], [("alpha", "1", "1")])
+    cube = [[(1, make_path(q, ["alpha"] * 3))]]
+    with pytest.raises(NotAdmissible):
+        build_algebra(q, cube, QQ, 2)  # alpha^2 survives
+    for bound in (3, 4, 500):
+        alg = build_algebra(q, cube, QQ, bound)
+        assert alg.dim == 3
+        assert alg.reduce_path(Path(0, (0,) * 2)) != (QQ.zero,) * 3
+    with pytest.raises(NotAdmissible):
+        build_algebra(q, [], QQ, 300)
+
+
+def test_not_admissible_file_is_refused(tmp_path, capsys):
+    data = _loop2_data(500)
+    data["relations"] = [[{"coeff": "1", "path": ["alpha", "beta"]}]]  # alpha^n never vanishes
+    path = tmp_path / "loop_free.json"
+    path.write_text(json.dumps(data))
+    assert main(["info", str(path)]) == 4
+    assert "NotAdmissible" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import pytest
 
+from repherd import catalog
 from repherd.catalog import Budget, ar_quiver, enumerate_indecomposables, left_right_parts
 from repherd.errors import BudgetExceeded, IncompleteCatalog
-from repherd.homological import almost_split_sequence
+from repherd.fields import PrimeField
+from repherd.homological import almost_split_sequence, ar_translate, ar_translate_inv
 from repherd.modules import indec_isomorphic, indecomposable_summands
 
 from tests.conftest import catalog_of, load_fixture_algebra
@@ -136,3 +138,33 @@ def test_pd_tables_cross_checked(tilted4):
     parts = left_right_parts(cat)
     for node in cat.nodes:
         assert str(parts.pd_table[node.name]) == str(proj_dim(node.rep))
+
+
+COMPLETE_FIXTURES = ("a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5")
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_knitted_tau_links_match_recomputed_translates(name, field):
+    cat = catalog_of(load_fixture_algebra(name, field=field))
+    assert cat.complete
+    for node in cat.nodes:
+        assert node.tau == cat.find(ar_translate(node.rep))
+        assert node.tau_inv == cat.find(ar_translate_inv(node.rep))
+
+
+@pytest.mark.parametrize("name", ["h5", "tilted5"])
+def test_enumeration_builds_one_sequence_per_non_projective_node(name, monkeypatch):
+    built = []
+    real = catalog.almost_split_sequence
+
+    def counting(z, *args, **kwargs):
+        built.append(z)
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "almost_split_sequence", counting)
+    cat = enumerate_indecomposables(load_fixture_algebra(name))
+    assert cat.complete
+    non_projective = [node for node in cat.nodes if node.proj_vertex is None]
+    assert len(built) <= len(non_projective)
+    assert sorted(cat.find(z) for z in built) == sorted(cat.find(node.rep) for node in non_projective)
