@@ -2,8 +2,9 @@
 
 Endomorphism algebras, trace-form radicals, primitive idempotent lifting,
 and global dimension of the algebra computed from projective resolutions
-of the simple right modules.  The gl.dim oracle builds End(A + DA) from its
-Hom blocks, which carry their radical and idempotents, and certifies both.
+of the simple right modules, graded by the algebra's idempotents.  The
+gl.dim oracle builds End(A + DA) from its Hom blocks, which carry their
+radical and idempotents, and certifies both.
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from fractions import Fraction
 from .dims import DimValue
 from .errors import FieldTooSmall, NonSplit, VerificationFailed
 from .fields import PrimeField, Rationals
-from .linalg import Mat, SpanTracker, block_diag, col_space, hstack, kernel_basis, quotient_maps, rank, solve
+from .linalg import (
+    Mat, SpanTracker, block_diag, col_space, hstack, is_invertible, kernel_basis, quotient_maps, rank, solve,
+)
 
 
 # -- polynomials (coefficient lists, ascending degree) ------------------------
@@ -151,8 +154,8 @@ def _int_divisors(n: int, cap=10**6):
 def rational_roots(field, poly):
     """All roots of poly in the field, as sorted (root, multiplicity) pairs.
 
-    Over Q this is exhaustive by the rational root theorem; over GF(p) by
-    scanning the field (p must be modest).
+    Over Q this is exhaustive by the rational root theorem; over GF(p) the
+    candidates are the roots of gcd(poly, x^p - x).
     """
     f = field
     poly = _p_trim(f, list(poly))
@@ -180,9 +183,7 @@ def rational_roots(field, poly):
                 candidates.append(Fraction(pnum, qden))
                 candidates.append(Fraction(-pnum, qden))
     elif isinstance(f, PrimeField):
-        if f.p > 65536:
-            raise RuntimeError("root scan only supported for small prime fields")
-        candidates = list(range(f.p))
+        candidates = _gfp_roots(f, poly)
     else:
         raise RuntimeError("unknown field")
     seen = set()
@@ -203,6 +204,44 @@ def rational_roots(field, poly):
                     break
             roots.append((lam, mult))
     return sorted(roots)
+
+
+def _p_powmod(f, a, e, m):
+    """a^e modulo m."""
+    out, a = [f.one], _p_divmod(f, a, m)[1]
+    while e:
+        if e & 1:
+            out = _p_divmod(f, _p_mul(f, out, a), m)[1]
+        a = _p_divmod(f, _p_mul(f, a, a), m)[1]
+        e >>= 1
+    return out
+
+
+def _gfp_roots(f, poly):
+    """The distinct nonzero roots of poly in GF(p), by Cantor-Zassenhaus.
+
+    poly must have a nonzero constant term.  gcd(poly, x^p - x) is the
+    product of the x - a over the roots a; a factor h of degree above 1 is
+    split by gcd(h, (x + c)^((p-1)/2) - 1), which takes the roots a with
+    a + c a nonzero square, for c drawn from a fixed seed until the split is
+    proper.  Over GF(2) h has degree at most 1, since 0 is not a root.
+    """
+    x = [f.zero, f.one]
+    h = _p_xgcd(f, poly, _p_add(f, _p_powmod(f, x, f.p, poly), [f.zero, f.neg(f.one)]))[0]
+    rng = random.Random("roots:%d" % f.p)
+    roots, todo = [], [h]
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            roots.append(f.neg(h[0]))
+        elif len(h) > 2:
+            while True:
+                c = rng.randrange(f.p)
+                d = _p_xgcd(f, h, _p_add(f, _p_powmod(f, [c, f.one], (f.p - 1) // 2, h), [f.neg(f.one)]))[0]
+                if 1 < len(d) < len(h):
+                    break
+            todo += [d, _p_divmod(f, h, d)[0]]
+    return roots
 
 
 def _p_eval_scalar(f, poly, x):
@@ -261,16 +300,6 @@ class AbstractAlgebra:
                     for t, c in ti[j]:
                         out[t] = f.add(out[t], f.mul(s, c))
         return tuple(out)
-
-    def lmat(self, x) -> Mat:
-        cols = [self.mult(x, u) for u in self._units]
-        ent = tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim))
-        return Mat(self.field, self.dim, self.dim, ent)
-
-    def rmat(self, x) -> Mat:
-        cols = [self.mult(u, x) for u in self._units]
-        ent = tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim))
-        return Mat(self.field, self.dim, self.dim, ent)
 
 
 def _unit_vec(f, n, j):
@@ -346,26 +375,41 @@ def algebra_radical(g: AbstractAlgebra):
     if isinstance(f, PrimeField) and f.p <= g.dim:
         raise FieldTooSmall("trace-form radical needs p > dim, got p=%d dim=%d" % (f.p, g.dim))
     n = g.dim
-    lmats = [g.lmat(u) for u in g._units]
+    # tr(L_x L_y) = tr(L_xy), and tr(L_{b_t}) is the sum over s of the b_s-coordinate of b_t b_s
+    trace = []
+    for t in range(n):
+        acc = f.zero
+        for s in range(n):
+            acc = f.add(acc, g.table[t][s][s])
+        trace.append(acc)
     ent = []
     for i in range(n):
-        Li = lmats[i]
         for j in range(n):
-            Lj = lmats[j]
             acc = f.zero
-            for s in range(n):
-                for t in range(n):
-                    a = Li.at(s, t)
-                    if a:
-                        b = Lj.at(t, s)
-                        if b:
-                            acc = f.add(acc, f.mul(a, b))
+            for t, c in g._terms[i][j]:
+                acc = f.add(acc, f.mul(c, trace[t]))
             ent.append(acc)
     gram = Mat(f, n, n, tuple(ent))
     ker = kernel_basis(gram)
     basis = [ker.col(j) for j in range(ker.cols)]
     _assert_nilpotent(g, basis)
     return basis
+
+
+def _basis_index(f, x):
+    """t when x is the t-th basis vector, else None."""
+    nz = [i for i, c in enumerate(x) if c]
+    return nz[0] if len(nz) == 1 and x[nz[0]] == f.one else None
+
+
+def _products(g, xs, ys):
+    """Each product x * y, read from the structure table when x and y are basis vectors."""
+    f = g.field
+    yi = [(y, _basis_index(f, y)) for y in ys]
+    for x in xs:
+        i = _basis_index(f, x)
+        for y, j in yi:
+            yield g.table[i][j] if i is not None and j is not None else g.mult(x, y)
 
 
 def _assert_nilpotent(g, basis):
@@ -375,12 +419,7 @@ def _assert_nilpotent(g, basis):
     cur = list(basis)
     for _ in range(g.dim + 1):
         tracker = SpanTracker(f, g.dim)
-        nxt = []
-        for x in cur:
-            for r in basis:
-                y = g.mult(x, r)
-                if tracker.add(y):
-                    nxt.append(y)
+        nxt = [y for y in _products(g, cur, basis) if tracker.add(y)]
         if not nxt:
             return
         cur = nxt
@@ -412,9 +451,10 @@ def _assert_complete_orthogonal(g, idems):
     if tuple(total) != g.unit:
         raise VerificationFailed("idempotents do not sum to the unit")
     zero = (f.zero,) * g.dim
+    products = _products(g, idems, idems)
     for i, e1 in enumerate(idems):
-        for j, e2 in enumerate(idems):
-            if g.mult(e1, e2) != (e1 if i == j else zero):
+        for j in range(len(idems)):
+            if next(products) != (e1 if i == j else zero):
                 raise VerificationFailed("idempotents are not orthogonal")
 
 
@@ -426,7 +466,8 @@ def certify_structure(g: AbstractAlgebra):
     outside the ideal that sum to 1 stay independent modulo it; when there
     are as many of them as the ideal's codimension, the quotient is a product
     of copies of k, which is semisimple, so the ideal is the whole radical.
-    Raises VerificationFailed when any step fails.
+    Raises VerificationFailed when any step fails; returns the test for
+    membership in the radical.
     """
     f = g.field
     rad, idems = g.radical, g.idempotents
@@ -452,30 +493,29 @@ def certify_structure(g: AbstractAlgebra):
                 return False
         return True
 
-    for r in rad:
-        for u in g._units:
-            if not in_rad(g.mult(u, r)) or not in_rad(g.mult(r, u)):
+    if not all(map(in_rad, _products(g, g._units, rad))) or not all(map(in_rad, _products(g, rad, g._units))):
                 raise VerificationFailed("claimed radical is not a two-sided ideal")
     _assert_nilpotent(g, rad)
     if any(in_rad(e) for e in idems):
         raise VerificationFailed("an idempotent lies in the claimed radical")
     _assert_complete_orthogonal(g, idems)
+    return in_rad
 
 
-def _corner_basis(g, e):
-    f = g.field
-    cb = []
-    tracker = SpanTracker(f, g.dim)
-    for t in range(g.dim):
-        v = g.mult(g.mult(e, g._units[t]), e)
-        if tracker.add(v):
-            cb.append(v)
-    return cb
+def _span_basis(f, width, vecs):
+    """The vectors of vecs that enlarge the span of those before them."""
+    tracker = SpanTracker(f, width)
+    return [v for v in vecs if tracker.add(v)]
+
+
+def _corner_basis(g, a, b):
+    """A basis of a g b."""
+    return _span_basis(g.field, g.dim, (g.mult(g.mult(a, u), b) for u in g._units))
 
 
 def _split_idempotent(g, rad, e, out):
     f = g.field
-    cb = _corner_basis(g, e)
+    cb = _corner_basis(g, e, e)
     rad_tracker = SpanTracker(f, g.dim)
     for r in rad:
         rr = g.mult(g.mult(e, r), e)
@@ -661,254 +701,210 @@ def _smat(f, squot, sreps, rad_tracker, g, z):
     return Mat(f, k, k, ent)
 
 
-# -- right modules over an abstract algebra -----------------------------------
+# -- global dimension over the Peirce grading ---------------------------------
 
 
-@dataclass
-class _GMod:
-    g: AbstractAlgebra
-    dim: int
-    acts: tuple  # per basis element, dim x dim
+@dataclass(frozen=True)
+class _Graded:
+    """A right module V = V_0 + ... + V_{n-1}, V_i = V e_i, and the d_j x d_i
+    matrix of v -> v b for each radical basis element b of e_i g e_j."""
+
+    dims: tuple  # dim V_i, per vertex i
+    acts: tuple  # one matrix per radical basis element, in _Peirce.rad order
 
 
-def _gm_act(v: _GMod, x) -> Mat:
-    f = v.g.field
-    out = Mat.zeros(f, v.dim, v.dim)
-    for t, c in enumerate(x):
-        if c:
-            out = out.add(v.acts[t].scale(c))
-    return out
+class _Peirce:
+    """The Peirce grading of an algebra whose basis is its idempotents and a radical basis.
 
-
-def _gm_regular(g: AbstractAlgebra) -> _GMod:
-    acts = [g.rmat(u) for u in g._units]
-    return _GMod(g, g.dim, tuple(acts))
-
-
-def _gm_sub(v: _GMod, basis: Mat) -> _GMod:
-    rows = _unit_column_rows(basis)
-    acts = []
-    for t in range(v.g.dim):
-        if rows is None:
-            x = solve(basis, v.acts[t].mul(basis))
-        else:
-            x = _restrict(v.acts[t], rows)
-        if x is None:
-            raise VerificationFailed("subspace not closed under the action")
-        acts.append(x)
-    return _GMod(v.g, basis.cols, tuple(acts))
-
-
-def _unit_column_rows(basis: Mat):
-    """The row of the 1 in each column when every column is a unit vector, else None."""
-    f = basis.field
-    rows = []
-    for j in range(basis.cols):
-        col = basis.col(j)
-        nz = [i for i, x in enumerate(col) if x]
-        if len(nz) != 1 or col[nz[0]] != f.one:
-            return None
-        rows.append(nz[0])
-    return rows
-
-
-def _restrict(a: Mat, rows):
-    """a on the span of the unit vectors at rows, in that basis, or None if a leaves the span."""
-    keep = set(rows)
-    others = [i for i in range(a.rows) if i not in keep]
-    cols = [a.entries[j::a.cols] for j in rows]
-    if any(col[i] for col in cols for i in others):
-        return None
-    return Mat(a.field, len(rows), len(rows), tuple(col[i] for i in rows for col in cols))
-
-
-def _gm_quotient(v: _GMod, wbasis: Mat):
-    proj, sect = quotient_maps(v.g.field, wbasis)
-    acts = tuple(proj.mul(a).mul(sect) for a in v.acts)
-    return _GMod(v.g, v.dim - wbasis.cols, acts), proj
-
-
-def _gm_radical_basis(v: _GMod, rad) -> Mat:
-    f = v.g.field
-    mats = [_gm_act(v, r) for r in rad]
-    if not mats:
-        return Mat.zeros(f, v.dim, 0)
-    return col_space(hstack(f, mats, rows=v.dim))
-
-
-def _gm_cover(g, rad, idem_blocks, v: _GMod):
-    """Projective cover of v; returns (P, F) with F: P -> v an epi matrix.
-
-    A generous generating family is built first and then stripped one
-    projective copy at a time while surjectivity survives; the stable
-    point is the minimal cover.
+    certify_structure proves the carried radical and idempotents first.  Each
+    basis element must lie in one Peirce block e_i g e_j and, unless it is
+    one of the idempotents, in the radical; every product read must stay in
+    its block.
     """
-    f = g.field
-    w = _gm_radical_basis(v, rad)
-    top, proj = _gm_quotient(v, w)
-    gens = []  # (block index, generator vector in v)
-    for k, (e, pk, _) in enumerate(idem_blocks):
-        em = _gm_act(top, e)
-        img = col_space(em)
-        for j in range(img.cols):
-            x = solve(proj, Mat.column(f, img.col(j)))
-            if x is None:
-                raise VerificationFailed("cover generator lift failed")
-            gv = _gm_act(v, e).apply(x.col(0))
-            gens.append((k, gv))
 
-    def build(gen_list):
-        blocks = []
-        fcols = []
-        for (k, gv) in gen_list:
-            e, pk, basis = idem_blocks[k]
-            blocks.append(pk)
-            for j in range(basis.cols):
-                u = basis.col(j)
-                fcols.append(_gm_act(v, u).apply(gv))
-        total = sum(b.dim for b in blocks)
-        acts = []
+    def __init__(self, g: AbstractAlgebra):
+        in_rad = certify_structure(g)
+        f, one = g.field, g.field.one
+        self.idem = [_basis_index(f, e) for e in g.idempotents]
+        if None in self.idem:
+            raise VerificationFailed("an idempotent is not a basis element")
+        n = len(self.idem)
+        self.field, self.n = f, n
+        # e_i b = b and b e_j = b, read from the structure constants
+        self.tag = []
         for t in range(g.dim):
-            acts.append(block_diag(f, [b.acts[t] for b in blocks]))
-        p = _GMod(g, total, tuple(acts))
-        ent = tuple(fcols[j][i] for i in range(v.dim) for j in range(len(fcols)))
-        return p, Mat(f, v.dim, total, ent)
+            unit = ((t, one),)
+            i = [k for k, p in enumerate(self.idem) if g._terms[p][t] == unit]
+            j = [k for k, p in enumerate(self.idem) if g._terms[t][p] == unit]
+            if len(i) != 1 or len(j) != 1:
+                raise VerificationFailed("basis element %d lies in no Peirce block" % t)
+            self.tag.append((i[0], j[0]))
+        self.block = [[[] for _ in range(n)] for _ in range(n)]  # basis indices of e_i g e_j
+        self.pos = [0] * g.dim  # position of each basis element in its block
+        for t, (i, j) in enumerate(self.tag):
+            self.pos[t] = len(self.block[i][j])
+            self.block[i][j].append(t)
+        idem = set(self.idem)
+        self.rad = [t for t in range(g.dim) if t not in idem]
+        if not all(in_rad(g._units[t]) for t in self.rad):
+            raise VerificationFailed("a basis element other than the idempotents lies outside the radical")
+        self.ridx = {t: r for r, t in enumerate(self.rad)}
+        self.into = [[r for r, t in enumerate(self.rad) if self.tag[t][1] == k] for k in range(n)]
+        self.proj = [self._projective(g, k) for k in range(n)]
 
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(gens)):
-            trial = gens[:k] + gens[k + 1 :]
-            _, fm = build(trial)
-            if rank(fm) == v.dim:
-                gens = trial
-                changed = True
-                break
-    p, fmat = build(gens)
-    if rank(fmat) != v.dim:
-        raise VerificationFailed("projective cover is not surjective")
-    return p, fmat
+    def _projective(self, g, k) -> _Graded:
+        """P_k = e_k g, with the basis of e_k g e_i at vertex i."""
+        f = self.field
+        dims = tuple(len(self.block[k][i]) for i in range(self.n))
+        acts = []
+        for b in self.rad:
+            i, j = self.tag[b]
+            rows, cols = dims[j], dims[i]
+            ent = [f.zero] * (rows * cols)
+            for c, s in enumerate(self.block[k][i]):
+                for t, x in g._terms[s][b]:
+                    if self.tag[t] != (k, j):
+                        raise VerificationFailed("the product of basis elements %d and %d leaves its block" % (s, b))
+                    ent[self.pos[t] * cols + c] = x
+            acts.append(Mat(f, rows, cols, tuple(ent)))
+        return _Graded(dims, tuple(acts))
 
+    def simple(self, k) -> _Graded:
+        f = self.field
+        dims = tuple(int(i == k) for i in range(self.n))
+        return _Graded(dims, tuple(Mat.zeros(f, dims[self.tag[b][1]], dims[self.tag[b][0]]) for b in self.rad))
 
-def _gm_kernel(p: _GMod, fmat: Mat) -> _GMod:
-    kb = kernel_basis(fmat)
-    return _gm_sub(p, kb)
+    def cover(self, v: _Graded):
+        """The minimal projective cover of v, as its generators (k, x in V_k) and its map at each vertex.
 
+        The generators lift a basis of the top V_k / (V rad)_k at each vertex k,
+        so by Nakayama's lemma no copy of a projective can be left out.
+        """
+        f = self.field
+        gens = []
+        for k, d in enumerate(v.dims):
+            if d:
+                rad_k = col_space(hstack(f, [v.acts[r] for r in self.into[k] if v.acts[r].cols], rows=d))
+                _, sect = quotient_maps(f, rad_k)
+                gens += [(k, sect.col(c)) for c in range(sect.cols)]
+        maps = []
+        for i, d in enumerate(v.dims):
+            cols = []
+            for k, x in gens:
+                for s in self.block[k][i]:
+                    cols.append(x if s == self.idem[k] else v.acts[self.ridx[s]].apply(x))
+            maps.append(Mat(f, d, len(cols), tuple(col[a] for a in range(d) for col in cols)))
+        return gens, maps
 
-def _gm_hom(gens, v: _GMod, w: _GMod):
-    """Basis of Hom over the algebra, using a generating set of basis indices."""
-    f = v.g.field
-    if v.dim == 0 or w.dim == 0:
-        return []
-    total = w.dim * v.dim
-    rows = []
-    z = f.zero
-    for t in gens:
-        av, aw = v.acts[t], w.acts[t]
-        for r in range(w.dim):
-            for c in range(v.dim):
-                row = [z] * total
-                for k0 in range(v.dim):
-                    val = av.at(k0, c)
-                    if val:
-                        row[r * v.dim + k0] = f.add(row[r * v.dim + k0], val)
-                for l0 in range(w.dim):
-                    val = aw.at(r, l0)
-                    if val:
-                        row[l0 * v.dim + c] = f.sub(row[l0 * v.dim + c], val)
-                if any(row):
-                    rows.append(row)
-    ker = kernel_basis(Mat.from_rows(f, rows)) if rows else Mat.identity(f, total)
-    out = []
-    for j in range(ker.cols):
-        out.append(Mat(f, w.dim, v.dim, tuple(ker.col(j))))
-    return out
+    def syzygy(self, v: _Graded) -> _Graded:
+        """The kernel of the minimal projective cover of v."""
+        f = self.field
+        gens, maps = self.cover(v)
+        kers = [kernel_basis(m) for m in maps]
+        for i, (m, ker) in enumerate(zip(maps, kers)):
+            if m.cols - ker.cols != v.dims[i]:
+                raise VerificationFailed("projective cover is not onto at vertex %d" % i)
+        acts = []
+        for r, b in enumerate(self.rad):
+            i, j = self.tag[b]
+            ki, kj = kers[i], kers[j]
+            if not ki.cols:
+                acts.append(Mat.zeros(f, kj.cols, 0))
+                continue
+            a = block_diag(f, [self.proj[k].acts[r] for k, _ in gens])
+            x = solve(kj, a.mul(ki))
+            if x is None:
+                raise VerificationFailed("the kernel of a projective cover is not a submodule")
+            acts.append(x)
+        return _Graded(tuple(ker.cols for ker in kers), tuple(acts))
 
+    def hom(self, v: _Graded, w: _Graded):
+        """A basis of Hom(v, w), each element a tuple of one w.dims[i] x v.dims[i] matrix per vertex."""
+        f = self.field
+        offset, total = [], 0
+        for dv, dw in zip(v.dims, w.dims):
+            offset.append(total)
+            total += dv * dw
+        if not total:
+            return []
+        rows = []
+        for r, b in enumerate(self.rad):
+            i, j = self.tag[b]
+            mv, mw = v.acts[r], w.acts[r]
+            # h_j mv = mw h_i, entry (a, c)
+            for a in range(w.dims[j]):
+                for c in range(v.dims[i]):
+                    row = [f.zero] * total
+                    for l in range(v.dims[j]):
+                        x = mv.at(l, c)
+                        if x:
+                            t = offset[j] + a * v.dims[j] + l
+                            row[t] = f.add(row[t], x)
+                    for l in range(w.dims[i]):
+                        x = mw.at(a, l)
+                        if x:
+                            t = offset[i] + l * v.dims[i] + c
+                            row[t] = f.sub(row[t], x)
+                    if any(row):
+                        rows.append(row)
+        ker = kernel_basis(Mat.from_rows(f, rows)) if rows else Mat.identity(f, total)
+        out = []
+        for c in range(ker.cols):
+            h = ker.col(c)
+            out.append(tuple(Mat(f, dw, dv, h[o:o + dv * dw]) for o, dv, dw in zip(offset, v.dims, w.dims)))
+        return out
 
-def _algebra_generators(g: AbstractAlgebra):
-    """A small set of basis indices generating g as a unital algebra."""
-    f = g.field
-    span = SpanTracker(f, g.dim)
-    span.add(g.unit)
-    elements = [g.unit]
-    gens = []
-    for t in range(g.dim):
-        ut = g._units[t]
-        if span.contains(ut):
-            continue
-        gens.append(t)
-        frontier = [ut]
-        span.add(ut)
-        elements.append(ut)
-        while frontier:
-            x = frontier.pop()
-            new = []
-            for y in list(elements):
-                for prod in (g.mult(x, y), g.mult(y, x)):
-                    if span.add(prod):
-                        new.append(prod)
-            elements.extend(new)
-            frontier.extend(new)
-            if span.dim == g.dim:
-                break
-        if span.dim == g.dim:
-            break
-    return gens if gens else [0]
-
-
-def _gm_iso(gens, v: _GMod, w: _GMod) -> bool:
-    """Certified isomorphism test; False may mean 'not found'."""
-    if v.dim != w.dim:
-        return False
-    if v.dim == 0:
-        return True
-    homs = _gm_hom(gens, v, w)
-    if not homs:
-        return False
-    from .linalg import is_invertible
-
-    for h in homs:
-        if is_invertible(h):
-            return True
-    f = v.g.field
-    rng = random.Random("gmodiso:%d" % v.dim)
-    for _ in range(24):
-        acc = Mat.zeros(f, w.dim, v.dim)
+    def isomorphic(self, v: _Graded, w: _Graded) -> bool:
+        """Certified isomorphism test: a map invertible at every vertex.  False may mean 'not found'."""
+        if v.dims != w.dims:
+            return False
+        homs = self.hom(v, w)
+        if not homs:
+            return not any(v.dims)
         for h in homs:
-            c = f.from_int(rng.randint(-3, 3))
-            if c:
-                acc = acc.add(h.scale(c))
-        if is_invertible(acc):
-            return True
-    return False
+            if all(is_invertible(m) for m in h):
+                return True
+        f = self.field
+        rng = random.Random("gmodiso:%d" % sum(v.dims))
+        for _ in range(24):
+            acc = [Mat.zeros(f, m.rows, m.cols) for m in homs[0]]
+            for h in homs:
+                c = f.from_int(rng.randint(-3, 3))
+                if c:
+                    acc = [a.add(m.scale(c)) for a, m in zip(acc, h)]
+            if all(is_invertible(m) for m in acc):
+                return True
+        return False
+
+    def proj_dim(self, v: _Graded, bound) -> DimValue:
+        history = [v]
+        for i in range(1, bound + 1):
+            k = self.syzygy(v)
+            if not any(k.dims):
+                return DimValue.finite(i - 1)
+            if any(self.isomorphic(old, k) for old in history):
+                return DimValue.infinite()
+            history.append(k)
+            v = k
+        return DimValue.at_least(bound)
 
 
 def global_dimension(g: AbstractAlgebra, bound=None) -> DimValue:
-    """Max projective dimension of the simple right modules."""
+    """Max projective dimension of the simple right modules.
+
+    An algebra that carries no radical and idempotents is first replaced by
+    its basic corner, which is Morita equivalent to it, so has the same
+    global dimension.
+    """
     if bound is None:
         bound = g.dim + 2
     if g.radical is None:
-        rad = algebra_radical(g)
-        idems = primitive_idempotents(g, rad)
-    else:
-        certify_structure(g)
-        rad, idems = g.radical, g.idempotents
-    reg = _gm_regular(g)
-    gens = _algebra_generators(g)
-    idem_blocks = []
-    for e in idems:
-        le = g.lmat(e)
-        basis = col_space(le)
-        pk = _gm_sub(reg, basis)
-        idem_blocks.append((e, pk, basis))
-    results = []
-    for (e, pk, basis) in idem_blocks:
-        w = _gm_radical_basis(pk, rad)
-        simple, _ = _gm_quotient(pk, w)
-        results.append(_gm_pd(g, rad, idem_blocks, gens, simple, bound))
+        g = _basic_corner(g)
+    peirce = _Peirce(g)
     worst_finite = 0
     at_least = None
-    for r in results:
+    for k in range(peirce.n):
+        r = peirce.proj_dim(peirce.simple(k), bound)
         if r.is_infinite:
             return DimValue.infinite()
         if r.kind == "at_least":
@@ -920,22 +916,35 @@ def global_dimension(g: AbstractAlgebra, bound=None) -> DimValue:
     return DimValue.finite(worst_finite)
 
 
-def _gm_pd(g, rad, idem_blocks, gens, m: _GMod, bound) -> DimValue:
-    if m.dim == 0:
-        return DimValue.finite(0)
-    history = [m]
-    cur = m
-    for i in range(1, bound + 1):
-        p, fmat = _gm_cover(g, rad, idem_blocks, cur)
-        k = _gm_kernel(p, fmat)
-        if k.dim == 0:
-            return DimValue.finite(i - 1)
-        for old in history:
-            if old.dim == k.dim and _gm_iso(gens, old, k):
-                return DimValue.infinite()
-        history.append(k)
-        cur = k
-    return DimValue.at_least(bound)
+def _basic_corner(g: AbstractAlgebra) -> AbstractAlgebra:
+    """e g e for e a sum of one primitive idempotent of g per isomorphism class.
+
+    The radical comes from the trace form.  Primitive idempotents e_k and e_l
+    are isomorphic (e_k g = e_l g as right modules) exactly when their simple
+    tops are, that is when e_k g e_l, which maps onto the Hom space between
+    the tops, is not inside the radical.  The corner is built in a Peirce
+    basis: each e_k, then a basis of e_k rad e_k and of each e_k g e_l.
+    """
+    f = g.field
+    rad = algebra_radical(g)
+    idems = primitive_idempotents(g, rad)
+    rad_span = SpanTracker(f, g.dim)
+    for r in rad:
+        rad_span.add(r)
+    reps = []
+    for e in idems:
+        if not any(not rad_span.contains(g.mult(g.mult(r, u), e)) for r in reps for u in g._units):
+            reps.append(e)
+    blocks = {}
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            if i == j:
+                hb = [a] + _span_basis(f, g.dim, (g.mult(g.mult(a, r), a) for r in rad))
+            else:
+                hb = _corner_basis(g, a, b)
+            if hb:
+                blocks[(i, j)] = hb
+    return _block_algebra(f, len(reps), blocks, tuple, g.mult)
 
 
 def gldim_end_gen_cogen(alg, bound=None) -> DimValue:
@@ -944,23 +953,19 @@ def gldim_end_gen_cogen(alg, bound=None) -> DimValue:
 
 
 def gen_cogen_algebra(alg) -> AbstractAlgebra:
-    """End(M_0 + ... + M_{n-1}) for the summands M_i of gen_cogen(alg), block by block.
+    """End(M_0 + ... + M_{n-1}) for the summands M_i of gen_cogen(alg), from the blocks Hom(M_j, M_i).
 
-    The basis is the union of the bases of Hom(M_j, M_i), each element tagged
-    (i, j); a product (i, j) * (j, k) is a composition in Hom(M_k, M_i), and
-    every other product is zero.  The basis of End(M_i) is id followed by a
-    basis of the kernel of phi -> phi_v[0, 0], where M_i is P(v) or I(v): the
-    basis of P(v) at v starts with the stationary path e_v, and I(v) is the
-    dual of P(v) over the opposite algebra, so phi_v[0, 0] is the scalar by
-    which phi acts on top P(v) or on soc I(v).  The algebra carries the
-    identities as its idempotents and every other basis element as its
-    radical; global_dimension certifies both.
+    The basis of End(M_i) is id followed by a basis of the kernel of
+    phi -> phi_v[0, 0], where M_i is P(v) or I(v): the basis of P(v) at v
+    starts with the stationary path e_v, and I(v) is the dual of P(v) over
+    the opposite algebra, so phi_v[0, 0] is the scalar by which phi acts on
+    top P(v) or on soc I(v).  global_dimension certifies the radical and
+    idempotents the algebra carries.
     """
     from .modules import compose, gen_cogen, hom_basis, morphism_flat
 
     gc = gen_cogen(alg)
     mods = gc.modules
-    f = alg.field
     blocks = {}  # (i, j) -> basis of Hom(M_j, M_i), in the order of the algebra's basis
     for i, mi in enumerate(mods):
         for j, mj in enumerate(mods):
@@ -969,37 +974,49 @@ def gen_cogen_algebra(alg) -> AbstractAlgebra:
                 hb = _local_basis(mi, gc.vertices[i], hb)
             if hb:
                 blocks[(i, j)] = hb
+    return _block_algebra(alg.field, len(mods), blocks, morphism_flat, compose)
+
+
+def _block_algebra(f, n, blocks, flat, compose) -> AbstractAlgebra:
+    """The algebra with basis the union of the lists blocks[(i, j)], for i, j < n.
+
+    A product of an element of block (i, j) by one of block (j, k) is
+    compose(b, c), read in the basis of block (i, k); every other product is
+    zero.  Elements are compared as the vectors flat(b), and blocks[(i, i)][0]
+    is the identity of the i-th summand.  The algebra carries these identities
+    as its idempotents and every other basis element as its radical.
+    """
     offset, dim = {}, 0
     for key, hb in blocks.items():
         offset[key] = dim
         dim += len(hb)
     trackers = {}
     for key, hb in blocks.items():
-        tracker = SpanTracker(f, len(morphism_flat(hb[0])), track=True)
+        tracker = SpanTracker(f, len(flat(hb[0])), track=True)
         for b in hb:
-            if not tracker.add(morphism_flat(b)):
-                raise VerificationFailed("hom basis is not independent")
+            if not tracker.add(flat(b)):
+                raise VerificationFailed("block basis is not independent")
         trackers[key] = tracker
     zero = (f.zero,) * dim
     table = [[zero] * dim for _ in range(dim)]
     for (i, j), left in blocks.items():
-        for k in range(len(mods)):
+        for k in range(n):
             right = blocks.get((j, k))
             if right is None:
                 continue
             tracker = trackers.get((i, k))
             for s, b in enumerate(left):
                 for t, c in enumerate(right):
-                    prod = morphism_flat(compose(b, c))
+                    prod = flat(compose(b, c))
                     if not any(prod):
                         continue
                     coords = tracker.coords(prod) if tracker is not None else None
                     if coords is None:
-                        raise VerificationFailed("composition left the Hom block")
+                        raise VerificationFailed("a product left its block")
                     row = list(zero)
                     row[offset[(i, k)]:offset[(i, k)] + len(coords)] = coords
                     table[offset[(i, j)] + s][offset[(j, k)] + t] = tuple(row)
-    ids = {offset[(i, i)] for i in range(len(mods))}
+    ids = {offset[(i, i)] for i in range(n)}
     unit = tuple(f.one if t in ids else f.zero for t in range(dim))
     return make_algebra(
         f, table, unit,

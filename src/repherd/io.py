@@ -305,9 +305,13 @@ def _catalog_from_cache(alg, data):
 
     `complete` must be a bool, every vertex flag None or a vertex index,
     every tau link None or a node index, and a node flagged P(v) or I(v) must
-    be isomorphic to P(v) or I(v).
+    be isomorphic to P(v) or I(v).  The links must pair up (tau X = Y iff
+    tau^{-1} Y = X), each tau X must be isomorphic to the translate of X,
+    and a complete catalog must link exactly its non-projective and
+    non-injective nodes.
     """
     from .catalog import CatalogNode, IndecomposableCatalog
+    from .homological import ar_translate
     from .modules import gen_cogen, iso_class_index
 
     if data.get("tool_version") != TOOL_VERSION or not isinstance(data["complete"], bool):
@@ -335,6 +339,18 @@ def _catalog_from_cache(alg, data):
             if v is not None and iso_class_index(rep, [canonical[v]]) is None:
                 return None
         nodes.append(node)
+    for i, node in enumerate(nodes):
+        if node.tau is not None and nodes[node.tau].tau_inv != i:
+            return None
+        if node.tau_inv is not None and nodes[node.tau_inv].tau != i:
+            return None
+        if data["complete"] and (node.tau is None, node.tau_inv is None) != (
+            node.proj_vertex is not None,
+            node.inj_vertex is not None,
+        ):
+            return None
+        if node.tau is not None and iso_class_index(ar_translate(node.rep), [nodes[node.tau].rep]) is None:
+            return None
     return IndecomposableCatalog(alg, nodes, data["complete"])
 
 

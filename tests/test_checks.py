@@ -150,6 +150,21 @@ def test_suite_holds_on_d4(d4):
     assert gl["ok"] and gl["gl_dim_A"] == "1"
 
 
+def test_suite_reads_tau_from_the_catalog(h5, monkeypatch):
+    """Parts (ii)-(iv) take tau X and tau^-1 X from the catalog's links: the suite computes no translate."""
+    from repherd import checks, homological
+
+    cat, main = catalog_of(h5), main_report_of(h5)
+    calls = []
+    for mod in (checks, homological):
+        for name in ("ar_translate", "ar_translate_inv"):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **k: calls.append(_fn.__name__) or _fn(*a, **k))
+    report = check_no_inj_to_proj_suite(h5, cat, main_report=main)
+    assert {"ii", "iii", "iv"} <= {w.get("part") for w in report.witnesses}
+    assert calls == []
+
+
 def test_run_all_reports_shapes(loop2):
     reports, cat = run_all_checks(loop2)
     by = {r.check: r for r in reports}

@@ -80,6 +80,34 @@ def test_cached_flags_are_verified(tmp_path, monkeypatch, capsys):
         assert (main(argv), capsys.readouterr().out) == want
 
 
+def test_cached_tau_links_are_verified(tmp_path, monkeypatch, capsys):
+    """A cache file whose tau links are swapped or missing is a miss: the suite's report is the uncached one."""
+    from repherd import io as rio
+
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    argv = ["check", fixture_path("a3.json"), "--suite", "all"]
+    want = (main(argv), capsys.readouterr().out)
+    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
+    assert (main(argv), capsys.readouterr().out) == want
+    (cached,) = tmp_path.glob("*.json")
+    good = json.loads(cached.read_text())
+    alg = rio.load_algebra(fixture_path("a3.json"))
+    assert good["complete"] and rio._catalog_from_cache(alg, good) is not None
+
+    swapped = copy.deepcopy(good)
+    nds = swapped["nodes"]
+    i, k = [n for n, nd in enumerate(nds) if nd["tau"] is not None][:2]
+    a, b = nds[i]["tau"], nds[k]["tau"]
+    nds[i]["tau"], nds[k]["tau"], nds[a]["tau_inv"], nds[b]["tau_inv"] = b, a, k, i
+    missing = copy.deepcopy(good)
+    nds = missing["nodes"]
+    nds[nds[i]["tau"]]["tau_inv"] = nds[i]["tau"] = None
+    for bad in (swapped, missing):
+        assert rio._catalog_from_cache(alg, bad) is None
+        cached.write_text(json.dumps(bad))
+        assert (main(argv), capsys.readouterr().out) == want
+
+
 @pytest.mark.parametrize("p", [3, 13, 23])
 def test_oracle_works_over_small_prime_fields(tmp_path, p, capsys):
     """The oracle needs no p > dim End(A + DA): tilted4 holds over GF(p) as over Q."""

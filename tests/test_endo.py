@@ -16,8 +16,10 @@ from repherd.endo import (
     primitive_idempotents,
     rational_roots,
 )
+from repherd import io as rio
 from repherd.errors import FieldTooSmall, VerificationFailed
 from repherd.fields import PrimeField, QQ
+from repherd.homological import proj_dim
 from repherd.linalg import Mat
 from repherd.modules import direct_sum, gen_cogen, injective_at, projective_at, simple_at
 
@@ -248,9 +250,8 @@ def test_idempotent_completeness_invariant(loop2):
     assert tuple(total) == g.unit
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "d4", "kron", "loop2", "sq", "tilted4", "tilted5"])
+@pytest.mark.parametrize("name", ["a2", "a3", "d4", "kron", "loop2", "sq", "tilted4", "tilted5", "h5"])
 def test_block_oracle_matches_generic_route(name):
-    """h5 is left out: the generic route takes several seconds on it."""
     alg = load_fixture_algebra(name)
     generic = endomorphism_algebra(direct_sum(alg, gen_cogen(alg).modules))
     assert generic.radical is None
@@ -278,3 +279,71 @@ def test_certifier_rejects_a_wrong_radical(loop2):
             certify_structure(bad)
         with pytest.raises(VerificationFailed):
             global_dimension(bad)
+
+
+ALGEBRA_FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_global_dimension_matches_resolutions_of_simple_representations(name, field):
+    """gl.dim End(P(1) + ... + P(n)) = gl.dim A, which the Representation code finds
+    from the simple modules of A without any of the structure-constant code."""
+    alg = load_fixture_algebra(name, field)
+    nv = alg.quiver.n_vertices
+    g = endomorphism_algebra(direct_sum(alg, [projective_at(alg, v) for v in range(nv)]))
+    pds = [proj_dim(simple_at(alg, v)) for v in range(nv)]
+    if any(pd.is_infinite for pd in pds):
+        expected = DimValue.infinite()
+    else:
+        assert all(pd.is_finite for pd in pds)
+        expected = DimValue.finite(max(pd.value for pd in pds))
+    assert global_dimension(g) == expected
+
+
+def _bipartite(n, edges):
+    """Arrows of a tree on 1..n oriented from the vertices at even distance from 1."""
+    side = {1: 0}
+    while len(side) < n:
+        for a, b in edges:
+            if a in side and b not in side:
+                side[b] = 1 - side[a]
+            elif b in side and a not in side:
+                side[a] = 1 - side[b]
+    return [(a, b) if side[a] == 0 else (b, a) for a, b in edges]
+
+
+def _quiver_algebra(n, arrows, relation_length, length_bound):
+    """The path algebra over GF(101) of arrows on 1..n, modulo every path of relation_length arrows."""
+    names = ["x%d" % k for k in range(len(arrows))]
+    paths = [[]]
+    for _ in range(relation_length):
+        paths = [p + [k] for p in paths for k, (a, _) in enumerate(arrows) if not p or arrows[p[-1]][1] == a]
+    return rio.algebra_from_dict({
+        "field": {"GFp": 101},
+        "vertices": [str(v) for v in range(1, n + 1)],
+        "arrows": [{"name": x, "from": str(a), "to": str(b)} for x, (a, b) in zip(names, arrows)],
+        "relations": [[{"coeff": "1", "path": [names[k] for k in p]}] for p in paths] if relation_length else [],
+        "length_bound": length_bound,
+    })
+
+
+TREES = {
+    "A6": (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
+    "D5": (5, [(1, 2), (2, 3), (3, 4), (3, 5)]),
+    "E6": (6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_oracle_on_dynkin_path_algebras(name):
+    n, edges = TREES[name]
+    alg = _quiver_algebra(n, _bipartite(n, edges), 0, 2)
+    assert gldim_end_gen_cogen(alg) == DimValue.finite(3)
+
+
+@pytest.mark.parametrize("n, r, gldim", [(6, 2, 6), (8, 3, 6), (10, 3, 7)])
+def test_oracle_on_nakayama_algebras(n, r, gldim):
+    """A_n / rad^r, the linear quiver with every path of r arrows set to zero."""
+    alg = _quiver_algebra(n, [(v, v + 1) for v in range(1, n)], r, r)
+    assert gldim_end_gen_cogen(alg) == DimValue.finite(gldim)
