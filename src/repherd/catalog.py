@@ -17,6 +17,7 @@ from .linalg import SpanTracker
 from .modules import (
     cokernel_of,
     compose,
+    endomorphism_radical,
     gen_cogen,
     hom_basis,
     indecomposable_summands,
@@ -248,22 +249,12 @@ def ar_quiver(cat: IndecomposableCatalog):
     """Arrows with multiplicities dim rad(X,Y)/rad^2(X,Y), plus the tau table."""
     if not cat.complete:
         raise IncompleteCatalog("AR quiver needs a complete catalog")
-    from .endo import algebra_radical, endomorphism_algebra
-    from .modules import morphism_combo
-
     n = len(cat.nodes)
     fld = cat.algebra.field
     rad_bases = {}
     for i in range(n):
         for j in range(n):
-            if i == j:
-                endo = endomorphism_algebra(cat.nodes[i].rep)
-                radv = algebra_radical(endo)
-                rad_bases[(i, i)] = [
-                    morphism_combo(fld, endo.labels, rv, cat.nodes[i].rep, cat.nodes[i].rep) for rv in radv
-                ]
-            else:
-                rad_bases[(i, j)] = cat.hom_basis(i, j)
+            rad_bases[(i, j)] = endomorphism_radical(cat.nodes[i].rep) if i == j else cat.hom_basis(i, j)
     arrows = []
     for i in range(n):
         for j in range(n):

@@ -1,10 +1,11 @@
 """Finite-dimensional algebras by structure constants.
 
-Endomorphism algebras, trace-form radicals, primitive idempotent lifting,
-and global dimension of the algebra computed from projective resolutions
-of the simple right modules, graded by the algebra's idempotents.  The
-gl.dim oracle builds End(A + DA) from its Hom blocks, which carry their
-radical and idempotents, and certifies both.
+The split step by Fitting's lemma that decomposes modules and finds
+primitive idempotents, endomorphism algebras, the trace-form radical (the
+reference route), and global dimension of the algebra computed from
+projective resolutions of the simple right modules, graded by the algebra's
+idempotents.  The gl.dim oracle builds End(A + DA) from its Hom blocks,
+which carry their radical and idempotents, and certifies both.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .dims import DimValue
 from .errors import FieldTooSmall, NonSplit, VerificationFailed
 from .fields import PrimeField, Rationals
 from .linalg import (
-    Mat, SpanTracker, block_diag, col_space, hstack, is_invertible, kernel_basis, quotient_maps, rank, solve,
+    Mat, SpanTracker, block_diag, col_space, hstack, inverse, is_invertible, kernel_basis, quotient_maps, rank, solve,
 )
 
 
@@ -72,23 +73,12 @@ def _p_divmod(f, a, b):
     return _p_trim(f, q), a
 
 
-def _p_xgcd(f, a, b):
-    """Returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [f.one], []
-    v0, v1 = [], [f.one]
-    while r1:
-        q, r = _p_divmod(f, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _p_add(f, u0, _p_scale(f, f.neg(f.one), _p_mul(f, q, u1)))
-        v0, v1 = v1, _p_add(f, v0, _p_scale(f, f.neg(f.one), _p_mul(f, q, v1)))
-    if r0:
-        lead = r0[-1]
-        inv = f.inv(lead)
-        r0 = _p_scale(f, inv, r0)
-        u0 = _p_scale(f, inv, u0)
-        v0 = _p_scale(f, inv, v0)
-    return r0, u0, v0
+def _p_gcd(f, a, b):
+    """The monic gcd of a and b."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _p_divmod(f, a, b)[1]
+    return _p_scale(f, f.inv(a[-1]), a) if a else a
 
 
 def _p_eval_matvec(f, poly, L: Mat, v):
@@ -227,7 +217,7 @@ def _gfp_roots(f, poly):
     proper.  Over GF(2) h has degree at most 1, since 0 is not a root.
     """
     x = [f.zero, f.one]
-    h = _p_xgcd(f, poly, _p_add(f, _p_powmod(f, x, f.p, poly), [f.zero, f.neg(f.one)]))[0]
+    h = _p_gcd(f, poly, _p_add(f, _p_powmod(f, x, f.p, poly), [f.zero, f.neg(f.one)]))
     rng = random.Random("roots:%d" % f.p)
     roots, todo = [], [h]
     while todo:
@@ -237,7 +227,7 @@ def _gfp_roots(f, poly):
         elif len(h) > 2:
             while True:
                 c = rng.randrange(f.p)
-                d = _p_xgcd(f, h, _p_add(f, _p_powmod(f, [c, f.one], (f.p - 1) // 2, h), [f.neg(f.one)]))[0]
+                d = _p_gcd(f, h, _p_add(f, _p_powmod(f, [c, f.one], (f.p - 1) // 2, h), [f.neg(f.one)]))
                 if 1 < len(d) < len(h):
                     break
             todo += [d, _p_divmod(f, h, d)[0]]
@@ -315,10 +305,21 @@ def make_algebra(field, table, unit, labels=None, radical=None, idempotents=None
 
 
 def _validate_algebra(g: AbstractAlgebra):
-    n = g.dim
+    """The unit law on every basis element and associativity on basis triples, read from the table."""
+    f, n, terms = g.field, g.dim, g._terms
+
+    def combo(pairs):
+        """The sum of c * p over the pairs (c, p), each product p given by its terms (t, x)."""
+        out = [f.zero] * n
+        for c, tt in pairs:
+            for t, x in tt:
+                out[t] = f.add(out[t], f.mul(c, x))
+        return tuple(out)
+
+    unit = [(i, c) for i, c in enumerate(g.unit) if c]
     for j in range(n):
-        ej = g._units[j]
-        if g.mult(g.unit, ej) != ej or g.mult(ej, g.unit) != ej:
+        left, right = combo((c, terms[i][j]) for i, c in unit), combo((c, terms[j][i]) for i, c in unit)
+        if left != g._units[j] or right != g._units[j]:
             raise VerificationFailed("unit law fails at basis element %d" % j)
     triples = []
     if n <= 14:
@@ -330,10 +331,8 @@ def _validate_algebra(g: AbstractAlgebra):
         for _ in range(300):
             triples.append((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
     for (i, j, k) in triples:
-        ei, ej, ek = (g._units[t] for t in (i, j, k))
-        left = g.mult(g.table[i][j], ek)
-        right = g.mult(ei, g.table[j][k])
-        if left != right:
+        # (b_i b_j) b_k and b_i (b_j b_k)
+        if combo((c, terms[t][k]) for t, c in terms[i][j]) != combo((c, terms[i][t]) for t, c in terms[j][k]):
             raise VerificationFailed("associativity fails on basis triple (%d,%d,%d)" % (i, j, k))
 
 
@@ -426,18 +425,126 @@ def _assert_nilpotent(g, basis):
     raise VerificationFailed("radical candidate is not nilpotent")
 
 
+# -- splitting by Fitting's lemma ---------------------------------------------
+
+
+def fitting_split(f, dims, ops):
+    """Split V = k^dims[0] + k^dims[1] + ... in two, or certify that End(V) is local.
+
+    ops are endomorphisms of V that span End(V), each a tuple of one square
+    matrix per block.  For an op with an eigenvalue lam in the field, read
+    from its first block that has one, psi = op - lam is singular.  When psi
+    is not nilpotent, Fitting's lemma gives V = ker psi^d + im psi^d, d large,
+    two proper summands: the result is (kers, ims), their bases per block.
+    Otherwise psi is kept as a nilpotent part.  When every op has one and the
+    images of V under the nilpotent parts shrink to 0, they span a nilpotent
+    ideal and End(V) = k id + that ideal is local: the result is (None, nil).
+    Else a product of two nilpotent parts that is not nilpotent, being
+    singular, splits V too.  One exists when every op has a nilpotent part
+    and End(V)/rad is split, as End(V)/rad is then a matrix algebra of size
+    at least 2, on which tr(xy) does not vanish.  When none does, NonSplit
+    is raised: End(V)/rad is not split over k, or, when some op has no
+    eigenvalue in k, no op showed a split.
+    """
+    nil, every = [], True
+    for op in ops:
+        lam = _eigenvalue(op)
+        if lam is None:
+            every = False
+            continue
+        psi = tuple(m.sub(Mat.identity(f, m.rows).scale(lam)) for m in op)
+        split = _fitting(psi)
+        if split:
+            return split, None
+        if any(not m.is_zero() for m in psi):
+            nil.append(psi)
+    if every and _images_vanish(f, dims, nil):
+        return None, nil
+    for a in nil:
+        for b in nil:
+            split = _fitting(tuple(x.mul(y) for x, y in zip(a, b)))
+            if split:
+                return split, None
+    raise NonSplit("the endomorphism ring of a space of dimensions %s is not split local and no "
+                   "element splits it over the base field" % (tuple(dims),))
+
+
+def _eigenvalue(op):
+    """A root in the field of the minimal polynomial of the first block of op that has one; else None."""
+    for m in op:
+        if m.rows:
+            try:
+                roots = rational_roots(m.field, min_poly_of_matrix(m))
+            except RuntimeError:  # over Q, a coefficient too large to factor
+                roots = []
+            if roots:
+                return roots[0][0]
+    return None
+
+
+def _fitting(psi):
+    """(kers, ims) of ker psi^d + im psi^d per block, d large; None when psi is nilpotent."""
+    powers = [_stable_power(m) for m in psi]
+    if all(p.is_zero() for p in powers):
+        return None
+    return [kernel_basis(p) for p in powers], [col_space(p) for p in powers]
+
+
+def _stable_power(m):
+    """m^d for a d from which on the ranks of the powers of m stay the same."""
+    r = rank(m)
+    while r:
+        sq = m.mul(m)
+        rs = rank(sq)
+        if rs == r:
+            break
+        m, r = sq, rs
+    return m
+
+
+def _images_vanish(f, dims, nil):
+    """Whether V, W = nil V, nil W, ... reaches 0, block by block."""
+    w = [Mat.identity(f, d) for d in dims]
+    size = sum(dims)
+    while size:
+        w = [col_space(hstack(f, [n[v].mul(x) for n in nil], rows=x.rows)) for v, x in enumerate(w)]
+        if sum(x.cols for x in w) == size:
+            return False
+        size = sum(x.cols for x in w)
+    return True
+
+
 # -- primitive idempotents ----------------------------------------------------
 
 
-def primitive_idempotents(g: AbstractAlgebra, rad=None):
-    """Complete orthogonal primitive idempotents, lifted from g/rad.
+def primitive_idempotents(g: AbstractAlgebra):
+    """Complete orthogonal primitive idempotents of g, from a split of the regular module.
 
-    rad is a basis of the radical of g; the trace form finds it when none is given.
+    The left multiplications span End(g_g), so fitting_split splits g into
+    right ideals.  A piece is split again with the operators compressed to it
+    along the other piece, which span its endomorphisms.  The components of
+    the unit in the final, local pieces are the idempotents.
     """
-    if rad is None:
-        rad = algebra_radical(g)
-    out = []
-    _split_idempotent(g, rad, g.unit, out)
+    f, n = g.field, g.dim
+    lmul = [Mat(f, n, n, tuple(g.table[b][j][i] for i in range(n) for j in range(n))) for b in range(n)]
+    pieces, todo = [], [(Mat.identity(f, n), lmul)]
+    while todo:
+        basis, ops = todo.pop()
+        split, _ = fitting_split(f, (basis.cols,), [(m,) for m in ops])
+        if split is None:
+            pieces.append(basis)
+            continue
+        (ker,), (im,) = split
+        qinv = inverse(hstack(f, [ker, im]))  # its rows give the coordinates along ker, then along im
+        d = qinv.cols
+        for lo, part in ((0, ker), (ker.cols, im)):
+            proj = Mat(f, part.cols, d, qinv.entries[lo * d:(lo + part.cols) * d])
+            todo.append((basis.mul(part), [proj.mul(m).mul(part) for m in ops]))
+    coords = solve(hstack(f, pieces), Mat.column(f, g.unit)).col(0)
+    out, lo = [], 0
+    for b in pieces:
+        out.append(b.apply(coords[lo:lo + b.cols]))
+        lo += b.cols
     _assert_complete_orthogonal(g, out)
     return out
 
@@ -511,194 +618,6 @@ def _span_basis(f, width, vecs):
 def _corner_basis(g, a, b):
     """A basis of a g b."""
     return _span_basis(g.field, g.dim, (g.mult(g.mult(a, u), b) for u in g._units))
-
-
-def _split_idempotent(g, rad, e, out):
-    f = g.field
-    cb = _corner_basis(g, e, e)
-    rad_tracker = SpanTracker(f, g.dim)
-    for r in rad:
-        rr = g.mult(g.mult(e, r), e)
-        rad_tracker.add(rr)
-    if len(cb) - rad_tracker.dim == 1:
-        out.append(e)
-        return
-    e1 = _find_corner_splitter(g, e, cb, rad_tracker)
-    e2 = tuple(f.sub(a, b) for a, b in zip(e, e1))
-    for x in (e1, e2):
-        if g.mult(x, x) != x:
-            raise VerificationFailed("splitter is not idempotent")
-    if any(g.mult(e1, e2)):
-        raise VerificationFailed("splitter pieces are not orthogonal")
-    _split_idempotent(g, rad, e1, out)
-    _split_idempotent(g, rad, e2, out)
-
-
-def _corner_coords_tracker(g, cb):
-    f = g.field
-    tracker = SpanTracker(f, g.dim, track=True)
-    for v in cb:
-        tracker.add(v)
-    return tracker
-
-
-def _corner_lmat(g, cb, ctr, c):
-    f = g.field
-    cols = []
-    for b in cb:
-        coords = ctr.coords(g.mult(c, b))
-        if coords is None:
-            raise VerificationFailed("corner is not multiplicatively closed")
-        cols.append(coords)
-    k = len(cb)
-    ent = tuple(cols[j][i] for i in range(k) for j in range(k))
-    return Mat(f, k, k, ent)
-
-
-def _corner_horner(g, poly, c, e):
-    f = g.field
-    acc = tuple(f.zero for _ in range(g.dim))
-    for coeff in reversed(poly):
-        acc = g.mult(acc, c)
-        if coeff:
-            acc = tuple(f.add(x, f.mul(coeff, y)) for x, y in zip(acc, e))
-    return acc
-
-
-def _find_corner_splitter(g, e, cb, rad_tracker):
-    f = g.field
-    ctr = _corner_coords_tracker(g, cb)
-    zero = tuple(f.zero for _ in range(g.dim))
-
-    # quotient S = corner / corner-radical, with representatives
-    sreps = []
-    squot = SpanTracker(f, g.dim, track=True)
-    for v in cb:
-        res = rad_tracker.reduce(v)
-        if any(res) and squot.coords(res) is None:
-            squot.add(res)
-            sreps.append(v)
-
-    def s_coords(x):
-        return squot.coords(rad_tracker.reduce(x))
-
-    # 1) split via the center of S when it is more than scalars
-    k = len(cb)
-    width = g.dim * len(cb)
-    rows = []
-    for t in range(k):
-        row_blocks = []
-        for s in cb:
-            comm = tuple(f.sub(a, b) for a, b in zip(g.mult(cb[t], s), g.mult(s, cb[t])))
-            row_blocks.append(rad_tracker.reduce(comm))
-        rows.append([x for blk in row_blocks for x in blk])
-    # unknowns: coefficients over cb; constraint matrix columns = unknowns
-    cons = Mat.from_rows(f, [[rows[t][r] for t in range(k)] for r in range(width)]) if k else Mat.zeros(f, 0, 0)
-    zker = kernel_basis(cons)
-    e_s = s_coords(e)
-    for j in range(zker.cols):
-        coeffs = zker.col(j)
-        z = zero
-        for t, c0 in enumerate(coeffs):
-            if c0:
-                z = tuple(f.add(a, f.mul(c0, b)) for a, b in zip(z, cb[t]))
-        zs = s_coords(z)
-        if zs is None:
-            continue
-        pair = Mat.from_rows(f, [list(e_s), list(zs)])
-        if rank(pair) < 2:
-            continue  # scalar modulo the radical
-        # z is central modulo the radical and non-scalar: split its spectrum
-        mz = _smat(f, squot, sreps, rad_tracker, g, z)
-        mu = min_poly_of_matrix(mz)
-        roots = rational_roots(f, mu)
-        if sum(m0 for _, m0 in roots) != len(mu) - 1:
-            raise NonSplit("semisimple quotient has a non-split center (min poly does not split)")
-        if any(m0 != 1 for _, m0 in roots):
-            raise VerificationFailed("central element of semisimple quotient is not semisimple")
-        lam0 = roots[0][0]
-        p = [f.one]
-        denom = f.one
-        for lam, _ in roots[1:]:
-            p = _p_mul(f, p, [f.neg(lam), f.one])
-            denom = f.mul(denom, f.sub(lam0, lam))
-        p = _p_scale(f, f.inv(denom), p)
-        x = _corner_horner(g, p, z, e)
-        for _ in range(100):
-            if g.mult(x, x) == x:
-                break
-            xx = g.mult(x, x)
-            xxx = g.mult(xx, x)
-            x = tuple(
-                f.sub(f.mul(f.from_int(3), a), f.mul(f.from_int(2), b)) for a, b in zip(xx, xxx)
-            )
-        else:
-            raise VerificationFailed("idempotent lifting did not converge")
-        if x == zero or x == e:
-            continue
-        return x
-
-    # 2) single matrix block: hunt for an element with a usable eigenvalue
-    candidates = list(cb)
-    n_small = min(len(cb), 12)
-    for i in range(n_small):
-        for j in range(n_small):
-            candidates.append(g.mult(cb[i], cb[j]))
-    for i in range(n_small):
-        for j in range(i + 1, n_small):
-            candidates.append(tuple(f.add(a, b) for a, b in zip(cb[i], cb[j])))
-            candidates.append(tuple(f.sub(a, b) for a, b in zip(cb[i], cb[j])))
-    rng = random.Random("splitter:%d:%d" % (g.dim, len(cb)))
-    for _ in range(120):
-        v = zero
-        for t in range(len(cb)):
-            c0 = f.from_int(rng.randint(-3, 3))
-            if c0:
-                v = tuple(f.add(a, f.mul(c0, b)) for a, b in zip(v, cb[t]))
-        candidates.append(v)
-    for c in candidates:
-        if c == zero or c == e:
-            continue
-        mc = _corner_lmat(g, cb, ctr, c)
-        mu = min_poly_of_matrix(mc)
-        if len(mu) - 1 < 2:
-            continue
-        try:
-            roots = rational_roots(f, mu)
-        except RuntimeError:
-            continue
-        for lam, mult in roots:
-            if mult >= len(mu) - 1:
-                continue
-            gpart = [f.one]
-            for _ in range(mult):
-                gpart = _p_mul(f, gpart, [f.neg(lam), f.one])
-            hpart, rem = _p_divmod(f, mu, gpart)
-            if rem:
-                raise VerificationFailed("factor does not divide the minimal polynomial")
-            _, u, v = _p_xgcd(f, gpart, hpart)
-            proj = _p_mul(f, u, gpart)  # acts as 1 on ker h(c), 0 on ker g(c)
-            x = _corner_horner(g, proj, c, e)
-            if g.mult(x, x) != x:
-                raise VerificationFailed("polynomial idempotent is not idempotent")
-            if x != zero and x != e:
-                return x
-    raise NonSplit(
-        "could not split a corner of dimension %d; the semisimple quotient may involve "
-        "a division algebra over the base field" % len(cb)
-    )
-
-
-def _smat(f, squot, sreps, rad_tracker, g, z):
-    cols = []
-    for s in sreps:
-        coords = squot.coords(rad_tracker.reduce(g.mult(z, s)))
-        if coords is None:
-            raise VerificationFailed("quotient action left the quotient")
-        cols.append(coords)
-    k = len(sreps)
-    ent = tuple(cols[j][i] for i in range(k) for j in range(k))
-    return Mat(f, k, k, ent)
 
 
 # -- global dimension over the Peirce grading ---------------------------------
@@ -919,7 +838,8 @@ def global_dimension(g: AbstractAlgebra, bound=None) -> DimValue:
 def _basic_corner(g: AbstractAlgebra) -> AbstractAlgebra:
     """e g e for e a sum of one primitive idempotent of g per isomorphism class.
 
-    The radical comes from the trace form.  Primitive idempotents e_k and e_l
+    The radical comes from the trace form, the idempotents from splitting the
+    regular module by Fitting's lemma.  Primitive idempotents e_k and e_l
     are isomorphic (e_k g = e_l g as right modules) exactly when their simple
     tops are, that is when e_k g e_l, which maps onto the Hom space between
     the tops, is not inside the radical.  The corner is built in a Peirce
@@ -927,7 +847,7 @@ def _basic_corner(g: AbstractAlgebra) -> AbstractAlgebra:
     """
     f = g.field
     rad = algebra_radical(g)
-    idems = primitive_idempotents(g, rad)
+    idems = primitive_idempotents(g)
     rad_span = SpanTracker(f, g.dim)
     for r in rad:
         rad_span.add(r)

@@ -15,6 +15,7 @@ from .modules import (
     direct_sum,
     dual_module,
     dual_morphism,
+    endomorphism_radical,
     gen_cogen,
     hom_basis,
     identity_morphism,
@@ -379,8 +380,6 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     When a catalog is supplied, the almost-split property is verified by
     lifting every radical morphism into z through the right-hand map.
     """
-    from .endo import algebra_radical, endomorphism_algebra
-
     alg = z.algebra
     fld = alg.field
     nv = alg.quiver.n_vertices
@@ -408,12 +407,10 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     if not reps:
         raise VerificationFailed("Ext^1(z, tau z) vanished")
 
-    endo = endomorphism_algebra(z)
-    rad = algebra_radical(endo)
+    rad = endomorphism_radical(z)
     if rad:
         action_rows = []
-        for rvec in rad:
-            phi = morphism_combo(fld, endo.labels, rvec, z, z)
+        for phi in rad:
             phi0 = _lift_endo_through_cover(cover, phi)
             psi = _restrict_to_kernel(incl, phi0)
             cols = []
@@ -463,7 +460,7 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     seq = ShortExactSequence(a, b).verify()
 
     if catalog is not None:
-        _verify_almost_split(seq, z, endo, rad, catalog)
+        _verify_almost_split(seq, z, rad, catalog)
     return seq
 
 
@@ -490,17 +487,14 @@ def _zero_pi_block(fld, pim, tzdim):
     return Mat(fld, rows, cols, tuple(ent))
 
 
-def _verify_almost_split(seq: ShortExactSequence, z, endo, rad, catalog):
-    fld = z.algebra.field
-    e_rep = seq.middle
+def _verify_almost_split(seq: ShortExactSequence, z, rad, catalog):
     for node in catalog.nodes:
         x = node.rep
-        if x is z or indec_isomorphic(x, z):
-            radmors = [morphism_combo(fld, endo.labels, rvec, z, z) for rvec in rad]
-            if x is not z:
-                iso = _find_iso(x, z)
-                radmors = [compose(r, iso) for r in radmors]
-            tests = radmors
+        if x is z:
+            tests = rad
+        elif indec_isomorphic(x, z):
+            iso = _find_iso(x, z)
+            tests = [compose(r, iso) for r in rad]
         else:
             tests = hom_basis(x, z)
         for h in tests:

@@ -3,13 +3,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .endo import fitting_split
 from .errors import (
     DimensionMismatch,
     InvalidRepresentation,
     NonSplit,
     NonSplitEndomorphismRing,
+    VerificationFailed,
 )
-from .linalg import Mat, col_space, hstack, is_invertible, kernel_basis, quotient_maps, solve, vstack
+from .linalg import Mat, SpanTracker, col_space, hstack, is_invertible, kernel_basis, quotient_maps, solve, vstack
 
 
 class Representation:
@@ -434,38 +436,44 @@ def top_of(m: Representation):
 # -- decomposition ------------------------------------------------------------
 
 
-def endomorphism_idempotents(m: Representation):
-    """Complete orthogonal primitive idempotents of End(m), as morphisms."""
-    from .endo import endomorphism_algebra, primitive_idempotents
-
-    if m.is_zero():
-        return []
-    g = endomorphism_algebra(m)
+def _split_endomorphisms(m: Representation):
+    """fitting_split on m with the basis hom_basis(m, m) of End(m)."""
     try:
-        idems = primitive_idempotents(g)
+        return fitting_split(m.algebra.field, m.dims, [b.mats for b in hom_basis(m, m)])
     except NonSplit as exc:
         raise NonSplitEndomorphismRing(str(exc)) from exc
-    fld = m.algebra.field
-    return [morphism_combo(fld, g.labels, coords, m, m) for coords in idems]
 
 
 def indecomposable_summands(m: Representation):
-    """The indecomposable pieces of m, in a deterministic order."""
-    if m.is_zero():
-        return []
-    pieces = []
-    for e in endomorphism_idempotents(m):
-        piece, _ = image_of(e)
-        pieces.append(piece)
-    if sum(p.total_dim for p in pieces) != m.total_dim:
-        raise NonSplitEndomorphismRing("idempotent images do not exhaust the module")
-    return pieces
+    """The indecomposable pieces of m, sorted by dimension vector.
+
+    m is split in two by Fitting's lemma until every piece has a local
+    endomorphism ring; pieces with equal dimension vectors keep the order of
+    the splits.
+    """
+    pieces, todo = [], [] if m.is_zero() else [m]
+    while todo:
+        x = todo.pop()
+        split, _ = _split_endomorphisms(x)
+        if split is None:
+            pieces.append(x)
+        else:
+            todo += [subrep_from_bases(x, bases)[0] for bases in reversed(split)]
+    return sorted(pieces, key=lambda p: p.dims)
+
+
+def endomorphism_radical(z: Representation):
+    """A basis of rad End(z) for indecomposable z, from the nilpotent parts that certify End(z) local."""
+    split, nil = _split_endomorphisms(z)
+    if split is not None:
+        raise VerificationFailed("the endomorphism ring of a module taken as indecomposable splits")
+    tracker = SpanTracker(z.algebra.field, sum(d * d for d in z.dims))
+    return [r for r in (ModuleMorphism(z, z, n) for n in nil) if tracker.add(morphism_flat(r))]
 
 
 @dataclass
 class Decomposition:
     pieces: list          # list of (Representation, multiplicity)
-    idempotents: list     # splitting idempotents as ModuleMorphisms
 
     @property
     def summand_count(self):
@@ -473,17 +481,15 @@ class Decomposition:
 
 
 def decompose(m: Representation) -> Decomposition:
-    idems = endomorphism_idempotents(m)
     reps, mults = [], []
-    for e in idems:
-        p = image_of(e)[0]
+    for p in indecomposable_summands(m):
         k = iso_class_index(p, reps)
         if k is None:
             reps.append(p)
             mults.append(1)
         else:
             mults[k] += 1
-    return Decomposition(list(zip(reps, mults)), idems)
+    return Decomposition(list(zip(reps, mults)))
 
 
 def indec_isomorphic(x: Representation, y: Representation) -> bool:

@@ -168,3 +168,23 @@ def test_enumeration_builds_one_sequence_per_non_projective_node(name, monkeypat
     non_projective = [node for node in cat.nodes if node.proj_vertex is None]
     assert len(built) <= len(non_projective)
     assert sorted(cat.find(z) for z in built) == sorted(cat.find(node.rep) for node in non_projective)
+
+
+@pytest.mark.parametrize("name", ["a3", "loop2", "d4", "tilted4"])
+def test_endomorphism_radical_matches_the_trace_form(name):
+    """The certified nilpotent parts span the trace-form radical of End(X), for every node X."""
+    from repherd.endo import algebra_radical, endomorphism_algebra
+    from repherd.linalg import Mat, rank
+    from repherd.modules import endomorphism_radical, morphism_combo, morphism_flat
+
+    alg = load_fixture_algebra(name)
+    cat = catalog_of(alg)
+    assert cat.complete
+    for node in cat.nodes:
+        x = node.rep
+        g = endomorphism_algebra(x)
+        reference = [morphism_flat(morphism_combo(alg.field, g.labels, r, x, x)) for r in algebra_radical(g)]
+        certified = [morphism_flat(r) for r in endomorphism_radical(x)]
+        assert len(certified) == len(reference) == g.dim - 1
+        if reference:
+            assert rank(Mat.from_rows(alg.field, reference + certified)) == len(reference)

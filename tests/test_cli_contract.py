@@ -138,3 +138,29 @@ def test_input_faults_name_the_file_and_key(tmp_path, capsys):
     assert main(["check-tilted", fixture_path("h5.json"), str(tilting)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(tilting) in err and '"summands"' in err
+
+
+ALGEBRA_FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+_Q_REPORTS = {}
+
+
+def _suite_all_report(argv_path, tmp_path, name):
+    out = tmp_path / ("%s.report.json" % name)
+    code = main(["check", str(argv_path), "--suite", "all", "--json", str(out)])
+    report = json.loads(out.read_text())
+    del report["algebra_digest"]
+    return code, report
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_every_prime_field_gives_the_report_over_q(name, p, tmp_path, monkeypatch, capsys):
+    """Decomposition needs no p > dim End(M): `check --suite all` over GF(p) reports as over Q."""
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    if name not in _Q_REPORTS:
+        _Q_REPORTS[name] = _suite_all_report(fixture_path(name + ".json"), tmp_path, name + "_q")
+    data = json.loads(open(fixture_path(name + ".json"), encoding="utf-8").read())
+    data["field"] = {"GFp": p}
+    path = tmp_path / ("%s_%d.json" % (name, p))
+    path.write_text(json.dumps(data))
+    assert _suite_all_report(path, tmp_path, "%s_%d" % (name, p)) == _Q_REPORTS[name]

@@ -347,3 +347,23 @@ def test_oracle_on_nakayama_algebras(n, r, gldim):
     """A_n / rad^r, the linear quiver with every path of r arrows set to zero."""
     alg = _quiver_algebra(n, [(v, v + 1) for v in range(1, n)], r, r)
     assert gldim_end_gen_cogen(alg) == DimValue.finite(gldim)
+
+
+def _square_zero_table():
+    """k[x, y]/(x, y)^2 over Q, with basis 1, x, y."""
+    z, o = QQ.zero, QQ.one
+    one, x, y, zero = (o, z, z), (z, o, z), (z, z, o), (z, z, z)
+    return [[one, x, y], [x, zero, zero], [y, zero, zero]]
+
+
+def test_validation_rejects_a_changed_structure_constant():
+    make_algebra(QQ, _square_zero_table(), (QQ.one, QQ.zero, QQ.zero))
+    table = _square_zero_table()
+    table[1][2] = (QQ.zero, QQ.zero, QQ.one)  # x y = y, so (x x) y = 0 but x (x y) = y
+    with pytest.raises(VerificationFailed, match="associativity"):
+        make_algebra(QQ, table, (QQ.one, QQ.zero, QQ.zero))
+
+
+def test_validation_rejects_a_wrong_unit():
+    with pytest.raises(VerificationFailed, match="unit law"):
+        make_algebra(QQ, _square_zero_table(), (QQ.zero, QQ.one, QQ.zero))

@@ -232,3 +232,40 @@ def test_dual_module_roundtrip(loop2):
     assert dims_of(dd) == dims_of(p1)
     for a, b in zip(dd.mats, p1.mats):
         assert a.eq(b)
+
+
+def _rotation_module(field):
+    """The Kronecker module with a = I and b = J = [[0, -1], [1, 0]]: End = k[J], k[x]/(x^2 + 1)."""
+    from repherd.fields import PrimeField
+    from tests.conftest import load_fixture_algebra
+
+    kron = load_fixture_algebra("kron", None if field is None else PrimeField(field))
+    f = kron.field
+    return kron, Representation(kron, (2, 2), [Mat.identity(f, 2), Mat.from_rows(f, [[0, -1], [1, 0]])])
+
+
+@pytest.mark.parametrize("p", [None, 3], ids=["Q", "GF3"])
+def test_rotation_module_does_not_split_without_a_root_of_x2_plus_1(p):
+    from repherd.errors import NonSplitEndomorphismRing
+
+    _, m = _rotation_module(p)
+    with pytest.raises(NonSplitEndomorphismRing):
+        indecomposable_summands(m)
+
+
+def test_rotation_module_splits_over_gf5():
+    """x^2 + 1 = (x - 2)(x - 3) over GF(5): two pieces, and four for the sum with itself."""
+    kron, m = _rotation_module(5)
+    assert [p.dims for p in indecomposable_summands(m)] == [(1, 1), (1, 1)]
+    pieces = indecomposable_summands(direct_sum(kron, [m, m]))
+    assert [p.dims for p in pieces] == [(1, 1)] * 4
+    assert is_isomorphic(direct_sum(kron, pieces), direct_sum(kron, [m, m]))
+
+
+def test_summands_are_sorted_by_dimension_vector(loop2, a3):
+    for alg in (loop2, a3):
+        nv = alg.quiver.n_vertices
+        parts = [injective_at(alg, v) for v in range(nv)] + [projective_at(alg, v) for v in range(nv)]
+        parts += [simple_at(alg, v) for v in reversed(range(nv))]
+        dims = [p.dims for p in indecomposable_summands(direct_sum(alg, parts))]
+        assert dims == sorted(dims) and sorted(dims) == sorted(p.dims for p in parts)
