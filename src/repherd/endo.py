@@ -17,7 +17,8 @@ from .dims import DimValue
 from .errors import FieldTooSmall, NonSplit, VerificationFailed
 from .fields import PrimeField, Rationals
 from .linalg import (
-    Mat, SpanTracker, block_diag, col_space, hstack, inverse, is_invertible, kernel_basis, quotient_maps, rank, solve,
+    Mat, SpanTracker, block_diag, col_space, commuting_maps, hstack, inverse, is_invertible, kernel_basis,
+    quotient_maps, rank, solve,
 )
 
 
@@ -581,7 +582,7 @@ def certify_structure(g: AbstractAlgebra):
     if rad is None or idems is None:
         raise VerificationFailed("the algebra carries no radical and idempotents to certify")
     # the functionals that vanish on the claimed radical cut it out exactly
-    ann = kernel_basis(Mat.from_rows(f, rad)) if rad else Mat.identity(f, g.dim)
+    ann = kernel_basis(Mat(f, len(rad), g.dim, tuple(x for r in rad for x in r)))
     if ann.cols != g.dim - len(rad):
         raise VerificationFailed("claimed radical basis is not independent")
     if ann.cols != len(idems):
@@ -738,39 +739,20 @@ class _Peirce:
         return _Graded(tuple(ker.cols for ker in kers), tuple(acts))
 
     def hom(self, v: _Graded, w: _Graded):
-        """A basis of Hom(v, w), each element a tuple of one w.dims[i] x v.dims[i] matrix per vertex."""
+        """A basis of Hom(v, w), each element a tuple of one w.dims[i] x v.dims[i] matrix per vertex.
+
+        These are the maps (h_i) with h_j v(b) = w(b) h_i for each radical basis element b of
+        e_i g e_j, where v(b) and w(b) are the matrices of the action of b.
+        """
         f = self.field
-        offset, total = [], 0
-        for dv, dw in zip(v.dims, w.dims):
-            offset.append(total)
-            total += dv * dw
-        if not total:
-            return []
-        rows = []
-        for r, b in enumerate(self.rad):
-            i, j = self.tag[b]
-            mv, mw = v.acts[r], w.acts[r]
-            # h_j mv = mw h_i, entry (a, c)
-            for a in range(w.dims[j]):
-                for c in range(v.dims[i]):
-                    row = [f.zero] * total
-                    for l in range(v.dims[j]):
-                        x = mv.at(l, c)
-                        if x:
-                            t = offset[j] + a * v.dims[j] + l
-                            row[t] = f.add(row[t], x)
-                    for l in range(w.dims[i]):
-                        x = mw.at(a, l)
-                        if x:
-                            t = offset[i] + l * v.dims[i] + c
-                            row[t] = f.sub(row[t], x)
-                    if any(row):
-                        rows.append(row)
-        ker = kernel_basis(Mat.from_rows(f, rows)) if rows else Mat.identity(f, total)
+        squares = [(*self.tag[b], v.acts[r], w.acts[r]) for r, b in enumerate(self.rad)]
         out = []
-        for c in range(ker.cols):
-            h = ker.col(c)
-            out.append(tuple(Mat(f, dw, dv, h[o:o + dv * dw]) for o, dv, dw in zip(offset, v.dims, w.dims)))
+        for h in commuting_maps(f, v.dims, w.dims, squares):
+            pos, maps = 0, []
+            for dv, dw in zip(v.dims, w.dims):
+                maps.append(Mat(f, dw, dv, h[pos:pos + dv * dw]))
+                pos += dv * dw
+            out.append(tuple(maps))
         return out
 
     def isomorphic(self, v: _Graded, w: _Graded) -> bool:

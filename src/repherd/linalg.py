@@ -1,7 +1,12 @@
-"""Dense exact linear algebra over a field.
+"""Exact linear algebra over a field.
 
-Everything is small and dense by design; matrices are immutable row-major
-tuples and all elimination is plain Gauss-Jordan with exact scalars.
+Matrices are immutable row-major tuples.  Over GF(p) elimination is plain
+dense Gauss-Jordan on ints.  Over Q it runs fraction-free on sparse rows of
+integers (`_fraction_free`), and a `Fraction` is made only when the reduced
+row echelon form is read off at the end; since that form is unique, every
+result is the one dense Gauss-Jordan over Q would give, entry by entry.
+Commuting-square systems such as Hom spaces between modules are built sparse
+from the start (`commuting_maps`).
 
 A scalar is tested for zero by its truth value (`if x:`, `any(row)`), never
 by `x != field.zero`: both field types make zero the only false element,
@@ -10,6 +15,8 @@ and for `Fraction` the truth test skips the type dispatch of `__eq__`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
@@ -194,8 +201,8 @@ def block_diag(field, mats):
     return Mat(field, nr, nc, tuple(out))
 
 
-def _eliminate(field, rows, ncols):
-    """In-place Gauss-Jordan on a list of row lists; returns pivot columns."""
+def _gauss_jordan(field, rows, ncols):
+    """In-place dense Gauss-Jordan on a list of row lists; returns pivot columns."""
     pivots = []
     r = 0
     nrows = len(rows)
@@ -231,6 +238,100 @@ def _eliminate(field, rows, ncols):
     return pivots
 
 
+def _scaled(xs, q=True):
+    """The nonzeros of a sequence of field elements as (d, [(index, d * x)]).
+
+    Over Q (q true) d is the lcm of their denominators, so every d * x is an
+    int; over GF(p) the elements are ints already and d is 1.
+    """
+    nz = [(k, x) for k, x in enumerate(xs) if x]
+    if not q:
+        return 1, nz
+    den = lcm(*[x.denominator for _, x in nz])
+    if den == 1:
+        return 1, [(k, x.numerator) for k, x in nz]
+    return den, [(k, x.numerator * (den // x.denominator)) for k, x in nz]
+
+
+def _int_rows(rows):
+    """Dense rows of rationals as sparse integer rows {col: int}, each scaled by the lcm of its denominators."""
+    return [dict(_scaled(r)[1]) for r in rows]
+
+
+def _clear(row, p, prow):
+    """Make row zero at column p with the row prow, whose entry at p is nonzero: row <- a*row - b*prow."""
+    a, b = prow[p], row[p]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, x in prow.items():
+        v = row.get(k, 0) - b * x
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+
+
+def _primitive(row, p):
+    """Divide row by its content, signed so that the entry at p is positive."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def _fraction_free(rows):
+    """Fraction-free Gauss-Jordan over Z on sparse rows {col: int}, which it consumes.
+
+    Returns {pivot column: row}.  Each stored row is primitive with a
+    positive entry at its pivot, its least column, and is zero at every other
+    pivot; dividing each by its pivot entry gives the reduced row echelon
+    form over Q.  Row operations multiply by integers only, and every row is
+    divided by its content after each update, so no rational is ever formed.
+    """
+    piv = {}
+    for row in rows:
+        for p in [p for p in row if p in piv]:
+            _clear(row, p, piv[p])
+        if not row:
+            continue
+        p = min(row)
+        _primitive(row, p)
+        for q, other in piv.items():
+            if p in other:
+                _clear(other, p, row)
+                _primitive(other, q)
+        piv[p] = row
+    return piv
+
+
+def _eliminate(field, rows, ncols):
+    """In-place Gauss-Jordan on a list of row lists; returns pivot columns.
+
+    Over Q the rows are reduced by `_fraction_free` and rewritten as the
+    reduced row echelon form, pivot rows first; over GF(p) by the dense loop.
+    """
+    if field.kind != "Q":
+        return _gauss_jordan(field, rows, ncols)
+    piv = _fraction_free(_int_rows(rows))
+    pivots = sorted(piv)
+    z = field.zero
+    for k, p in enumerate(pivots):
+        row, d = piv[p], piv[p][p]
+        out = [z] * ncols
+        for j, x in row.items():
+            out[j] = Fraction(x, d)
+        rows[k] = out
+    for k in range(len(pivots), len(rows)):
+        rows[k] = [z] * ncols
+    return pivots
+
+
 def rref(m: Mat):
     """Reduced row echelon form; returns (reduced, rank, pivot_columns)."""
     rows = m.row_lists()
@@ -241,30 +342,115 @@ def rref(m: Mat):
     return Mat(m.field, m.rows, m.cols, ent), rank, tuple(pivots)
 
 
+def _pivots(m: Mat):
+    """The pivot columns of the reduced row echelon form of m, in order."""
+    if m.field.kind == "Q":
+        return sorted(_fraction_free(_int_rows(m.row(i) for i in range(m.rows))))
+    return _gauss_jordan(m.field, m.row_lists(), m.cols)
+
+
 def rank(m: Mat) -> int:
-    rows = m.row_lists()
-    return len(_eliminate(m.field, rows, m.cols))
+    return len(_pivots(m))
+
+
+def _null_space(field, rows, ncols):
+    """A basis of the vectors x with row . x = 0 for each of the dense rows: one
+    vector per free column of the reduced row echelon form, in column order."""
+    if field.kind == "Q":
+        return _q_null_space(_fraction_free(_int_rows(rows)), ncols)
+    z, o = field.zero, field.one
+    pivots = _gauss_jordan(field, rows, ncols)
+    free = sorted(set(range(ncols)).difference(pivots))
+    vecs = []
+    for fc in free:
+        vec = [z] * ncols
+        vec[fc] = o
+        for k, pc in enumerate(pivots):
+            # pivot row k gives x[pc] = -reduced[k][fc]
+            val = rows[k][fc]
+            if val:
+                vec[pc] = field.neg(val)
+        vecs.append(vec)
+    return vecs
+
+
+def _q_null_space(piv, ncols):
+    """The null space over Q of the rows {pivot: row} that `_fraction_free` returns, as `_null_space` gives it."""
+    z, o = Fraction(0), Fraction(1)
+    free = [c for c in range(ncols) if c not in piv]
+    vecs = {}
+    for fc in free:
+        vec = vecs[fc] = [z] * ncols
+        vec[fc] = o
+    for p, row in piv.items():
+        d = row[p]
+        for c, x in row.items():
+            if c != p:
+                vecs[c][p] = Fraction(-x, d)
+    return [vecs[fc] for fc in free]
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns form a basis of the right null space of m."""
-    f = m.field
-    reduced, rk, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    z, o = f.zero, f.one
-    cols = []
-    for fc in free:
-        vec = [z] * m.cols
-        vec[fc] = o
-        for k, pc in enumerate(pivots):
-            # pivot row k gives x[pc] = -reduced[k][fc]
-            val = reduced.at(k, fc)
-            if val:
-                vec[pc] = f.neg(val)
-        cols.append(vec)
-    ent = tuple(cols[j][i] for i in range(m.cols) for j in range(len(cols)))
-    return Mat(f, m.cols, len(cols), ent)
+    vecs = _null_space(m.field, m.row_lists(), m.cols)
+    ent = tuple(v[i] for i in range(m.cols) for v in vecs)
+    return Mat(m.field, m.cols, len(vecs), ent)
+
+
+def commuting_maps(field, src_dims, dst_dims, squares):
+    """A basis of the tuples (h_v) of dst_dims[v] x src_dims[v] matrices with
+    h_j A = B h_i for each square (i, j, A, B).
+
+    A is src_dims[j] x src_dims[i] and B is dst_dims[j] x dst_dims[i].  Each
+    basis element is the h_v flattened row by row and joined in vertex order;
+    the basis is the one `kernel_basis` gives on the system with one equation
+    per square and entry (r, c), in that order.  Each equation is built from
+    the nonzeros of column c of A and row r of B; over Q it is scaled to
+    integers by the lcm of their denominators and goes to `_fraction_free`,
+    over GF(p) it is made dense for the dense loop.
+    """
+    offset, total = [], 0
+    for s, d in zip(src_dims, dst_dims):
+        offset.append(total)
+        total += s * d
+    if not total:
+        return []
+    q = field.kind == "Q"
+    rows = []
+    for i, j, a, b in squares:
+        si, sj, dj = src_dims[i], src_dims[j], dst_dims[j]
+        if not (si and dj):
+            continue
+        ae = a.entries
+        acols = [_scaled([ae[k * si + c] for k in range(sj)], q) for c in range(si)]
+        brows = [_scaled(b.row(r), q) for r in range(dj)]
+        for r, (bden, brow) in enumerate(brows):
+            base = offset[j] + r * sj
+            cells = [(offset[i] + l * si, x) for l, x in brow]  # h_i[l, 0] for each nonzero B[r, l]
+            for c, (aden, acol) in enumerate(acols):
+                den = lcm(aden, bden)
+                fa, fb = den // aden, den // bden
+                row = {base + k: x * fa for k, x in acol}
+                for t, x in cells:
+                    t += c
+                    v = row.get(t, 0) - x * fb
+                    if v:
+                        row[t] = v
+                    else:
+                        del row[t]
+                if row:
+                    rows.append(row)
+    if q:
+        vecs = _q_null_space(_fraction_free(rows), total)
+    else:
+        dense = []
+        for row in rows:
+            out = [field.zero] * total
+            for t, x in row.items():
+                out[t] = field.from_int(x)
+            dense.append(out)
+        vecs = _null_space(field, dense, total)
+    return [tuple(v) for v in vecs]
 
 
 def solve(a: Mat, b: Mat):
@@ -290,10 +476,9 @@ solve_linear = solve
 
 def col_space(m: Mat) -> Mat:
     """A basis of the column space, as the original pivot columns of m."""
-    _, _, pivots = rref(m)
-    f = m.field
+    pivots = _pivots(m)
     ent = tuple(m.at(i, j) for i in range(m.rows) for j in pivots)
-    return Mat(f, m.rows, len(pivots), ent)
+    return Mat(m.field, m.rows, len(pivots), ent)
 
 
 def inverse(m: Mat) -> Mat:

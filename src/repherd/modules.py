@@ -11,7 +11,18 @@ from .errors import (
     NonSplitEndomorphismRing,
     VerificationFailed,
 )
-from .linalg import Mat, SpanTracker, col_space, hstack, is_invertible, kernel_basis, quotient_maps, solve, vstack
+from .linalg import (
+    Mat,
+    SpanTracker,
+    col_space,
+    commuting_maps,
+    hstack,
+    is_invertible,
+    kernel_basis,
+    quotient_maps,
+    solve,
+    vstack,
+)
 
 
 class Representation:
@@ -283,48 +294,12 @@ def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
 
 
 def hom_basis(m: Representation, n: Representation):
-    """A basis of Hom(m, n) from the commuting-square linear system."""
+    """A basis of Hom(m, n): the maps (f_v) with f_j m_a = n_a f_i for each arrow a: i -> j."""
     if m.algebra is not n.algebra:
         raise DimensionMismatch("modules over different algebras")
-    f = m.algebra.field
     q = m.algebra.quiver
-    nv = q.n_vertices
-    off = []
-    total = 0
-    for v in range(nv):
-        off.append(total)
-        total += n.dims[v] * m.dims[v]
-    rows = []
-    z = f.zero
-    for a in range(q.n_arrows):
-        i, j = q.arrow_src[a], q.arrow_tgt[a]
-        Ma, Na = m.mats[a], n.mats[a]
-        for r in range(n.dims[j]):
-            for c in range(m.dims[i]):
-                row = [z] * total
-                # (f_j * Ma)[r,c] = sum_k f_j[r,k] Ma[k,c]
-                for k in range(m.dims[j]):
-                    val = Ma.at(k, c)
-                    if val:
-                        row[off[j] + r * m.dims[j] + k] = f.add(row[off[j] + r * m.dims[j] + k], val)
-                # -(Na * f_i)[r,c] = -sum_l Na[r,l] f_i[l,c]
-                for l in range(n.dims[i]):
-                    val = Na.at(r, l)
-                    if val:
-                        idx = off[i] + l * m.dims[i] + c
-                        row[idx] = f.sub(row[idx], val)
-                if any(row):
-                    rows.append(row)
-    if total == 0:
-        return []
-    if not rows:
-        ker = Mat.identity(f, total)
-    else:
-        ker = kernel_basis(Mat.from_rows(f, rows))
-    out = []
-    for jcol in range(ker.cols):
-        out.append(morphism_from_flat(m, n, ker.col(jcol)))
-    return out
+    squares = [(q.arrow_src[a], q.arrow_tgt[a], m.mats[a], n.mats[a]) for a in range(q.n_arrows)]
+    return [morphism_from_flat(m, n, vec) for vec in commuting_maps(m.algebra.field, m.dims, n.dims, squares)]
 
 
 def hom_dim(m, n) -> int:

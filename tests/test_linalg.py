@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repherd.fields import PrimeField, QQ
 from repherd.linalg import (
     Mat,
     SpanTracker,
+    _gauss_jordan,
     col_space,
     inverse,
     kernel_basis,
@@ -139,3 +142,48 @@ def test_span_tracker_coords():
     assert coords == [Fraction(2), Fraction(3)]
     assert t.coords((0, 0, 1)) is None
     assert t.reduce((1, 0, 1)) == [0, 0, 0]
+
+
+# -- Q elimination against the dense loop ------------------------------------
+
+# Entries are mostly small, so that rows are often dependent, with some
+# rationals of numerator up to 2^64 and denominator up to 10^6.
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-2**64, 2**64), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """A matrix over Q of up to 7 x 6, either dimension possibly 0, whose rows are
+    drawn, each times a small scalar, from a few random rows and the zero row."""
+    ncols = draw(st.integers(0, 6))
+    base = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=4))
+    pool = base + [[0] * ncols]
+    picked = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1, 2, Fraction(-5, 3)])), max_size=7))
+    rows = [[QQ.coerce(s * x) for x in row] for row, s in picked]
+    return Mat(QQ, len(rows), ncols, tuple(x for r in rows for x in r))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_matrices())
+def test_fraction_free_rref_over_q_matches_the_dense_loop(m):
+    rows = m.row_lists()
+    pivots = _gauss_jordan(QQ, rows, m.cols)
+    reduced, rk, piv = rref(m)
+    assert piv == tuple(pivots) and rk == rank(m) == len(pivots)
+    assert reduced.entries == tuple(x for r in rows for x in r)
+    assert col_space(m).entries == tuple(m.at(i, c) for i in range(m.rows) for c in pivots)
+    assert all(type(x) is Fraction for x in reduced.entries)
+    # the kernel is read off the same form: one column per free column, in order
+    ker = kernel_basis(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    assert ker.rows == m.cols and ker.cols == len(free)
+    for k, fc in enumerate(free):
+        col = ker.col(k)
+        assert col[fc] == 1 and all(not col[c] for c in free if c != fc)
+        assert all(col[pc] == -rows[t][fc] for t, pc in enumerate(pivots))
+    assert m.mul(ker).is_zero()

@@ -14,7 +14,11 @@ pairs and the change first in odd ones, so a slow spell of the machine does
 not always fall on the same side.  At least two seeds are needed.  Each side
 reports every end-to-end metric that BENCHMARK.json declares: its runs,
 median and inclusive quartiles; ``change_wins`` counts the pairs in which the
-change is strictly better.  With ``--trace-seed N`` one ``--trace 1`` run per
+change is strictly better.  ``gain_shown`` holds when the change wins at least
+nine tenths of the pairs and its median is better than the parent's by more
+than the parent's interquartile range; ``within_bound`` holds when the
+change's median is no worse than the parent's by more than the metric's
+relative bound in BENCHMARK.json.  With ``--trace-seed N`` one ``--trace 1`` run per
 side adds the per-layer metrics under ``trace_seed<N>``.
 """
 from __future__ import annotations
@@ -118,7 +122,9 @@ def main(argv=None):
     report["command"] = "python3 perfbench/run.py --workload W --seed N --seconds %g --trace 0" % args.seconds
     report["method"] = ("parent (an export of the parent commit) and change run in pairs on the same seed, "
                         "alternating which side runs first; quartiles are inclusive; change_wins counts the "
-                        "pairs in which the change is better")
+                        "pairs in which the change is better; gain_shown: change_wins >= 0.9 * pairs and the "
+                        "change's median better by more than the parent's IQR; within_bound: the change's "
+                        "median worse than the parent's by at most the BENCHMARK.json bound times it")
 
     sides = {"parent": export(args.parent), "change": snapshot()}
     try:
@@ -136,9 +142,13 @@ def main(argv=None):
         for name, m in declared.items():
             p = [r[name] for r in runs["parent"]]
             c = [r[name] for r in runs["change"]]
-            better = (lambda a, b: a < b) if m["better"] == "lower" else (lambda a, b: a > b)
-            metrics[name] = {"parent": summary(p), "change": summary(c), "unit": m["unit"],
-                             "change_wins": sum(better(b, a) for a, b in zip(p, c))}
+            sign = 1 if m["better"] == "lower" else -1
+            wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+            q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
+            gain = sign * (statistics.median(p) - statistics.median(c))  # > 0 when the change is better
+            metrics[name] = {"parent": summary(p), "change": summary(c), "unit": m["unit"], "change_wins": wins,
+                             "gain_shown": wins >= 0.9 * len(p) and gain > q3 - q1,
+                             "within_bound": -gain <= m["bound"] * statistics.median(p)}
         report.setdefault("workloads", {})[args.workload] = {
             "seeds": args.seeds, "pairs": len(args.seeds), "failed_runs": failed, "metrics": metrics}
         if args.trace_seed is not None:
