@@ -34,6 +34,7 @@ from .modules import (
     is_isomorphic,
     iso_class_index,
     kernel_of,
+    simple_at,
     top_of,
 )
 
@@ -309,8 +310,6 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
 
     # (i) global dimension at most two
     nv = alg.quiver.n_vertices
-    from .modules import simple_at
-
     gl = DimValue.finite(0)
     for v in range(nv):
         pd = proj_dim(simple_at(alg, v))

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import Path
 from .dims import DimValue
 from .errors import VerificationFailed, ZProjective
-from .linalg import Mat, SpanTracker, rank, solve, vstack
+from .linalg import Mat, SpanTracker, hstack, kernel_basis, rank, solve, vstack
 from .modules import (
     ModuleMorphism,
     Representation,
@@ -20,13 +21,14 @@ from .modules import (
     hom_basis,
     identity_morphism,
     image_of,
-    indec_isomorphic,
+    indec_isomorphism,
     indecomposable_summands,
     iso_class_index,
     kernel_of,
     morphism_add,
     morphism_combo,
     morphism_flat,
+    morphism_is_invertible,
     morphism_scale,
     path_action,
     projective_at,
@@ -202,8 +204,6 @@ def left_mult_hom(alg, a_vertex: int, b_vertex: int, combo):
             for (s, ppath) in combo:
                 if not s:
                     continue
-                from .algebra import Path
-
                 prod = Path(ppath.start, ppath.arrows + qpath.arrows)
                 coords = alg.reduce_path(prod)
                 for gidx, cval in enumerate(coords):
@@ -256,8 +256,6 @@ def transpose(m: Representation) -> Representation:
 
 def _transpose_with_cover(m: Representation):
     """(Tr m, the projective cover of m, the inclusion of its kernel)."""
-    from .algebra import Path
-
     alg = m.algebra
     op = alg.opposite
     cover0, verts0, paths0 = _cover_data(m)
@@ -323,41 +321,34 @@ def ar_translate_inv(m: Representation) -> Representation:
 # -- extensions -----------------------------------------------------------------
 
 
-def ext1_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(m, n) = Hom(Omega m, n) modulo maps factoring through P0(m)."""
-    cover = projective_cover(m)
-    k0, incl = kernel_of(cover)
-    if k0.is_zero():
-        return 0
-    hk = hom_basis(k0, n)
+def _ext_classes(incl: ModuleMorphism, n: Representation):
+    """Hom(K, n) modulo the maps that factor through incl : K -> P0.
+
+    Returns the maps h in hom_basis(K, n) whose classes form a basis of the
+    quotient, a span of the maps that factor, and a tracker of the classes'
+    residues, whose coords give a residue's expression over those classes.
+    """
+    fld = n.algebra.field
+    hk = hom_basis(incl.source, n)
     if not hk:
-        return 0
-    fld = m.algebra.field
+        return [], None, None
     width = len(morphism_flat(hk[0]))
     factor = SpanTracker(fld, width)
-    for gmor in hom_basis(cover.source, n):
+    for gmor in hom_basis(incl.target, n):
         factor.add(morphism_flat(compose(gmor, incl)))
-    count = 0
-    quot = SpanTracker(fld, width)
+    reps = []
+    quot = SpanTracker(fld, width, track=True)
     for h in hk:
         res = factor.reduce(morphism_flat(h))
-        if quot.add(res):
-            count += 1
-    return count
+        if not quot.contains(res):
+            quot.add(res)
+            reps.append(h)
+    return reps, factor, quot
 
 
-def _lift_endo_through_cover(cover: ModuleMorphism, phi: ModuleMorphism) -> ModuleMorphism:
-    """phi0: P0 -> P0 with cover . phi0 = phi . cover."""
-    p0 = cover.source
-    fld = p0.algebra.field
-    basis = hom_basis(p0, p0)
-    target = morphism_flat(compose(phi, cover))
-    cols = [morphism_flat(compose(cover, b)) for b in basis]
-    a = Mat(fld, len(target), len(basis), tuple(cols[j][i] for i in range(len(target)) for j in range(len(basis))))
-    x = solve(a, Mat.column(fld, target))
-    if x is None:
-        raise VerificationFailed("endomorphism does not lift through the cover")
-    return morphism_combo(fld, basis, x.col(0), p0, p0)
+def ext1_dim(m: Representation, n: Representation) -> int:
+    """dim Ext^1(m, n) = Hom(Omega m, n) modulo maps factoring through P0(m)."""
+    return len(_ext_classes(kernel_of(projective_cover(m))[1], n)[0])
 
 
 def _restrict_to_kernel(incl: ModuleMorphism, phi0: ModuleMorphism) -> ModuleMorphism:
@@ -390,20 +381,7 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     if tz.is_zero():
         raise VerificationFailed("translate of a non-projective module vanished")
     k0 = incl.source
-    hk = hom_basis(k0, tz)
-    if not hk:
-        raise VerificationFailed("no extension cocycles available")
-    width = len(morphism_flat(hk[0]))
-    factor = SpanTracker(fld, width)
-    for gmor in hom_basis(cover.source, tz):
-        factor.add(morphism_flat(compose(gmor, incl)))
-    reps = []
-    quot = SpanTracker(fld, width, track=True)
-    for h in hk:
-        res = factor.reduce(morphism_flat(h))
-        if quot.coords(res) is None:
-            quot.add(res)
-            reps.append(h)
+    reps, factor, quot = _ext_classes(incl, tz)
     if not reps:
         raise VerificationFailed("Ext^1(z, tau z) vanished")
 
@@ -411,7 +389,9 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     if rad:
         action_rows = []
         for phi in rad:
-            phi0 = _lift_endo_through_cover(cover, phi)
+            phi0 = solve_factor_right(cover, compose(phi, cover))
+            if phi0 is None:
+                raise VerificationFailed("endomorphism does not lift through the cover")
             psi = _restrict_to_kernel(incl, phi0)
             cols = []
             for h in reps:
@@ -423,10 +403,7 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
             k = len(reps)
             ent = tuple(cols[j][i] for i in range(k) for j in range(k))
             action_rows.append(Mat(fld, k, k, ent))
-        from .linalg import kernel_basis as _kb
-
-        stacked = vstack(fld, action_rows, cols=len(reps))
-        soc = _kb(stacked)
+        soc = kernel_basis(vstack(fld, action_rows, cols=len(reps)))
         if soc.cols == 0:
             raise VerificationFailed("socle of the extension space is empty")
         coeffs = soc.col(0)
@@ -445,17 +422,12 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     big = direct_sum(alg, [tz, p0])
     u = ModuleMorphism(k0, big, tuple(umats)).check()
     e_rep, proj, sections = cokernel_with_section(u)
-    amats = []
-    bmats = []
-    for v in range(nv):
-        amats.append(proj.mats[v].mul(_inclusion_block(fld, tz.dims[v], p0.dims[v], True)))
-        zero_pi = _zero_pi_block(fld, cover.mats[v], tz.dims[v])
-        bmats.append(zero_pi.mul(sections[v]))
+    zero_pi = [_zero_pi_block(fld, cover.mats[v], tz.dims[v]) for v in range(nv)]
+    amats = [proj.mats[v].mul(_inclusion_block(fld, tz.dims[v], p0.dims[v])) for v in range(nv)]
     a = ModuleMorphism(tz, e_rep, tuple(amats)).check()
-    b = ModuleMorphism(e_rep, z, tuple(bmats)).check()
+    b = ModuleMorphism(e_rep, z, tuple(zero_pi[v].mul(sections[v]) for v in range(nv))).check()
     for v in range(nv):
-        zero_pi = _zero_pi_block(fld, cover.mats[v], tz.dims[v])
-        if not b.mats[v].mul(proj.mats[v]).eq(zero_pi):
+        if not b.mats[v].mul(proj.mats[v]).eq(zero_pi[v]):
             raise VerificationFailed("right map does not factor the quotient")
     seq = ShortExactSequence(a, b).verify()
 
@@ -464,15 +436,12 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     return seq
 
 
-def _inclusion_block(fld, top, bottom, into_top):
-    rows = top + bottom
-    cols = top if into_top else bottom
-    z, o = fld.zero, fld.one
-    ent = [z] * (rows * cols)
-    off = 0 if into_top else top
-    for j in range(cols):
-        ent[(off + j) * cols + j] = o
-    return Mat(fld, rows, cols, tuple(ent))
+def _inclusion_block(fld, top, bottom):
+    """The inclusion of tz into tz + P0 at one vertex."""
+    ent = [fld.zero] * ((top + bottom) * top)
+    for j in range(top):
+        ent[j * top + j] = fld.one
+    return Mat(fld, top + bottom, top, tuple(ent))
 
 
 def _zero_pi_block(fld, pim, tzdim):
@@ -492,29 +461,15 @@ def _verify_almost_split(seq: ShortExactSequence, z, rad, catalog):
         x = node.rep
         if x is z:
             tests = rad
-        elif indec_isomorphic(x, z):
-            iso = _find_iso(x, z)
+        elif (iso := indec_isomorphism(x, z)) is not None:
+            if not morphism_is_invertible(iso):
+                raise VerificationFailed("split mono between equal dimension vectors is not invertible")
             tests = [compose(r, iso) for r in rad]
         else:
             tests = hom_basis(x, z)
         for h in tests:
             if solve_factor_right(seq.right, h) is None:
                 raise VerificationFailed("a radical morphism does not lift through the sequence")
-
-
-def _find_iso(x, y):
-    fwd = hom_basis(x, y)
-    bwd = hom_basis(y, x)
-    from .modules import morphism_is_invertible
-
-    for f in fwd:
-        for g in bwd:
-            # g.f invertible forces f itself invertible between indecomposables
-            if morphism_is_invertible(compose(g, f)):
-                if not morphism_is_invertible(f):
-                    raise VerificationFailed("split mono between equal dimension vectors is not invertible")
-                return f
-    raise VerificationFailed("expected isomorphic modules")
 
 
 def solve_factor_right(f: ModuleMorphism, h: ModuleMorphism):
@@ -588,14 +543,12 @@ def in_cogen(xs, m: Representation) -> bool:
 
 def _assemble_columns(alg, m, comps):
     """Morphism sum of sources -> m given component morphisms into m."""
-    from .linalg import hstack as _h
-
     fld = alg.field
     parts = [x for (x, _) in comps]
     src = direct_sum(alg, parts)
     mats = []
     for v in range(len(m.dims)):
-        mats.append(_h(fld, [h.mats[v] for (_, h) in comps], rows=m.dims[v]))
+        mats.append(hstack(fld, [h.mats[v] for (_, h) in comps], rows=m.dims[v]))
     return ModuleMorphism(src, m, tuple(mats)).check()
 
 

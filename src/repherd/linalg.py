@@ -1,12 +1,20 @@
-"""Exact linear algebra over a field.
+"""Exact linear algebra over Q and GF(p).
 
-Matrices are immutable row-major tuples.  Over GF(p) elimination is plain
-dense Gauss-Jordan on ints.  Over Q it runs fraction-free on sparse rows of
-integers (`_fraction_free`), and a `Fraction` is made only when the reduced
-row echelon form is read off at the end; since that form is unique, every
-result is the one dense Gauss-Jordan over Q would give, entry by entry.
-Commuting-square systems such as Hom spaces between modules are built sparse
-from the start (`commuting_maps`).
+Matrices are immutable row-major tuples.  Every elimination runs on one
+kernel, a row space kept as `{pivot: row}`: each row is a sparse dict
+`{column: int}` whose least column is its pivot, and every stored row is zero
+at every other pivot.  Over Q a row of rationals is first scaled to integers
+by the lcm of its denominators; row operations multiply by integers only, and
+each row is kept primitive with a positive pivot, so a `Fraction` is made only
+when the reduced row echelon form is read off as `Fraction(x, pivot)`.  Over
+GF(p) each row holds ints mod p and is kept monic at its pivot.  Only the two
+row operations, `_clear` and `_normalize`, depend on the field.
+
+`SpanTracker` grows such a row space one generator at a time.  `rref`,
+`rank`, `col_space`, `kernel_basis`, `solve` and `commuting_maps` (the Hom
+systems between modules) read their results off the row space of a matrix
+or a system.  The reduced row echelon form is unique, so every result is
+the one dense Gauss-Jordan (`_gauss_jordan`) gives, entry by entry.
 
 A scalar is tested for zero by its truth value (`if x:`, `any(row)`), never
 by `x != field.zero`: both field types make zero the only false element,
@@ -202,7 +210,11 @@ def block_diag(field, mats):
 
 
 def _gauss_jordan(field, rows, ncols):
-    """In-place dense Gauss-Jordan on a list of row lists; returns pivot columns."""
+    """In-place dense Gauss-Jordan on a list of row lists; returns pivot columns.
+
+    No product code calls it: it is the dense reference the tests compare
+    the sparse kernel against.
+    """
     pivots = []
     r = 0
     nrows = len(rows)
@@ -238,14 +250,23 @@ def _gauss_jordan(field, rows, ncols):
     return pivots
 
 
-def _scaled(xs, q=True):
+# -- the elimination kernel ---------------------------------------------------
+#
+# `mod` is None over Q and p over GF(p); it is all the kernel knows of the field.
+
+
+def _modulus(field):
+    return None if field.kind == "Q" else field.p
+
+
+def _scaled(xs, mod):
     """The nonzeros of a sequence of field elements as (d, [(index, d * x)]).
 
-    Over Q (q true) d is the lcm of their denominators, so every d * x is an
-    int; over GF(p) the elements are ints already and d is 1.
+    Over Q d is the lcm of their denominators, so every d * x is an int; over
+    GF(p) the elements are ints already and d is 1.
     """
     nz = [(k, x) for k, x in enumerate(xs) if x]
-    if not q:
+    if mod:
         return 1, nz
     den = lcm(*[x.denominator for _, x in nz])
     if den == 1:
@@ -253,30 +274,41 @@ def _scaled(xs, q=True):
     return den, [(k, x.numerator * (den // x.denominator)) for k, x in nz]
 
 
-def _int_rows(rows):
-    """Dense rows of rationals as sparse integer rows {col: int}, each scaled by the lcm of its denominators."""
-    return [dict(_scaled(r)[1]) for r in rows]
+def _read(x, d, mod):
+    """The field element x / d of an entry x of a row scaled by d."""
+    return x % mod if mod else Fraction(x, d)
 
 
-def _clear(row, p, prow):
-    """Make row zero at column p with the row prow, whose entry at p is nonzero: row <- a*row - b*prow."""
-    a, b = prow[p], row[p]
-    g = gcd(a, b)
-    a //= g
-    b //= g
-    if a != 1:
-        for k in row:
-            row[k] *= a
+def _clear(row, c, prow, mod):
+    """Make row zero at column c with the row prow, normalized at c: over Q
+    row <- a*row - b*prow with a, b coprime, over GF(p) row <- row - b*prow mod p."""
+    b = row[c]
+    if not mod:
+        g = gcd(prow[c], b)
+        a, b = prow[c] // g, b // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
     for k, x in prow.items():
         v = row.get(k, 0) - b * x
+        if mod:
+            v %= mod
         if v:
             row[k] = v
         else:
             del row[k]
 
 
-def _primitive(row, p):
-    """Divide row by its content, signed so that the entry at p is positive."""
+def _normalize(row, p, mod):
+    """Over Q divide row by its content, signed so that the entry at p is
+    positive; over GF(p) make the entry at p 1."""
+    if mod:
+        x = row[p]
+        if x != 1:
+            inv = pow(x, -1, mod)
+            for k in row:
+                row[k] = row[k] * inv % mod
+        return
     g = gcd(*row.values())
     if row[p] < 0:
         g = -g
@@ -285,114 +317,85 @@ def _primitive(row, p):
             row[k] //= g
 
 
-def _fraction_free(rows):
-    """Fraction-free Gauss-Jordan over Z on sparse rows {col: int}, which it consumes.
+def _reduce(piv, row, mod):
+    """Clear every pivot column of the row space piv from row, in place."""
+    for c in [c for c in row if c in piv]:
+        _clear(row, c, piv[c], mod)
 
-    Returns {pivot column: row}.  Each stored row is primitive with a
-    positive entry at its pivot, its least column, and is zero at every other
-    pivot; dividing each by its pivot entry gives the reduced row echelon
-    form over Q.  Row operations multiply by integers only, and every row is
-    divided by its content after each update, so no rational is ever formed.
-    """
+
+def _insert(piv, row, width, mod):
+    """Add row, which it consumes, to the row space piv; returns whether it
+    enlarged it.  Only columns below width can be pivots."""
+    _reduce(piv, row, mod)
+    if not row:
+        return False
+    p = min(row)
+    if p >= width:
+        return False
+    _normalize(row, p, mod)
+    for q, other in piv.items():
+        if p in other:
+            _clear(other, p, row, mod)
+            _normalize(other, q, mod)
+    piv[p] = row
+    return True
+
+
+def _row_space(field, rows, width):
+    """The row space {pivot: row} of dense rows of field elements, and the modulus."""
+    mod = _modulus(field)
     piv = {}
-    for row in rows:
-        for p in [p for p in row if p in piv]:
-            _clear(row, p, piv[p])
-        if not row:
-            continue
-        p = min(row)
-        _primitive(row, p)
-        for q, other in piv.items():
-            if p in other:
-                _clear(other, p, row)
-                _primitive(other, q)
-        piv[p] = row
-    return piv
+    for r in rows:
+        row = dict(_scaled(r, mod)[1])
+        if row:
+            _insert(piv, row, width, mod)
+    return piv, mod
 
 
-def _eliminate(field, rows, ncols):
-    """In-place Gauss-Jordan on a list of row lists; returns pivot columns.
-
-    Over Q the rows are reduced by `_fraction_free` and rewritten as the
-    reduced row echelon form, pivot rows first; over GF(p) by the dense loop.
-    """
-    if field.kind != "Q":
-        return _gauss_jordan(field, rows, ncols)
-    piv = _fraction_free(_int_rows(rows))
-    pivots = sorted(piv)
-    z = field.zero
-    for k, p in enumerate(pivots):
-        row, d = piv[p], piv[p][p]
-        out = [z] * ncols
-        for j, x in row.items():
-            out[j] = Fraction(x, d)
-        rows[k] = out
-    for k in range(len(pivots), len(rows)):
-        rows[k] = [z] * ncols
-    return pivots
+def _mat_space(m: Mat):
+    return _row_space(m.field, (m.row(i) for i in range(m.rows)), m.cols)
 
 
-def rref(m: Mat):
-    """Reduced row echelon form; returns (reduced, rank, pivot_columns)."""
-    rows = m.row_lists()
-    pivots = _eliminate(m.field, rows, m.cols)
-    rank = len(pivots)
-    # canonical RREF: pivot rows first, zero rows after
-    ent = tuple(x for r in rows for x in r)
-    return Mat(m.field, m.rows, m.cols, ent), rank, tuple(pivots)
-
-
-def _pivots(m: Mat):
-    """The pivot columns of the reduced row echelon form of m, in order."""
-    if m.field.kind == "Q":
-        return sorted(_fraction_free(_int_rows(m.row(i) for i in range(m.rows))))
-    return _gauss_jordan(m.field, m.row_lists(), m.cols)
-
-
-def rank(m: Mat) -> int:
-    return len(_pivots(m))
-
-
-def _null_space(field, rows, ncols):
-    """A basis of the vectors x with row . x = 0 for each of the dense rows: one
+def _null_space(field, piv, mod, ncols):
+    """A basis of the vectors x with row . x = 0 for each row of piv: one
     vector per free column of the reduced row echelon form, in column order."""
-    if field.kind == "Q":
-        return _q_null_space(_fraction_free(_int_rows(rows)), ncols)
     z, o = field.zero, field.one
-    pivots = _gauss_jordan(field, rows, ncols)
-    free = sorted(set(range(ncols)).difference(pivots))
-    vecs = []
-    for fc in free:
-        vec = [z] * ncols
-        vec[fc] = o
-        for k, pc in enumerate(pivots):
-            # pivot row k gives x[pc] = -reduced[k][fc]
-            val = rows[k][fc]
-            if val:
-                vec[pc] = field.neg(val)
-        vecs.append(vec)
-    return vecs
-
-
-def _q_null_space(piv, ncols):
-    """The null space over Q of the rows {pivot: row} that `_fraction_free` returns, as `_null_space` gives it."""
-    z, o = Fraction(0), Fraction(1)
-    free = [c for c in range(ncols) if c not in piv]
     vecs = {}
-    for fc in free:
-        vec = vecs[fc] = [z] * ncols
-        vec[fc] = o
+    for fc in range(ncols):
+        if fc not in piv:
+            vec = vecs[fc] = [z] * ncols
+            vec[fc] = o
     for p, row in piv.items():
         d = row[p]
         for c, x in row.items():
             if c != p:
-                vecs[c][p] = Fraction(-x, d)
-    return [vecs[fc] for fc in free]
+                vecs[c][p] = _read(-x, d, mod)
+    return list(vecs.values())
+
+
+# -- matrix functions -----------------------------------------------------------
+
+
+def rref(m: Mat):
+    """Reduced row echelon form; returns (reduced, rank, pivot_columns)."""
+    piv, mod = _mat_space(m)
+    pivots = sorted(piv)
+    ent = [m.field.zero] * (m.rows * m.cols)
+    for k, p in enumerate(pivots):
+        row, base = piv[p], k * m.cols
+        d = row[p]
+        for j, x in row.items():
+            ent[base + j] = _read(x, d, mod)
+    return Mat(m.field, m.rows, m.cols, tuple(ent)), len(pivots), tuple(pivots)
+
+
+def rank(m: Mat) -> int:
+    return len(_mat_space(m)[0])
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns form a basis of the right null space of m."""
-    vecs = _null_space(m.field, m.row_lists(), m.cols)
+    vecs = _null_space(m.field, *_mat_space(m), m.cols)
     ent = tuple(v[i] for i in range(m.cols) for v in vecs)
     return Mat(m.field, m.cols, len(vecs), ent)
 
@@ -404,10 +407,10 @@ def commuting_maps(field, src_dims, dst_dims, squares):
     A is src_dims[j] x src_dims[i] and B is dst_dims[j] x dst_dims[i].  Each
     basis element is the h_v flattened row by row and joined in vertex order;
     the basis is the one `kernel_basis` gives on the system with one equation
-    per square and entry (r, c), in that order.  Each equation is built from
-    the nonzeros of column c of A and row r of B; over Q it is scaled to
-    integers by the lcm of their denominators and goes to `_fraction_free`,
-    over GF(p) it is made dense for the dense loop.
+    per square and entry (r, c), in that order.  Each equation is built as a
+    sparse integer row from the nonzeros of column c of A and row r of B,
+    scaled by the lcm of their denominators over Q and reduced mod p over
+    GF(p), and goes straight into the kernel.
     """
     offset, total = [], 0
     for s, d in zip(src_dims, dst_dims):
@@ -415,15 +418,15 @@ def commuting_maps(field, src_dims, dst_dims, squares):
         total += s * d
     if not total:
         return []
-    q = field.kind == "Q"
-    rows = []
+    mod = _modulus(field)
+    piv = {}
     for i, j, a, b in squares:
         si, sj, dj = src_dims[i], src_dims[j], dst_dims[j]
         if not (si and dj):
             continue
         ae = a.entries
-        acols = [_scaled([ae[k * si + c] for k in range(sj)], q) for c in range(si)]
-        brows = [_scaled(b.row(r), q) for r in range(dj)]
+        acols = [_scaled([ae[k * si + c] for k in range(sj)], mod) for c in range(si)]
+        brows = [_scaled(b.row(r), mod) for r in range(dj)]
         for r, (bden, brow) in enumerate(brows):
             base = offset[j] + r * sj
             cells = [(offset[i] + l * si, x) for l, x in brow]  # h_i[l, 0] for each nonzero B[r, l]
@@ -434,41 +437,36 @@ def commuting_maps(field, src_dims, dst_dims, squares):
                 for t, x in cells:
                     t += c
                     v = row.get(t, 0) - x * fb
+                    if mod:
+                        v %= mod
                     if v:
                         row[t] = v
                     else:
                         del row[t]
                 if row:
-                    rows.append(row)
-    if q:
-        vecs = _q_null_space(_fraction_free(rows), total)
-    else:
-        dense = []
-        for row in rows:
-            out = [field.zero] * total
-            for t, x in row.items():
-                out[t] = field.from_int(x)
-            dense.append(out)
-        vecs = _null_space(field, dense, total)
-    return [tuple(v) for v in vecs]
+                    _insert(piv, row, total, mod)
+    return [tuple(v) for v in _null_space(field, piv, mod, total)]
 
 
 def solve(a: Mat, b: Mat):
-    """Some x with a*x = b, or None if the system is inconsistent."""
+    """Some x with a*x = b, or None if the system is inconsistent.
+
+    x is read off the pivot rows of [a | b]: a pivot among the columns of b
+    means no solution.
+    """
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row mismatch")
-    f = a.field
-    aug = hstack(f, [a, b])
-    reduced, rk, pivots = rref(aug)
-    for p in pivots:
-        if p >= a.cols:
-            return None
-    z = f.zero
-    out = [z] * (a.cols * b.cols)
-    for k, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc * b.cols + j] = reduced.at(k, a.cols + j)
-    return Mat(f, a.cols, b.cols, tuple(out))
+    n, nb = a.cols, b.cols
+    piv, mod = _row_space(a.field, (a.row(i) + b.row(i) for i in range(a.rows)), n + nb)
+    if any(p >= n for p in piv):
+        return None
+    out = [a.field.zero] * (n * nb)
+    for p, row in piv.items():
+        d = row[p]
+        for c, x in row.items():
+            if c >= n:
+                out[p * nb + c - n] = _read(x, d, mod)
+    return Mat(a.field, n, nb, tuple(out))
 
 
 solve_linear = solve
@@ -476,7 +474,7 @@ solve_linear = solve
 
 def col_space(m: Mat) -> Mat:
     """A basis of the column space, as the original pivot columns of m."""
-    pivots = _pivots(m)
+    pivots = sorted(_mat_space(m)[0])
     ent = tuple(m.at(i, j) for i in range(m.rows) for j in pivots)
     return Mat(m.field, m.rows, len(pivots), ent)
 
@@ -531,105 +529,70 @@ def quotient_maps(field, basis: Mat):
 
 
 class SpanTracker:
-    """Incrementally maintained row space in reduced echelon form.
+    """A row space grown one generator at a time, kept as the kernel's
+    reduced rows {pivot: row}.
 
-    With track=True every stored row also carries its expression over the
-    vectors passed to add(), so membership queries can return coordinates.
+    With track=True generator k also writes its scale into column width + k,
+    so every stored row carries its expression over the generators.  A query
+    row writes its own scale into the next free column; once reduced, its
+    columns below width are its residue and the others give its coordinates.
     """
 
     def __init__(self, field, width, track=False):
         self.field = field
         self.width = width
         self.track = track
-        self.rows = []      # reduced rows, each normalized with leading 1
-        self.pivots = []    # pivot column per stored row
-        self.combos = []    # expression of each row over added generators
         self.ngens = 0
+        self._mod = _modulus(field)
+        self._piv = {}
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._piv)
 
-    def _reduce(self, vec, combo):
-        f = self.field
-        v = list(vec)
-        for k, p in enumerate(self.pivots):
-            c = v[p]
-            if c:
-                row = self.rows[k]
-                for j in range(p, self.width):
-                    if row[j]:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-                if combo is not None:
-                    rc = self.combos[k]
-                    for g, coeff in enumerate(rc):
-                        if coeff:
-                            combo[g] = f.sub(combo[g], f.mul(c, coeff))
-        return v
+    def _row(self, vec, tag):
+        d, nz = _scaled(vec, self._mod)
+        row = dict(nz)
+        row[tag] = d
+        return row
+
+    def _query(self, vec):
+        """The reduced row of vec, and its scale."""
+        tag = self.width + self.ngens
+        row = self._row(vec, tag)
+        _reduce(self._piv, row, self._mod)
+        return row, row.pop(tag)
 
     def reduce(self, vec):
         """Canonical residue of vec modulo the current span."""
-        return self._reduce(vec, None)
+        row, s = self._query(vec)
+        out = [self.field.zero] * self.width
+        for c, x in row.items():
+            if c < self.width:
+                out[c] = _read(x, s, self._mod)
+        return out
 
     def add(self, vec) -> bool:
         """Add a generator; returns True when it enlarged the span."""
-        f = self.field
-        z = f.zero
-        combo = None
         if self.track:
-            combo = [z] * self.ngens + [f.one]
-            for c in self.combos:
-                c.append(z)
-            self.ngens += 1
+            row = self._row(vec, self.width + self.ngens)
         else:
-            self.ngens += 1
-        v = self._reduce(vec, combo)
-        pivot = None
-        for j in range(self.width):
-            if v[j]:
-                pivot = j
-                break
-        if pivot is None:
-            return False
-        lead = v[pivot]
-        if lead != f.one:
-            inv = f.inv(lead)
-            v = [f.mul(inv, x) for x in v]
-            if combo is not None:
-                combo = [f.mul(inv, x) for x in combo]
-        # back-eliminate the new pivot from existing rows
-        for k, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                for j in range(self.width):
-                    if v[j]:
-                        row[j] = f.sub(row[j], f.mul(c, v[j]))
-                if self.track:
-                    rc = self.combos[k]
-                    for g in range(self.ngens):
-                        if combo[g]:
-                            rc[g] = f.sub(rc[g], f.mul(c, combo[g]))
-        # insert keeping pivots sorted
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < pivot:
-            idx += 1
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, pivot)
-        if self.track:
-            self.combos.insert(idx, combo)
-        return True
+            row = dict(_scaled(vec, self._mod)[1])
+        self.ngens += 1
+        return _insert(self._piv, row, self.width, self._mod)
 
     def coords(self, vec):
         """Coordinates of vec over the added generators, or None if outside."""
         if not self.track:
             raise RuntimeError("tracker built without coordinate tracking")
-        f = self.field
-        z = f.zero
-        combo = [z] * self.ngens
-        v = self._reduce(vec, combo)
-        if any(v):
+        row, s = self._query(vec)
+        if row and min(row) < self.width:
             return None
-        return [f.neg(c) for c in combo]
+        out = [self.field.zero] * self.ngens
+        for c, x in row.items():
+            out[c - self.width] = _read(-x, s, self._mod)
+        return out
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        row, _ = self._query(vec)
+        return not row or min(row) >= self.width

@@ -14,6 +14,7 @@ from .errors import (
 from .linalg import (
     Mat,
     SpanTracker,
+    block_diag,
     col_space,
     commuting_maps,
     hstack,
@@ -368,8 +369,6 @@ def direct_sum(alg, reps):
     if not reps:
         return zero_rep(alg)
     dims = [sum(r.dims[v] for r in reps) for v in range(q.n_vertices)]
-    from .linalg import block_diag
-
     mats = [block_diag(alg.field, [r.mats[a] for r in reps]) for a in range(q.n_arrows)]
     return Representation(alg, dims, mats, summands=tuple(reps))
 
@@ -467,21 +466,32 @@ def decompose(m: Representation) -> Decomposition:
     return Decomposition(list(zip(reps, mults)))
 
 
-def indec_isomorphic(x: Representation, y: Representation) -> bool:
-    """Isomorphism test for modules with local endomorphism rings."""
+def indec_isomorphism(x: Representation, y: Representation):
+    """For modules with local endomorphism rings, a map f : x -> y that is an
+    isomorphism, or None if there is none.
+
+    Some g . f with f, g in the Hom bases is invertible exactly when x and y
+    are isomorphic; f is then a split mono between modules of the same
+    dimension vector.
+    """
     if x.dims != y.dims:
-        return False
-    if x is y or x.total_dim == 0:
-        return True
+        return None
+    if x is y:
+        return identity_morphism(x)
+    if x.total_dim == 0:
+        return zero_morphism(x, y)
     fwd = hom_basis(x, y)
-    if not fwd:
-        return False
-    bwd = hom_basis(y, x)
+    bwd = hom_basis(y, x) if fwd else []
     for f in fwd:
         for g in bwd:
             if morphism_is_invertible(compose(g, f)):
-                return True
-    return False
+                return f
+    return None
+
+
+def indec_isomorphic(x: Representation, y: Representation) -> bool:
+    """Isomorphism test for modules with local endomorphism rings."""
+    return indec_isomorphism(x, y) is not None
 
 
 def iso_class_index(rep: Representation, cands):

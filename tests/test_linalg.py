@@ -144,40 +144,73 @@ def test_span_tracker_coords():
     assert t.reduce((1, 0, 1)) == [0, 0, 0]
 
 
-# -- Q elimination against the dense loop ------------------------------------
+# -- the sparse kernel against the dense loop --------------------------------
 
-# Entries are mostly small, so that rows are often dependent, with some
-# rationals of numerator up to 2^64 and denominator up to 10^6.
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(101)]
+
+# Over Q entries are mostly small, so that rows are often dependent, with some
+# rationals of numerator up to 2^64 and denominator up to 10^6; over GF(p)
+# they are drawn mod p.
 _entries = st.one_of(
     st.just(0),
     st.integers(-3, 3),
     st.builds(Fraction, st.integers(-2**64, 2**64), st.integers(1, 10**6)),
 )
+_scalars = [1, -1, 2, Fraction(-5, 7)]  # 7 is invertible in every field of FIELDS
+
+
+def entries(field):
+    return _entries if field is QQ else st.one_of(st.just(0), st.integers(0, field.p - 1))
 
 
 @st.composite
-def rational_matrices(draw):
-    """A matrix over Q of up to 7 x 6, either dimension possibly 0, whose rows are
+def row_pools(draw, field, ncols, size=4):
+    """A few random rows of ncols field elements, and the zero row."""
+    base = draw(st.lists(st.lists(entries(field), min_size=ncols, max_size=ncols), max_size=size))
+    return [[field.coerce(x) for x in row] for row in base] + [[field.zero] * ncols]
+
+
+@st.composite
+def matrices(draw, field):
+    """A matrix over field of up to 7 x 6, either dimension possibly 0, whose rows are
     drawn, each times a small scalar, from a few random rows and the zero row."""
     ncols = draw(st.integers(0, 6))
-    base = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=4))
-    pool = base + [[0] * ncols]
-    picked = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1, 2, Fraction(-5, 3)])), max_size=7))
-    rows = [[QQ.coerce(s * x) for x in row] for row, s in picked]
-    return Mat(QQ, len(rows), ncols, tuple(x for r in rows for x in r))
+    pool = draw(row_pools(field, ncols))
+    picked = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_scalars)), max_size=7))
+    rows = [[field.mul(field.coerce(s), x) for x in row] for row, s in picked]
+    return Mat(field, len(rows), ncols, tuple(x for r in rows for x in r))
+
+
+def dense_solve(a, b):
+    """The x that dense Gauss-Jordan on [a | b] reads off, as entries, or None."""
+    f = a.field
+    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
+    pivots = _gauss_jordan(f, rows, a.cols + b.cols)
+    if any(p >= a.cols for p in pivots):
+        return None
+    out = [f.zero] * (a.cols * b.cols)
+    for k, pc in enumerate(pivots):
+        for j in range(b.cols):
+            out[pc * b.cols + j] = rows[k][a.cols + j]
+    return tuple(out)
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(rational_matrices())
-def test_fraction_free_rref_over_q_matches_the_dense_loop(m):
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(matrices(f), st.data())))
+def test_fraction_free_rref_over_q_matches_the_dense_loop(drawn):
+    """rref, rank, col_space, kernel_basis and solve over Q and GF(p) equal
+    what dense Gauss-Jordan gives, entry by entry."""
+    m, data = drawn
+    f = m.field
     rows = m.row_lists()
-    pivots = _gauss_jordan(QQ, rows, m.cols)
+    pivots = _gauss_jordan(f, rows, m.cols)
     reduced, rk, piv = rref(m)
     assert piv == tuple(pivots) and rk == rank(m) == len(pivots)
     assert reduced.entries == tuple(x for r in rows for x in r)
     assert col_space(m).entries == tuple(m.at(i, c) for i in range(m.rows) for c in pivots)
-    assert all(type(x) is Fraction for x in reduced.entries)
+    assert all(type(x) is (Fraction if f is QQ else int) for x in reduced.entries)
+    assert f is QQ or all(0 <= x < f.p for x in reduced.entries)
     # the kernel is read off the same form: one column per free column, in order
     ker = kernel_basis(m)
     free = [c for c in range(m.cols) if c not in pivots]
@@ -185,5 +218,89 @@ def test_fraction_free_rref_over_q_matches_the_dense_loop(m):
     for k, fc in enumerate(free):
         col = ker.col(k)
         assert col[fc] == 1 and all(not col[c] for c in free if c != fc)
-        assert all(col[pc] == -rows[t][fc] for t, pc in enumerate(pivots))
+        assert all(col[pc] == f.neg(rows[t][fc]) for t, pc in enumerate(pivots))
     assert m.mul(ker).is_zero()
+    # solve on a random right-hand side, often inconsistent, and on one in the image
+    nb = data.draw(st.integers(0, 2))
+    b = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.rows)])
+    xs = solve(m, b)
+    assert (None if xs is None else xs.entries) == dense_solve(m, b)
+    x = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.cols)])
+    if m.rows:
+        xs = solve(m, m.mul(x))
+        assert xs.entries == dense_solve(m, m.mul(x)) and m.mul(xs).eq(m.mul(x))
+
+
+class DenseSpan:
+    """What SpanTracker must answer, from dense Gauss-Jordan on the generators."""
+
+    def __init__(self, field, width):
+        self.field, self.width, self.ngens, self.kept, self.kept_at = field, width, 0, [], []
+
+    def add(self, vec):
+        self.ngens += 1
+        grew = len(_gauss_jordan(self.field, [list(g) for g in self.kept] + [list(vec)], self.width)) > len(self.kept)
+        if grew:
+            self.kept.append(list(vec))
+            self.kept_at.append(self.ngens - 1)
+        return grew
+
+    def reduce(self, vec):
+        f = self.field
+        rows = [list(g) for g in self.kept]
+        out = list(vec)
+        for row, p in zip(rows, _gauss_jordan(f, rows, self.width)):
+            c = out[p]
+            out = [f.sub(x, f.mul(c, y)) for x, y in zip(out, row)]
+        return out
+
+    def coords(self, vec):
+        """vec over the generators, zero at those that did not enlarge the span."""
+        f = self.field
+        if any(self.reduce(vec)):
+            return None
+        k = len(self.kept)
+        rows = [[g[i] for g in self.kept] + [vec[i]] for i in range(self.width)]
+        pivots = _gauss_jordan(f, rows, k + 1)
+        assert pivots == list(range(k))
+        out = [f.zero] * self.ngens
+        for t, g in enumerate(self.kept_at):
+            out[g] = rows[t][k]
+        return out
+
+
+@st.composite
+def span_runs(draw):
+    """A field, a width, whether to track, and a list of ("add" | "query", vector),
+    each vector a combination of two from a few random rows and the zero row."""
+    field = draw(st.sampled_from(FIELDS))
+    width = draw(st.integers(0, 6))
+    pool = draw(row_pools(field, width))
+    scalar = st.sampled_from(_scalars).map(field.coerce)
+    vec = st.tuples(st.sampled_from(pool), scalar, st.sampled_from(pool), scalar).map(
+        lambda t: [field.add(field.mul(t[1], x), field.mul(t[3], y)) for x, y in zip(t[0], t[2])])
+    ops = draw(st.lists(st.tuples(st.sampled_from(["add", "query"]), vec), max_size=12))
+    return field, width, draw(st.booleans()), ops
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(span_runs())
+def test_span_tracker_matches_the_dense_reference(run):
+    """add, reduce, coords and contains, with dependent generators and reduce on a
+    tracked span, equal what dense Gauss-Jordan on the generators gives."""
+    field, width, track, ops = run
+    t, ref = SpanTracker(field, width, track=track), DenseSpan(field, width)
+    for op, vec in ops:
+        if op == "add":
+            assert t.add(vec) == ref.add(vec)
+            assert t.dim == len(ref.kept)
+            continue
+        residue = ref.reduce(vec)
+        assert t.reduce(vec) == residue
+        assert t.contains(vec) == (not any(residue))
+        if track:
+            assert t.coords(vec) == ref.coords(vec)
+        else:
+            with pytest.raises(RuntimeError):
+                t.coords(vec)
