@@ -35,7 +35,7 @@ from .modules import (
     iso_class_index,
     kernel_of,
     simple_at,
-    top_of,
+    top_dims,
 )
 
 HOLDS = "Holds"
@@ -60,28 +60,33 @@ class CheckReport:
         }
 
 
-def _projective_piece_names(k, prefix):
+def _projective_piece_names(k, prefix, projs):
     """When k is projective, name its summands by counting the top; else None.
 
-    Applied with prefix "I" to the dual of a module over the opposite
-    algebra, this names the summands of an injective by counting its socle.
+    projs[v] is a module with the dimension of the indecomposable projective
+    at v over k's algebra.  With t = dim k - dim rad k, the projective cover
+    of k is the sum of the P(v)^{t_v}, and it maps onto k; so k is projective
+    exactly when sum_v t_v dim P(v) = dim k.  Applied with prefix "I" to the
+    dual of a module over the opposite algebra, with the injectives I(v) =
+    D P^op(v) as projs, this names the summands of an injective by counting
+    its socle.
     """
     if k.is_zero():
         return []
-    omega, _ = kernel_of(projective_cover(k))
-    if not omega.is_zero():
+    top = top_dims(k)
+    if sum(t * p.total_dim for t, p in zip(top, projs)) != k.total_dim:
         return None
-    top, _ = top_of(k)
     verts = k.algebra.quiver.vertices
-    return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top.dims[v])]
+    return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top[v])]
 
 
-def _kernel_half(m, add_list, add_names, prefix, kind):
-    """The minimal right add_list-approximation of m, its kernel, the kernel's summand names,
-    and whether the kernel is projective."""
-    f = minimal_right_approx(m, add_list)
+def _kernel_half(m, homs, add_names, prefix, kind, projs):
+    """The minimal right approximation of m by add of the modules of the Hom table homs, its
+    kernel, the kernel's summand names, and whether the kernel is projective."""
+    add_list = homs.modules
+    f = minimal_right_approx(m, add_list, _homs=homs)
     ker, _ = kernel_of(f)
-    names = _projective_piece_names(ker, prefix)
+    names = _projective_piece_names(ker, prefix, projs)
     ok = names is not None
     if not ok:
         names = []
@@ -99,9 +104,10 @@ def _module_kernel_test(alg, m):
     the minimal right approximation of Dm by the duals of add(A+DA).
     """
     gc = gen_cogen(alg)
-    f, ker, knames, right_ok = _kernel_half(m, gc.modules, gc.names, "P", "projective")
-    dual_add = [dual_module(x) for x in gc.modules]
-    dg, dcok, cnames, left_ok = _kernel_half(dual_module(m), dual_add, gc.names, "I", "injective")
+    f, ker, knames, right_ok = _kernel_half(m, gc.homs, gc.names, "P", "projective", gc.projectives)
+    dg, dcok, cnames, left_ok = _kernel_half(
+        dual_module(m), gc.dual_homs, gc.names, "I", "injective", gc.injectives
+    )
     detail = {
         "right_source_dims": list(f.source.dims),
         "kernel_dims": list(ker.dims),
@@ -383,8 +389,7 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     # the left-hand shape is the right-hand one for Dx over the opposite algebra
     gc = gen_cogen(alg)
     inj_list, proj_list = gc.injectives, gc.projectives
-    dual_proj = [dual_module(p) for p in proj_list]
-    dual_add = [dual_module(y) for y in gc.modules]
+    dual_proj = gc.duals[: len(proj_list)]
     shape_ok = True
     for node in catalog.nodes:
         if node.in_add_gen_cogen:
@@ -393,9 +398,9 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
         entry = {"part": "v", "module": node.name}
         gen_ok = not in_gen(inj_list, x) and not in_cogen(proj_list, x)
         entry["outside_gen_da_and_cogen_a"] = gen_ok
-        built_ok = _built_right_approx_ok(x, inj_list, gc.modules)
+        built_ok = _built_right_approx_ok(x, inj_list, gc.inj_homs, gc.homs)
         entry["constructed_equals_minimal_right_approx"] = built_ok
-        built2 = _built_right_approx_ok(dual_module(x), dual_proj, dual_add)
+        built2 = _built_right_approx_ok(dual_module(x), dual_proj, gc.dual_homs, gc.dual_homs)
         entry["constructed_equals_minimal_left_approx"] = built2
         shape_ok = shape_ok and gen_ok and built_ok and built2
         report.witnesses.append(entry)
@@ -407,11 +412,16 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     return report
 
 
-def _built_right_approx_ok(x, inj_list, add_list) -> bool:
+def _built_right_approx_ok(x, inj_list, inj_homs, add_homs) -> bool:
     """Whether the minimal right add(inj_list)-approximation of x, together with a lift of the
-    projective cover of its cokernel, is a minimal right add(add_list)-approximation of x."""
+    projective cover of its cokernel, is a minimal right add(add_list)-approximation of x.
+
+    inj_homs is a Hom table whose modules begin with inj_list, and add_list is the list of
+    modules of the Hom table add_homs.
+    """
     alg = x.algebra
-    fr = minimal_right_approx(x, inj_list)
+    add_list = add_homs.modules
+    fr = minimal_right_approx(x, inj_list, _homs=inj_homs)
     cok, cproj = cokernel_of(fr)
     cover = projective_cover(cok)
     lift = solve_factor_right(cproj, cover)
@@ -419,7 +429,7 @@ def _built_right_approx_ok(x, inj_list, add_list) -> bool:
         return False
     mats = [hstack(alg.field, [fr.mats[v], lift.mats[v]], rows=x.dims[v]) for v in range(len(x.dims))]
     fp = ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
-    minimal = minimal_right_approx(x, add_list)
+    minimal = minimal_right_approx(x, add_list, _homs=add_homs)
     return is_isomorphic(fp.source, minimal.source) and is_right_approx(fp, add_list)
 
 

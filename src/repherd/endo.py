@@ -855,7 +855,8 @@ def gldim_end_gen_cogen(alg, bound=None) -> DimValue:
 
 
 def gen_cogen_algebra(alg) -> AbstractAlgebra:
-    """End(M_0 + ... + M_{n-1}) for the summands M_i of gen_cogen(alg), from the blocks Hom(M_j, M_i).
+    """End(M_0 + ... + M_{n-1}) for the summands M_i of gen_cogen(alg), from its Hom table
+    of the blocks Hom(M_j, M_i).
 
     The basis of End(M_i) is id followed by a basis of the kernel of
     phi -> phi_v[0, 0], where M_i is P(v) or I(v): the basis of P(v) at v
@@ -864,14 +865,13 @@ def gen_cogen_algebra(alg) -> AbstractAlgebra:
     top P(v) or on soc I(v).  global_dimension certifies the radical and
     idempotents the algebra carries.
     """
-    from .modules import compose, gen_cogen, hom_basis, morphism_flat
+    from .modules import compose, gen_cogen, morphism_flat
 
     gc = gen_cogen(alg)
     mods = gc.modules
     blocks = {}  # (i, j) -> basis of Hom(M_j, M_i), in the order of the algebra's basis
     for i, mi in enumerate(mods):
-        for j, mj in enumerate(mods):
-            hb = hom_basis(mj, mi)
+        for j, hb in enumerate(gc.homs.row(i)):
             if i == j:
                 hb = _local_basis(mi, gc.vertices[i], hb)
             if hb:

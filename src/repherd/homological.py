@@ -583,7 +583,7 @@ def is_right_approx(f: ModuleMorphism, xs) -> bool:
     )
 
 
-def minimal_right_approx(m: Representation, xs) -> ModuleMorphism:
+def minimal_right_approx(m: Representation, xs, _homs=None) -> ModuleMorphism:
     """Minimal right approximation of m by add of the given module list.
 
     The universal map has one component per basis morphism h : X_i -> m.  A
@@ -592,16 +592,21 @@ def minimal_right_approx(m: Representation, xs) -> ModuleMorphism:
     component only shrinks these spans, so a component that cannot be dropped
     never becomes droppable, and one pass in order drops exactly what a greedy
     search restarted after each removal drops.
+
+    `_homs` is an internal argument: a `HomTable` whose modules begin with xs,
+    whose rows give each Hom(X_j, X_i) without solving it again.
     """
+    if _homs is not None and tuple(_homs.modules[: len(xs)]) != tuple(xs):
+        raise ValueError("the Hom table does not start with the module list")
     alg = m.algebra
     fld = alg.field
     to_m = [hom_basis(x, m) for x in xs]
     comps = []
     blocks = []  # blocks[k][j]: the flattened h . b, b in Hom(X_j, X_i), for component k = (X_i, h)
-    for x, hs in zip(xs, to_m):
+    for i, (x, hs) in enumerate(zip(xs, to_m)):
         if not hs:
             continue
-        into_x = [hom_basis(y, x) for y in xs]
+        into_x = _homs.row(i)[: len(xs)] if _homs is not None else [hom_basis(y, x) for y in xs]
         for h in hs:
             comps.append((x, h))
             blocks.append([[morphism_flat(compose(h, b)) for b in bs] for bs in into_x])

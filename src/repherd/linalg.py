@@ -1,14 +1,16 @@
 """Exact linear algebra over Q and GF(p).
 
-Matrices are immutable row-major tuples.  Every elimination runs on one
-kernel, a row space kept as `{pivot: row}`: each row is a sparse dict
-`{column: int}` whose least column is its pivot, and every stored row is zero
-at every other pivot.  Over Q a row of rationals is first scaled to integers
-by the lcm of its denominators; row operations multiply by integers only, and
-each row is kept primitive with a positive pivot, so a `Fraction` is made only
-when the reduced row echelon form is read off as `Fraction(x, pivot)`.  Over
-GF(p) each row holds ints mod p and is kept monic at its pivot.  Only the two
-row operations, `_clear` and `_normalize`, depend on the field.
+A `Mat` holds its entries as a row-major tuple and is immutable by
+convention: no code assigns to a matrix after it is made.  Every elimination
+runs on one kernel, a row space kept as `{pivot: row}`: each row is a sparse
+dict `{column: int}` whose least column is its pivot, and every stored row is
+zero at every other pivot.  Over Q a row of rationals is first scaled to
+integers by the lcm of its denominators; row operations multiply by integers
+only, and each row is kept primitive with a positive pivot, so a `Fraction` is
+made only when the reduced row echelon form is read off as
+`Fraction(x, pivot)`.  Over GF(p) each row holds ints mod p and is kept monic
+at its pivot.  Only the two row operations, `_clear` and `_normalize`, depend
+on the field.
 
 `SpanTracker` grows such a row space one generator at a time.  `rref`,
 `rank`, `col_space`, `kernel_basis`, `solve` and `commuting_maps` (the Hom
@@ -22,25 +24,38 @@ and for `Fraction` the truth test skips the type dispatch of `__eq__`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
 class Mat:
-    field: object
-    rows: int
-    cols: int
-    entries: tuple
+    """A rows x cols matrix over field, its entries a row-major tuple."""
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                "entry count %d does not match %dx%d" % (len(self.entries), self.rows, self.cols)
-            )
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field, rows, cols, entries):
+        if len(entries) != rows * cols:
+            raise DimensionMismatch("entry count %d does not match %dx%d" % (len(entries), rows, cols))
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def _key(self):
+        return (self.field, self.rows, self.cols, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Mat(field=%r, rows=%d, cols=%d, entries=%r)" % self._key()
 
     @staticmethod
     def from_rows(field, rows):

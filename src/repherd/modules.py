@@ -21,6 +21,7 @@ from .linalg import (
     is_invertible,
     kernel_basis,
     quotient_maps,
+    rank,
     solve,
     vstack,
 )
@@ -85,17 +86,31 @@ def path_action(rep: Representation, p) -> Mat:
     return m
 
 
-@dataclass(frozen=True)
 class ModuleMorphism:
-    source: Representation
-    target: Representation
-    mats: tuple
+    """A map source -> target: mats[v] is the dim target_v x dim source_v matrix at vertex v.
 
-    def __post_init__(self):
-        for v in range(len(self.source.dims)):
-            m = self.mats[v]
-            if m.rows != self.target.dims[v] or m.cols != self.source.dims[v]:
+    Immutable by convention, like `Mat`; `check` verifies that it commutes with the arrows.
+    """
+
+    __slots__ = ("source", "target", "mats")
+
+    def __init__(self, source, target, mats):
+        sdims, tdims = source.dims, target.dims
+        for v in range(len(sdims)):
+            m = mats[v]
+            if m.rows != tdims[v] or m.cols != sdims[v]:
                 raise DimensionMismatch("morphism matrix shape mismatch at vertex %d" % v)
+        self.source = source
+        self.target = target
+        self.mats = mats
+
+    def __eq__(self, other):
+        if other.__class__ is not ModuleMorphism:
+            return NotImplemented
+        return (self.source, self.target, self.mats) == (other.source, other.target, other.mats)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.mats))
 
     def check(self):
         q = self.source.algebra.quiver
@@ -245,6 +260,27 @@ def simple_at(alg, v) -> Representation:
     return Representation(alg, dims, mats, check=False)
 
 
+class HomTable:
+    """Hom among a fixed list of modules, each solved once: row(i) is
+    [hom_basis(X_j, X_i) for each X_j], built the first time X_i is needed.
+
+    Callers read the rows and never change them.
+    """
+
+    __slots__ = ("modules", "_rows")
+
+    def __init__(self, modules):
+        self.modules = modules
+        self._rows = {}
+
+    def row(self, i):
+        row = self._rows.get(i)
+        if row is None:
+            x = self.modules[i]
+            row = self._rows[i] = [hom_basis(y, x) for y in self.modules]
+        return row
+
+
 @dataclass(frozen=True)
 class GenCogen:
     """The indecomposable summands of A + DA.
@@ -252,7 +288,10 @@ class GenCogen:
     `modules` lists the projectives in vertex order, then each injective not
     isomorphic to an earlier entry; `names` labels them P(v) and I(v), and
     `vertices` holds the index of each v.  The order fixes the basis of
-    End(A + DA) that the oracle works in.
+    End(A + DA) that the oracle works in.  `duals` holds the dual of each
+    entry of `modules` over the opposite algebra, so its first entries are the
+    duals of the projectives.  `homs`, `dual_homs` and `inj_homs` are the Hom
+    tables among `modules`, `duals` and `injectives`.
     """
 
     projectives: tuple   # P(v) for every vertex v
@@ -260,6 +299,10 @@ class GenCogen:
     modules: tuple
     names: tuple
     vertices: tuple
+    duals: tuple
+    homs: HomTable
+    dual_homs: HomTable
+    inj_homs: HomTable
 
 
 def gen_cogen(alg) -> GenCogen:
@@ -276,7 +319,12 @@ def gen_cogen(alg) -> GenCogen:
                 modules.append(iv)
                 names.append("I(%s)" % v)
                 vertices.append(k)
-        alg._gen_cogen = GenCogen(projs, injs, tuple(modules), tuple(names), tuple(vertices))
+        modules = tuple(modules)
+        duals = tuple(dual_module(x) for x in modules)
+        alg._gen_cogen = GenCogen(
+            projs, injs, modules, tuple(names), tuple(vertices),
+            duals, HomTable(modules), HomTable(duals), HomTable(injs),
+        )
     return alg._gen_cogen
 
 
@@ -401,10 +449,13 @@ def socle_of(m: Representation):
     return subrep_from_bases(m, bases)
 
 
-def top_of(m: Representation):
-    """m / rad m together with the projection."""
-    _, incl = radical_of(m)
-    return cokernel_of(incl)
+def top_dims(m: Representation):
+    """dim (m / rad m) at each vertex: dim m_v less the rank of the arrows into v."""
+    fld = m.algebra.field
+    return [
+        d - (rank(hstack(fld, [m.mats[a] for a in ins], rows=d)) if ins else 0)
+        for d, ins in zip(m.dims, m.algebra.quiver.in_arrows)
+    ]
 
 
 # -- decomposition ------------------------------------------------------------

@@ -86,6 +86,35 @@ def test_ar_quiver_incomplete(capsys):
     assert code == 3
 
 
+E6 = {
+    "field": {"GFp": 101},
+    "vertices": ["1", "2", "3", "4", "5", "6"],
+    "arrows": [
+        {"name": "a", "from": "1", "to": "2"},
+        {"name": "b", "from": "3", "to": "2"},
+        {"name": "c", "from": "3", "to": "4"},
+        {"name": "d", "from": "5", "to": "4"},
+        {"name": "e", "from": "3", "to": "6"},
+    ],
+    "relations": [],
+    "length_bound": 2,
+}
+
+
+def test_ar_quiver_completes_at_a_raised_budget(capsys, tmp_path):
+    """E6's 36 indecomposables have total dimension 156, above the default limit of 128."""
+    alg_path = tmp_path / "e6.json"
+    alg_path.write_text(json.dumps(E6))
+    assert run(capsys, "ar-quiver", str(alg_path))[0] == 3
+    assert run(capsys, "ar-quiver", str(alg_path), "--budget-dim", "256", "--budget-modules", "20")[0] == 3
+    out_path = tmp_path / "e6.dot"
+    code, _ = run(capsys, "ar-quiver", str(alg_path), "--budget-dim", "256", "--dot", str(out_path))
+    assert code == 0
+    dot = out_path.read_text()
+    assert dot.count("shape=") == 36
+    assert dot.count("shape=box") == 6 and dot.count("shape=diamond") == 6
+
+
 def test_check_json_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -1,0 +1,164 @@
+"""The add(A + DA) record: its Hom tables, and the kernel test's projectivity by a dimension count."""
+import pytest
+
+from repherd import checks, homological, modules
+from repherd import io as rio
+from repherd.fields import PrimeField
+from repherd.homological import minimal_right_approx, projective_cover
+from repherd.modules import dual_module, gen_cogen, kernel_of, radical_of, simple_at
+
+from tests.conftest import catalog_of, fixture_path, load_fixture_algebra
+
+COMPLETE = ["a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5"]
+FIELDS = [None, PrimeField(101)]
+FIELD_IDS = ["Q", "GF101"]
+
+# 1 -> 2 -> 3 -> 4 with rad^2 = 0: the kernel test Fails, with kernels that are not projective
+# and cokernels that are not injective
+A4_RAD2 = {
+    "field": "Q",
+    "vertices": ["1", "2", "3", "4"],
+    "arrows": [{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"},
+               {"name": "c", "from": "3", "to": "4"}],
+    "relations": [[{"coeff": "1", "path": ["a", "b"]}], [{"coeff": "1", "path": ["b", "c"]}]],
+    "length_bound": 2,
+}
+_a4_rad2 = {}
+
+
+def _algebra(name, field):
+    if name != "a4_rad2":
+        return load_fixture_algebra(name, field)
+    key = repr(field)
+    if key not in _a4_rad2:
+        _a4_rad2[key] = rio.algebra_from_dict(A4_RAD2, field=field)
+    return _a4_rad2[key]
+
+
+def _outside(alg):
+    cat = catalog_of(alg)
+    assert cat.complete
+    return [node.rep for node in cat.nodes if not node.in_add_gen_cogen]
+
+
+def _cover_names(k, prefix):
+    """The projectivity test the dimension count replaced: the kernel of the projective cover
+    vanishes; the names are read off the top."""
+    if k.is_zero():
+        return []
+    if not kernel_of(projective_cover(k))[0].is_zero():
+        return None
+    rad, _ = radical_of(k)
+    verts = k.algebra.quiver.vertices
+    return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(k.dims[v] - rad.dims[v])]
+
+
+def _assert_same_verdict(k, prefix, projs):
+    assert checks._projective_piece_names(k, prefix, projs) == _cover_names(k, prefix)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", COMPLETE + ["a4_rad2"])
+def test_dimension_count_matches_the_cover_kernel(name, field, monkeypatch):
+    """On every kernel and cokernel the kernel test produces, the dimension count and the
+    kernel of the projective cover agree on projectivity and on the names."""
+    alg = _algebra(name, field)
+    seen = []
+    original = checks._projective_piece_names
+
+    def recording(k, prefix, projs):
+        seen.append((k, prefix, projs))
+        return original(k, prefix, projs)
+
+    monkeypatch.setattr(checks, "_projective_piece_names", recording)
+    for m in _outside(alg):
+        checks._module_kernel_test(alg, m)
+    monkeypatch.undo()
+    assert len(seen) == 2 * len(_outside(alg))
+    for k, prefix, projs in seen:
+        _assert_same_verdict(k, prefix, projs)
+    if name == "a4_rad2":
+        verdicts = {(prefix, _cover_names(k, prefix) is not None) for k, prefix, _ in seen}
+        assert verdicts == {("P", True), ("P", False), ("I", True), ("I", False)}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", COMPLETE + ["kron", "a4_rad2"])
+def test_dimension_count_on_simples(name, field):
+    """Every simple and the dual of every simple, projective or not."""
+    alg = _algebra(name, field)
+    gc = gen_cogen(alg)
+    verdicts = []
+    for v in range(alg.quiver.n_vertices):
+        s = simple_at(alg, v)
+        _assert_same_verdict(s, "P", gc.projectives)
+        _assert_same_verdict(dual_module(s), "I", gc.injectives)
+        verdicts.append(checks._projective_piece_names(s, "P", gc.projectives) is not None)
+    # every algebra here has a simple that is not projective
+    assert not all(verdicts)
+
+
+def test_dimension_count_named_simples(loop2, kron):
+    """loop2's S(1) is not projective, and kron's S(2) is but S(1) is not."""
+    projs = gen_cogen(loop2).projectives
+    assert checks._projective_piece_names(simple_at(loop2, 0), "P", projs) is None
+    projs = gen_cogen(kron).projectives
+    assert checks._projective_piece_names(simple_at(kron, 0), "P", projs) is None
+    assert checks._projective_piece_names(simple_at(kron, 1), "P", projs) == ["P(2)"]
+
+
+def _same_map(f, g):
+    assert f.source.dims == g.source.dims
+    assert f.source.mats == g.source.mats
+    assert f.mats == g.mats
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", COMPLETE)
+def test_table_gives_the_same_approximations(name, field):
+    """With and without the record's Hom tables, minimal_right_approx returns the same source and
+    the same matrices, entry by entry, for every list the checks read from a table."""
+    alg = load_fixture_algebra(name, field)
+    gc = gen_cogen(alg)
+    n = len(gc.projectives)
+    for x in _outside(alg):
+        dx = dual_module(x)
+        for m, xs, table in (
+            (x, gc.modules, gc.homs),
+            (x, gc.injectives, gc.inj_homs),
+            (dx, gc.duals, gc.dual_homs),
+            (dx, gc.duals[:n], gc.dual_homs),
+        ):
+            _same_map(minimal_right_approx(m, xs, _homs=table), minimal_right_approx(m, xs))
+
+
+def test_table_must_start_with_the_list(loop2):
+    gc = gen_cogen(loop2)
+    with pytest.raises(ValueError):
+        minimal_right_approx(_outside(loop2)[0], gc.injectives, _homs=gc.homs)
+
+
+@pytest.mark.parametrize("name", ["d4", "h5"])
+def test_second_kernel_test_solves_no_hom_among_the_summands(name, monkeypatch):
+    """The kernel test solves each Hom between two summands of add(A + DA), or between two of
+    their duals, at most once per algebra, and not at all when it runs again."""
+    alg = rio.load_algebra(fixture_path(name + ".json"))  # a fresh algebra: empty tables
+    gc = gen_cogen(alg)
+    outside = [node.rep for node in catalog_of(alg).nodes if not node.in_add_gen_cogen]
+    summands = {id(x) for x in gc.modules + gc.duals}
+    calls = []
+    original = modules.hom_basis
+
+    def recording(m, n):
+        if id(m) in summands and id(n) in summands:
+            calls.append((id(m), id(n)))
+        return original(m, n)
+
+    for mod in (modules, homological):
+        monkeypatch.setattr(mod, "hom_basis", recording)
+    first = [checks._module_kernel_test(alg, x) for x in outside]
+    assert calls and len(calls) == len(set(calls))
+    calls.clear()
+    second = [checks._module_kernel_test(alg, x) for x in outside]
+    assert calls == []
+    assert first == second

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repherd.errors import DimensionMismatch
 from repherd.fields import PrimeField, QQ
 from repherd.linalg import (
     Mat,
@@ -304,3 +305,27 @@ def test_span_tracker_matches_the_dense_reference(run):
         else:
             with pytest.raises(RuntimeError):
                 t.coords(vec)
+
+
+def test_mat_entry_count_is_checked():
+    with pytest.raises(DimensionMismatch):
+        Mat(QQ, 2, 2, (Fraction(1), Fraction(2), Fraction(3)))
+    with pytest.raises(DimensionMismatch):
+        Mat(PrimeField(7), 0, 3, (1,))
+
+
+def test_mat_value_equality_and_hash():
+    a = Mat.from_rows(QQ, [[1, 2], [3, 4]])
+    b = Mat(QQ, 2, 2, (Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != a.transpose()
+    assert a != Mat(QQ, 1, 4, a.entries)
+    # the field is part of the value: 1 mod 7 is not the rational 1
+    assert Mat.identity(QQ, 2) != Mat.identity(PrimeField(7), 2)
+    assert a != a.entries
+
+
+def test_mat_repr_is_readable():
+    m = Mat.from_rows(PrimeField(7), [[1, 0, 6]])
+    assert repr(m) == "Mat(field=GF(7), rows=1, cols=3, entries=(1, 0, 6))"

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from repherd.errors import InvalidRepresentation
+from repherd.errors import DimensionMismatch, InvalidRepresentation
 from repherd.fields import QQ
 from repherd.linalg import Mat
 from repherd.modules import (
+    ModuleMorphism,
     Representation,
     cokernel_of,
     compose,
@@ -269,3 +270,30 @@ def test_summands_are_sorted_by_dimension_vector(loop2, a3):
         parts += [simple_at(alg, v) for v in reversed(range(nv))]
         dims = [p.dims for p in indecomposable_summands(direct_sum(alg, parts))]
         assert dims == sorted(dims) and sorted(dims) == sorted(p.dims for p in parts)
+
+
+def test_module_morphism_vertex_shapes_are_checked(loop2):
+    p, s = projective_at(loop2, 0), simple_at(loop2, 0)
+    good = zero_morphism(p, s).mats
+    assert ModuleMorphism(p, s, good).mats == good
+    with pytest.raises(DimensionMismatch):
+        ModuleMorphism(s, p, good)
+    with pytest.raises(DimensionMismatch):
+        ModuleMorphism(p, s, (good[0].transpose(),) + good[1:])
+
+
+def test_module_morphism_value_equality_and_hash(loop2):
+    p, s = projective_at(loop2, 0), simple_at(loop2, 0)
+    f, g = identity_morphism(p), identity_morphism(p)
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert zero_morphism(p, s) == zero_morphism(p, s)
+    assert f != zero_morphism(p, p)
+    # the ends are compared as objects: an equal module built again is another module
+    p2 = Representation(loop2, p.dims, p.mats)
+    assert identity_morphism(p2) != f
+
+
+def test_module_morphism_repr_is_readable(loop2):
+    p, s = projective_at(loop2, 0), simple_at(loop2, 0)
+    assert repr(zero_morphism(p, s)) == "ModuleMorphism(%s -> %s)" % (p.dims, s.dims)
+    assert repr(zero_morphism(p, s)) == "ModuleMorphism((2, 1) -> (1, 0))"
