@@ -24,6 +24,7 @@ from .homological import (
 )
 from .linalg import hstack
 from .modules import (
+    HomTable,
     ModuleMorphism,
     cokernel_of,
     direct_sum,
@@ -502,11 +503,12 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
 
     iset = [gc.injectives[r] for r in rset]
     xs = list(distinct) + [iv for iv in iset if iso_class_index(iv, distinct) is None]
+    xs_homs = HomTable(xs)
     cond3 = True
     for v in range(q.n_vertices):
         if v in rset:
             continue
-        phi = minimal_right_approx(gc.injectives[v], xs)
+        phi = minimal_right_approx(gc.injectives[v], xs, _homs=xs_homs)
         ker, _ = kernel_of(phi)
         pieces = indecomposable_summands(ker)
         in_add_t = all(iso_class_index(p, distinct) is not None for p in pieces)

@@ -8,6 +8,7 @@ from .dims import DimValue
 from .errors import VerificationFailed, ZProjective
 from .linalg import Mat, SpanTracker, hstack, kernel_basis, rank, solve, vstack
 from .modules import (
+    HomTable,
     ModuleMorphism,
     Representation,
     cokernel_of,
@@ -593,10 +594,13 @@ def minimal_right_approx(m: Representation, xs, _homs=None) -> ModuleMorphism:
     never becomes droppable, and one pass in order drops exactly what a greedy
     search restarted after each removal drops.
 
-    `_homs` is an internal argument: a `HomTable` whose modules begin with xs,
-    whose rows give each Hom(X_j, X_i) without solving it again.
+    The Hom(X_j, X_i) are read from a `HomTable`.  `_homs` is an internal
+    argument: a table whose modules begin with xs, shared by callers that
+    approximate by the same list again; without it a fresh table is built.
     """
-    if _homs is not None and tuple(_homs.modules[: len(xs)]) != tuple(xs):
+    if _homs is None:
+        _homs = HomTable(xs)
+    elif tuple(_homs.modules[: len(xs)]) != tuple(xs):
         raise ValueError("the Hom table does not start with the module list")
     alg = m.algebra
     fld = alg.field
@@ -606,7 +610,7 @@ def minimal_right_approx(m: Representation, xs, _homs=None) -> ModuleMorphism:
     for i, (x, hs) in enumerate(zip(xs, to_m)):
         if not hs:
             continue
-        into_x = _homs.row(i)[: len(xs)] if _homs is not None else [hom_basis(y, x) for y in xs]
+        into_x = _homs.row(i)[: len(xs)]
         for h in hs:
             comps.append((x, h))
             blocks.append([[morphism_flat(compose(h, b)) for b in bs] for bs in into_x])

@@ -421,17 +421,21 @@ def direct_sum(alg, reps):
     return Representation(alg, dims, mats, summands=tuple(reps))
 
 
+def _incoming(m: Representation, v):
+    """The maps of m along the arrows into v, side by side in arrow order; None when no arrow
+    ends at v.  Its column space is rad m at v."""
+    q = m.algebra.quiver
+    ins = [m.mats[a] for a in range(q.n_arrows) if q.arrow_tgt[a] == v]
+    return hstack(m.algebra.field, ins, rows=m.dims[v]) if ins else None
+
+
 def radical_of(m: Representation):
     """Sum of images of all arrow maps, as a subrepresentation."""
     fld = m.algebra.field
-    q = m.algebra.quiver
     bases = []
-    for v in range(q.n_vertices):
-        incoming = [m.mats[a] for a in range(q.n_arrows) if q.arrow_tgt[a] == v]
-        if incoming:
-            bases.append(col_space(hstack(fld, incoming, rows=m.dims[v])))
-        else:
-            bases.append(Mat.zeros(fld, m.dims[v], 0))
+    for v in range(len(m.dims)):
+        incoming = _incoming(m, v)
+        bases.append(Mat.zeros(fld, m.dims[v], 0) if incoming is None else col_space(incoming))
     return subrep_from_bases(m, bases)
 
 
@@ -451,11 +455,11 @@ def socle_of(m: Representation):
 
 def top_dims(m: Representation):
     """dim (m / rad m) at each vertex: dim m_v less the rank of the arrows into v."""
-    fld = m.algebra.field
-    return [
-        d - (rank(hstack(fld, [m.mats[a] for a in ins], rows=d)) if ins else 0)
-        for d, ins in zip(m.dims, m.algebra.quiver.in_arrows)
-    ]
+    tops = []
+    for v, d in enumerate(m.dims):
+        incoming = _incoming(m, v)
+        tops.append(d if incoming is None else d - rank(incoming))
+    return tops
 
 
 # -- decomposition ------------------------------------------------------------
