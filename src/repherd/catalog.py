@@ -8,15 +8,16 @@ from .homological import (
     almost_split_sequence,
     ar_translate,
     ar_translate_inv,
-    in_cogen,
-    in_gen,
     inj_dim,
     proj_dim,
+    reject_of,
+    trace_of,
 )
 from .linalg import SpanTracker
 from .modules import (
     cokernel_of,
     compose,
+    dual_module,
     endomorphism_radical,
     gen_cogen,
     hom_basis,
@@ -125,11 +126,11 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         return all(try_add(piece) is not None for piece in indecomposable_summands(rep))
 
     def add_translate(rep):
-        """(node index or None over budget, the piece) for a translate of an indecomposable."""
+        """Node index of a translate of an indecomposable, or None over budget."""
         pieces = indecomposable_summands(rep)
         if len(pieces) != 1:
             raise VerificationFailed("a translate of an indecomposable module is not indecomposable")
-        return try_add(pieces[0]), pieces[0]
+        return try_add(pieces[0])
 
     for rep in gc.projectives + gc.injectives:
         try_add(rep)
@@ -156,7 +157,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
                 break
         if node.proj_vertex is None and node.tau is None:
             seq = almost_split_sequence(node.rep)
-            j, _ = add_translate(seq.left.source)
+            j = add_translate(seq.left.source)
             if j is None:
                 break
             node.tau = j
@@ -164,13 +165,15 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
             if not add_summands(seq.middle):
                 break
         if node.inj_vertex is None and node.tau_inv is None:
-            j, piece = add_translate(ar_translate_inv(node.rep))
+            # D of the sequence over A^op that ends at D(node): tau^{-1} = D tau D
+            seq = almost_split_sequence(dual_module(node.rep))
+            j = add_translate(dual_module(seq.left.source))
             if j is None:
                 break
             node.tau_inv = j
             if nodes[j].tau is None:
                 nodes[j].tau = idx
-            if not add_summands(almost_split_sequence(piece).middle):
+            if not add_summands(dual_module(seq.middle)):
                 break
 
     cat.complete = complete
@@ -297,20 +300,19 @@ def node_facts(cat: IndecomposableCatalog):
     if cat._facts is not None:
         return cat._facts
     gc = gen_cogen(cat.algebra)
-    inj_list, proj_list = gc.injectives, gc.projectives
     facts = []
     for node in cat.nodes:
         x = node.rep
-        pd = proj_dim(x)
-        idim = inj_dim(x)
+        trace = trace_of(gc.injectives, x)[0].total_dim    # of DA in x
+        reject = reject_of(gc.projectives, x)[0].total_dim  # of A in x
         facts.append(
             {
-                "pd": pd,
-                "id": idim,
-                "gen_da": in_gen(inj_list, x),
-                "cogen_a": in_cogen(proj_list, x),
-                "supp_da": any(len(hom_basis(iv, x)) > 0 for iv in inj_list),
-                "supp_a": any(len(hom_basis(x, pv)) > 0 for pv in proj_list),
+                "pd": proj_dim(x),
+                "id": inj_dim(x),
+                "gen_da": trace == x.total_dim,
+                "cogen_a": reject == 0,
+                "supp_da": trace > 0,
+                "supp_a": reject < x.total_dim,
             }
         )
     cat._facts = facts

@@ -13,7 +13,6 @@ from .homological import (
     cosyzygy,
     ext1_dim,
     in_cogen,
-    in_gen,
     is_right_approx,
     minimal_right_approx,
     proj_dim,
@@ -392,12 +391,12 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     inj_list, proj_list = gc.injectives, gc.projectives
     dual_proj = gc.duals[: len(proj_list)]
     shape_ok = True
-    for node in catalog.nodes:
+    for i, node in enumerate(catalog.nodes):
         if node.in_add_gen_cogen:
             continue
         x = node.rep
         entry = {"part": "v", "module": node.name}
-        gen_ok = not in_gen(inj_list, x) and not in_cogen(proj_list, x)
+        gen_ok = not facts[i]["gen_da"] and not facts[i]["cogen_a"]
         entry["outside_gen_da_and_cogen_a"] = gen_ok
         built_ok = _built_right_approx_ok(x, inj_list, gc.inj_homs, gc.homs)
         entry["constructed_equals_minimal_right_approx"] = built_ok

@@ -471,9 +471,18 @@ def fitting_split(f, dims, ops):
 
 
 def _eigenvalue(op):
-    """A root in the field of the minimal polynomial of the first block of op that has one; else None."""
+    """A root in the field of the minimal polynomial of the first block of op that has one; else None.
+
+    A block is first tried as lam + nilpotent (see _single_eigenvalue); its
+    minimal polynomial is then (x - lam)^k, whose one root the search would
+    return.  Over Q that also finds lam where the search gives up on a
+    coefficient too large to factor.
+    """
     for m in op:
         if m.rows:
+            lam = _single_eigenvalue(m)
+            if lam is not None:
+                return lam
             try:
                 roots = rational_roots(m.field, min_poly_of_matrix(m))
             except RuntimeError:  # over Q, a coefficient too large to factor
@@ -481,6 +490,35 @@ def _eigenvalue(op):
             if roots:
                 return roots[0][0]
     return None
+
+
+def _single_eigenvalue(m):
+    """lam when m - lam is nilpotent, read off the trace as tr(m) / d for m of size d; else None.
+
+    None too when d is not invertible in the field, as over GF(p) with p | d.
+    """
+    f, d = m.field, m.rows
+    dk = f.from_int(d)
+    if not dk:
+        return None
+    tr = f.zero
+    for i in range(d):
+        tr = f.add(tr, m.entries[i * d + i])
+    lam = f.mul(tr, f.inv(dk))
+    psi = m.sub(Mat.identity(f, d).scale(lam))
+    # a nilpotent psi has tr(psi^2) = 0, which costs d^2 products to test and turns most others away
+    x, tr2 = psi.entries, f.zero
+    for i in range(d):
+        for j in range(d):
+            if x[i * d + j] and x[j * d + i]:
+                tr2 = f.add(tr2, f.mul(x[i * d + j], x[j * d + i]))
+    if tr2:
+        return None
+    e = 1  # psi is nilpotent exactly when psi^e = 0 for an e >= d
+    while e < d and not psi.is_zero():
+        psi = psi.mul(psi)
+        e *= 2
+    return lam if psi.is_zero() else None
 
 
 def _fitting(psi):

@@ -29,7 +29,6 @@ from .modules import (
     morphism_add,
     morphism_combo,
     morphism_flat,
-    morphism_is_invertible,
     morphism_scale,
     path_action,
     projective_at,
@@ -463,8 +462,6 @@ def _verify_almost_split(seq: ShortExactSequence, z, rad, catalog):
         if x is z:
             tests = rad
         elif (iso := indec_isomorphism(x, z)) is not None:
-            if not morphism_is_invertible(iso):
-                raise VerificationFailed("split mono between equal dimension vectors is not invertible")
             tests = [compose(r, iso) for r in rad]
         else:
             tests = hom_basis(x, z)

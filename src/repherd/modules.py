@@ -31,8 +31,14 @@ class Representation:
     """A right module: vector space dims per vertex plus arrow matrices.
 
     Arrow matrices act on column vectors, shape dim(target) x dim(source).
-    Instances are immutable after construction; relations of the algebra
-    are verified to evaluate to zero.
+    Relations of the algebra are verified to evaluate to zero.  Instances
+    are immutable after construction, apart from the certificate below,
+    which is set once it is found.
+
+    `local_parts` is the certificate that End(m) is local, or None when none
+    has been found: the nilpotent parts that `fitting_split` kept for the
+    basis hom_basis(m, m), as tuples of one matrix per vertex.  They span
+    rad End(m); `endomorphism_radical` reads a basis off them.
     """
 
     def __init__(self, algebra, dims, mats, summands=None, check=True):
@@ -52,6 +58,7 @@ class Representation:
                 )
         self.mats = mats
         self.summands = summands
+        self.local_parts = None
         if check:
             self._check_relations()
 
@@ -329,10 +336,18 @@ def gen_cogen(alg) -> GenCogen:
 
 
 def dual_module(m: Representation) -> Representation:
-    """The dual as a module over the opposite algebra."""
+    """The dual as a module over the opposite algebra.
+
+    Duality takes f in End(m) to its transpose in End(Dm) and so maps
+    rad End(m) onto rad End(Dm): a certificate that End(m) is local carries
+    over transposed.
+    """
     op = m.algebra.opposite
     mats = [m.mats[a].transpose() for a in range(len(m.mats))]
-    return Representation(op, m.dims, mats, check=False)
+    dm = Representation(op, m.dims, mats, check=False)
+    if m.local_parts is not None:
+        dm.local_parts = [tuple(x.transpose() for x in part) for part in m.local_parts]
+    return dm
 
 
 def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
@@ -477,14 +492,15 @@ def indecomposable_summands(m: Representation):
     """The indecomposable pieces of m, sorted by dimension vector.
 
     m is split in two by Fitting's lemma until every piece has a local
-    endomorphism ring; pieces with equal dimension vectors keep the order of
-    the splits.
+    endomorphism ring, which the piece keeps as its `local_parts`; pieces
+    with equal dimension vectors keep the order of the splits.
     """
     pieces, todo = [], [] if m.is_zero() else [m]
     while todo:
         x = todo.pop()
-        split, _ = _split_endomorphisms(x)
+        split, nil = _split_endomorphisms(x)
         if split is None:
+            x.local_parts = nil
             pieces.append(x)
         else:
             todo += [subrep_from_bases(x, bases)[0] for bases in reversed(split)]
@@ -492,10 +508,15 @@ def indecomposable_summands(m: Representation):
 
 
 def endomorphism_radical(z: Representation):
-    """A basis of rad End(z) for indecomposable z, from the nilpotent parts that certify End(z) local."""
-    split, nil = _split_endomorphisms(z)
-    if split is not None:
-        raise VerificationFailed("the endomorphism ring of a module taken as indecomposable splits")
+    """A basis of rad End(z) for indecomposable z, from the nilpotent parts that certify End(z) local.
+
+    A certificate that z carries is read; otherwise End(z) is split afresh.
+    """
+    nil = z.local_parts
+    if nil is None:
+        split, nil = _split_endomorphisms(z)
+        if split is not None:
+            raise VerificationFailed("the endomorphism ring of a module taken as indecomposable splits")
     tracker = SpanTracker(z.algebra.field, sum(d * d for d in z.dims))
     return [r for r in (ModuleMorphism(z, z, n) for n in nil) if tracker.add(morphism_flat(r))]
 
@@ -523,11 +544,12 @@ def decompose(m: Representation) -> Decomposition:
 
 def indec_isomorphism(x: Representation, y: Representation):
     """For modules with local endomorphism rings, a map f : x -> y that is an
-    isomorphism, or None if there is none.
+    isomorphism, or None if there is none: the first element of hom_basis(x, y)
+    that is invertible at every vertex.
 
-    Some g . f with f, g in the Hom bases is invertible exactly when x and y
-    are isomorphic; f is then a split mono between modules of the same
-    dimension vector.
+    When x and y are isomorphic by some phi, the maps x -> y that are not
+    isomorphisms form the proper subspace phi . rad End(x), which no basis of
+    Hom(x, y) lies in.
     """
     if x.dims != y.dims:
         return None
@@ -535,12 +557,9 @@ def indec_isomorphism(x: Representation, y: Representation):
         return identity_morphism(x)
     if x.total_dim == 0:
         return zero_morphism(x, y)
-    fwd = hom_basis(x, y)
-    bwd = hom_basis(y, x) if fwd else []
-    for f in fwd:
-        for g in bwd:
-            if morphism_is_invertible(compose(g, f)):
-                return f
+    for f in hom_basis(x, y):
+        if morphism_is_invertible(f):
+            return f
     return None
 
 

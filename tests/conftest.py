@@ -100,6 +100,28 @@ def main_report_of(alg):
     return _mains[id(alg)]
 
 
+def rebased(m, rng):
+    """m in a random basis: x -> P_v x at each vertex, P_v triangular with rational entries.
+
+    Over GF(p) the entries are read mod p, so p must not divide 2, 3, 5 or 7.
+    """
+    from repherd.linalg import Mat, inverse
+    from repherd.modules import Representation
+
+    f = m.algebra.field
+    ps = []
+    for d in m.dims:
+        ent = [f.zero] * (d * d)
+        for r in range(d):
+            ent[r * d + r] = f.coerce(Fraction(rng.choice([1, 2, -3]), rng.choice([1, 5, 7])))
+            for c in range(r + 1, d):
+                ent[r * d + c] = f.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 3])))
+        ps.append(Mat(f, d, d, tuple(ent)))
+    q = m.algebra.quiver
+    mats = [ps[q.arrow_tgt[a]].mul(x).mul(inverse(ps[q.arrow_src[a]])) for a, x in enumerate(m.mats)]
+    return Representation(m.algebra, m.dims, mats)
+
+
 # test-local exact eliminator, independent of the package's rref
 def plain_rank(rows):
     rows = [[Fraction(x) for x in r] for r in rows]

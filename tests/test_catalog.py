@@ -1,13 +1,33 @@
+import random
+
 import pytest
 
 from repherd import catalog
 from repherd.catalog import Budget, ar_quiver, enumerate_indecomposables, left_right_parts
 from repherd.errors import BudgetExceeded, IncompleteCatalog
 from repherd.fields import PrimeField
-from repherd.homological import almost_split_sequence, ar_translate, ar_translate_inv
-from repherd.modules import indec_isomorphic, indecomposable_summands
+from repherd.homological import (
+    ShortExactSequence,
+    _verify_almost_split,
+    almost_split_sequence,
+    ar_translate,
+    ar_translate_inv,
+)
+from repherd.linalg import Mat, rank
+from repherd.modules import (
+    ModuleMorphism,
+    Representation,
+    direct_sum,
+    dual_module,
+    endomorphism_radical,
+    gen_cogen,
+    indec_isomorphic,
+    indecomposable_summands,
+    is_isomorphic,
+    morphism_flat,
+)
 
-from tests.conftest import catalog_of, load_fixture_algebra
+from tests.conftest import catalog_of, load_fixture_algebra, rebased
 
 
 def names(cat):
@@ -155,15 +175,23 @@ def test_knitted_tau_links_match_recomputed_translates(name, field):
 
 @pytest.mark.parametrize("name", ["h5", "tilted5"])
 def test_enumeration_builds_one_sequence_per_non_projective_node(name, monkeypatch):
+    """Each sequence ends at a node: one over A at z, one over A^op at D(M) is the dual of the
+    sequence that ends at tau^{-1} M = D(its left term)."""
+    alg = load_fixture_algebra(name)
     built = []
     real = catalog.almost_split_sequence
 
     def counting(z, *args, **kwargs):
-        built.append(z)
-        return real(z, *args, **kwargs)
+        seq = real(z, *args, **kwargs)
+        if z.algebra is alg:
+            built.append(z)
+        else:
+            assert z.algebra is alg.opposite
+            built.append(dual_module(seq.left.source))
+        return seq
 
     monkeypatch.setattr(catalog, "almost_split_sequence", counting)
-    cat = enumerate_indecomposables(load_fixture_algebra(name))
+    cat = enumerate_indecomposables(alg)
     assert cat.complete
     non_projective = [node for node in cat.nodes if node.proj_vertex is None]
     assert len(built) <= len(non_projective)
@@ -188,3 +216,86 @@ def test_endomorphism_radical_matches_the_trace_form(name):
         assert len(certified) == len(reference) == g.dim - 1
         if reference:
             assert rank(Mat.from_rows(alg.field, reference + certified)) == len(reference)
+
+
+def _dual_sequence(seq):
+    """The dual of 0 -> X -> E -> Z -> 0 over the opposite algebra: 0 -> DZ -> DE -> DX -> 0."""
+    dz, de, dx = dual_module(seq.right.target), dual_module(seq.middle), dual_module(seq.left.source)
+    left = ModuleMorphism(dz, de, tuple(m.transpose() for m in seq.right.mats)).check()
+    right = ModuleMorphism(de, dx, tuple(m.transpose() for m in seq.left.mats)).check()
+    return ShortExactSequence(left, right).verify()
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_sequence_starting_at_a_node_is_the_dual_of_one_over_the_opposite(name, field):
+    """For each non-injective node M, the dual of the sequence over A^op that ends at DM
+    starts at M, ends at tau^{-1} M with the matrices of Tr DM, has the middle term of the
+    sequence built at tau^{-1} M, and is almost split."""
+    cat = catalog_of(load_fixture_algebra(name, field=field))
+    assert cat.complete
+    for node in cat.nodes:
+        if node.inj_vertex is not None:
+            continue
+        dual = _dual_sequence(almost_split_sequence(dual_module(node.rep)))
+        tau_inv, tr_d = dual.right.target, ar_translate_inv(node.rep)
+        assert tuple(dual.left.source.mats) == tuple(node.rep.mats)
+        assert tuple(tau_inv.mats) == tuple(tr_d.mats)
+        assert is_isomorphic(dual.middle, almost_split_sequence(tr_d).middle)
+        _verify_almost_split(dual, tau_inv, endomorphism_radical(tau_inv), cat)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_carried_radical_equals_a_fresh_one(name, field):
+    """Every node found by splitting carries its locality certificate; the radical read off it
+    equals, entry by entry, the one split afresh on a copy, and the dual's carried radical spans
+    the same space as a fresh one."""
+    alg = load_fixture_algebra(name, field=field)
+    cat = catalog_of(alg)
+    for node in cat.nodes:
+        if node.rep.local_parts is None:
+            assert node.in_add_gen_cogen
+        else:
+            _assert_carried_radical(node.rep)
+
+
+def _assert_carried_radical(x):
+    fresh = Representation(x.algebra, x.dims, x.mats)
+    assert fresh.local_parts is None
+    assert [r.mats for r in endomorphism_radical(x)] == [r.mats for r in endomorphism_radical(fresh)]
+    dx = dual_module(x)
+    carried = [morphism_flat(r) for r in endomorphism_radical(dx)]
+    split = [morphism_flat(r) for r in endomorphism_radical(Representation(dx.algebra, dx.dims, dx.mats))]
+    assert len(carried) == len(split)
+    if split:
+        fld = x.algebra.field
+        assert rank(Mat.from_rows(fld, split)) == rank(Mat.from_rows(fld, carried + split)) == len(split)
+
+
+def _kronecker_regular(alg, n, lam):
+    """The Kronecker module with a = I and b = J_n(lam); End is k[x]/(x^n)."""
+    fld = alg.field
+    jordan = [[lam if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
+    return Representation(alg, (n, n), [Mat.identity(fld, n), Mat.from_rows(fld, jordan)])
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+def test_carried_radical_of_pieces_with_a_nonzero_radical(field):
+    """The fixture catalogs hold only bricks and modules of add(A + DA), whose carried radicals
+    are empty; here the pieces of sums in a random basis have radicals of dimension 0 to 2."""
+    rng = random.Random(12)
+    loop2 = load_fixture_algebra("loop2", field=field)
+    kron = load_fixture_algebra("kron", field=field)
+    gc = gen_cogen(loop2)
+    sums = [
+        direct_sum(loop2, [gc.projectives[0], gc.injectives[0], gc.projectives[1]]),
+        direct_sum(kron, [_kronecker_regular(kron, 2, 1), _kronecker_regular(kron, 3, 0)]),
+    ]
+    sizes = []
+    for m in sums:
+        pieces = indecomposable_summands(rebased(m, rng))
+        for piece in pieces:
+            _assert_carried_radical(piece)
+        sizes += [len(endomorphism_radical(p)) for p in pieces]
+    assert sorted(sizes) == [0, 1, 1, 1, 2]

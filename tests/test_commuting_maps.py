@@ -7,16 +7,15 @@ Since the reduced row echelon form is unique, the basis must be the same
 element by element and in the same order, over Q and over GF(101).
 """
 import random
-from fractions import Fraction
 
 import pytest
 
 from repherd import endo
 from repherd.fields import PrimeField, QQ
-from repherd.linalg import Mat, _gauss_jordan, inverse
-from repherd.modules import Representation, gen_cogen, hom_basis, morphism_flat
+from repherd.linalg import _gauss_jordan
+from repherd.modules import gen_cogen, hom_basis, morphism_flat
 
-from tests.conftest import load_fixture_algebra
+from tests.conftest import load_fixture_algebra, rebased
 
 ALGEBRAS = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
 FIELDS = [QQ, PrimeField(101)]
@@ -68,22 +67,6 @@ def assert_hom_matches(m, n):
     assert [morphism_flat(h) for h in hb] == dense_commuting_basis(m.algebra.field, m.dims, n.dims, arrow_squares(m, n))
     for h in hb:
         assert [(x.rows, x.cols) for x in h.mats] == list(zip(n.dims, m.dims))
-
-
-def rebased(m, rng):
-    """m in a random basis: x -> P_v x at each vertex, P_v triangular with rational entries."""
-    f = m.algebra.field
-    ps = []
-    for d in m.dims:
-        ent = [f.zero] * (d * d)
-        for r in range(d):
-            ent[r * d + r] = f.coerce(Fraction(rng.choice([1, 2, -3]), rng.choice([1, 5, 7])))
-            for c in range(r + 1, d):
-                ent[r * d + c] = f.coerce(Fraction(rng.randint(-4, 4), rng.choice([1, 3])))
-        ps.append(Mat(f, d, d, tuple(ent)))
-    q = m.algebra.quiver
-    mats = [ps[q.arrow_tgt[a]].mul(x).mul(inverse(ps[q.arrow_src[a]])) for a, x in enumerate(m.mats)]
-    return Representation(m.algebra, m.dims, mats)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

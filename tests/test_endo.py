@@ -2,9 +2,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repherd.dims import DimValue
 from repherd.endo import (
+    _eigenvalue,
     algebra_radical,
     certify_structure,
     endomorphism_algebra,
@@ -20,7 +23,8 @@ from repherd import io as rio
 from repherd.errors import FieldTooSmall, VerificationFailed
 from repherd.fields import PrimeField, QQ
 from repherd.homological import proj_dim
-from repherd.linalg import Mat
+from repherd.fields import _is_prime
+from repherd.linalg import Mat, inverse
 from repherd.modules import direct_sum, gen_cogen, injective_at, projective_at, simple_at
 
 from tests.conftest import load_fixture_algebra, plain_rank
@@ -237,6 +241,72 @@ def test_min_poly_and_roots():
     assert roots == [(Fraction(1), 2)]
     d = Mat.from_rows(QQ, [[2, 0], [0, 3]])
     assert sorted(r for r, _ in rational_roots(QQ, min_poly_of_matrix(d))) == [2, 3]
+
+
+def _root_search_eigenvalue(op):
+    """The eigenvalue as the root search alone finds it: the least root in the field of the
+    minimal polynomial of the first block of op that has one; else None.  A block whose
+    polynomial has a coefficient too large to factor counts as having none."""
+    for m in op:
+        if m.rows:
+            try:
+                roots = rational_roots(m.field, min_poly_of_matrix(m))
+            except RuntimeError:
+                roots = []
+            if roots:
+                return roots[0][0]
+    return None
+
+
+EIGEN_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(101)]
+
+
+@st.composite
+def _block(draw, field):
+    """A square block of size 0-5: lam + nilpotent, a sum of two such, or random, each in a
+    random basis; sizes 2 and 4 over GF(2) and 3 over GF(3) are the blocks whose size is 0
+    in the field."""
+    d = draw(st.integers(0, 5))
+    small = st.integers(-3, 3).map(field.coerce)
+    kind = draw(st.sampled_from(["single", "two", "random"]))
+    if kind == "random":
+        return Mat(field, d, d, tuple(draw(st.lists(small, min_size=d * d, max_size=d * d))))
+    cut = draw(st.integers(0, d)) if kind == "two" else d
+    lams = [draw(small), draw(small)]
+    ent = []
+    for i in range(d):
+        for j in range(d):
+            same = (i < cut) == (j < cut)
+            if i == j:
+                ent.append(lams[i >= cut])
+            elif j > i and same:
+                ent.append(draw(small))
+            else:
+                ent.append(field.zero)
+    core = Mat(field, d, d, tuple(ent))
+    lower = [draw(small) if j < i else field.one if i == j else field.zero for i in range(d) for j in range(d)]
+    upper = [draw(small) if j > i else field.one if i == j else field.zero for i in range(d) for j in range(d)]
+    s = Mat(field, d, d, tuple(lower)).mul(Mat(field, d, d, tuple(upper)))
+    return s.mul(core).mul(inverse(s)) if d else core
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(EIGEN_FIELDS).flatmap(lambda f: st.lists(_block(f), min_size=1, max_size=3)))
+def test_eigenvalue_read_off_the_trace_matches_the_root_search(op):
+    """Wherever the root search finds an eigenvalue, _eigenvalue returns the same one, and
+    it finds none where the search finds none (entries stay small enough to factor)."""
+    assert _eigenvalue(tuple(op)) == _root_search_eigenvalue(tuple(op))
+
+
+def test_eigenvalue_beyond_the_root_search():
+    """Over Q the root search gives up on the constant term p^2 of (x - p)^2 for a prime p
+    above 10^12; the trace still gives p."""
+    p = 10**12 + 39
+    assert _is_prime(p)
+    block = Mat.from_rows(QQ, [[p, 1], [0, p]])
+    assert _root_search_eigenvalue((block,)) is None
+    assert _eigenvalue((block,)) == p
 
 
 def test_idempotent_completeness_invariant(loop2):

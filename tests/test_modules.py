@@ -3,7 +3,7 @@ import random
 import pytest
 
 from repherd.errors import DimensionMismatch, InvalidRepresentation
-from repherd.fields import QQ
+from repherd.fields import QQ, PrimeField
 from repherd.linalg import Mat
 from repherd.modules import (
     ModuleMorphism,
@@ -17,10 +17,12 @@ from repherd.modules import (
     hom_dim,
     identity_morphism,
     indec_isomorphic,
+    indec_isomorphism,
     indecomposable_summands,
     injective_at,
     is_isomorphic,
     kernel_of,
+    morphism_is_invertible,
     projective_at,
     radical_of,
     simple_at,
@@ -28,6 +30,8 @@ from repherd.modules import (
     zero_morphism,
     zero_rep,
 )
+
+from tests.conftest import catalog_of, load_fixture_algebra, rebased
 
 
 def dims_of(rep):
@@ -297,3 +301,40 @@ def test_module_morphism_repr_is_readable(loop2):
     p, s = projective_at(loop2, 0), simple_at(loop2, 0)
     assert repr(zero_morphism(p, s)) == "ModuleMorphism(%s -> %s)" % (p.dims, s.dims)
     assert repr(zero_morphism(p, s)) == "ModuleMorphism((2, 1) -> (1, 0))"
+
+
+def _two_sided_isomorphism(x, y):
+    """The reference search: the first f in hom_basis(x, y) with some g . f invertible,
+    g in hom_basis(y, x)."""
+    if x.dims != y.dims:
+        return None
+    if x is y:
+        return identity_morphism(x)
+    if x.total_dim == 0:
+        return zero_morphism(x, y)
+    fwd = hom_basis(x, y)
+    bwd = hom_basis(y, x) if fwd else []
+    for f in fwd:
+        for g in bwd:
+            if morphism_is_invertible(compose(g, f)):
+                return f
+    return None
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", ["a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5"])
+def test_isomorphism_from_one_hom_space_matches_the_two_sided_search(name, field):
+    """On each ordered pair of catalog nodes with equal dimension vectors, and on each node
+    against a copy in a random basis, indec_isomorphism returns the reference's morphism."""
+    cat = catalog_of(load_fixture_algebra(name, field=field))
+    assert cat.complete
+    rng = random.Random(name)
+    reps = [node.rep for node in cat.nodes]
+    found = 0
+    for x in reps:
+        others = [y for y in reps if y.dims == x.dims] + [rebased(x, rng)]
+        for y in others:
+            iso = indec_isomorphism(x, y)
+            assert iso == _two_sided_isomorphism(x, y)
+            found += iso is not None
+    assert found == 2 * len(reps)
