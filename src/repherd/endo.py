@@ -506,14 +506,6 @@ def _single_eigenvalue(m):
         tr = f.add(tr, m.entries[i * d + i])
     lam = f.mul(tr, f.inv(dk))
     psi = m.sub(Mat.identity(f, d).scale(lam))
-    # a nilpotent psi has tr(psi^2) = 0, which costs d^2 products to test and turns most others away
-    x, tr2 = psi.entries, f.zero
-    for i in range(d):
-        for j in range(d):
-            if x[i * d + j] and x[j * d + i]:
-                tr2 = f.add(tr2, f.mul(x[i * d + j], x[j * d + i]))
-    if tr2:
-        return None
     e = 1  # psi is nilpotent exactly when psi^e = 0 for an e >= d
     while e < d and not psi.is_zero():
         psi = psi.mul(psi)

@@ -36,9 +36,11 @@ class Representation:
     which is set once it is found.
 
     `local_parts` is the certificate that End(m) is local, or None when none
-    has been found: the nilpotent parts that `fitting_split` kept for the
-    basis hom_basis(m, m), as tuples of one matrix per vertex.  They span
-    rad End(m); `endomorphism_radical` reads a basis off them.
+    has been found: nilpotent endomorphisms that span rad End(m), as tuples
+    of one matrix per vertex.  They are the parts that `fitting_split` kept
+    for the basis hom_basis(m, m), or the transposes of a module's parts
+    carried over to its dual by `dual_module`; `endomorphism_radical` reads
+    a basis off their span.
     """
 
     def __init__(self, algebra, dims, mats, summands=None, check=True):

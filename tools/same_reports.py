@@ -39,20 +39,24 @@ FIELDS = ["Q", 2, 3, 101]
 LARGE_BUDGET = ["--budget-modules", "1000", "--budget-dim", "4096"]
 # The module budgets of the catalog-q workload; these catalogs stay incomplete.
 EUCLIDEAN_BUDGETS = {"kronecker": 12, "d4_tilde": 20, "a3_tilde": 20, "a2_tilde": 20}
+# Seeds the coefficients of the generated Dynkin and Nakayama algebras.
+SEED = 3
+# Commands run at once, one per core of a 2-core machine.
+JOBS = 2
 
 
-def inputs(workdir, seed):
+def inputs(workdir):
     """(label, algebra file, budget arguments) for every input, written to workdir."""
     out = [(name, os.path.join(ROOT, "fixtures", name + ".json"), []) for name in FIXTURES]
     for field in FIELDS:
         tag = "Q" if field == "Q" else "GF%d" % field
         for kind, n in DYNKIN:
             label = "%s%d-%s" % (kind, n, tag)
-            alg = gen.dynkin_algebra(random.Random("%d:%s" % (seed, label)), kind, n, field)
+            alg = gen.dynkin_algebra(random.Random("%d:%s" % (SEED, label)), kind, n, field)
             out.append((label, gen.write_json(workdir, label + ".json", alg), LARGE_BUDGET))
         for n, r in NAKAYAMA:
             label = "nakayama%d-rad%d-%s" % (n, r, tag)
-            alg = gen.nakayama_algebra(random.Random("%d:%s" % (seed, label)), n, r, field)
+            alg = gen.nakayama_algebra(random.Random("%d:%s" % (SEED, label)), n, r, field)
             out.append((label, gen.write_json(workdir, label + ".json", alg), LARGE_BUDGET))
     for name, budget in EUCLIDEAN_BUDGETS.items():
         alg = gen.euclidean_algebra(random.Random("catalog-q:" + name), gen.EUCLIDEAN[name], "Q")
@@ -60,10 +64,10 @@ def inputs(workdir, seed):
     return out
 
 
-def commands(workdir, seed):
+def commands(workdir):
     """(label, argv) of every command to compare."""
     out = []
-    for label, path, budget in inputs(workdir, seed):
+    for label, path, budget in inputs(workdir):
         out.append(("check --suite all " + label, ["check", path, "--suite", "all"] + budget))
         out.append(("ar-quiver " + label, ["ar-quiver", path] + budget))
     return out
@@ -81,21 +85,19 @@ def run(tree, argv):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the commit to compare against")
-    ap.add_argument("--seed", type=int, default=3, help="seed of the generated algebras' labels")
-    ap.add_argument("--jobs", type=int, default=2, help="commands run at once")
     args = ap.parse_args(argv)
 
     parent = export(args.parent)
     workdir = tempfile.mkdtemp(prefix="inputs-", dir=os.path.dirname(parent))
     try:
-        cmds = commands(workdir, args.seed)
+        cmds = commands(workdir)
 
         def compare(cmd):
             label, argv = cmd
             return label, run(parent, argv), run(ROOT, argv)
 
         differ = 0
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             for label, old, new in pool.map(compare, cmds):
                 same = old == new
                 differ += not same
