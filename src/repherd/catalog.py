@@ -4,26 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, IncompleteCatalog, VerificationFailed
-from .homological import (
-    almost_split_sequence,
-    ar_translate,
-    ar_translate_inv,
-    inj_dim,
-    proj_dim,
-    reject_of,
-    trace_of,
-)
-from .linalg import SpanTracker
+from .homological import almost_split_sequence, ar_translate, inj_dim, proj_dim, reject_of, trace_of
 from .modules import (
     cokernel_of,
-    compose,
     dual_module,
-    endomorphism_radical,
     gen_cogen,
-    hom_basis,
     indecomposable_summands,
     iso_class_index,
-    morphism_flat,
     radical_of,
     socle_of,
 )
@@ -51,6 +38,10 @@ class CatalogNode:
     simple_vertex: int | None = None
     tau: int | None = None       # index of tau(this) when non-projective
     tau_inv: int | None = None   # index of tau^{-1}(this) when non-injective
+    # The AR arrows into this node, {source index: multiplicity}: the summands of
+    # rad P, or of the middle term of the almost-split sequence ending here.
+    # None until the node is knitted.
+    arrows: dict | None = None
 
     @property
     def in_add_gen_cogen(self):
@@ -62,7 +53,6 @@ class IndecomposableCatalog:
         self.algebra = algebra
         self.nodes = nodes
         self.complete = complete
-        self._hom_cache = {}
         self._facts = None
 
     def __len__(self):
@@ -70,15 +60,6 @@ class IndecomposableCatalog:
 
     def find(self, rep):
         return iso_class_index(rep, [node.rep for node in self.nodes])
-
-    def hom_basis(self, i, j):
-        key = (i, j)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = hom_basis(self.nodes[i].rep, self.nodes[j].rep)
-        return self._hom_cache[key]
-
-    def hom_dim(self, i, j):
-        return len(self.hom_basis(i, j))
 
     def node_named(self, name):
         for node in self.nodes:
@@ -122,8 +103,14 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         return len(nodes) - 1
 
     def add_summands(rep):
-        """Add rep's new indecomposable summands; False once over budget."""
-        return all(try_add(piece) is not None for piece in indecomposable_summands(rep))
+        """{node index: multiplicity} of rep's summands, adding new ones; None once over budget."""
+        counts = {}
+        for piece in indecomposable_summands(rep):
+            idx = try_add(piece)
+            if idx is None:
+                return None
+            counts[idx] = counts.get(idx, 0) + 1
+        return counts
 
     def add_translate(rep):
         """Node index of a translate of an indecomposable, or None over budget."""
@@ -141,6 +128,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     # node with a tau link got both of its tau-side neighbours as the
     # tau^{-1} side of its translate, and dually, so each sequence is built
     # once; the skipped steps could only re-find nodes, which keeps the order.
+    # The summands of rad P, or of the middle term, are the node's in-arrows.
     pos = 0
     while pos < len(queue) and complete:
         idx = queue[pos]
@@ -148,12 +136,13 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         node = nodes[idx]
         if node.proj_vertex is not None:
             rad, _ = radical_of(node.rep)
-            if not add_summands(rad):
+            node.arrows = add_summands(rad)
+            if node.arrows is None:
                 break
         if node.inj_vertex is not None:
             soc, incl = socle_of(node.rep)
             quot, _ = cokernel_of(incl)
-            if not add_summands(quot):
+            if add_summands(quot) is None:
                 break
         if node.proj_vertex is None and node.tau is None:
             seq = almost_split_sequence(node.rep)
@@ -162,7 +151,8 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
                 break
             node.tau = j
             nodes[j].tau_inv = idx
-            if not add_summands(seq.middle):
+            node.arrows = add_summands(seq.middle)
+            if node.arrows is None:
                 break
         if node.inj_vertex is None and node.tau_inv is None:
             # D of the sequence over A^op that ends at D(node): tau^{-1} = D tau D
@@ -171,9 +161,9 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
             if j is None:
                 break
             node.tau_inv = j
-            if nodes[j].tau is None:
-                nodes[j].tau = idx
-            if not add_summands(dual_module(seq.middle)):
+            nodes[j].tau = idx
+            nodes[j].arrows = add_summands(dual_module(seq.middle))
+            if nodes[j].arrows is None:
                 break
 
     cat.complete = complete
@@ -186,26 +176,17 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
 
 
 def _fill_tau_tables(cat: IndecomposableCatalog):
+    """Read tau off ar_translate for the nodes that a knitting stopped by the budget never reached.
+
+    Knitting links every node of a complete catalog both ways.
+    """
+    if cat.complete:
+        return
     for i, node in enumerate(cat.nodes):
         if node.proj_vertex is None and node.tau is None:
-            tz = ar_translate(node.rep)
-            idx = cat.find(tz)
-            if idx is None and cat.complete:
-                raise IncompleteCatalog("translate missing from a complete catalog")
-            node.tau = idx
-    for i, node in enumerate(cat.nodes):
-        if node.tau is not None:
-            cat.nodes[node.tau].tau_inv = i
-    if cat.complete:
-        for i, node in enumerate(cat.nodes):
-            if node.inj_vertex is None and node.tau_inv is None:
-                ti = ar_translate_inv(node.rep)
-                idx = cat.find(ti)
-                if idx is None:
-                    raise IncompleteCatalog("inverse translate missing from a complete catalog")
-                node.tau_inv = idx
-                if cat.nodes[idx].tau is None:
-                    cat.nodes[idx].tau = i
+            node.tau = cat.find(ar_translate(node.rep))
+            if node.tau is not None:
+                cat.nodes[node.tau].tau_inv = i
 
 
 def _assign_names(cat: IndecomposableCatalog):
@@ -249,50 +230,19 @@ def _assign_names(cat: IndecomposableCatalog):
 
 
 def ar_quiver(cat: IndecomposableCatalog):
-    """Arrows with multiplicities dim rad(X,Y)/rad^2(X,Y), plus the tau table."""
+    """The AR quiver of a complete catalog: its arrows and its tau table.
+
+    The arrows are (i, j, mult) for i -> j, sorted, with mult = dim rad(i, j)/rad^2(i, j).
+    They are the in-arrows that knitting recorded at each node j: the summands of rad P
+    when j is a projective P, and otherwise those of the middle term of the almost-split
+    sequence ending at j.  Every node has End/rad = k, so the number of times a summand
+    occurs is the multiplicity of its arrow.  The tau table is {i: index of tau(i)}.
+    """
     if not cat.complete:
         raise IncompleteCatalog("AR quiver needs a complete catalog")
-    n = len(cat.nodes)
-    fld = cat.algebra.field
-    rad_bases = {}
-    for i in range(n):
-        for j in range(n):
-            rad_bases[(i, j)] = endomorphism_radical(cat.nodes[i].rep) if i == j else cat.hom_basis(i, j)
-    arrows = []
-    for i in range(n):
-        for j in range(n):
-            base = rad_bases[(i, j)]
-            if not base:
-                continue
-            width = len(morphism_flat(base[0]))
-            sq = SpanTracker(fld, width)
-            for w in range(n):
-                for f1 in rad_bases[(i, w)]:
-                    for f2 in rad_bases[(w, j)]:
-                        sq.add(morphism_flat(compose(f2, f1)))
-            total = SpanTracker(fld, width)
-            for b in base:
-                total.add(morphism_flat(b))
-            mult = total.dim - sq.dim
-            if mult > 0:
-                arrows.append((i, j, mult))
+    arrows = sorted((i, j, mult) for j, node in enumerate(cat.nodes) for i, mult in node.arrows.items())
     tau_table = {i: node.tau for i, node in enumerate(cat.nodes) if node.tau is not None}
     return arrows, tau_table
-
-
-@dataclass
-class PartitionReport:
-    left_part: list
-    right_part: list
-    pd_le_1: list
-    id_le_1: list
-    gen_cogen: list          # nodes in add(A + DA)
-    in_gen_da: list
-    in_cogen_a: list
-    supp_hom_da: list        # Hom(DA, X) != 0
-    supp_hom_a: list         # Hom(X, A) != 0
-    pd_table: dict
-    id_table: dict
 
 
 def node_facts(cat: IndecomposableCatalog):
@@ -319,47 +269,34 @@ def node_facts(cat: IndecomposableCatalog):
     return facts
 
 
-def left_right_parts(cat: IndecomposableCatalog) -> PartitionReport:
+def left_right_parts(cat: IndecomposableCatalog):
+    """(left, right): the nodes whose predecessors all have pd <= 1, and whose successors all have id <= 1.
+
+    A predecessor of X is a node with a chain of nonzero maps to X, X included.  A complete
+    catalog is all of ind A, so rad^infinity = 0 (Harada-Sai): every nonzero map between
+    distinct indecomposables is a sum of composites of irreducible maps, and the
+    predecessors of X are the nodes with a path to X along the AR arrows.
+    """
     if not cat.complete:
         raise IncompleteCatalog("partitions need a complete catalog")
     n = len(cat.nodes)
     facts = node_facts(cat)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and cat.hom_dim(i, j) > 0:
-                adj[i][j] = True
-    reach = [row[:] for row in adj]
-    for i in range(n):
-        reach[i][i] = True
-    for w in range(n):
-        for i in range(n):
-            if reach[i][w]:
-                ri, rw = reach[i], reach[w]
-                for j in range(n):
-                    if rw[j]:
-                        ri[j] = True
-    pd1 = [facts[i]["pd"].le(1) is True for i in range(n)]
-    id1 = [facts[i]["id"].le(1) is True for i in range(n)]
-    left = []
-    right = []
-    for i in range(n):
-        preds = [j for j in range(n) if reach[j][i]]
-        if all(pd1[j] for j in preds):
-            left.append(i)
-        succs = [j for j in range(n) if reach[i][j]]
-        if all(id1[j] for j in succs):
-            right.append(i)
-    return PartitionReport(
-        left_part=left,
-        right_part=right,
-        pd_le_1=[i for i in range(n) if pd1[i]],
-        id_le_1=[i for i in range(n) if id1[i]],
-        gen_cogen=[i for i in range(n) if cat.nodes[i].in_add_gen_cogen],
-        in_gen_da=[i for i in range(n) if facts[i]["gen_da"]],
-        in_cogen_a=[i for i in range(n) if facts[i]["cogen_a"]],
-        supp_hom_da=[i for i in range(n) if facts[i]["supp_da"]],
-        supp_hom_a=[i for i in range(n) if facts[i]["supp_a"]],
-        pd_table={cat.nodes[i].name: facts[i]["pd"] for i in range(n)},
-        id_table={cat.nodes[i].name: facts[i]["id"] for i in range(n)},
-    )
+    out = [[] for _ in range(n)]
+    for j, node in enumerate(cat.nodes):
+        for i in node.arrows:
+            out[i].append(j)
+    below = _reach([i for i in range(n) if facts[i]["pd"].le(1) is not True], out)
+    above = _reach([i for i in range(n) if facts[i]["id"].le(1) is not True], [node.arrows for node in cat.nodes])
+    return [i for i in range(n) if i not in below], [i for i in range(n) if i not in above]
+
+
+def _reach(starts, step):
+    """The nodes reached from starts, starts included, along step[i]."""
+    seen = set(starts)
+    stack = list(starts)
+    while stack:
+        for j in step[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen

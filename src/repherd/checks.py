@@ -261,17 +261,15 @@ def check_corollary_parts(alg, catalog) -> CheckReport:
     """Left/right-part hypotheses that force the main verdict."""
     if not catalog.complete:
         raise IncompleteCatalog("corollary checks need a complete catalog")
-    parts = left_right_parts(catalog)
+    left, right = map(set, left_right_parts(catalog))
     n = len(catalog.nodes)
-    left = set(parts.left_part)
-    right = set(parts.right_part)
     simple_inj = {
         i for i, node in enumerate(catalog.nodes) if node.simple_vertex is not None and node.inj_vertex is not None
     }
     simple_proj = {
         i for i, node in enumerate(catalog.nodes) if node.simple_vertex is not None and node.proj_vertex is not None
     }
-    add_gc = set(parts.gen_cogen)
+    add_gc = {i for i, node in enumerate(catalog.nodes) if node.in_add_gen_cogen}
     hyp_a = set(range(n)) - left <= simple_inj and set(range(n)) - right <= add_gc
     hyp_b = set(range(n)) - right <= simple_proj and set(range(n)) - left <= add_gc
     hyp_c = set(range(n)) - (left & right) <= (simple_proj | simple_inj)

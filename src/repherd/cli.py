@@ -22,19 +22,32 @@ from .checks import (
     check_tilted_sufficient,
     run_all_checks,
 )
-from .errors import BudgetExceeded, NotTilting, RepherdError
+from .errors import BudgetExceeded, NotTilting, RepherdError, UsageError
 from .modules import gen_cogen, indecomposable_summands, iso_class_index
 
 _EXIT = {HOLDS: 0, FAILS: 1, DEGENERATE: 2, INCONCLUSIVE: 3}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a bad argument, which main reports on one line with exit code 4."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _positive(text):
+    """The value of a budget flag: a positive integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError("not a positive integer: %r" % text)
+    return n
+
+
 def _budget(args) -> Budget:
-    b = Budget()
-    if getattr(args, "budget_modules", None):
-        b.max_modules = args.budget_modules
-    if getattr(args, "budget_dim", None):
-        b.max_total_dim = args.budget_dim
-    return b
+    return Budget(args.budget_modules, args.budget_dim)
 
 
 def _emit(args, payload):
@@ -170,7 +183,7 @@ def cmd_check_tilted(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="repherd", description="Exact checks for representation-hereditary algebras")
+    ap = _Parser(prog="repherd", description="Exact checks for representation-hereditary algebras")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="algebra dimensions and counts")
@@ -181,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the verdict checks")
     p.add_argument("algebra")
     p.add_argument("--suite", choices=["main", "all", "tilted"], default="main")
-    p.add_argument("--budget-modules", type=int)
-    p.add_argument("--budget-dim", type=int)
+    p.add_argument("--budget-modules", type=_positive, default=Budget.max_modules)
+    p.add_argument("--budget-dim", type=_positive, default=Budget.max_total_dim)
     p.add_argument("--tilting", help="tilting summand file (for --suite tilted)")
     p.add_argument("--json", dest="json_out")
     p.set_defaults(func=cmd_check)
@@ -190,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ar-quiver", help="emit the AR quiver as DOT")
     p.add_argument("algebra")
     p.add_argument("--dot", dest="dot_out")
-    p.add_argument("--budget-modules", type=int)
-    p.add_argument("--budget-dim", type=int)
+    p.add_argument("--budget-modules", type=_positive, default=Budget.max_modules)
+    p.add_argument("--budget-dim", type=_positive, default=Budget.max_total_dim)
     p.set_defaults(func=cmd_ar_quiver)
 
     p = sub.add_parser("check-module", help="kernel/cokernel test for one module file")
@@ -203,16 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-tilted", help="tilted sufficiency over a hereditary algebra")
     p.add_argument("algebra")
     p.add_argument("tilting")
-    p.add_argument("--budget-modules", type=int)
-    p.add_argument("--budget-dim", type=int)
+    p.add_argument("--budget-modules", type=_positive, default=Budget.max_modules)
+    p.add_argument("--budget-dim", type=_positive, default=Budget.max_total_dim)
     p.add_argument("--json", dest="json_out")
     p.set_defaults(func=cmd_check_tilted)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (RepherdError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -9,6 +9,10 @@ class ParseError(RepherdError):
     pass
 
 
+class UsageError(RepherdError):
+    """A bad command-line argument."""
+
+
 class DimensionMismatch(RepherdError):
     pass
 

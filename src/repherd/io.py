@@ -282,6 +282,7 @@ def save_catalog_cache(alg, cat, budget):
                 "simple_vertex": node.simple_vertex,
                 "tau": node.tau,
                 "tau_inv": node.tau_inv,
+                "arrows": None if node.arrows is None else sorted([i, m] for i, m in node.arrows.items()),
             }
             for node in cat.nodes
         ],
@@ -308,7 +309,10 @@ def _catalog_from_cache(alg, data):
     be isomorphic to P(v) or I(v).  The links must pair up (tau X = Y iff
     tau^{-1} Y = X), each tau X must be isomorphic to the translate of X,
     and a complete catalog must link exactly its non-projective and
-    non-injective nodes.
+    non-injective nodes.  Each node's arrows must be None or pairs
+    [node index, multiplicity > 0] with distinct indices, every node of a
+    complete catalog must have them, and they must form AR meshes (see
+    _arrows_form_meshes).
     """
     from .catalog import CatalogNode, IndecomposableCatalog
     from .homological import ar_translate
@@ -321,6 +325,7 @@ def _catalog_from_cache(alg, data):
     nodes = []
     for nd in data["nodes"]:
         rep = module_from_dict(alg, nd["module"])
+        arrows = nd.get("arrows")
         node = CatalogNode(
             rep,
             name=nd["name"],
@@ -329,11 +334,19 @@ def _catalog_from_cache(alg, data):
             simple_vertex=nd["simple_vertex"],
             tau=nd["tau"],
             tau_inv=nd["tau_inv"],
+            arrows=None if arrows is None else dict(arrows),
         )
         vertex_flags = (node.proj_vertex, node.inj_vertex, node.simple_vertex)
         if not all(_index_or_none(x, n_vertices) for x in vertex_flags):
             return None
         if not all(_index_or_none(x, n_nodes) for x in (node.tau, node.tau_inv)):
+            return None
+        if node.arrows is None:
+            if data["complete"]:
+                return None
+        elif len(node.arrows) != len(arrows) or not all(
+            i is not None and _index_or_none(i, n_nodes) and type(m) is int and m > 0 for i, m in node.arrows.items()
+        ):
             return None
         for v, canonical in ((node.proj_vertex, gc.projectives), (node.inj_vertex, gc.injectives)):
             if v is not None and iso_class_index(rep, [canonical[v]]) is None:
@@ -351,8 +364,39 @@ def _catalog_from_cache(alg, data):
             return None
         if node.tau is not None and iso_class_index(ar_translate(node.rep), [nodes[node.tau].rep]) is None:
             return None
+    if not _arrows_form_meshes(nodes):
+        return None
     return IndecomposableCatalog(alg, nodes, data["complete"])
 
 
 def _index_or_none(x, n):
     return x is None or (type(x) is int and 0 <= x < n)
+
+
+def _arrows_form_meshes(nodes):
+    """Whether the recorded in-arrows are those of AR meshes, checked without a Hom solve.
+
+    At X, sum(mult * dim Y) over the arrows Y -> X is dim P(v) - e_v when X = P(v),
+    and dim tau X + dim X otherwise; then the arrows out of tau X are also those into
+    X, mult for mult, as End/rad = k at every node.  The mesh test passes over nodes
+    that a budget-stopped knitting left without arrows.
+    """
+    out = [{} for _ in nodes]
+    for y, node in enumerate(nodes):
+        for z, mult in (node.arrows or {}).items():
+            out[z][y] = mult
+    for node in nodes:
+        if node.arrows is None:
+            continue
+        if node.proj_vertex is not None:
+            want = list(node.rep.dims)
+            want[node.proj_vertex] -= 1
+        elif node.tau is not None:
+            want = [a + b for a, b in zip(nodes[node.tau].rep.dims, node.rep.dims)]
+            if {y: m for y, m in node.arrows.items() if nodes[y].arrows is not None} != out[node.tau]:
+                return False
+        else:
+            return False
+        if [sum(m * nodes[i].rep.dims[v] for i, m in node.arrows.items()) for v in range(len(want))] != want:
+            return False
+    return True

@@ -29,7 +29,7 @@ from repherd.checks import (
 from repherd.dims import DimValue
 from repherd.endo import gldim_end_gen_cogen
 from repherd.homological import proj_dim
-from repherd.modules import projective_at, simple_at
+from repherd.modules import hom_dim, projective_at, simple_at
 
 from tests.conftest import catalog_of, fixture_path, load_fixture_algebra, main_report_of
 
@@ -170,8 +170,8 @@ def test_criterion_09_field_robustness(gf101):
         ap = load_fixture_algebra(name, field=gf101)
         cq, cp = catalog_of(aq), catalog_of(ap)
         assert len(cq) == len(cp) and cq.complete == cp.complete, name
-        homs_q = sorted(cq.hom_dim(i, j) for i in range(len(cq)) for j in range(len(cq)))
-        homs_p = sorted(cp.hom_dim(i, j) for i in range(len(cp)) for j in range(len(cp)))
+        homs_q = sorted(hom_dim(x.rep, y.rep) for x in cq.nodes for y in cq.nodes)
+        homs_p = sorted(hom_dim(x.rep, y.rep) for x in cp.nodes for y in cp.nodes)
         assert homs_q == homs_p, name
         vq = check_representation_hereditary(aq, catalog=cq).verdict
         vp = check_representation_hereditary(ap, catalog=cp).verdict

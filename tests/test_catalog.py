@@ -3,7 +3,7 @@ import random
 import pytest
 
 from repherd import catalog
-from repherd.catalog import Budget, ar_quiver, enumerate_indecomposables, left_right_parts
+from repherd.catalog import Budget, ar_quiver, enumerate_indecomposables, left_right_parts, node_facts
 from repherd.errors import BudgetExceeded, IncompleteCatalog
 from repherd.fields import PrimeField
 from repherd.homological import (
@@ -13,14 +13,18 @@ from repherd.homological import (
     ar_translate,
     ar_translate_inv,
 )
-from repherd.linalg import Mat, rank
+from repherd.io import algebra_from_dict
+from repherd.linalg import Mat, SpanTracker, rank
 from repherd.modules import (
     ModuleMorphism,
     Representation,
+    compose,
     direct_sum,
     dual_module,
     endomorphism_radical,
     gen_cogen,
+    hom_basis,
+    hom_dim,
     indec_isomorphic,
     indecomposable_summands,
     is_isomorphic,
@@ -28,6 +32,7 @@ from repherd.modules import (
 )
 
 from tests.conftest import catalog_of, load_fixture_algebra, rebased
+from tests.test_cli import E6
 
 
 def names(cat):
@@ -129,38 +134,98 @@ def test_field_independence(gf101):
         cp = enumerate_indecomposables(ap)
         assert len(cq) == len(cp) and cq.complete == cp.complete
         assert sorted(n.rep.dims for n in cq.nodes) == sorted(n.rep.dims for n in cp.nodes)
-        homs_q = sorted(cq.hom_dim(i, j) for i in range(len(cq)) for j in range(len(cq)))
-        homs_p = sorted(cp.hom_dim(i, j) for i in range(len(cp)) for j in range(len(cp)))
+        homs_q = sorted(hom_dim(x.rep, y.rep) for x in cq.nodes for y in cq.nodes)
+        homs_p = sorted(hom_dim(x.rep, y.rep) for x in cp.nodes for y in cp.nodes)
         assert homs_q == homs_p
 
 
 def test_left_right_parts_hereditary(a3):
     cat = catalog_of(a3)
-    parts = left_right_parts(cat)
-    assert sorted(parts.left_part) == list(range(len(cat)))
+    left, _ = left_right_parts(cat)
+    assert left == list(range(len(cat)))
 
 
 def test_left_right_parts_loop2(loop2):
     cat = catalog_of(loop2)
-    parts = left_right_parts(cat)
+    left, _ = left_right_parts(cat)
     s1 = next(i for i, n in enumerate(cat.nodes) if n.name == "S(1)")
-    assert s1 not in parts.left_part
-    assert parts.left_part == [next(i for i, n in enumerate(cat.nodes) if n.name == "P(2)")]
-    # pd table consistent with proj_dim
-    assert str(parts.pd_table["S(1)"]) == "infinite"
-    assert str(parts.pd_table["P(2)"]) == "0"
+    assert s1 not in left
+    assert left == [next(i for i, n in enumerate(cat.nodes) if n.name == "P(2)")]
+    # pd facts consistent with proj_dim
+    facts = {node.name: fact for node, fact in zip(cat.nodes, node_facts(cat))}
+    assert str(facts["S(1)"]["pd"]) == "infinite"
+    assert str(facts["P(2)"]["pd"]) == "0"
 
 
 def test_pd_tables_cross_checked(tilted4):
     from repherd.homological import proj_dim
 
     cat = catalog_of(tilted4)
-    parts = left_right_parts(cat)
-    for node in cat.nodes:
-        assert str(parts.pd_table[node.name]) == str(proj_dim(node.rep))
+    for node, fact in zip(cat.nodes, node_facts(cat)):
+        assert str(fact["pd"]) == str(proj_dim(node.rep))
 
 
 COMPLETE_FIXTURES = ("a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5")
+
+
+def _rad_rad2_arrows(cat):
+    """Reference AR arrows (i, j, dim rad(i, j)/rad^2(i, j)), from every Hom space and every composite."""
+    n = len(cat.nodes)
+    fld = cat.algebra.field
+    rad_bases = {}
+    for i in range(n):
+        for j in range(n):
+            x, y = cat.nodes[i].rep, cat.nodes[j].rep
+            rad_bases[(i, j)] = endomorphism_radical(x) if i == j else hom_basis(x, y)
+    arrows = []
+    for i in range(n):
+        for j in range(n):
+            base = rad_bases[(i, j)]
+            if not base:
+                continue
+            width = len(morphism_flat(base[0]))
+            sq = SpanTracker(fld, width)
+            for w in range(n):
+                for f1 in rad_bases[(i, w)]:
+                    for f2 in rad_bases[(w, j)]:
+                        sq.add(morphism_flat(compose(f2, f1)))
+            total = SpanTracker(fld, width)
+            for b in base:
+                total.add(morphism_flat(b))
+            if total.dim > sq.dim:
+                arrows.append((i, j, total.dim - sq.dim))
+    return arrows
+
+
+def _hom_reach_parts(cat):
+    """Reference (left, right): closures of nonzero Hom between the nodes, X itself included."""
+    n = len(cat.nodes)
+    facts = node_facts(cat)
+    reach = [{j for j in range(n) if j == i or hom_dim(cat.nodes[i].rep, cat.nodes[j].rep)} for i in range(n)]
+    grew = True
+    while grew:
+        grew = False
+        for i in range(n):
+            wider = set().union(*(reach[j] for j in reach[i]))
+            if wider != reach[i]:
+                reach[i], grew = wider, True
+    left = [i for i in range(n) if all(facts[j]["pd"].le(1) is True for j in range(n) if i in reach[j])]
+    right = [i for i in range(n) if all(facts[j]["id"].le(1) is True for j in reach[i])]
+    return left, right
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", [*COMPLETE_FIXTURES, "E6"])
+def test_recorded_arrows_and_parts_match_the_hom_references(name, field):
+    """The arrows knitting records are those of rad/rad^2, with multiplicities, and the left and
+    right parts read off them are those of reachability by nonzero maps."""
+    if name == "E6":
+        cat = catalog_of(algebra_from_dict(dict(E6, field="Q"), field=field), Budget(max_total_dim=256))
+    else:
+        cat = catalog_of(load_fixture_algebra(name, field=field))
+    assert cat.complete
+    assert ar_quiver(cat)[0] == _rad_rad2_arrows(cat)
+    assert left_right_parts(cat) == _hom_reach_parts(cat)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])

@@ -81,7 +81,9 @@ def test_cached_flags_are_verified(tmp_path, monkeypatch, capsys):
 
 
 def test_cached_tau_links_are_verified(tmp_path, monkeypatch, capsys):
-    """A cache file whose tau links are swapped or missing is a miss: the suite's report is the uncached one."""
+    """A cache file whose tau links are swapped or missing, or whose arrows are wrong or missing,
+    is a miss: the suite's report, which reads the left and right parts off the arrows, is the
+    uncached one."""
     from repherd import io as rio
 
     monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
@@ -102,10 +104,71 @@ def test_cached_tau_links_are_verified(tmp_path, monkeypatch, capsys):
     missing = copy.deepcopy(good)
     nds = missing["nodes"]
     nds[nds[i]["tau"]]["tau_inv"] = nds[i]["tau"] = None
-    for bad in (swapped, missing):
-        assert rio._catalog_from_cache(alg, bad) is None
+    k = next(n for n, nd in enumerate(good["nodes"]) if nd["arrows"])
+    # One source Y -> X replaced by two nodes whose dimension vectors add up to dim Y:
+    # only the mesh at X can tell.
+    dims = [node.rep.dims for node in rio._catalog_from_cache(alg, good).nodes]
+    x, y, y1, y2 = next(
+        (x, y, y1, y2)
+        for x, nd in enumerate(good["nodes"])
+        for y, m in nd["arrows"]
+        if m == 1
+        for y1 in range(len(dims))
+        for y2 in range(y1 + 1, len(dims))
+        if [a + b for a, b in zip(dims[y1], dims[y2])] == list(dims[y])
+    )
+    arrow_faults = []
+    for fault in ("mult", "drop", "range", "null", "no key", "split"):
+        bad = copy.deepcopy(good)
+        nd = bad["nodes"][k]
+        if fault == "mult":
+            nd["arrows"][0][1] += 1
+        elif fault == "drop":
+            nd["arrows"].pop()
+        elif fault == "range":
+            nd["arrows"][0][0] = len(bad["nodes"])
+        elif fault == "null":
+            nd["arrows"] = None
+        elif fault == "no key":
+            del nd["arrows"]
+        else:
+            arrows = dict(bad["nodes"][x]["arrows"])
+            del arrows[y]
+            arrows[y1], arrows[y2] = arrows.get(y1, 0) + 1, arrows.get(y2, 0) + 1
+            bad["nodes"][x]["arrows"] = sorted(map(list, arrows.items()))
+        arrow_faults.append(bad)
+    for bad in (swapped, missing, *arrow_faults):
         cached.write_text(json.dumps(bad))
+        assert rio._catalog_from_cache(alg, bad) is None
         assert (main(argv), capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check", "a3.json", "--budget-modules", "abc"], "--budget-modules"),
+        (["check", "a3.json", "--bogus"], "--bogus"),
+        (["check"], "algebra"),
+        (["frobnicate"], "frobnicate"),
+    ]
+    + [
+        ([*command, flag, value], flag)
+        for command in (["check", "a3.json"], ["ar-quiver", "a3.json"], ["check-tilted", "a2.json", "tilting_a2.json"])
+        for flag in ("--budget-modules", "--budget-dim")
+        for value in ("0", "-1")
+    ],
+)
+def test_usage_errors_exit_4_with_one_line(argv, named, capsys):
+    """A bad argument, a budget flag of 0 or less among them, exits 4 with one line that names it."""
+    assert main([fixture_path(a) if a.endswith(".json") else a for a in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("p", [3, 13, 23])

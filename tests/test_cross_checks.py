@@ -71,4 +71,4 @@ def test_hom_dimension_matrix_symmetry_under_duality(loop2):
     for i in range(len(cat.nodes)):
         for j in range(len(cat.nodes)):
             x, y = cat.nodes[i].rep, cat.nodes[j].rep
-            assert cat.hom_dim(i, j) == hom_dim(dual_module(y), dual_module(x))
+            assert hom_dim(x, y) == hom_dim(dual_module(y), dual_module(x))
