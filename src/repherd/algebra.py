@@ -114,18 +114,11 @@ class BoundQuiverAlgebra:
         self.basis_from = tuple(
             tuple(i for i, p in enumerate(_basis) if p.start == v) for v in range(n)
         )
-        self.basis_between = {}
-        for i, p in enumerate(_basis):
-            k = (p.start, p.end(quiver))
-            self.basis_between.setdefault(k, []).append(i)
         self._opposite = None
         self._gen_cogen = None              # filled by modules.gen_cogen
         self._projectives = {}              # vertex -> (P(v), paths), filled by modules.projective_paths
 
     # -- reduction ---------------------------------------------------------
-
-    def stationary(self, v: int) -> Path:
-        return Path(v, ())
 
     def reduce_path(self, p: Path):
         """Coordinates of a path over the basis; paths beyond the bound are 0."""

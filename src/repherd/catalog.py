@@ -201,32 +201,29 @@ def _assign_names(cat: IndecomposableCatalog):
     for i, node in enumerate(cat.nodes):
         if node.name:
             continue
-        # walk tau repeatedly; reaching a projective P after k steps names tau^{-k} P
-        k = 0
-        cur = i
-        seen = set()
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            if cat.nodes[cur].proj_vertex is not None:
-                node.name = "τ%sP(%s)" % (_sup(-k), verts[cat.nodes[cur].proj_vertex])
+        # reaching a projective P after k tau steps names tau^{-k} P; an injective I after k
+        # tau^{-1} steps names tau^k I
+        for link, end, letter, sign in (("tau", "proj_vertex", "P", -1), ("tau_inv", "inj_vertex", "I", 1)):
+            hit = _walk_to(cat, i, link, end)
+            if hit is not None:
+                node.name = "τ%s%s(%s)" % (_sup(sign * hit[0]), letter, verts[hit[1]])
                 break
-            nxt = cat.nodes[cur].tau
-            cur = nxt
-            k += 1
-        if node.name:
-            continue
-        k = 0
-        cur = i
-        seen = set()
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            if cat.nodes[cur].inj_vertex is not None:
-                node.name = "τ%sI(%s)" % (_sup(k), verts[cat.nodes[cur].inj_vertex])
-                break
-            cur = cat.nodes[cur].tau_inv
-            k += 1
-        if not node.name:
+        else:
             node.name = "M%d%s" % (i, node.rep.dims)
+
+
+def _walk_to(cat: IndecomposableCatalog, i: int, link: str, end: str):
+    """(k, v) for the first node k steps from node i along the `link` attribute whose `end`
+    vertex v is set; None if the walk stops or cycles first."""
+    seen = set()
+    cur = i
+    while cur is not None and cur not in seen:
+        seen.add(cur)
+        v = getattr(cat.nodes[cur], end)
+        if v is not None:
+            return len(seen) - 1, v
+        cur = getattr(cat.nodes[cur], link)
+    return None
 
 
 def ar_quiver(cat: IndecomposableCatalog):

@@ -31,7 +31,6 @@ from .modules import (
     gen_cogen,
     hom_basis,
     indecomposable_summands,
-    is_isomorphic,
     iso_class_index,
     kernel_of,
     simple_at,
@@ -415,7 +414,10 @@ def _built_right_approx_ok(x, inj_list, inj_homs, add_homs) -> bool:
     projective cover of its cokernel, is a minimal right add(add_list)-approximation of x.
 
     inj_homs is a Hom table whose modules begin with inj_list, and add_list is the list of
-    modules of the Hom table add_homs.
+    modules of the Hom table add_homs.  The source of any right approximation f splits as
+    X1 + X2 with f|X1 right minimal and f|X2 = 0 (Auslander–Reiten–Smalø, ch. I §2), so a
+    right approximation is minimal exactly when its source has the minimal source's
+    dimension vector.
     """
     alg = x.algebra
     add_list = add_homs.modules
@@ -428,7 +430,7 @@ def _built_right_approx_ok(x, inj_list, inj_homs, add_homs) -> bool:
     mats = [hstack(alg.field, [fr.mats[v], lift.mats[v]], rows=x.dims[v]) for v in range(len(x.dims))]
     fp = ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
     minimal = minimal_right_approx(x, add_list, _homs=add_homs)
-    return is_isomorphic(fp.source, minimal.source) and is_right_approx(fp, add_list)
+    return fp.source.dims == minimal.source.dims and is_right_approx(fp, add_list)
 
 
 # -- tilted sufficiency ---------------------------------------------------------

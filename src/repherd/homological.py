@@ -23,7 +23,7 @@ from .modules import (
     identity_morphism,
     image_of,
     indec_isomorphism,
-    indecomposable_summands,
+    is_isomorphic,
     iso_class_index,
     kernel_of,
     morphism_add,
@@ -136,41 +136,25 @@ def cosyzygy(m: Representation, k: int = 1) -> Representation:
     return cur
 
 
-class _PieceRegistry:
-    """Canonical indices for indecomposables seen while iterating syzygies."""
-
-    def __init__(self):
-        self.items = []
-
-    def key(self, rep: Representation):
-        out = []
-        for p in indecomposable_summands(rep):
-            i = iso_class_index(p, self.items)
-            if i is None:
-                self.items.append(p)
-                i = len(self.items) - 1
-            out.append(i)
-        return tuple(sorted(out))
-
-
 def proj_dim(m: Representation, bound: int | None = None) -> DimValue:
-    """Projective dimension with an isomorphism-cycle certificate for infinity."""
+    """Projective dimension, with a syzygy isomorphic to an earlier one certifying infinity.
+
+    is_isomorphic compares dimension vectors first, so a syzygy is decomposed only when
+    its dimension vector repeats one seen before.
+    """
     if bound is None:
         bound = 2 * m.algebra.dim
     if m.is_zero():
         return DimValue.finite(0)
-    reg = _PieceRegistry()
-    seen = {}
+    history = [m]
     cur = m
-    seen[reg.key(cur)] = 0
     for i in range(1, bound + 1):
         cur = kernel_of(projective_cover(cur))[0]
         if cur.is_zero():
             return DimValue.finite(i - 1)
-        k = reg.key(cur)
-        if k in seen:
+        if any(is_isomorphic(old, cur) for old in history):
             return DimValue.infinite()
-        seen[k] = i
+        history.append(cur)
     return DimValue.at_least(bound)
 
 
@@ -484,17 +468,6 @@ def solve_factor_right(f: ModuleMorphism, h: ModuleMorphism):
     if sol is None:
         return None
     return morphism_combo(fld, basis, sol.col(0), x, f.source)
-
-
-def solve_factor_left(f: ModuleMorphism, h: ModuleMorphism):
-    """g with g . f = h, where h : source(f) -> Y; None if impossible.
-
-    The dual of solve_factor_right over the opposite algebra.
-    """
-    dg = solve_factor_right(dual_morphism(f), dual_morphism(h))
-    if dg is None:
-        return None
-    return ModuleMorphism(f.target, h.target, dual_morphism(dg).mats)
 
 
 # -- trace, reject, approximations ----------------------------------------------

@@ -1,11 +1,25 @@
-"""The add(A + DA) record: its Hom tables, and the kernel test's projectivity by a dimension count."""
+"""The add(A + DA) record: its Hom tables, the kernel test's projectivity by a dimension count,
+and part (v)'s minimality by dimension vectors."""
 import pytest
 
 from repherd import checks, homological, modules
 from repherd import io as rio
 from repherd.fields import PrimeField
-from repherd.homological import minimal_right_approx, projective_cover
-from repherd.modules import dual_module, gen_cogen, kernel_of, radical_of, simple_at
+from repherd.homological import is_right_approx, minimal_right_approx, projective_cover, solve_factor_right
+from repherd.linalg import hstack
+from repherd.modules import (
+    HomTable,
+    ModuleMorphism,
+    cokernel_of,
+    direct_sum,
+    dual_module,
+    gen_cogen,
+    is_isomorphic,
+    kernel_of,
+    projective_at,
+    radical_of,
+    simple_at,
+)
 
 from tests.conftest import catalog_of, fixture_path, load_fixture_algebra
 
@@ -162,3 +176,65 @@ def test_second_kernel_test_solves_no_hom_among_the_summands(name, monkeypatch):
     second = [checks._module_kernel_test(alg, x) for x in outside]
     assert calls == []
     assert first == second
+
+
+def _decomposed_built_right_approx(x, inj_list, inj_homs, add_homs):
+    """Reference for checks._built_right_approx_ok that compares the two sources by
+    decomposition: (built map is a right approximation, sources isomorphic, same dimension
+    vector), or None when the cokernel's cover does not lift."""
+    alg = x.algebra
+    fr = minimal_right_approx(x, inj_list, _homs=inj_homs)
+    cok, cproj = cokernel_of(fr)
+    cover = projective_cover(cok)
+    lift = solve_factor_right(cproj, cover)
+    if lift is None:
+        return None
+    mats = [hstack(alg.field, [fr.mats[v], lift.mats[v]], rows=x.dims[v]) for v in range(len(x.dims))]
+    fp = ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
+    minimal = minimal_right_approx(x, add_homs.modules, _homs=add_homs)
+    return (is_right_approx(fp, add_homs.modules), is_isomorphic(fp.source, minimal.source),
+            fp.source.dims == minimal.source.dims)
+
+
+def _assert_minimality_by_dims(x, inj_list, inj_homs, add_homs):
+    """checks._built_right_approx_ok(...) is the decomposing reference's verdict, and on a right
+    approximation the dimension vectors of the two sources decide their isomorphism."""
+    ref = _decomposed_built_right_approx(x, inj_list, inj_homs, add_homs)
+    got = checks._built_right_approx_ok(x, inj_list, inj_homs, add_homs)
+    if ref is None:
+        assert got is False
+        return None
+    approx, iso, same_dims = ref
+    if approx:
+        assert iso == same_dims
+    assert got == (approx and iso)
+    return got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", ["a2"] + COMPLETE)
+def test_part_v_minimality_by_dimension_vectors(name, field):
+    """On every module outside add(A + DA), and on its dual, part (v)'s comparison of
+    dimension vectors gives the verdict of the comparison by decomposition."""
+    alg = load_fixture_algebra(name, field)
+    gc = gen_cogen(alg)
+    dual_proj = gc.duals[: len(gc.projectives)]
+    for x in _outside(alg):
+        assert _assert_minimality_by_dims(x, gc.injectives, gc.inj_homs, gc.homs) is True
+        assert _assert_minimality_by_dims(dual_module(x), dual_proj, gc.dual_homs, gc.dual_homs) is True
+
+
+def test_part_v_says_not_minimal(d4):
+    """A right approximation with too large a source is not minimal.  On d4, P(3) together with
+    the cover of its cokernel maps onto tau^-1 P(1) from a module of dimension vector (1,1,2,1);
+    the minimal add(A + DA)-approximation has source (1,1,1,1)."""
+    gc = gen_cogen(d4)
+    x = catalog_of(d4).node_named("τ⁻¹P(1)").rep
+    p3 = projective_at(d4, "3")
+    assert _decomposed_built_right_approx(x, [p3], HomTable([p3]), gc.homs) == (True, False, False)
+    assert checks._built_right_approx_ok(x, [p3], HomTable([p3]), gc.homs) is False
+    assert checks._built_right_approx_ok(x, gc.injectives, gc.inj_homs, gc.homs) is True
+    # every single summand of add(A + DA) in place of the injectives
+    verdicts = [_assert_minimality_by_dims(y, [u], HomTable([u]), gc.homs)
+                for y in _outside(d4) for u in gc.modules]
+    assert verdicts.count(False) == 9 and verdicts.count(True) == 23

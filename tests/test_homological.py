@@ -19,7 +19,6 @@ from repherd.homological import (
     proj_dim,
     projective_cover,
     reject_of,
-    solve_factor_left,
     solve_factor_right,
     syzygy,
     trace_of,
@@ -31,6 +30,7 @@ from repherd.modules import (
     compose,
     direct_sum,
     dual_module,
+    dual_morphism,
     gen_cogen,
     hom_basis,
     hom_dim,
@@ -38,6 +38,7 @@ from repherd.modules import (
     indecomposable_summands,
     injective_at,
     is_isomorphic,
+    iso_class_index,
     kernel_of,
     morphism_flat,
     projective_at,
@@ -236,10 +237,12 @@ def test_approx_factoring_self_verified(loop2):
     for x in xs:
         for h in hom_basis(x, s1):
             assert solve_factor_right(f, h) is not None
+    # g is a left approximation when every h : s1 -> x factors as h = t . g, that is,
+    # when D h factors through D g over the opposite algebra
     g = minimal_left_approx(s1, xs)
     for x in xs:
         for h in hom_basis(s1, x):
-            assert solve_factor_left(g, h) is not None
+            assert solve_factor_right(dual_morphism(g), dual_morphism(h)) is not None
 
 
 def test_minimality_certificate(loop2):
@@ -391,3 +394,66 @@ def test_one_pass_approx_with_repeated_and_decomposable_modules(name):
     outside = [node.rep for node in catalog_of(alg).nodes if not node.in_add_gen_cogen]
     for m in outside + [direct_sum(alg, outside[:2])]:
         _assert_same_approx(m, xs)
+
+
+COMPLETE_FIXTURES = ("a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5")
+
+
+def _keyed_proj_dim(m, bound=None):
+    """Reference projective dimension that keys each syzygy by the isomorphism classes of its
+    summands and stops when a key repeats.  Also returns whether some syzygy has the dimension
+    vector of an earlier one without being isomorphic to it."""
+    if bound is None:
+        bound = 2 * m.algebra.dim
+    if m.is_zero():
+        return DimValue.finite(0), False
+    classes = []
+
+    def key(rep):
+        out = []
+        for p in indecomposable_summands(rep):
+            i = iso_class_index(p, classes)
+            if i is None:
+                classes.append(p)
+                i = len(classes) - 1
+            out.append(i)
+        return tuple(sorted(out))
+
+    seen = {key(m): m.dims}
+    cur, clash = m, False
+    for i in range(1, bound + 1):
+        cur = kernel_of(projective_cover(cur))[0]
+        if cur.is_zero():
+            return DimValue.finite(i - 1), clash
+        k = key(cur)
+        if k in seen:
+            return DimValue.infinite(), clash
+        clash = clash or cur.dims in seen.values()
+        seen[k] = cur.dims
+    return DimValue.at_least(bound), clash
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_proj_and_inj_dim_match_the_keyed_reference(name, field):
+    """proj_dim and inj_dim of every indecomposable equal the reference, at the default bound
+    and at the bounds 1 to 3.  On loop2 the nodes include an infinite certificate and a syzygy
+    whose dimension vector repeats that of an earlier one not isomorphic to it: the syzygies
+    of I(2) are S(1), then P(2) + S(1) twice, so at bound 2 its projective dimension is
+    at least 2, not infinite."""
+    alg = load_fixture_algebra(name, field=field)
+    cat = catalog_of(alg)
+    assert cat.complete
+    infinite = clashes = 0
+    for node in cat.nodes:
+        for bound in (None, 1, 2, 3):
+            for got, (want, clash) in (
+                (proj_dim(node.rep, bound), _keyed_proj_dim(node.rep, bound)),
+                (inj_dim(node.rep, bound), _keyed_proj_dim(dual_module(node.rep), bound)),
+            ):
+                assert got == want
+                infinite += want.is_infinite
+                clashes += clash
+    if name == "loop2":
+        assert infinite and clashes
+        assert proj_dim(cat.node_named("I(2)").rep, 2) == DimValue.at_least(2)

@@ -9,8 +9,10 @@ change is the working tree.  Both run the same list of commands on the same
 input files: ``check --suite all`` and ``ar-quiver`` on each algebra fixture,
 on Dynkin and Nakayama algebras from ``perfbench/gen.py`` over Q, GF(2),
 GF(3) and GF(101), and on the four Euclidean quivers of the ``catalog-q``
-workload.  Every command whose stdout or exit code differs between the two
-trees is listed; the exit code is 1 when any does.  The catalog cache stays
+workload; ``check-tilted`` on each shipped tilting module with its hereditary
+algebra; and ``check-module`` on each shipped module with its algebra.  Every
+command whose stdout or exit code differs between the two trees is listed;
+the exit code is 1 when any does.  The catalog cache stays
 off, so each command computes its catalog afresh.
 """
 from __future__ import annotations
@@ -32,6 +34,9 @@ import gen  # noqa: E402
 from bench_pairs import export  # noqa: E402
 
 FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+# (algebra, tilting module) and (algebra, module) fixture pairs
+TILTED = [("h5", "tilting_h5"), ("a2", "tilting_a2"), ("a3", "tilting_a3")]
+MODULES = [("kron", "kron_preproj"), ("kron", "kron_regular"), ("tilted5", "tilted5_tauinv4p1")]
 DYNKIN = [("E", 6), ("E", 7), ("D", 6), ("A", 7)]
 NAKAYAMA = [(6, 2), (8, 3), (7, 4)]
 FIELDS = ["Q", 2, 3, 101]
@@ -70,6 +75,10 @@ def commands(workdir):
     for label, path, budget in inputs(workdir):
         out.append(("check --suite all " + label, ["check", path, "--suite", "all"] + budget))
         out.append(("ar-quiver " + label, ["ar-quiver", path] + budget))
+    for sub, pairs in (("check-tilted", TILTED), ("check-module", MODULES)):
+        for alg, mod in pairs:
+            paths = [os.path.join(ROOT, "fixtures", name + ".json") for name in (alg, mod)]
+            out.append(("%s %s %s" % (sub, alg, mod), [sub] + paths))
     return out
 
 
