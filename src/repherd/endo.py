@@ -171,8 +171,8 @@ def rational_roots(field, poly):
         a0, an = ip[0], ip[-1]
         for pnum in _int_divisors(a0):
             for qden in _int_divisors(an):
-                candidates.append(Fraction(pnum, qden))
-                candidates.append(Fraction(-pnum, qden))
+                candidates.append(f.coerce(Fraction(pnum, qden)))
+                candidates.append(f.coerce(Fraction(-pnum, qden)))
     elif isinstance(f, PrimeField):
         candidates = _gfp_roots(f, poly)
     else:

@@ -1,7 +1,12 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Rational scalars are `fractions.Fraction`; prime-field scalars are plain
-ints normalized to the range 0..p-1.  No floating point anywhere.
+A rational scalar is an `int` when it is integral and a `fractions.Fraction`
+with denominator > 1 otherwise, so the integers that make up most entries
+are multiplied, added and tested for zero by int code rather than by the
+Python-level `Fraction` methods.  `Fraction(n) == n`, the two hash alike and
+print alike under `str`, so a `Mat` or cache key holding either form of the
+same value compares, hashes and formats the same.  Prime-field scalars are
+plain ints normalized to the range 0..p-1.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -40,21 +45,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _q(x):
+    """x in the stored form of Q: an int when integral, else a Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals:
-    """The field of rational numbers."""
+    """The field of rational numbers, each an int or a non-integral Fraction."""
 
     kind = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
@@ -62,27 +72,27 @@ class Rationals:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _q(Fraction(1, a))
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def coerce(self, x):
         if isinstance(x, Fraction):
-            return x
+            return _q(x)
         if isinstance(x, int):
-            return Fraction(x)
+            return x
         if isinstance(x, str):
             return self.parse(x)
         raise ParseError("cannot coerce %r into Q" % (x,))
 
     def parse(self, text):
         if isinstance(text, int):
-            return Fraction(text)
+            return text
         if isinstance(text, float):
             raise ParseError("floating point coefficients are not allowed")
         try:
-            return Fraction(str(text).strip())
+            return _q(Fraction(str(text).strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError("bad rational coefficient %r" % (text,)) from exc
 

@@ -23,7 +23,7 @@ from .modules import (
     identity_morphism,
     image_of,
     indec_isomorphism,
-    is_isomorphic,
+    indecomposable_summands,
     iso_class_index,
     kernel_of,
     morphism_add,
@@ -34,6 +34,7 @@ from .modules import (
     projective_at,
     projective_paths,
     radical_of,
+    same_summands,
     zero_morphism,
     zero_rep,
 )
@@ -139,22 +140,28 @@ def cosyzygy(m: Representation, k: int = 1) -> Representation:
 def proj_dim(m: Representation, bound: int | None = None) -> DimValue:
     """Projective dimension, with a syzygy isomorphic to an earlier one certifying infinity.
 
-    is_isomorphic compares dimension vectors first, so a syzygy is decomposed only when
-    its dimension vector repeats one seen before.
+    A syzygy is decomposed only when its dimension vector repeats one seen
+    before, and each at most once: its summands are kept for later syzygies.
     """
     if bound is None:
         bound = 2 * m.algebra.dim
     if m.is_zero():
         return DimValue.finite(0)
-    history = [m]
-    cur = m
+    syz = [m]
+    pieces = {}
+
+    def summands(k):
+        if k not in pieces:
+            pieces[k] = indecomposable_summands(syz[k])
+        return pieces[k]
+
     for i in range(1, bound + 1):
-        cur = kernel_of(projective_cover(cur))[0]
+        cur = kernel_of(projective_cover(syz[-1]))[0]
         if cur.is_zero():
             return DimValue.finite(i - 1)
-        if any(is_isomorphic(old, cur) for old in history):
+        syz.append(cur)
+        if any(same_summands(summands(k), summands(i)) for k in range(i) if syz[k].dims == cur.dims):
             return DimValue.infinite()
-        history.append(cur)
     return DimValue.at_least(bound)
 
 

@@ -6,11 +6,16 @@ runs on one kernel, a row space kept as `{pivot: row}`: each row is a sparse
 dict `{column: int}` whose least column is its pivot, and every stored row is
 zero at every other pivot.  Over Q a row of rationals is first scaled to
 integers by the lcm of its denominators; row operations multiply by integers
-only, and each row is kept primitive with a positive pivot, so a `Fraction` is
-made only when the reduced row echelon form is read off as
-`Fraction(x, pivot)`.  Over GF(p) each row holds ints mod p and is kept monic
-at its pivot.  Only the two row operations, `_clear` and `_normalize`, depend
-on the field.
+only, and each row is kept primitive with a positive pivot.  Entries are read
+back as x / pivot in the field's form (`_read`): the int quotient when the
+pivot divides x, else a `Fraction`.  Over GF(p) each row holds ints mod p and
+is kept monic at its pivot.  Only the two row operations, `_clear` and
+`_normalize`, depend on the field.
+
+Over Q an entry is an int when integral and a `Fraction` with denominator > 1
+otherwise (see `fields`).  Since `Fraction(n) == n` and the two hash and
+print alike, a `Mat` built from `Fraction(n)` entries equals, and hashes as,
+the one built from ints, and both format the same.
 
 `SpanTracker` grows such a row space one generator at a time.  `rref`,
 `rank`, `col_space`, `kernel_basis`, `solve` and `commuting_maps` (the Hom
@@ -20,7 +25,7 @@ the one dense Gauss-Jordan (`_gauss_jordan`) gives, entry by entry.
 
 A scalar is tested for zero by its truth value (`if x:`, `any(row)`), never
 by `x != field.zero`: both field types make zero the only false element,
-and for `Fraction` the truth test skips the type dispatch of `__eq__`.
+and for a `Fraction` the truth test skips the type dispatch of `__eq__`.
 """
 from __future__ import annotations
 
@@ -290,8 +295,12 @@ def _scaled(xs, mod):
 
 
 def _read(x, d, mod):
-    """The field element x / d of an entry x of a row scaled by d."""
-    return x % mod if mod else Fraction(x, d)
+    """The field element x / d of an entry x of a row scaled by d: over Q an
+    int when d divides x, else a Fraction."""
+    if mod:
+        return x % mod
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
 
 
 def _clear(row, c, prow, mod):

@@ -589,8 +589,12 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
         return False
     if m.total_dim == 0:
         return True
-    left = indecomposable_summands(m)
-    right = list(indecomposable_summands(n))
+    return same_summands(indecomposable_summands(m), indecomposable_summands(n))
+
+
+def same_summands(left, right) -> bool:
+    """Whether two lists of indecomposables agree up to isomorphism and order."""
+    right = list(right)
     if len(left) != len(right):
         return False
     for p in left:

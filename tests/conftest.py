@@ -17,6 +17,15 @@ def fixture_path(name):
     return os.path.join(FIXTURES, name)
 
 
+def in_form(field, x):
+    """Whether x is a scalar of field in its stored form: over Q an int when
+    integral and a Fraction with denominator > 1 otherwise, over GF(p) an
+    int in 0..p-1."""
+    if field == QQ:
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    return type(x) is int and 0 <= x < field.p
+
+
 _cache = {}
 
 

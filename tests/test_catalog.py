@@ -31,12 +31,23 @@ from repherd.modules import (
     morphism_flat,
 )
 
-from tests.conftest import catalog_of, load_fixture_algebra, rebased
+from tests.conftest import catalog_of, in_form, load_fixture_algebra, rebased
 from tests.test_cli import E6
 
 
 def names(cat):
     return sorted(n.name for n in cat.nodes)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5"])
+def test_catalog_entries_over_q_are_in_the_stored_form(name):
+    """Every arrow matrix of every node of a complete catalog over Q holds ints
+    where integral and Fractions with denominator > 1 elsewhere."""
+    alg = load_fixture_algebra(name)
+    cat = catalog_of(alg)
+    assert cat.complete and alg.field.kind == "Q"
+    for node in cat.nodes:
+        assert all(in_form(alg.field, x) for m in node.rep.mats for x in m.entries), node.name
 
 
 def test_catalog_a2(a2):

@@ -457,3 +457,22 @@ def test_proj_and_inj_dim_match_the_keyed_reference(name, field):
     if name == "loop2":
         assert infinite and clashes
         assert proj_dim(cat.node_named("I(2)").rep, 2) == DimValue.at_least(2)
+
+
+def test_proj_dim_decomposes_each_syzygy_at_most_once(loop2, monkeypatch):
+    """The syzygies of I(2) over loop2 are S(1), then P(2) + S(1) twice, and P(2) + S(1)
+    has the dimension vector of I(2): the third is compared with I(2) and with the second,
+    and each of the three is decomposed once."""
+    import repherd.homological as hom
+
+    seen = []
+
+    def counted(rep):
+        seen.append(rep)
+        return indecomposable_summands(rep)
+
+    monkeypatch.setattr(hom, "indecomposable_summands", counted)
+    m = catalog_of(loop2).node_named("I(2)").rep
+    assert proj_dim(m) == DimValue.infinite()
+    assert len(seen) == len({id(rep) for rep in seen}) == 3
+    assert seen[0] is m and all(rep.dims == m.dims for rep in seen)

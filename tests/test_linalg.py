@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repherd.endo import _p_mul, rational_roots
 from repherd.errors import DimensionMismatch
 from repherd.fields import PrimeField, QQ
 from repherd.linalg import (
@@ -13,11 +14,13 @@ from repherd.linalg import (
     _gauss_jordan,
     col_space,
     inverse,
+    is_invertible,
     kernel_basis,
     rank,
     rref,
     solve,
 )
+from tests.conftest import in_form
 
 
 def bareiss_rank(rows):
@@ -210,8 +213,7 @@ def test_fraction_free_rref_over_q_matches_the_dense_loop(drawn):
     assert piv == tuple(pivots) and rk == rank(m) == len(pivots)
     assert reduced.entries == tuple(x for r in rows for x in r)
     assert col_space(m).entries == tuple(m.at(i, c) for i in range(m.rows) for c in pivots)
-    assert all(type(x) is (Fraction if f is QQ else int) for x in reduced.entries)
-    assert f is QQ or all(0 <= x < f.p for x in reduced.entries)
+    assert all(in_form(f, x) for x in reduced.entries)
     # the kernel is read off the same form: one column per free column, in order
     ker = kernel_basis(m)
     free = [c for c in range(m.cols) if c not in pivots]
@@ -317,7 +319,9 @@ def test_mat_entry_count_is_checked():
 def test_mat_value_equality_and_hash():
     a = Mat.from_rows(QQ, [[1, 2], [3, 4]])
     b = Mat(QQ, 2, 2, (Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
+    assert all(type(x) is int for x in a.entries)
     assert a == b and hash(a) == hash(b)
+    assert [QQ.fmt(x) for x in a.entries] == [QQ.fmt(x) for x in b.entries] == ["1", "2", "3", "4"]
     assert len({a, b}) == 1
     assert a != a.transpose()
     assert a != Mat(QQ, 1, 4, a.entries)
@@ -329,3 +333,72 @@ def test_mat_value_equality_and_hash():
 def test_mat_repr_is_readable():
     m = Mat.from_rows(PrimeField(7), [[1, 0, 6]])
     assert repr(m) == "Mat(field=GF(7), rows=1, cols=3, entries=(1, 0, 6))"
+
+
+# -- the stored form of a scalar ---------------------------------------------
+
+
+def test_rational_inverse_is_exact():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+# Roots of the polynomials drawn below: small, so that the rational root
+# theorem has few divisors to try; 7 is invertible in every field of FIELDS.
+_roots = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 7])))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(matrices(f), st.data())))
+def test_every_result_is_in_the_stored_form(drawn):
+    """Over Q every scalar that the field ops, the parsers, the Mat ops, the
+    eliminations, SpanTracker and rational_roots return is an int when
+    integral and a Fraction with denominator > 1 otherwise; over GF(p) an
+    int in 0..p-1."""
+    m, data = drawn
+    f = m.field
+
+    def ok(xs):
+        return all(in_form(f, x) for x in xs)
+
+    raw = [data.draw(entries(f)) for _ in range(2)]
+    a, b = (f.coerce(x) for x in raw)
+    ops = [a, b, f.add(a, b), f.sub(a, b), f.mul(a, b), f.neg(a), f.from_int(data.draw(st.integers(-9, 9)))]
+    ops += [f.inv(x) for x in (a, b) if x]
+    num, den = data.draw(st.integers(-50, 50)), data.draw(st.sampled_from([1, 7]))
+    ops += [f.parse(str(x)) for x in raw] + [f.parse("%d/%d" % (num, den)), f.parse(num)]
+    assert ok(ops)
+    assert f.parse("%d/%d" % (num, den)) == f.mul(f.from_int(num), f.inv(f.from_int(den)))
+
+    s = f.coerce(data.draw(st.sampled_from(_scalars)))
+    mt = m.transpose()
+    for out in (m.add(m.scale(s)), m.sub(m.scale(s)), m.scale(s), m.neg(), m.mul(mt), mt.mul(m)):
+        assert ok(out.entries)
+    assert ok(rref(m)[0].entries) and ok(kernel_basis(m).entries)
+    x = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=1, max_size=1)) for _ in range(m.cols)])
+    if m.rows and m.cols:
+        assert ok(solve(m, m.mul(x)).entries)
+    for sq in (m.mul(mt), mt.mul(m)):
+        if is_invertible(sq):
+            assert ok(inverse(sq).entries)
+
+    t = SpanTracker(f, m.cols, track=True)
+    for i in range(m.rows):
+        t.add(m.row(i))
+    assert ok(t.reduce(x.entries))
+    for i in range(m.rows):
+        coords = t.coords(m.scale(s).row(i))
+        assert coords is not None and ok(coords)
+
+    roots = [f.coerce(data.draw(_roots)) for _ in range(data.draw(st.integers(1, 3)))]
+    poly = [f.one]
+    for r in roots:
+        poly = _p_mul(f, poly, [f.neg(r), f.one])
+    found = rational_roots(f, poly)
+    assert ok(r for r, _ in found)
+    assert {r for r, _ in found} == set(roots)

@@ -10,10 +10,12 @@ input files: ``check --suite all`` and ``ar-quiver`` on each algebra fixture,
 on Dynkin and Nakayama algebras from ``perfbench/gen.py`` over Q, GF(2),
 GF(3) and GF(101), and on the four Euclidean quivers of the ``catalog-q``
 workload; ``check-tilted`` on each shipped tilting module with its hereditary
-algebra; and ``check-module`` on each shipped module with its algebra.  Every
-command whose stdout or exit code differs between the two trees is listed;
-the exit code is 1 when any does.  The catalog cache stays
-off, so each command computes its catalog afresh.
+algebra; and ``check-module`` on each shipped module with its algebra and on
+the twelve Kronecker module sums of the ``module-queries-q`` workload.  Every
+``check``, ``check-module`` and ``check-tilted`` command also writes its
+``--json`` report.  Every command whose stdout, exit code or ``--json`` file
+differs between the two trees is listed; the exit code is 1 when any does.
+The catalog cache stays off, so each command computes its catalog afresh.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import gen  # noqa: E402
+import workloads  # noqa: E402
 from bench_pairs import export  # noqa: E402
 
 FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
@@ -79,16 +82,29 @@ def commands(workdir):
         for alg, mod in pairs:
             paths = [os.path.join(ROOT, "fixtures", name + ".json") for name in (alg, mod)]
             out.append(("%s %s %s" % (sub, alg, mod), [sub] + paths))
+    # the seed only orders a workload's requests; its inputs come from fixed streams
+    for req in workloads.module_queries_q(random.Random(0), workdir, ROOT).requests:
+        out.append((req.label, req.argv))
     return out
 
 
-def run(tree, argv):
-    """(exit code, stdout) of ``repherd argv`` with the sources of tree."""
+def run(tree, argv, json_path):
+    """(exit code, stdout, --json file or None) of ``repherd argv`` with the sources of tree.
+
+    The commands that write a report write it to json_path.
+    """
+    report = argv[0] in ("check", "check-module", "check-tilted")
+    if report:
+        argv = argv + ["--json", json_path]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.pop("REPHERD_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-m", "repherd.cli", *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    blob = None
+    if report and os.path.exists(json_path):
+        with open(json_path, encoding="utf-8") as fh:
+            blob = fh.read()
+    return proc.returncode, proc.stdout, blob
 
 
 def main(argv=None):
@@ -101,13 +117,14 @@ def main(argv=None):
     try:
         cmds = commands(workdir)
 
-        def compare(cmd):
-            label, argv = cmd
-            return label, run(parent, argv), run(ROOT, argv)
+        def compare(k):
+            label, argv = cmds[k]
+            out = os.path.join(workdir, "report-%d-%%s.json" % k)
+            return label, run(parent, argv, out % "parent"), run(ROOT, argv, out % "change")
 
         differ = 0
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            for label, old, new in pool.map(compare, cmds):
+            for label, old, new in pool.map(compare, range(len(cmds))):
                 same = old == new
                 differ += not same
                 print("%s  exit %d -> %d  %s" % ("same  " if same else "DIFFER", old[0], new[0], label), flush=True)
