@@ -6,6 +6,7 @@ Exit codes for verdict-producing commands: 0 Holds, 1 Fails, 2 Degenerate,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -223,9 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call, built on the first one: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (RepherdError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

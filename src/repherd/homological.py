@@ -33,7 +33,7 @@ from .modules import (
     path_action,
     projective_at,
     projective_paths,
-    radical_of,
+    radical_bases,
     same_summands,
     zero_morphism,
     zero_rep,
@@ -75,11 +75,9 @@ def _cover_data(m: Representation):
     alg = m.algebra
     fld = alg.field
     q = alg.quiver
-    rad, incl = radical_of(m)
     gens = []  # (vertex, generator column)
-    for v in range(q.n_vertices):
+    for v, b in enumerate(radical_bases(m)):
         tracker = SpanTracker(fld, m.dims[v])
-        b = incl.mats[v]
         for j in range(b.cols):
             tracker.add(b.col(j))
         z, o = fld.zero, fld.one

@@ -10,7 +10,9 @@ only, and each row is kept primitive with a positive pivot.  Entries are read
 back as x / pivot in the field's form (`_read`): the int quotient when the
 pivot divides x, else a `Fraction`.  Over GF(p) each row holds ints mod p and
 is kept monic at its pivot.  Only the two row operations, `_clear` and
-`_normalize`, depend on the field.
+`_normalize`, depend on the field.  `_scaled` reads a dense row in one pass:
+it takes an lcm over the non-int entries only, and when every entry is an
+int (always over GF(p), mostly over Q) the nonzeros go in as they are.
 
 Over Q an entry is an int when integral and a `Fraction` with denominator > 1
 otherwise (see `fields`).  Since `Fraction(n) == n` and the two hash and
@@ -18,10 +20,18 @@ print alike, a `Mat` built from `Fraction(n)` entries equals, and hashes as,
 the one built from ints, and both format the same.
 
 `SpanTracker` grows such a row space one generator at a time.  `rref`,
-`rank`, `col_space`, `kernel_basis`, `solve` and `commuting_maps` (the Hom
-systems between modules) read their results off the row space of a matrix
-or a system.  The reduced row echelon form is unique, so every result is
-the one dense Gauss-Jordan (`_gauss_jordan`) gives, entry by entry.
+`kernel_basis`, `solve` and `commuting_maps` (the Hom systems between
+modules) read their results off the row space of a matrix or a system.  The
+reduced row echelon form is unique, so every result is the one dense
+Gauss-Jordan (`_gauss_jordan`) gives, entry by entry.  Each elimination does
+only what its caller reads:
+
+- `rank` and `col_space` need only the pivot columns, which every echelon
+  form shares, so `_pivots` eliminates forward only and never substitutes
+  back into a stored row;
+- `quotient_maps` reduces span(basis) with its columns reversed, so each
+  pivot is the last nonzero place of a reduced basis vector; the section and
+  the projection are read off those rows, with no inverse computed.
 
 A scalar is tested for zero by its truth value (`if x:`, `any(row)`), never
 by `x != field.zero`: both field types make zero the only false element,
@@ -283,14 +293,21 @@ def _scaled(xs, mod):
     """The nonzeros of a sequence of field elements as (d, [(index, d * x)]).
 
     Over Q d is the lcm of their denominators, so every d * x is an int; over
-    GF(p) the elements are ints already and d is 1.
+    GF(p) the elements are ints already and d is 1.  One pass over xs collects
+    the nonzeros and takes the lcm over the non-int ones only; when there are
+    none, the list is returned as collected.
     """
-    nz = [(k, x) for k, x in enumerate(xs) if x]
     if mod:
+        return 1, [(k, x) for k, x in enumerate(xs) if x]
+    nz, den, ints = [], 1, True
+    for k, x in enumerate(xs):
+        if x:
+            nz.append((k, x))
+            if x.__class__ is not int:
+                ints = False
+                den = lcm(den, x.denominator)
+    if ints:
         return 1, nz
-    den = lcm(*[x.denominator for _, x in nz])
-    if den == 1:
-        return 1, [(k, x.numerator) for k, x in nz]
     return den, [(k, x.numerator * (den // x.denominator)) for k, x in nz]
 
 
@@ -413,8 +430,34 @@ def rref(m: Mat):
     return Mat(m.field, m.rows, m.cols, tuple(ent)), len(pivots), tuple(pivots)
 
 
+def _pivots(m: Mat):
+    """The pivot columns of m, in order, by forward elimination only.
+
+    Each row is cleared at its least column while that column is a pivot;
+    a row left with a new least column is normalized and stored under it,
+    and no stored row changes afterwards.  The stored rows are then an
+    echelon form of the row space, and every echelon form has the pivot
+    columns of the reduced one.
+    """
+    mod = _modulus(m.field)
+    piv = {}
+    for i in range(m.rows):
+        row = dict(_scaled(m.row(i), mod)[1])
+        while row:
+            p = min(row)
+            prow = piv.get(p)
+            if prow is None:
+                _normalize(row, p, mod)
+                piv[p] = row
+                break
+            _clear(row, p, prow, mod)
+        if len(piv) == m.cols:
+            break
+    return sorted(piv)
+
+
 def rank(m: Mat) -> int:
-    return len(_mat_space(m)[0])
+    return len(_pivots(m))
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -498,7 +541,7 @@ solve_linear = solve
 
 def col_space(m: Mat) -> Mat:
     """A basis of the column space, as the original pivot columns of m."""
-    pivots = sorted(_mat_space(m)[0])
+    pivots = _pivots(m)
     ent = tuple(m.at(i, j) for i in range(m.rows) for j in pivots)
     return Mat(m.field, m.rows, len(pivots), ent)
 
@@ -541,14 +584,35 @@ def extend_to_basis(field, basis: Mat) -> Mat:
 def quotient_maps(field, basis: Mat):
     """Projection k^d -> k^d / span(basis) and a linear section of it.
 
-    With t the extension of `basis` to a basis of k^d, the projection is the
-    last d - r rows of t^{-1} and the section the last d - r columns of t.
+    span(basis) is reduced with its columns reversed, so that each pivot p is
+    the last nonzero place of the reduced basis vector u_p, which is 1 at p
+    and 0 at every other pivot.  The section is the standard vectors e_s at
+    the other places s, in order, and the projection's row for s is
+    e_s - sum_p u_p[s] e_p: the last d - r rows of t^{-1}, where t extends
+    `basis` by those e_s to a basis of k^d (`extend_to_basis`), with no
+    inverse computed.  As `inverse` checks its result, proj [basis | sect]
+    is checked to be [0 | I].
     """
     d, r = basis.rows, basis.cols
-    t = extend_to_basis(field, basis)
-    tinv = inverse(t) if d else Mat.zeros(field, 0, 0)
-    proj = Mat(field, d - r, d, tinv.entries[r * d :])
-    sect = Mat(field, d, d - r, tuple(t.entries[i * d + r + j] for i in range(d) for j in range(d - r)))
+    piv, mod = _row_space(field, (basis.col(j)[::-1] for j in range(r)), d)
+    if len(piv) != r:
+        raise DimensionMismatch("quotient_maps: dependent input columns")
+    free = [s for s in range(d) if d - 1 - s not in piv]
+    pos = {s: i for i, s in enumerate(free)}
+    z, o = field.zero, field.one
+    ent = [z] * ((d - r) * d)
+    for s, i in pos.items():
+        ent[i * d + s] = o
+    for c, row in piv.items():
+        p, x0 = d - 1 - c, row[c]
+        for c2, x in row.items():
+            if c2 != c:
+                ent[pos[d - 1 - c2] * d + p] = _read(-x, x0, mod)
+    proj = Mat(field, d - r, d, tuple(ent))
+    sect = Mat(field, d, d - r, tuple(o if i == s else z for i in range(d) for s in free))
+    want = hstack(field, [Mat.zeros(field, d - r, r), Mat.identity(field, d - r)], rows=d - r)
+    if not proj.mul(hstack(field, [basis, sect], rows=d)).eq(want):
+        raise DimensionMismatch("quotient_maps: the projection does not split off span(basis)")
     return proj, sect
 
 

@@ -88,9 +88,10 @@ class Representation:
 
 def path_action(rep: Representation, p) -> Mat:
     """Matrix of the path acting on rep (first arrow applied first)."""
-    q = rep.algebra.quiver
-    m = Mat.identity(rep.algebra.field, rep.dims[p.start])
-    for a in p.arrows:
+    if not p.arrows:
+        return Mat.identity(rep.algebra.field, rep.dims[p.start])
+    m = rep.mats[p.arrows[0]]
+    for a in p.arrows[1:]:
         m = rep.mats[a].mul(m)
     return m
 
@@ -446,14 +447,19 @@ def _incoming(m: Representation, v):
     return hstack(m.algebra.field, ins, rows=m.dims[v]) if ins else None
 
 
-def radical_of(m: Representation):
-    """Sum of images of all arrow maps, as a subrepresentation."""
+def radical_bases(m: Representation):
+    """A basis of rad m at each vertex: the column space of the arrows into it."""
     fld = m.algebra.field
     bases = []
     for v in range(len(m.dims)):
         incoming = _incoming(m, v)
         bases.append(Mat.zeros(fld, m.dims[v], 0) if incoming is None else col_space(incoming))
-    return subrep_from_bases(m, bases)
+    return bases
+
+
+def radical_of(m: Representation):
+    """Sum of images of all arrow maps, as a subrepresentation."""
+    return subrep_from_bases(m, radical_bases(m))
 
 
 def socle_of(m: Representation):
@@ -526,10 +532,6 @@ def endomorphism_radical(z: Representation):
 @dataclass
 class Decomposition:
     pieces: list          # list of (Representation, multiplicity)
-
-    @property
-    def summand_count(self):
-        return sum(mult for _, mult in self.pieces)
 
 
 def decompose(m: Representation) -> Decomposition:

@@ -165,6 +165,29 @@ def test_usage_errors_exit_4_with_one_line(argv, named, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+def test_consecutive_calls_share_no_state(monkeypatch, capsys):
+    """main builds its parser once; a usage error, then check --suite all, then a
+    plain check each give what they give on a freshly built parser."""
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    alg = fixture_path("a3.json")
+    runs = [["check", alg, "--suite", "bogus"], ["check", alg, "--suite", "all"], ["check", alg]]
+
+    def fresh(argv):
+        cli._parser.cache_clear()
+        return main(argv), capsys.readouterr()
+
+    want = [fresh(argv) for argv in runs]
+    cli._parser.cache_clear()
+    got = [(main(argv), capsys.readouterr()) for argv in runs]
+    assert got == want
+    assert cli._parser.cache_info().misses == 1
+    (rc, bad), (rc_all, suite_all), (rc_main, suite_main) = got
+    assert rc == 4 and bad.err.startswith("error: ") and bad.err.count("\n") == 1 and not bad.out
+    assert rc_all == rc_main == 0
+    checks_run = [[c["check"] for c in json.loads(r.out)["checks"]] for r in (suite_all, suite_main)]
+    assert len(checks_run[0]) > 1 and checks_run[1] == ["representation_hereditary"]
+
+
 def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["check", "-h"])

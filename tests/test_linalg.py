@@ -12,10 +12,13 @@ from repherd.linalg import (
     Mat,
     SpanTracker,
     _gauss_jordan,
+    _scaled,
     col_space,
+    extend_to_basis,
     inverse,
     is_invertible,
     kernel_basis,
+    quotient_maps,
     rank,
     rref,
     solve,
@@ -402,3 +405,93 @@ def test_every_result_is_in_the_stored_form(drawn):
     found = rational_roots(f, poly)
     assert ok(r for r, _ in found)
     assert {r for r, _ in found} == set(roots)
+
+
+def test_scaled_returns_int_rows_as_collected():
+    """_scaled gives the nonzeros as ints scaled by the lcm of the denominators;
+    an integral Fraction is read as its int, and an all-int row comes back as is."""
+    for xs, want in (
+        ([0, 3, 0, -2], (1, [(1, 3), (3, -2)])),
+        ([Fraction(3), 0, 2], (1, [(0, 3), (2, 2)])),
+        ([Fraction(1, 2), 0, 3, Fraction(-2, 3)], (6, [(0, 3), (2, 18), (3, -4)])),
+        ([0, 0], (1, [])),
+    ):
+        got = _scaled(xs, None)
+        assert got == want and all(type(x) is int for _, x in got[1])
+    assert _scaled([0, 4, 1], 5) == (1, [(1, 4), (2, 1)])
+
+
+def reference_quotient_maps(field, basis):
+    """What quotient_maps gave before it read its maps off one reduced basis:
+    extend basis to a basis t of k^d, project by the last d - r rows of t^{-1}
+    and take the last d - r columns of t as the section."""
+    d, r = basis.rows, basis.cols
+    t = extend_to_basis(field, basis)
+    tinv = inverse(t) if d else Mat.zeros(field, 0, 0)
+    proj = Mat(field, d - r, d, tinv.entries[r * d:])
+    sect = Mat(field, d, d - r, tuple(t.entries[i * d + r + j] for i in range(d) for j in range(d - r)))
+    return proj, sect
+
+
+@st.composite
+def column_sets(draw):
+    """A field and a d x c matrix whose columns are meant as a basis of a
+    subspace: no columns, an invertible L U P with c = d, the column space of
+    drawn columns, or drawn columns as they come, which may be dependent."""
+    field = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["none", "full", "span", "any"]))
+    if shape == "none":
+        return field, Mat.zeros(field, d, 0)
+    if shape == "full":
+        def unit_triangular(upper):
+            return Mat.from_rows(field, [[draw(entries(field)) if (i < j) == upper and i != j else int(i == j)
+                                          for j in range(d)] for i in range(d)])
+        perm = draw(st.permutations(range(d)))
+        p = Mat.from_rows(field, [[int(perm[j] == i) for j in range(d)] for i in range(d)])
+        full = unit_triangular(False).mul(unit_triangular(True)).mul(p) if d else Mat.zeros(field, 0, 0)
+        return field, full
+    c = draw(st.integers(0, d + 1))
+    pool = draw(row_pools(field, d))
+    picked = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_scalars)), min_size=c, max_size=c))
+    cols = [[field.mul(field.coerce(s), x) for x in col] for col, s in picked]
+    m = Mat(field, d, c, tuple(cols[j][i] for i in range(d) for j in range(c)))
+    return field, m if shape == "any" else col_space(m)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(column_sets())
+def test_quotient_maps_match_extend_and_invert(drawn):
+    """quotient_maps gives the projection and section that extending the basis
+    to a basis of k^d and inverting it gave, entry by entry and type by type,
+    and refuses dependent columns as that construction did."""
+    field, basis = drawn
+    try:
+        want = reference_quotient_maps(field, basis)
+    except DimensionMismatch as exc:
+        assert "dependent input columns" in str(exc)
+        with pytest.raises(DimensionMismatch, match="dependent input columns"):
+            quotient_maps(field, basis)
+        return
+    got = quotient_maps(field, basis)
+    for g, w in zip(got, want):
+        assert (g.rows, g.cols) == (w.rows, w.cols)
+        assert [(type(x), x) for x in g.entries] == [(type(x), x) for x in w.entries]
+    proj, sect = got
+    d, r = basis.rows, basis.cols
+    assert proj.rows == sect.cols == d - r
+    assert proj.mul(basis).is_zero() and proj.mul(sect).eq(Mat.identity(field, d - r))
+
+
+def test_quotient_maps_edge_shapes():
+    for field in FIELDS:
+        proj, sect = quotient_maps(field, Mat.zeros(field, 0, 0))
+        assert (proj.rows, proj.cols, sect.rows, sect.cols) == (0, 0, 0, 0)
+        proj, sect = quotient_maps(field, Mat.zeros(field, 3, 0))
+        assert proj.eq(Mat.identity(field, 3)) and sect.eq(Mat.identity(field, 3))
+        proj, sect = quotient_maps(field, Mat.identity(field, 3))
+        assert (proj.rows, proj.cols, sect.rows, sect.cols) == (0, 3, 3, 0)
+        for dependent in (Mat.zeros(field, 2, 1), Mat.from_rows(field, [[1, 1], [1, 1]]), Mat.zeros(field, 0, 1)):
+            with pytest.raises(DimensionMismatch, match="dependent input columns"):
+                quotient_maps(field, dependent)

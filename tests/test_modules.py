@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from repherd.algebra import Path
 from repherd.errors import DimensionMismatch, InvalidRepresentation
 from repherd.fields import QQ, PrimeField
 from repherd.linalg import Mat
@@ -23,7 +24,9 @@ from repherd.modules import (
     is_isomorphic,
     kernel_of,
     morphism_is_invertible,
+    path_action,
     projective_at,
+    projective_paths,
     radical_of,
     simple_at,
     socle_of,
@@ -197,6 +200,25 @@ def test_is_isomorphic(loop2):
     assert is_isomorphic(s1, s1)
     assert not is_isomorphic(s1, s2)
     assert not is_isomorphic(s1, projective_at(loop2, "1"))
+
+
+def test_path_action_is_the_product_from_the_identity(loop2, tilted4):
+    """path_action starts from the first arrow's matrix and gives the product of the
+    path's arrows applied to the identity, entry by entry and type by type; a
+    stationary path acts as the identity."""
+    for alg in (loop2, tilted4, load_fixture_algebra("tilted4", PrimeField(101))):
+        q = alg.quiver
+        m = direct_sum(alg, [x for v in range(q.n_vertices) for x in (projective_at(alg, v), injective_at(alg, v))])
+        for v in range(q.n_vertices):
+            paths = [p for per_vertex in projective_paths(alg, v)[1] for p in per_vertex]
+            assert Path(v, ()).key() in [p.key() for p in paths]
+            for p in paths:
+                want = Mat.identity(alg.field, m.dims[v])
+                for a in p.arrows:
+                    want = m.mats[a].mul(want)
+                got = path_action(m, p)
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert [(type(x), x) for x in got.entries] == [(type(x), x) for x in want.entries]
 
 
 def test_relation_violation_rejected(loop2):
