@@ -8,6 +8,7 @@ from .dims import DimValue
 from .endo import gldim_end_gen_cogen
 from .errors import GateFailed, IncompleteCatalog, NotTilting, VerificationFailed
 from .homological import (
+    _from_generators,
     ar_translate,
     ar_translate_inv,
     cosyzygy,
@@ -16,8 +17,6 @@ from .homological import (
     is_right_approx,
     minimal_right_approx,
     proj_dim,
-    projective_cover,
-    solve_factor_right,
     syzygy,
     trace_of,
 )
@@ -26,6 +25,7 @@ from .modules import (
     HomTable,
     ModuleMorphism,
     cokernel_of,
+    cokernel_with_section,
     direct_sum,
     dual_module,
     gen_cogen,
@@ -35,6 +35,7 @@ from .modules import (
     kernel_of,
     simple_at,
     top_dims,
+    top_places,
 )
 
 HOLDS = "Holds"
@@ -383,21 +384,29 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
         ok = ok and orbit_dims_ok
 
     # (v) shape of the minimal approximations for modules outside add(A + DA);
-    # the left-hand shape is the right-hand one for Dx over the opposite algebra
+    # the left-hand shape is the right-hand one for Dx over the opposite algebra.
+    # The minimal sources are the ones the main check recorded for each module.
     gc = gen_cogen(alg)
     inj_list, proj_list = gc.injectives, gc.projectives
     dual_proj = gc.duals[: len(proj_list)]
+    recorded = {w["module"]: w for w in main_report.witnesses if "module" in w}
     shape_ok = True
     for i, node in enumerate(catalog.nodes):
         if node.in_add_gen_cogen:
             continue
+        if node.name not in recorded:
+            raise VerificationFailed("the main check recorded no approximation of %s" % node.name)
         x = node.rep
         entry = {"part": "v", "module": node.name}
         gen_ok = not facts[i]["gen_da"] and not facts[i]["cogen_a"]
         entry["outside_gen_da_and_cogen_a"] = gen_ok
-        built_ok = _built_right_approx_ok(x, inj_list, gc.inj_homs, gc.homs)
+        built_ok = _built_right_approx_ok(
+            x, inj_list, gc.inj_homs, gc.modules, recorded[node.name]["right_source_dims"]
+        )
         entry["constructed_equals_minimal_right_approx"] = built_ok
-        built2 = _built_right_approx_ok(dual_module(x), dual_proj, gc.dual_homs, gc.dual_homs)
+        built2 = _built_right_approx_ok(
+            dual_module(x), dual_proj, gc.dual_homs, gc.duals, recorded[node.name]["left_target_dims"]
+        )
         entry["constructed_equals_minimal_left_approx"] = built2
         shape_ok = shape_ok and gen_ok and built_ok and built2
         report.witnesses.append(entry)
@@ -409,28 +418,33 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     return report
 
 
-def _built_right_approx_ok(x, inj_list, inj_homs, add_homs) -> bool:
+def _cover_lift(f: ModuleMorphism) -> ModuleMorphism:
+    """A map from the projective cover of coker f into the target of f that the projection
+    onto coker f takes to that cover.
+
+    Each top generator w of coker f, at the places `top_places` keeps, goes to its image under
+    the linear section of the projection.
+    """
+    cok, _, sections = cokernel_with_section(f)
+    return _from_generators(f.target, [(v, sections[v].col(s)) for v, s in top_places(cok)])
+
+
+def _built_right_approx_ok(x, inj_list, inj_homs, add_list, minimal_dims) -> bool:
     """Whether the minimal right add(inj_list)-approximation of x, together with a lift of the
     projective cover of its cokernel, is a minimal right add(add_list)-approximation of x.
 
-    inj_homs is a Hom table whose modules begin with inj_list, and add_list is the list of
-    modules of the Hom table add_homs.  The source of any right approximation f splits as
-    X1 + X2 with f|X1 right minimal and f|X2 = 0 (Auslander–Reiten–Smalø, ch. I §2), so a
-    right approximation is minimal exactly when its source has the minimal source's
-    dimension vector.
+    inj_homs is a Hom table whose modules begin with inj_list, and minimal_dims is the
+    dimension vector of the source of the minimal right add(add_list)-approximation of x.
+    The source of any right approximation f splits as X1 + X2 with f|X1 right minimal and
+    f|X2 = 0 (Auslander–Reiten–Smalø, ch. I §2), so a right approximation is minimal exactly
+    when its source has the minimal source's dimension vector.
     """
     alg = x.algebra
-    add_list = add_homs.modules
     fr = minimal_right_approx(x, inj_list, _homs=inj_homs)
-    cok, cproj = cokernel_of(fr)
-    cover = projective_cover(cok)
-    lift = solve_factor_right(cproj, cover)
-    if lift is None:
-        return False
+    lift = _cover_lift(fr)
     mats = [hstack(alg.field, [fr.mats[v], lift.mats[v]], rows=x.dims[v]) for v in range(len(x.dims))]
-    fp = ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
-    minimal = minimal_right_approx(x, add_list, _homs=add_homs)
-    return fp.source.dims == minimal.source.dims and is_right_approx(fp, add_list)
+    fp = ModuleMorphism(direct_sum(alg, [fr.source, lift.source]), x, tuple(mats)).check()
+    return fp.source.dims == tuple(minimal_dims) and is_right_approx(fp, add_list)
 
 
 # -- tilted sufficiency ---------------------------------------------------------

@@ -17,8 +17,8 @@ from .dims import DimValue
 from .errors import FieldTooSmall, NonSplit, VerificationFailed
 from .fields import PrimeField, Rationals
 from .linalg import (
-    Mat, SpanTracker, block_diag, col_space, commuting_maps, hstack, inverse, is_invertible, kernel_basis,
-    quotient_maps, rank, solve,
+    Mat, SpanTracker, block_diag, col_space, commuting_maps, complement_places, hstack, inverse, is_invertible,
+    kernel_basis, rank, solve,
 )
 
 
@@ -727,16 +727,17 @@ class _Peirce:
     def cover(self, v: _Graded):
         """The minimal projective cover of v, as its generators (k, x in V_k) and its map at each vertex.
 
-        The generators lift a basis of the top V_k / (V rad)_k at each vertex k,
-        so by Nakayama's lemma no copy of a projective can be left out.
+        The generators are the e_s at the places that `complement_places` keeps for the
+        spanning columns of (V rad)_k.  They lift a basis of the top V_k / (V rad)_k at each
+        vertex k, so by Nakayama's lemma no copy of a projective can be left out.
         """
         f = self.field
+        z, o = f.zero, f.one
         gens = []
         for k, d in enumerate(v.dims):
             if d:
-                rad_k = col_space(hstack(f, [v.acts[r] for r in self.into[k] if v.acts[r].cols], rows=d))
-                _, sect = quotient_maps(f, rad_k)
-                gens += [(k, sect.col(c)) for c in range(sect.cols)]
+                rad_k = hstack(f, [v.acts[r] for r in self.into[k] if v.acts[r].cols], rows=d)
+                gens += [(k, tuple(o if i == s else z for i in range(d))) for s in complement_places(rad_k)]
         maps = []
         for i, d in enumerate(v.dims):
             cols = []

@@ -33,8 +33,8 @@ from .modules import (
     path_action,
     projective_at,
     projective_paths,
-    radical_bases,
     same_summands,
+    top_places,
     zero_morphism,
     zero_rep,
 )
@@ -70,42 +70,41 @@ class ShortExactSequence:
 # -- covers and envelopes ------------------------------------------------------
 
 
-def _cover_data(m: Representation):
-    """Projective cover as (morphism, list of summand vertices)."""
+def _from_generators(m: Representation, gens) -> ModuleMorphism:
+    """The map from the sum of the P(v_k) to m that sends the top e_{v_k} of the k-th summand
+    to w_k, for gens = [(v_k, w_k)] with w_k a vector of m at v_k.
+
+    A basis path p of P(v_k) goes to w_k acted on by p.  Any choice of the w_k gives a
+    morphism, and `check` verifies that it commutes with the arrows.
+    """
     alg = m.algebra
-    fld = alg.field
-    q = alg.quiver
-    gens = []  # (vertex, generator column)
-    for v, b in enumerate(radical_bases(m)):
-        tracker = SpanTracker(fld, m.dims[v])
-        for j in range(b.cols):
-            tracker.add(b.col(j))
-        z, o = fld.zero, fld.one
-        for k in range(m.dims[v]):
-            vec = [z] * m.dims[v]
-            vec[k] = o
-            if tracker.add(vec):
-                gens.append((v, tuple(vec)))
-    parts = []
-    paths = []
-    for (v, _) in gens:
+    parts, paths = [], []
+    for v, _ in gens:
         p, plists = projective_paths(alg, v)
         parts.append(p)
         paths.append(plists)
-    p0 = direct_sum(alg, parts)
+    src = direct_sum(alg, parts)
     mats = []
-    for c in range(q.n_vertices):
-        cols = []
-        for idx, (v, w) in enumerate(gens):
-            for pth in paths[idx][c]:
-                cols.append(path_action(m, pth).apply(w))
-        ent = tuple(cols[j][i] for i in range(m.dims[c]) for j in range(len(cols)))
-        mats.append(Mat(fld, m.dims[c], p0.dims[c], ent))
-    f = ModuleMorphism(p0, m, tuple(mats)).check()
-    for v in range(q.n_vertices):
-        if rank(f.mats[v]) != m.dims[v]:
+    for c, d in enumerate(m.dims):
+        cols = [path_action(m, pth).apply(w) for (_, w), plists in zip(gens, paths) for pth in plists[c]]
+        mats.append(Mat(alg.field, d, src.dims[c], tuple(col[i] for i in range(d) for col in cols)))
+    return ModuleMorphism(src, m, tuple(mats)).check()
+
+
+def _cover_data(m: Representation):
+    """Projective cover as (morphism, list of summand vertices).
+
+    The generators are the e_s at the places `top_places` keeps, which lift a basis of the
+    top; a rank check at every vertex certifies that the cover is onto.
+    """
+    fld = m.algebra.field
+    z, o = fld.zero, fld.one
+    gens = [(v, tuple(o if i == s else z for i in range(m.dims[v]))) for v, s in top_places(m)]
+    f = _from_generators(m, gens)
+    for v, d in enumerate(m.dims):
+        if rank(f.mats[v]) != d:
             raise VerificationFailed("projective cover is not surjective")
-    return f, [v for (v, _) in gens], paths
+    return f, [v for v, _ in gens]
 
 
 def projective_cover(m: Representation) -> ModuleMorphism:
@@ -172,70 +171,6 @@ def inj_dim(m: Representation, bound: int | None = None) -> DimValue:
 # -- transpose and translates ---------------------------------------------------
 
 
-def left_mult_hom(alg, a_vertex: int, b_vertex: int, combo):
-    """Left multiplication P(b) -> P(a) by an element of e_a A e_b.
-
-    combo is a list of (coeff, Path from a_vertex to b_vertex).
-    """
-    fld = alg.field
-    q = alg.quiver
-    pa, pa_paths = projective_paths(alg, a_vertex)
-    pb, pb_paths = projective_paths(alg, b_vertex)
-    pos_a = {}
-    for c in range(q.n_vertices):
-        for k, pth in enumerate(pa_paths[c]):
-            pos_a[alg.basis_index[pth.key()]] = (c, k)
-    mats = []
-    for c in range(q.n_vertices):
-        cols = []
-        for qpath in pb_paths[c]:
-            acc = [fld.zero] * pa.dims[c]
-            for (s, ppath) in combo:
-                if not s:
-                    continue
-                prod = Path(ppath.start, ppath.arrows + qpath.arrows)
-                coords = alg.reduce_path(prod)
-                for gidx, cval in enumerate(coords):
-                    if cval:
-                        cv, ck = pos_a[gidx]
-                        if cv != c:
-                            raise VerificationFailed("product landed at the wrong vertex")
-                        acc[ck] = fld.add(acc[ck], fld.mul(s, cval))
-            cols.append(acc)
-        ent = tuple(cols[j][i] for i in range(pa.dims[c]) for j in range(len(cols)))
-        mats.append(Mat(fld, pa.dims[c], pb.dims[c], ent))
-    return ModuleMorphism(pb, pa, tuple(mats)).check()
-
-
-def _assemble_blocks(alg, src_parts, dst_parts, blocks):
-    """Morphism between direct sums from a dict (i_dst, j_src) -> morphism."""
-    fld = alg.field
-    q = alg.quiver
-    src = direct_sum(alg, src_parts)
-    dst = direct_sum(alg, dst_parts)
-    mats = []
-    for v in range(q.n_vertices):
-        rows_total = dst.dims[v]
-        cols_total = src.dims[v]
-        z = fld.zero
-        grid = [[z] * cols_total for _ in range(rows_total)]
-        r0 = 0
-        for i, dp in enumerate(dst_parts):
-            c0 = 0
-            for j, sp in enumerate(src_parts):
-                blk = blocks.get((i, j))
-                if blk is not None:
-                    bm = blk.mats[v]
-                    for r in range(bm.rows):
-                        for c in range(bm.cols):
-                            grid[r0 + r][c0 + c] = bm.at(r, c)
-                c0 += sp.dims[v]
-            r0 += dp.dims[v]
-        ent = tuple(grid[i][j] for i in range(rows_total) for j in range(cols_total))
-        mats.append(Mat(fld, rows_total, cols_total, ent))
-    return ModuleMorphism(src, dst, tuple(mats)).check(), src, dst
-
-
 def transpose(m: Representation) -> Representation:
     """Tr m over the opposite algebra, from a minimal projective presentation."""
     if m.is_zero():
@@ -244,56 +179,52 @@ def transpose(m: Representation) -> Representation:
 
 
 def _transpose_with_cover(m: Representation):
-    """(Tr m, the projective cover of m, the inclusion of its kernel)."""
+    """(Tr m, the projective cover of m, the inclusion of its kernel).
+
+    With g : P1 -> P0 the minimal presentation, P1 the sum of the P(a_l) and P0 that of the
+    P(b_k), Tr m is the cokernel of g* : sum_k P^op(b_k) -> sum_l P^op(a_l).  g sends the top
+    of P(a_l) to a combination of paths from b_k to a_l in each P(b_k), and g* sends the top
+    of P^op(b_k) to the same combination of the reversed paths in each P^op(a_l).
+    """
     alg = m.algebra
     op = alg.opposite
-    cover0, verts0, paths0 = _cover_data(m)
+    fld = alg.field
+    cover0, verts0 = _cover_data(m)
     k0, incl = kernel_of(cover0)
     if k0.is_zero():
         return zero_rep(op), cover0, incl
-    cover1, verts1, paths1 = _cover_data(k0)
+    cover1, verts1 = _cover_data(k0)
     g = compose(incl, cover1)  # P1 -> P0
-    p0, p1 = cover0.source, cover1.source
-
-    # row offsets of each P0 summand and column offsets of each P1 summand
-    def offsets(verts, paths):
-        offs = []
-        for v in range(alg.quiver.n_vertices):
-            acc = []
-            run = 0
-            for idx in range(len(verts)):
-                acc.append(run)
-                run += len(paths[idx][v])
-            offs.append(acc)
-        return offs
-
-    off0 = offsets(verts0, paths0)
-    off1 = offsets(verts1, paths1)
-    blocks = {}
-    for l, a_l in enumerate(verts1):
-        # column of the stationary path e_{a_l} inside summand l at vertex a_l
-        stat = Path(a_l, ())
-        col_local = None
-        for k, pth in enumerate(paths1[l][a_l]):
-            if pth.key() == stat.key():
-                col_local = k
-                break
-        if col_local is None:
-            raise VerificationFailed("stationary path missing from projective basis")
-        col = off1[a_l][l] + col_local
-        for mdx, b_m in enumerate(verts0):
-            combo = []
-            for k, pth in enumerate(paths0[mdx][a_l]):
-                coeff = g.mats[a_l].at(off0[a_l][mdx] + k, col)
-                if coeff:
-                    combo.append((coeff, pth))
-            if not combo:
-                continue
-            rev = [(c, Path(p.end(alg.quiver), tuple(reversed(p.arrows)))) for (c, p) in combo]
-            blocks[(l, mdx)] = left_mult_hom(op, a_l, b_m, rev)
-    src_parts = [projective_at(op, v) for v in verts0]
-    dst_parts = [projective_at(op, v) for v in verts1]
-    gstar, _, _ = _assemble_blocks(op, src_parts, dst_parts, blocks)
+    names = alg.quiver.vertices
+    paths0 = [projective_paths(alg, b)[1] for b in verts0]
+    tgt = direct_sum(op, [projective_at(op, a) for a in verts1])
+    images = [[fld.zero] * tgt.dims[b] for b in verts0]
+    col = [0] * len(m.dims)  # where summand l of P1 starts at each vertex
+    row = [0] * len(m.dims)  # where summand l of the sum of the P^op(a_l) starts
+    for a in verts1:
+        p1, plists1 = projective_paths(alg, a)
+        if plists1[a][0].arrows:
+            raise VerificationFailed("the first basis path of P(%s) at %s is not stationary" % (names[a], names[a]))
+        oplists = projective_paths(op, a)[1]
+        r0 = 0  # where summand k of P0 starts at a
+        for k, b in enumerate(verts0):
+            pos = {op.basis_index[pth.key()]: i for i, pth in enumerate(oplists[b])}
+            for i, pth in enumerate(paths0[k][a]):
+                coeff = g.mats[a].at(r0 + i, col[a])
+                if not coeff:
+                    continue
+                for t, x in enumerate(op.reduce_path(Path(a, pth.arrows[::-1]))):
+                    if not x:
+                        continue
+                    if t not in pos:
+                        raise VerificationFailed("a reversed path lands outside P^op(%s) at %s" % (names[a], names[b]))
+                    j = row[b] + pos[t]
+                    images[k][j] = fld.add(images[k][j], fld.mul(coeff, x))
+            r0 += len(paths0[k][a])
+        for v in range(len(m.dims)):
+            col[v] += p1.dims[v]
+            row[v] += len(oplists[v])
+    gstar = _from_generators(tgt, [(b, tuple(w)) for b, w in zip(verts0, images)])
     return cokernel_of(gstar)[0], cover0, incl
 
 
@@ -411,8 +342,10 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     big = direct_sum(alg, [tz, p0])
     u = ModuleMorphism(k0, big, tuple(umats)).check()
     e_rep, proj, sections = cokernel_with_section(u)
-    zero_pi = [_zero_pi_block(fld, cover.mats[v], tz.dims[v]) for v in range(nv)]
-    amats = [proj.mats[v].mul(_inclusion_block(fld, tz.dims[v], p0.dims[v])) for v in range(nv)]
+    # the maps (0 | pi) : tz + P0 -> z and the inclusions of tz into tz + P0, at each vertex
+    zero_pi = [hstack(fld, [Mat.zeros(fld, z.dims[v], tz.dims[v]), cover.mats[v]], rows=z.dims[v]) for v in range(nv)]
+    incs = [vstack(fld, [Mat.identity(fld, d), Mat.zeros(fld, p0.dims[v], d)], cols=d) for v, d in enumerate(tz.dims)]
+    amats = [proj.mats[v].mul(incs[v]) for v in range(nv)]
     a = ModuleMorphism(tz, e_rep, tuple(amats)).check()
     b = ModuleMorphism(e_rep, z, tuple(zero_pi[v].mul(sections[v]) for v in range(nv))).check()
     for v in range(nv):
@@ -423,26 +356,6 @@ def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence
     if catalog is not None:
         _verify_almost_split(seq, z, rad, catalog)
     return seq
-
-
-def _inclusion_block(fld, top, bottom):
-    """The inclusion of tz into tz + P0 at one vertex."""
-    ent = [fld.zero] * ((top + bottom) * top)
-    for j in range(top):
-        ent[j * top + j] = fld.one
-    return Mat(fld, top + bottom, top, tuple(ent))
-
-
-def _zero_pi_block(fld, pim, tzdim):
-    """The map (0 | pi) : tz + P0 -> z at one vertex."""
-    rows = pim.rows
-    cols = tzdim + pim.cols
-    z = fld.zero
-    ent = [z] * (rows * cols)
-    for i in range(rows):
-        for j in range(pim.cols):
-            ent[i * cols + tzdim + j] = pim.at(i, j)
-    return Mat(fld, rows, cols, tuple(ent))
 
 
 def _verify_almost_split(seq: ShortExactSequence, z, rad, catalog):

@@ -29,6 +29,8 @@ only what its caller reads:
 - `rank` and `col_space` need only the pivot columns, which every echelon
   form shares, so `_pivots` eliminates forward only and never substitutes
   back into a stored row;
+- `complement_places`, the places of the generators of every cover, is the
+  complement of `_pivots` of the columns reversed;
 - `quotient_maps` reduces span(basis) with its columns reversed, so each
   pivot is the last nonzero place of a reduced basis vector; the section and
   the projection are read off those rows, with no inverse computed.
@@ -544,6 +546,19 @@ def col_space(m: Mat) -> Mat:
     pivots = _pivots(m)
     ent = tuple(m.at(i, j) for i in range(m.rows) for j in pivots)
     return Mat(m.field, m.rows, len(pivots), ent)
+
+
+def complement_places(cols: Mat):
+    """The places s, in order, that are not the last nonzero place of any vector in the span
+    of the columns of cols; the e_s at these places span a complement of that span.
+
+    The last nonzero places are the pivots of the columns reversed, which `_pivots` finds by
+    forward elimination, so the columns need only span: they may repeat or depend.
+    """
+    d = cols.rows
+    rev = Mat(cols.field, cols.cols, d, tuple(x for j in range(cols.cols) for x in cols.col(j)[::-1]))
+    last = {d - 1 - c for c in _pivots(rev)}
+    return [s for s in range(d) if s not in last]
 
 
 def inverse(m: Mat) -> Mat:

@@ -17,6 +17,7 @@ from .linalg import (
     block_diag,
     col_space,
     commuting_maps,
+    complement_places,
     hstack,
     is_invertible,
     kernel_basis,
@@ -440,26 +441,22 @@ def direct_sum(alg, reps):
 
 
 def _incoming(m: Representation, v):
-    """The maps of m along the arrows into v, side by side in arrow order; None when no arrow
-    ends at v.  Its column space is rad m at v."""
+    """The maps of m along the arrows into v, side by side in arrow order (no columns when no
+    arrow ends at v).  Its column space is rad m at v."""
     q = m.algebra.quiver
     ins = [m.mats[a] for a in range(q.n_arrows) if q.arrow_tgt[a] == v]
-    return hstack(m.algebra.field, ins, rows=m.dims[v]) if ins else None
+    return hstack(m.algebra.field, ins, rows=m.dims[v])
 
 
-def radical_bases(m: Representation):
-    """A basis of rad m at each vertex: the column space of the arrows into it."""
-    fld = m.algebra.field
-    bases = []
-    for v in range(len(m.dims)):
-        incoming = _incoming(m, v)
-        bases.append(Mat.zeros(fld, m.dims[v], 0) if incoming is None else col_space(incoming))
-    return bases
+def top_places(m: Representation):
+    """(v, s) for each place s of m at each vertex v that is not the last nonzero place of a
+    vector in rad m.  The e_s at these places lift a basis of the top m / rad m."""
+    return [(v, s) for v in range(len(m.dims)) for s in complement_places(_incoming(m, v))]
 
 
 def radical_of(m: Representation):
     """Sum of images of all arrow maps, as a subrepresentation."""
-    return subrep_from_bases(m, radical_bases(m))
+    return subrep_from_bases(m, [col_space(_incoming(m, v)) for v in range(len(m.dims))])
 
 
 def socle_of(m: Representation):
@@ -478,11 +475,7 @@ def socle_of(m: Representation):
 
 def top_dims(m: Representation):
     """dim (m / rad m) at each vertex: dim m_v less the rank of the arrows into v."""
-    tops = []
-    for v, d in enumerate(m.dims):
-        incoming = _incoming(m, v)
-        tops.append(d if incoming is None else d - rank(incoming))
-    return tops
+    return [d - rank(_incoming(m, v)) for v, d in enumerate(m.dims)]
 
 
 # -- decomposition ------------------------------------------------------------

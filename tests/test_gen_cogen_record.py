@@ -4,6 +4,7 @@ import pytest
 
 from repherd import checks, homological, modules
 from repherd import io as rio
+from repherd.errors import VerificationFailed
 from repherd.fields import PrimeField
 from repherd.homological import is_right_approx, minimal_right_approx, projective_cover, solve_factor_right
 from repherd.linalg import hstack
@@ -11,6 +12,7 @@ from repherd.modules import (
     HomTable,
     ModuleMorphism,
     cokernel_of,
+    compose,
     direct_sum,
     dual_module,
     gen_cogen,
@@ -21,7 +23,7 @@ from repherd.modules import (
     simple_at,
 )
 
-from tests.conftest import catalog_of, fixture_path, load_fixture_algebra
+from tests.conftest import catalog_of, fixture_path, load_fixture_algebra, main_report_of
 
 COMPLETE = ["a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5"]
 FIELDS = [None, PrimeField(101)]
@@ -200,7 +202,8 @@ def _assert_minimality_by_dims(x, inj_list, inj_homs, add_homs):
     """checks._built_right_approx_ok(...) is the decomposing reference's verdict, and on a right
     approximation the dimension vectors of the two sources decide their isomorphism."""
     ref = _decomposed_built_right_approx(x, inj_list, inj_homs, add_homs)
-    got = checks._built_right_approx_ok(x, inj_list, inj_homs, add_homs)
+    minimal_dims = minimal_right_approx(x, add_homs.modules, _homs=add_homs).source.dims
+    got = checks._built_right_approx_ok(x, inj_list, inj_homs, add_homs.modules, minimal_dims)
     if ref is None:
         assert got is False
         return None
@@ -232,9 +235,41 @@ def test_part_v_says_not_minimal(d4):
     x = catalog_of(d4).node_named("τ⁻¹P(1)").rep
     p3 = projective_at(d4, "3")
     assert _decomposed_built_right_approx(x, [p3], HomTable([p3]), gc.homs) == (True, False, False)
-    assert checks._built_right_approx_ok(x, [p3], HomTable([p3]), gc.homs) is False
-    assert checks._built_right_approx_ok(x, gc.injectives, gc.inj_homs, gc.homs) is True
+    minimal_dims = minimal_right_approx(x, gc.homs.modules, _homs=gc.homs).source.dims
+    assert checks._built_right_approx_ok(x, [p3], HomTable([p3]), gc.homs.modules, minimal_dims) is False
+    assert checks._built_right_approx_ok(x, gc.injectives, gc.inj_homs, gc.homs.modules, minimal_dims) is True
     # every single summand of add(A + DA) in place of the injectives
     verdicts = [_assert_minimality_by_dims(y, [u], HomTable([u]), gc.homs)
                 for y in _outside(d4) for u in gc.modules]
     assert verdicts.count(False) == 9 and verdicts.count(True) == 23
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", COMPLETE)
+def test_lift_is_taken_to_the_cover_of_the_cokernel(name, field):
+    """On every module outside add(A + DA), and on its dual, the projection onto the cokernel of
+    the minimal add DA-approximation takes part (v)'s lift to the projective cover of that
+    cokernel, entry by entry."""
+    alg = load_fixture_algebra(name, field)
+    gc = gen_cogen(alg)
+    dual_proj = gc.duals[: len(gc.projectives)]
+    for x in _outside(alg):
+        for m, xs, table in ((x, gc.injectives, gc.inj_homs), (dual_module(x), dual_proj, gc.dual_homs)):
+            fr = minimal_right_approx(m, xs, _homs=table)
+            cok, cproj = cokernel_of(fr)
+            got, want = compose(cproj, checks._cover_lift(fr)), projective_cover(cok)
+            _same_map(got, want)
+            assert [[(type(a), a) for a in g.entries] for g in got.mats] == \
+                [[(type(a), a) for a in w.entries] for w in want.mats]
+
+
+def test_part_v_needs_the_main_check_record(d4):
+    """Part (v) reads the minimal sources from the main check's witnesses; a module the main
+    report does not name is refused."""
+    cat = catalog_of(d4)
+    main = main_report_of(d4)
+    dropped = [w for w in main.witnesses if w.get("module") != "τ⁻¹P(1)"]
+    assert len(dropped) == len(main.witnesses) - 1
+    partial = checks.CheckReport(main.check, main.verdict, dropped, list(main.notes))
+    with pytest.raises(VerificationFailed, match="τ⁻¹P\\(1\\)"):
+        checks.check_no_inj_to_proj_suite(d4, cat, main_report=partial)

@@ -22,6 +22,7 @@ from repherd.homological import (
     solve_factor_right,
     syzygy,
     trace_of,
+    transpose,
 )
 from repherd.linalg import Mat, hstack, rank, solve
 from repherd.modules import (
@@ -476,3 +477,19 @@ def test_proj_dim_decomposes_each_syzygy_at_most_once(loop2, monkeypatch):
     assert proj_dim(m) == DimValue.infinite()
     assert len(seen) == len({id(rep) for rep in seen}) == 3
     assert seen[0] is m and all(rep.dims == m.dims for rep in seen)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_transpose_twice_gives_back_each_non_projective(name, field):
+    """Tr Tr x is a module over x's algebra isomorphic to x for every indecomposable x that is
+    not projective, and Tr P = 0 for every indecomposable projective P."""
+    alg = load_fixture_algebra(name, field)
+    for node in catalog_of(alg).nodes:
+        tr = transpose(node.rep)
+        assert tr.algebra is alg.opposite
+        if node.proj_vertex is not None:
+            assert tr.is_zero()
+            continue
+        back = transpose(tr)
+        assert back.algebra is alg and is_isomorphic(back, node.rep), node.name

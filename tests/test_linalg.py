@@ -14,7 +14,9 @@ from repherd.linalg import (
     _gauss_jordan,
     _scaled,
     col_space,
+    complement_places,
     extend_to_basis,
+    hstack,
     inverse,
     is_invertible,
     kernel_basis,
@@ -495,3 +497,41 @@ def test_quotient_maps_edge_shapes():
         for dependent in (Mat.zeros(field, 2, 1), Mat.from_rows(field, [[1, 1], [1, 1]]), Mat.zeros(field, 0, 1)):
             with pytest.raises(DimensionMismatch, match="dependent input columns"):
                 quotient_maps(field, dependent)
+
+
+def reference_complement_places(field, cols):
+    """The places the covers kept before complement_places: add the columns to a SpanTracker,
+    then each e_k in turn, and keep the k whose e_k enlarges the span."""
+    d = cols.rows
+    tracker = SpanTracker(field, d)
+    for j in range(cols.cols):
+        tracker.add(cols.col(j))
+    return [k for k in range(d) if tracker.add([field.one if i == k else field.zero for i in range(d)])]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(column_sets(), st.booleans())
+def test_complement_places_match_the_greedy_span_and_the_section(drawn, repeat):
+    """complement_places keeps the places the greedy SpanTracker loop kept, on spanning columns
+    that may be dependent or repeated, and on independent columns the places of the section of
+    quotient_maps."""
+    field, cols = drawn
+    if repeat:
+        cols = hstack(field, [cols, cols], rows=cols.rows)
+    places = complement_places(cols)
+    assert places == reference_complement_places(field, cols)
+    assert len(places) == cols.rows - rank(cols)
+    if rank(cols) == cols.cols:
+        sect = quotient_maps(field, cols)[1]
+        assert [[i for i in range(sect.rows) if sect.at(i, j)] for j in range(sect.cols)] == [[s] for s in places]
+
+
+def test_complement_places_edge_shapes():
+    for field in FIELDS:
+        assert complement_places(Mat.zeros(field, 0, 0)) == []
+        assert complement_places(Mat.zeros(field, 3, 0)) == [0, 1, 2]
+        assert complement_places(Mat.zeros(field, 3, 2)) == [0, 1, 2]
+        assert complement_places(Mat.identity(field, 3)) == []
+        assert complement_places(Mat.from_rows(field, [[1, 1], [1, 1]])) == [0]
+        assert complement_places(Mat.from_rows(field, [[1, 0], [0, 0], [1, 1]])) == [1]

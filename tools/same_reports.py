@@ -7,9 +7,9 @@ Run from the repository root:
 The parent is exported with ``git archive`` into .bench_build/, and the
 change is the working tree.  Both run the same list of commands on the same
 input files: ``check --suite all`` and ``ar-quiver`` on each algebra fixture,
-on Dynkin and Nakayama algebras from ``perfbench/gen.py`` over Q, GF(2),
-GF(3) and GF(101), and on the four Euclidean quivers of the ``catalog-q``
-workload; ``check-tilted`` on each shipped tilting module with its hereditary
+on the fixtures with relations over GF(2) and GF(3) as well, on Dynkin and
+Nakayama algebras from ``perfbench/gen.py`` over Q, GF(2), GF(3) and GF(101),
+and on the four Euclidean quivers of the ``catalog-q`` workload; ``check-tilted`` on each shipped tilting module with its hereditary
 algebra; and ``check-module`` on each shipped module with its algebra and on
 the twelve Kronecker module sums of the ``module-queries-q`` workload.  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
@@ -20,6 +20,7 @@ The catalog cache stays off, so each command computes its catalog afresh.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import shutil
@@ -37,6 +38,9 @@ import workloads  # noqa: E402
 from bench_pairs import export  # noqa: E402
 
 FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+# Fixtures with relations, run again over GF(2) and GF(3), where a coefficient -1 is p - 1.
+RELATION_FIXTURES = ["loop2", "sq", "tilted4", "tilted5"]
+SMALL_PRIMES = [2, 3]
 # (algebra, tilting module) and (algebra, module) fixture pairs
 TILTED = [("h5", "tilting_h5"), ("a2", "tilting_a2"), ("a3", "tilting_a3")]
 MODULES = [("kron", "kron_preproj"), ("kron", "kron_regular"), ("tilted5", "tilted5_tauinv4p1")]
@@ -56,6 +60,12 @@ JOBS = 2
 def inputs(workdir):
     """(label, algebra file, budget arguments) for every input, written to workdir."""
     out = [(name, os.path.join(ROOT, "fixtures", name + ".json"), []) for name in FIXTURES]
+    for name in RELATION_FIXTURES:
+        with open(os.path.join(ROOT, "fixtures", name + ".json"), encoding="utf-8") as fh:
+            alg = json.load(fh)
+        for p in SMALL_PRIMES:
+            label = "%s-GF%d" % (name, p)
+            out.append((label, gen.write_json(workdir, label + ".json", dict(alg, field={"GFp": p})), []))
     for field in FIELDS:
         tag = "Q" if field == "Q" else "GF%d" % field
         for kind, n in DYNKIN:
