@@ -11,6 +11,7 @@ from .modules import (
     gen_cogen,
     indecomposable_summands,
     iso_class_index,
+    known_index,
     radical_of,
     socle_of,
 )
@@ -83,18 +84,17 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     total_dim = 0
     complete = True
 
-    def try_add(rep):
-        """Index of rep's node, adding, flagging and queueing a new one; None over budget."""
+    def try_add(rep, start=0):
+        """Index of rep's node among the nodes from start on, adding and queueing a new one;
+        None over budget."""
         nonlocal total_dim, complete
-        idx = cat.find(rep)
+        idx = iso_class_index(rep, [node.rep for node in nodes[start:]])
         if idx is not None:
-            return idx
+            return start + idx
         if len(nodes) + 1 > budget.max_modules or total_dim + rep.total_dim > budget.max_total_dim:
             complete = False
             return None
         node = CatalogNode(rep)
-        node.proj_vertex = iso_class_index(rep, gc.projectives)
-        node.inj_vertex = iso_class_index(rep, gc.injectives)
         if rep.total_dim == 1:
             node.simple_vertex = rep.dims.index(1)
         nodes.append(node)
@@ -102,11 +102,19 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         total_dim += rep.total_dim
         return len(nodes) - 1
 
+    def node_of(piece, known):
+        """Node index of a summand that indecomposable_summands(rep, known) returned, adding a
+        new one; None over budget.  A summand that matched none of the known nodes is
+        compared only with the nodes added since."""
+        idx = known_index(piece, known)
+        return try_add(piece, len(known)) if idx is None else idx
+
     def add_summands(rep):
         """{node index: multiplicity} of rep's summands, adding new ones; None once over budget."""
+        known = [node.rep for node in nodes]
         counts = {}
-        for piece in indecomposable_summands(rep):
-            idx = try_add(piece)
+        for piece in indecomposable_summands(rep, known):
+            idx = node_of(piece, known)
             if idx is None:
                 return None
             counts[idx] = counts.get(idx, 0) + 1
@@ -114,13 +122,20 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
 
     def add_translate(rep):
         """Node index of a translate of an indecomposable, or None over budget."""
-        pieces = indecomposable_summands(rep)
+        known = [node.rep for node in nodes]
+        pieces = indecomposable_summands(rep, known)
         if len(pieces) != 1:
             raise VerificationFailed("a translate of an indecomposable module is not indecomposable")
-        return try_add(pieces[0])
+        return node_of(pieces[0], known)
 
-    for rep in gc.projectives + gc.injectives:
-        try_add(rep)
+    # Seeding flags the nodes of P(v) and I(v).  Once it is complete, every
+    # projective and injective class is a node, so no later node is either.
+    # When the budget stops it, knitting never runs.
+    for attr, reps in (("proj_vertex", gc.projectives), ("inj_vertex", gc.injectives)):
+        for v, rep in enumerate(reps):
+            idx = try_add(rep)
+            if idx is not None:
+                setattr(nodes[idx], attr, v)
 
     # Knitting.  A node's neighbours, in the order that fixes node names:
     # rad P, I/soc I, then tau and the middle of the sequence ending at the

@@ -33,6 +33,7 @@ from .modules import (
     indecomposable_summands,
     iso_class_index,
     kernel_of,
+    known_index,
     simple_at,
     top_dims,
     top_places,
@@ -90,8 +91,8 @@ def _kernel_half(m, homs, add_names, prefix, kind, projs):
     ok = names is not None
     if not ok:
         names = []
-        for p in indecomposable_summands(ker):
-            i = iso_class_index(p, add_list)
+        for p in indecomposable_summands(ker, add_list):
+            i = known_index(p, add_list)
             names.append(add_names[i] if i is not None else "non-%s %s" % (kind, p.dims))
     return f, ker, names, ok
 

@@ -24,7 +24,7 @@ from .checks import (
     run_all_checks,
 )
 from .errors import BudgetExceeded, NotTilting, RepherdError, UsageError
-from .modules import gen_cogen, indecomposable_summands, iso_class_index
+from .modules import gen_cogen, indecomposable_summands, known_index
 
 _EXIT = {HOLDS: 0, FAILS: 1, DEGENERATE: 2, INCONCLUSIVE: 3}
 
@@ -146,7 +146,7 @@ def cmd_check_module(args) -> int:
     alg = rio.load_algebra(args.algebra)
     m = rio.load_module(alg, args.module)
     add_list = gen_cogen(alg).modules
-    outside = [p for p in indecomposable_summands(m) if iso_class_index(p, add_list) is None]
+    outside = [p for p in indecomposable_summands(m, add_list) if known_index(p, add_list) is None]
     if not outside:
         payload = {
             "tool_version": rio.TOOL_VERSION,

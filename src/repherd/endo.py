@@ -446,7 +446,12 @@ def fitting_split(f, dims, ops):
     at least 2, on which tr(xy) does not vanish.  When none does, NonSplit
     is raised: End(V)/rad is not split over k, or, when some op has no
     eigenvalue in k, no op showed a split.
+
+    One op spans End(V) only when End(V) = k id, which is local with
+    radical 0: the result is (None, []) at once.
     """
+    if len(ops) == 1:
+        return None, []
     nil, every = [], True
     for op in ops:
         lam = _eigenvalue(op)

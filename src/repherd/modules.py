@@ -41,7 +41,10 @@ class Representation:
     of one matrix per vertex.  They are the parts that `fitting_split` kept
     for the basis hom_basis(m, m), or the transposes of a module's parts
     carried over to its dual by `dual_module`; `endomorphism_radical` reads
-    a basis off their span.
+    a basis off their span.  A piece that `indecomposable_summands` matched
+    to a module its caller holds is that module, with that module's
+    certificate.  The modules of add(A + DA) that `gen_cogen` builds carry
+    none.
     """
 
     def __init__(self, algebra, dims, mats, summands=None, check=True):
@@ -489,16 +492,26 @@ def _split_endomorphisms(m: Representation):
         raise NonSplitEndomorphismRing(str(exc)) from exc
 
 
-def indecomposable_summands(m: Representation):
+def indecomposable_summands(m: Representation, known=()):
     """The indecomposable pieces of m, sorted by dimension vector.
 
     m is split in two by Fitting's lemma until every piece has a local
     endomorphism ring, which the piece keeps as its `local_parts`; pieces
     with equal dimension vectors keep the order of the splits.
+
+    known lists indecomposables that the caller holds.  Each piece is first
+    looked up among them, and a piece isomorphic to known[i] is indecomposable:
+    known[i] itself takes its place, with no End solve and no split, and
+    `known_index` finds i again.  A piece that matches none of them was
+    compared with all of them.
     """
     pieces, todo = [], [] if m.is_zero() else [m]
     while todo:
         x = todo.pop()
+        i = iso_class_index(x, known)
+        if i is not None:
+            pieces.append(known[i])
+            continue
         split, nil = _split_endomorphisms(x)
         if split is None:
             x.local_parts = nil
@@ -508,10 +521,21 @@ def indecomposable_summands(m: Representation):
     return sorted(pieces, key=lambda p: p.dims)
 
 
+def known_index(piece, known):
+    """The index of the entry of known that is piece itself, or None: where
+    indecomposable_summands(m, known) put a known module in place of a piece."""
+    for i, k in enumerate(known):
+        if k is piece:
+            return i
+    return None
+
+
 def endomorphism_radical(z: Representation):
     """A basis of rad End(z) for indecomposable z, from the nilpotent parts that certify End(z) local.
 
-    A certificate that z carries is read; otherwise End(z) is split afresh.
+    A certificate that z carries is read; otherwise End(z) is split afresh,
+    as for the modules of add(A + DA), which carry none.  For a brick, the
+    basis of End(z) has one element, and fitting_split certifies it on sight.
     """
     nil = z.local_parts
     if nil is None:

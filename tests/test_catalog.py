@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from repherd import catalog
+from repherd import catalog, modules
 from repherd.catalog import Budget, ar_quiver, enumerate_indecomposables, left_right_parts, node_facts
 from repherd.errors import BudgetExceeded, IncompleteCatalog
 from repherd.fields import PrimeField
@@ -28,6 +29,8 @@ from repherd.modules import (
     indec_isomorphic,
     indecomposable_summands,
     is_isomorphic,
+    iso_class_index,
+    known_index,
     morphism_flat,
 )
 
@@ -375,3 +378,91 @@ def test_carried_radical_of_pieces_with_a_nonzero_radical(field):
             _assert_carried_radical(piece)
         sizes += [len(endomorphism_radical(p)) for p in pieces]
     assert sorted(sizes) == [0, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_seeding_flags_the_projective_and_injective_nodes(name, field):
+    """Seeding sets the vertex flags; no later node is projective or injective."""
+    alg = load_fixture_algebra(name, field=field)
+    gc = gen_cogen(alg)
+    cat = catalog_of(alg)
+    assert cat.complete
+    for node in cat.nodes:
+        assert node.proj_vertex == iso_class_index(node.rep, gc.projectives)
+        assert node.inj_vertex == iso_class_index(node.rep, gc.injectives)
+
+
+def test_a_budget_that_stops_the_seeding_stops_the_knitting(d4):
+    gc = gen_cogen(d4)
+    cat = enumerate_indecomposables(d4, Budget(max_modules=3))
+    assert not cat.complete and len(cat) == 3
+    for node in cat.nodes:
+        assert node.arrows is None
+        assert node.proj_vertex == iso_class_index(node.rep, gc.projectives)
+        assert node.inj_vertex == iso_class_index(node.rep, gc.injectives)
+
+
+def _lookup_inputs(cat, rng):
+    """The middle terms of the almost-split sequences ending at the nodes, and sums of two and
+    three nodes in a random basis, one of them with a repeated summand."""
+    alg = cat.algebra
+    reps = [node.rep for node in cat.nodes]
+    out = [almost_split_sequence(node.rep).middle for node in cat.nodes if node.proj_vertex is None]
+    for k in (2, 3):
+        out.append(rebased(direct_sum(alg, rng.sample(reps, k)), rng))
+    x = rng.choice(reps)
+    out.append(rebased(direct_sum(alg, [x, x, rng.choice(reps)]), rng))
+    return out
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_summands_are_looked_up_among_the_nodes(name, field, monkeypatch):
+    """Given the nodes, every summand is a node's module itself, in the place and class that
+    the plain split gives, and only the modules that split get an End solve."""
+    alg = load_fixture_algebra(name, field=field)
+    cat = catalog_of(alg)
+    known = [node.rep for node in cat.nodes]
+    inputs = _lookup_inputs(cat, random.Random(18))
+    ends = []
+    real = modules.hom_basis
+
+    def counting(m, n):
+        if m is n:
+            ends.append(m)
+        return real(m, n)
+
+    monkeypatch.setattr(modules, "hom_basis", counting)
+    for m in inputs:
+        plain = indecomposable_summands(m)
+        del ends[:]
+        looked_up = indecomposable_summands(m, known)
+        assert [known_index(p, known) for p in looked_up] == [cat.find(p) for p in plain]
+        assert len(ends) == len(looked_up) - 1  # one End solve per split, none per piece
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+def test_a_sum_with_the_dimension_vector_of_a_node_still_splits(field):
+    rng = random.Random(5)
+    split = 0
+    for name in COMPLETE_FIXTURES:
+        alg = load_fixture_algebra(name, field=field)
+        known = [node.rep for node in catalog_of(alg).nodes]
+        dims = {x.dims for x in known}
+        for a, b in itertools.combinations_with_replacement(range(len(known)), 2):
+            if tuple(x + y for x, y in zip(known[a].dims, known[b].dims)) in dims:
+                pieces = indecomposable_summands(rebased(direct_sum(alg, [known[a], known[b]]), rng), known)
+                assert sorted(known_index(p, known) for p in pieces) == [a, b]
+                split += 1
+    assert split > 10
+
+
+def test_a_repeated_new_summand_maps_to_one_node(kron):
+    """The middle terms X + X of the Kronecker catalog add X once, as one arrow of
+    multiplicity 2."""
+    cat = enumerate_indecomposables(kron, Budget(max_modules=12))
+    assert not cat.complete and len(cat) == 12
+    assert [cat.find(node.rep) for node in cat.nodes] == list(range(12))
+    arrows = [node.arrows for node in cat.nodes if node.arrows]
+    assert len(arrows) == 9 and all(arrow == 2 for a in arrows for arrow in a.values())

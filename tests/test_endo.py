@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repherd import endo
 from repherd.dims import DimValue
 from repherd.endo import (
     _eigenvalue,
@@ -25,9 +26,19 @@ from repherd.fields import PrimeField, QQ
 from repherd.homological import proj_dim
 from repherd.fields import _is_prime
 from repherd.linalg import Mat, inverse
-from repherd.modules import direct_sum, gen_cogen, injective_at, projective_at, simple_at
+from repherd.modules import (
+    Representation,
+    direct_sum,
+    endomorphism_radical,
+    gen_cogen,
+    hom_basis,
+    injective_at,
+    projective_at,
+    simple_at,
+)
 
-from tests.conftest import load_fixture_algebra, plain_rank
+from tests.conftest import catalog_of, load_fixture_algebra, plain_rank
+from tests.test_catalog import COMPLETE_FIXTURES
 
 
 def test_end_simple_is_one_dimensional(loop2):
@@ -437,3 +448,40 @@ def test_validation_rejects_a_changed_structure_constant():
 def test_validation_rejects_a_wrong_unit():
     with pytest.raises(VerificationFailed, match="unit law"):
         make_algebra(QQ, _square_zero_table(), (QQ.zero, QQ.one, QQ.zero))
+
+
+def _no_eigenvalue_or_fitting_split(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a one-element basis needs no eigenvalue and no Fitting split")
+
+    for name in ("_eigenvalue", "_fitting", "_images_vanish"):
+        monkeypatch.setattr(endo, name, fail)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+def test_one_element_basis_is_local_on_sight(field, monkeypatch):
+    """One op spans End(V) only when End(V) = k id: local with radical 0, read off the length."""
+    _no_eigenvalue_or_fitting_split(monkeypatch)
+    dims = (2, 0, 3)
+    for c in (field.one, field.from_int(-7), field.coerce(Fraction(2, 3))):
+        op = tuple(Mat.identity(field, d).scale(c) for d in dims)
+        assert endo.fitting_split(field, dims, [op]) == (None, [])
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_bricks_of_a_catalog_carry_an_empty_radical(name, field, monkeypatch):
+    """A node with End = k carries local_parts == [], unless it came from add(A + DA) with no
+    certificate; either way its radical is certified empty with no eigenvalue."""
+    cat = catalog_of(load_fixture_algebra(name, field=field))
+    assert cat.complete
+    bricks = [node for node in cat.nodes if len(hom_basis(node.rep, node.rep)) == 1]
+    _no_eigenvalue_or_fitting_split(monkeypatch)
+    assert bricks
+    for node in bricks:
+        x = node.rep
+        if x.local_parts is None:
+            assert node.in_add_gen_cogen
+        else:
+            assert x.local_parts == []
+        assert endomorphism_radical(Representation(x.algebra, x.dims, x.mats)) == []
