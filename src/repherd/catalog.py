@@ -4,7 +4,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, IncompleteCatalog, VerificationFailed
-from .homological import almost_split_sequence, ar_translate, inj_dim, proj_dim, reject_of, trace_of
+from .homological import (
+    _transpose_with_cover,
+    almost_split_sequence,
+    ar_translate,
+    inj_dim,
+    proj_dim,
+    reject_of,
+    trace_of,
+)
 from .modules import (
     cokernel_of,
     dual_module,
@@ -40,7 +48,8 @@ class CatalogNode:
     tau: int | None = None       # index of tau(this) when non-projective
     tau_inv: int | None = None   # index of tau^{-1}(this) when non-injective
     # The AR arrows into this node, {source index: multiplicity}: the summands of
-    # rad P, or of the middle term of the almost-split sequence ending here.
+    # rad P, or of the middle term of the almost-split sequence ending here, read
+    # off the arrows out of tau of this node when they add up (see _mesh_middle).
     # None until the node is knitted.
     arrows: dict | None = None
 
@@ -122,11 +131,24 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
 
     def add_translate(rep):
         """Node index of a translate of an indecomposable, or None over budget."""
+        if rep.is_zero():
+            raise VerificationFailed("translate of a non-projective or non-injective module vanished")
         known = [node.rep for node in nodes]
         pieces = indecomposable_summands(rep, known)
         if len(pieces) != 1:
             raise VerificationFailed("a translate of an indecomposable module is not indecomposable")
         return node_of(pieces[0], known)
+
+    def in_arrows(s, t, z, presentation):
+        """The in-arrows of node t, at the right end of the almost-split sequence that starts at
+        node s; None once over budget.  They are read off the arrows out of s when those add
+        up; otherwise the sequence ending at z (t's module, or D of s's over A^op) is built
+        from its transpose `presentation` and its middle term is split."""
+        arrows = _mesh_middle(nodes, s, nodes[t].rep)
+        if arrows is None:
+            middle = almost_split_sequence(z, presentation=presentation).middle
+            arrows = add_summands(middle if z.algebra is alg else dual_module(middle))
+        return arrows
 
     # Seeding flags the nodes of P(v) and I(v).  Once it is complete, every
     # projective and injective class is a node, so no later node is either.
@@ -141,9 +163,13 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     # rad P, I/soc I, then tau and the middle of the sequence ending at the
     # node, then tau^{-1} and the middle of the sequence ending there.  A
     # node with a tau link got both of its tau-side neighbours as the
-    # tau^{-1} side of its translate, and dually, so each sequence is built
-    # once; the skipped steps could only re-find nodes, which keeps the order.
-    # The summands of rad P, or of the middle term, are the node's in-arrows.
+    # tau^{-1} side of its translate, and dually, so each tau step runs once
+    # and transposes once; the skipped steps could only re-find nodes, which
+    # keeps the order.  The summands of rad P, or of the middle term, are the
+    # node's in-arrows.  A middle term whose summands the arrows out of its
+    # left end already account for is read off them, and the sequence is
+    # built only when they fall short: the summands it would add are all
+    # nodes, so order, names and arrows are the same either way.
     pos = 0
     while pos < len(queue) and complete:
         idx = queue[pos]
@@ -160,24 +186,25 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
             if add_summands(quot) is None:
                 break
         if node.proj_vertex is None and node.tau is None:
-            seq = almost_split_sequence(node.rep)
-            j = add_translate(seq.left.source)
+            presentation = _transpose_with_cover(node.rep)
+            j = add_translate(dual_module(presentation[0]))
             if j is None:
                 break
             node.tau = j
             nodes[j].tau_inv = idx
-            node.arrows = add_summands(seq.middle)
+            node.arrows = in_arrows(j, idx, node.rep, presentation)
             if node.arrows is None:
                 break
         if node.inj_vertex is None and node.tau_inv is None:
-            # D of the sequence over A^op that ends at D(node): tau^{-1} = D tau D
-            seq = almost_split_sequence(dual_module(node.rep))
-            j = add_translate(dual_module(seq.left.source))
+            # D of the sequence over A^op that ends at D(node): tau^{-1} = Tr D
+            dual = dual_module(node.rep)
+            presentation = _transpose_with_cover(dual)
+            j = add_translate(presentation[0])
             if j is None:
                 break
             node.tau_inv = j
             nodes[j].tau = idx
-            nodes[j].arrows = add_summands(dual_module(seq.middle))
+            nodes[j].arrows = in_arrows(idx, j, dual, presentation)
             if nodes[j].arrows is None:
                 break
 
@@ -188,6 +215,25 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     _fill_tau_tables(cat)
     _assign_names(cat)
     return cat
+
+
+def arrow_dims(nodes, arrows, n_vertices):
+    """The dimension vector of the sum of nodes[i]^mult over arrows {i: mult}."""
+    return [sum(m * nodes[i].rep.dims[v] for i, m in arrows.items()) for v in range(n_vertices)]
+
+
+def _mesh_middle(nodes, s, right):
+    """The middle term of the almost-split sequence 0 -> nodes[s] -> E -> right -> 0, as
+    {node index: multiplicity}, read off the arrows recorded out of s; None when their
+    dimension vectors do not add up to dim nodes[s] + dim right.
+
+    Every node has End/rad = k, so the arrows out of tau Y are the arrows into Y, mult for
+    mult (Auslander-Reiten-Smalø, ch. V): each recorded arrow s -> Y of multiplicity m makes
+    Y^m a summand of E.  When they add up to dim E, Krull-Schmidt leaves room for no other.
+    """
+    middle = {k: node.arrows[s] for k, node in enumerate(nodes) if node.arrows and s in node.arrows}
+    want = [a + b for a, b in zip(nodes[s].rep.dims, right.dims)]
+    return middle if arrow_dims(nodes, middle, len(want)) == want else None
 
 
 def _fill_tau_tables(cat: IndecomposableCatalog):

@@ -285,18 +285,20 @@ def _restrict_to_kernel(incl: ModuleMorphism, phi0: ModuleMorphism) -> ModuleMor
     return ModuleMorphism(k0, k0, tuple(mats)).check()
 
 
-def almost_split_sequence(z: Representation, catalog=None) -> ShortExactSequence:
+def almost_split_sequence(z: Representation, catalog=None, *, presentation=None) -> ShortExactSequence:
     """The sequence 0 -> tau z -> E -> z -> 0 for indecomposable non-projective z.
 
     When a catalog is supplied, the almost-split property is verified by
-    lifting every radical morphism into z through the right-hand map.
+    lifting every radical morphism into z through the right-hand map.  A
+    caller that has already transposed z passes `_transpose_with_cover(z)`
+    as `presentation`, and the sequence is built from it.
     """
     alg = z.algebra
     fld = alg.field
     nv = alg.quiver.n_vertices
     if iso_class_index(z, gen_cogen(alg).projectives) is not None:
         raise ZProjective("almost split sequence requested for a projective module")
-    tr, cover, incl = _transpose_with_cover(z)
+    tr, cover, incl = presentation or _transpose_with_cover(z)
     tz = dual_module(tr)
     if tz.is_zero():
         raise VerificationFailed("translate of a non-projective module vanished")

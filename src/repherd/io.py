@@ -381,6 +381,8 @@ def _arrows_form_meshes(nodes):
     X, mult for mult, as End/rad = k at every node.  The mesh test passes over nodes
     that a budget-stopped knitting left without arrows.
     """
+    from .catalog import arrow_dims
+
     out = [{} for _ in nodes]
     for y, node in enumerate(nodes):
         for z, mult in (node.arrows or {}).items():
@@ -397,6 +399,6 @@ def _arrows_form_meshes(nodes):
                 return False
         else:
             return False
-        if [sum(m * nodes[i].rep.dims[v] for i, m in node.arrows.items()) for v in range(len(want))] != want:
+        if arrow_dims(nodes, node.arrows, len(want)) != want:
             return False
     return True

@@ -253,15 +253,22 @@ def test_knitted_tau_links_match_recomputed_translates(name, field):
 
 
 @pytest.mark.parametrize("name", ["h5", "tilted5"])
-def test_enumeration_builds_one_sequence_per_non_projective_node(name, monkeypatch):
-    """Each sequence ends at a node: one over A at z, one over A^op at D(M) is the dual of the
-    sequence that ends at tau^{-1} M = D(its left term)."""
+def test_enumeration_takes_one_tau_step_per_non_projective_node(name, monkeypatch):
+    """Each non-projective node is the right end of one tau step, which transposes once: z over
+    A when the step ends at z, and D(M) over A^op, whose transpose is tau^{-1} M, when it starts
+    at M.  A sequence is built only where the arrows out of its left end fall short, each one
+    ending at a distinct node (over A^op it is the dual of the one ending at D(its left term))."""
     alg = load_fixture_algebra(name)
-    built = []
-    real = catalog.almost_split_sequence
+    steps, built = [], []
+    real_transpose, real_sequence = catalog._transpose_with_cover, catalog.almost_split_sequence
 
-    def counting(z, *args, **kwargs):
-        seq = real(z, *args, **kwargs)
+    def transposing(z):
+        out = real_transpose(z)
+        steps.append(z if z.algebra is alg else out[0])
+        return out
+
+    def building(z, *args, **kwargs):
+        seq = real_sequence(z, *args, **kwargs)
         if z.algebra is alg:
             built.append(z)
         else:
@@ -269,12 +276,15 @@ def test_enumeration_builds_one_sequence_per_non_projective_node(name, monkeypat
             built.append(dual_module(seq.left.source))
         return seq
 
-    monkeypatch.setattr(catalog, "almost_split_sequence", counting)
+    monkeypatch.setattr(catalog, "_transpose_with_cover", transposing)
+    monkeypatch.setattr(catalog, "almost_split_sequence", building)
     cat = enumerate_indecomposables(alg)
     assert cat.complete
-    non_projective = [node for node in cat.nodes if node.proj_vertex is None]
-    assert len(built) <= len(non_projective)
-    assert sorted(cat.find(z) for z in built) == sorted(cat.find(node.rep) for node in non_projective)
+    non_projective = [i for i, node in enumerate(cat.nodes) if node.proj_vertex is None]
+    assert sorted(cat.find(z) for z in steps) == non_projective
+    ends = [cat.find(z) for z in built]
+    assert len(set(ends)) == len(ends) and set(ends) <= set(non_projective)
+    assert len(built) < len(non_projective)
 
 
 @pytest.mark.parametrize("name", ["a3", "loop2", "d4", "tilted4"])

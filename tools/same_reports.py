@@ -45,7 +45,7 @@ SMALL_PRIMES = [2, 3]
 # (algebra, tilting module) and (algebra, module) fixture pairs
 TILTED = [("h5", "tilting_h5"), ("a2", "tilting_a2"), ("a3", "tilting_a3")]
 MODULES = [("kron", "kron_preproj"), ("kron", "kron_regular"), ("tilted5", "tilted5_tauinv4p1")]
-DYNKIN = [("E", 6), ("E", 7), ("D", 6), ("A", 7)]
+DYNKIN = [("E", 6), ("E", 7), ("D", 6), ("A", 7), ("D", 8), ("A", 10)]
 NAKAYAMA = [(6, 2), (8, 3), (7, 4)]
 FIELDS = ["Q", 2, 3, 101]
 # Large enough for a complete catalog of every generated algebra above.
