@@ -715,6 +715,9 @@ class _Peirce:
         for b in self.rad:
             i, j = self.tag[b]
             rows, cols = dims[j], dims[i]
+            if not cols:
+                acts.append(Mat(f, rows, 0, ()))
+                continue
             ent = [f.zero] * (rows * cols)
             for c, s in enumerate(self.block[k][i]):
                 for t, x in g._terms[s][b]:
@@ -734,7 +737,8 @@ class _Peirce:
 
         The generators are the e_s at the places that `complement_places` keeps for the
         spanning columns of (V rad)_k.  They lift a basis of the top V_k / (V rad)_k at each
-        vertex k, so by Nakayama's lemma no copy of a projective can be left out.
+        vertex k, so by Nakayama's lemma no copy of a projective can be left out.  At a vertex
+        where v is zero the map has no rows, and no generator is acted on.
         """
         f = self.field
         z, o = f.zero, f.one
@@ -745,6 +749,9 @@ class _Peirce:
                 gens += [(k, tuple(o if i == s else z for i in range(d))) for s in complement_places(rad_k)]
         maps = []
         for i, d in enumerate(v.dims):
+            if not d:
+                maps.append(Mat(f, 0, sum(len(self.block[k][i]) for k, _ in gens), ()))
+                continue
             cols = []
             for k, x in gens:
                 for s in self.block[k][i]:

@@ -38,6 +38,15 @@ only what its caller reads:
 A scalar is tested for zero by its truth value (`if x:`, `any(row)`), never
 by `x != field.zero`: both field types make zero the only false element,
 and for a `Fraction` the truth test skips the type dispatch of `__eq__`.
+
+A module that is zero at a vertex makes every block at that vertex empty, so
+each function returns at once when the shapes alone fix its answer: a
+product with no inner dimension or no entries is the zero matrix of its
+shape; `transpose`, `add`, `sub`, `neg` and `scale` of an empty matrix are
+empty; a stack or block sum drops its empty blocks; a matrix with no entries
+has no pivots, the identity as kernel basis and every place as complement;
+`quotient_maps` of no vectors is the identity twice.  `solve` with no
+unknowns still reads b: it is consistent only when b is zero.
 """
 from __future__ import annotations
 
@@ -91,6 +100,8 @@ class Mat:
 
     @staticmethod
     def identity(field, n):
+        if not n:
+            return Mat(field, 0, 0, ())
         z, o = field.zero, field.one
         ent = [z] * (n * n)
         for i in range(n):
@@ -117,24 +128,34 @@ class Mat:
         return not any(self.entries)
 
     def transpose(self) -> "Mat":
+        if not self.entries:
+            return Mat(self.field, self.cols, self.rows, ())
         ent = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         return Mat(self.field, self.cols, self.rows, ent)
 
     def add(self, other: "Mat") -> "Mat":
         self._same_shape(other)
+        if not self.entries:
+            return self
         f = self.field
         return Mat(f, self.rows, self.cols, tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def sub(self, other: "Mat") -> "Mat":
         self._same_shape(other)
+        if not self.entries:
+            return self
         f = self.field
         return Mat(f, self.rows, self.cols, tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)))
 
     def neg(self) -> "Mat":
+        if not self.entries:
+            return self
         f = self.field
         return Mat(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
 
     def scale(self, s) -> "Mat":
+        if not self.entries:
+            return self
         f = self.field
         return Mat(f, self.rows, self.cols, tuple(f.mul(s, a) for a in self.entries))
 
@@ -145,6 +166,8 @@ class Mat:
         z = f.zero
         n, m, k = self.rows, other.cols, self.cols
         out = [z] * (n * m)
+        if not (out and k):
+            return Mat(f, n, m, tuple(out))
         oe = other.entries
         se = self.entries
         for i in range(n):
@@ -201,11 +224,17 @@ def hstack(field, mats, rows=None):
     for m in mats:
         if m.rows != nr:
             raise DimensionMismatch("hstack row mismatch")
+    mats = [m for m in mats if m.cols]
+    nc = sum(m.cols for m in mats)
+    if not (nr and nc):
+        return Mat(field, nr, nc, ())
+    if len(mats) == 1:
+        return mats[0]
     out = []
     for i in range(nr):
         for m in mats:
             out.extend(m.row(i))
-    return Mat(field, nr, sum(m.cols for m in mats), tuple(out))
+    return Mat(field, nr, nc, tuple(out))
 
 
 def vstack(field, mats, cols=None):
@@ -218,16 +247,24 @@ def vstack(field, mats, cols=None):
     for m in mats:
         if m.cols != nc:
             raise DimensionMismatch("vstack column mismatch")
+    mats = [m for m in mats if m.rows]
+    nr = sum(m.rows for m in mats)
+    if not (nr and nc):
+        return Mat(field, nr, nc, ())
+    if len(mats) == 1:
+        return mats[0]
     ent = []
     for m in mats:
         ent.extend(m.entries)
-    return Mat(field, sum(m.rows for m in mats), nc, tuple(ent))
+    return Mat(field, nr, nc, tuple(ent))
 
 
 def block_diag(field, mats):
     mats = list(mats)
     nr = sum(m.rows for m in mats)
     nc = sum(m.cols for m in mats)
+    if not (nr and nc):
+        return Mat(field, nr, nc, ())
     z = field.zero
     out = [z] * (nr * nc)
     r0 = c0 = 0
@@ -441,6 +478,8 @@ def _pivots(m: Mat):
     echelon form of the row space, and every echelon form has the pivot
     columns of the reduced one.
     """
+    if not m.entries:
+        return []
     mod = _modulus(m.field)
     piv = {}
     for i in range(m.rows):
@@ -464,6 +503,8 @@ def rank(m: Mat) -> int:
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns form a basis of the right null space of m."""
+    if not m.entries:
+        return Mat.identity(m.field, m.cols)
     vecs = _null_space(m.field, *_mat_space(m), m.cols)
     ent = tuple(v[i] for i in range(m.cols) for v in vecs)
     return Mat(m.field, m.cols, len(vecs), ent)
@@ -526,6 +567,10 @@ def solve(a: Mat, b: Mat):
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row mismatch")
     n, nb = a.cols, b.cols
+    if not n:
+        return None if any(b.entries) else Mat(a.field, 0, nb, ())
+    if not (a.rows and nb):
+        return Mat.zeros(a.field, n, nb)
     piv, mod = _row_space(a.field, (a.row(i) + b.row(i) for i in range(a.rows)), n + nb)
     if any(p >= n for p in piv):
         return None
@@ -556,6 +601,8 @@ def complement_places(cols: Mat):
     forward elimination, so the columns need only span: they may repeat or depend.
     """
     d = cols.rows
+    if not cols.entries:
+        return list(range(d))
     rev = Mat(cols.field, cols.cols, d, tuple(x for j in range(cols.cols) for x in cols.col(j)[::-1]))
     last = {d - 1 - c for c in _pivots(rev)}
     return [s for s in range(d) if s not in last]
@@ -609,6 +656,8 @@ def quotient_maps(field, basis: Mat):
     is checked to be [0 | I].
     """
     d, r = basis.rows, basis.cols
+    if not r:
+        return Mat.identity(field, d), Mat.identity(field, d)
     piv, mod = _row_space(field, (basis.col(j)[::-1] for j in range(r)), d)
     if len(piv) != r:
         raise DimensionMismatch("quotient_maps: dependent input columns")

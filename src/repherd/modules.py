@@ -69,15 +69,23 @@ class Representation:
             self._check_relations()
 
     def _check_relations(self):
-        f = self.algebra.field
-        for rel in self.algebra.relations:
-            start = rel[0][1].start
-            end = rel[0][1].end(self.algebra.quiver)
-            acc = Mat.zeros(f, self.dims[end], self.dims[start])
-            for (s, p) in rel:
-                acc = acc.add(path_action(self, p).scale(s))
-            if not acc.is_zero():
-                raise InvalidRepresentation("relation does not vanish on the representation")
+        """Each relation, evaluated on the module, must be zero.
+
+        A term whose path passes through a vertex where the module is zero, its
+        start and end included, is zero on it; the other terms are summed.  So a
+        relation from or to such a vertex takes no product at all.
+        """
+        q = self.algebra.quiver
+        dims = self.dims
+        for k, rel in enumerate(self.algebra.relations):
+            acc = None
+            for s, p in rel:
+                if dims[p.start] and all(dims[q.arrow_tgt[a]] for a in p.arrows):
+                    term = path_action(self, p).scale(s)
+                    acc = term if acc is None else acc.add(term)
+            if acc is not None and not acc.is_zero():
+                paths = ", ".join(".".join(q.arrow_names[a] for a in p.arrows) for _, p in rel)
+                raise InvalidRepresentation("relation %d (%s) does not vanish on the representation" % (k, paths))
 
     @property
     def total_dim(self):
@@ -91,9 +99,15 @@ class Representation:
 
 
 def path_action(rep: Representation, p) -> Mat:
-    """Matrix of the path acting on rep (first arrow applied first)."""
+    """Matrix of the path acting on rep (first arrow applied first); the zero
+    matrix, with no product taken, when the path passes through a vertex where
+    rep is zero."""
+    dims = rep.dims
     if not p.arrows:
-        return Mat.identity(rep.algebra.field, rep.dims[p.start])
+        return Mat.identity(rep.algebra.field, dims[p.start])
+    q = rep.algebra.quiver
+    if not (dims[p.start] and all(dims[q.arrow_tgt[a]] for a in p.arrows)):
+        return Mat.zeros(rep.algebra.field, dims[q.arrow_tgt[p.arrows[-1]]], dims[p.start])
     m = rep.mats[p.arrows[0]]
     for a in p.arrows[1:]:
         m = rep.mats[a].mul(m)
@@ -127,9 +141,14 @@ class ModuleMorphism:
         return hash((self.source, self.target, self.mats))
 
     def check(self):
+        """self, once checked to commute with each arrow i -> j; an arrow where the source is
+        zero at i or the target is zero at j gives a square of empty matrices and is skipped."""
         q = self.source.algebra.quiver
+        sdims, tdims = self.source.dims, self.target.dims
         for a in range(q.n_arrows):
             i, j = q.arrow_src[a], q.arrow_tgt[a]
+            if not (sdims[i] and tdims[j]):
+                continue
             lhs = self.mats[j].mul(self.source.mats[a])
             rhs = self.target.mats[a].mul(self.mats[i])
             if not lhs.eq(rhs):
@@ -195,9 +214,9 @@ def morphism_from_flat(source, target, vec) -> ModuleMorphism:
     mats = []
     pos = 0
     for v in range(len(source.dims)):
-        r, c = target.dims[v], source.dims[v]
-        mats.append(Mat(fld, r, c, tuple(vec[pos : pos + r * c])))
-        pos += r * c
+        n = target.dims[v] * source.dims[v]
+        mats.append(Mat(fld, target.dims[v], source.dims[v], tuple(vec[pos : pos + n]) if n else ()))
+        pos += n
     return ModuleMorphism(source, target, tuple(mats))
 
 
@@ -381,17 +400,23 @@ def hom_dim(m, n) -> int:
 
 
 def subrep_from_bases(m: Representation, bases):
-    """Subrepresentation spanned by the given per-vertex column bases."""
+    """Subrepresentation spanned by the given per-vertex column bases.
+
+    Along an arrow i -> j with the subspace zero at i there is nothing to map;
+    where it is zero at j, `solve` still checks that the image there is zero.
+    """
     f = m.algebra.field
     q = m.algebra.quiver
     dims = [b.cols for b in bases]
     mats = []
     for a in range(q.n_arrows):
         i, j = q.arrow_src[a], q.arrow_tgt[a]
-        img = m.mats[a].mul(bases[i])
-        x = solve(bases[j], img)
+        if not dims[i]:
+            mats.append(Mat(f, dims[j], 0, ()))
+            continue
+        x = solve(bases[j], m.mats[a].mul(bases[i]))
         if x is None:
-            raise InvalidRepresentation("subspace is not arrow invariant")
+            raise InvalidRepresentation("subspace is not invariant under arrow %s" % q.arrow_names[a])
         mats.append(x)
     sub = Representation(m.algebra, dims, mats)
     incl = ModuleMorphism(sub, m, tuple(bases))

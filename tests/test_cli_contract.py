@@ -226,6 +226,17 @@ def test_input_faults_name_the_file_and_key(tmp_path, capsys):
     assert err.count("\n") == 1 and str(tilting) in err and '"summands"' in err
 
 
+def test_a_module_that_breaks_a_relation_names_it(tmp_path, capsys):
+    """alpha.beta = 1 on a module of sq that is zero at vertex 3, where gamma.delta passes:
+    the one error line names the file and the relation, by its index and its paths."""
+    mod = tmp_path / "not_commuting.json"
+    mod.write_text(json.dumps({"dims": {"1": 1, "2": 1, "4": 1}, "maps": {"alpha": [[1]], "beta": [[1]]}}))
+    assert main(["check-module", fixture_path("sq.json"), str(mod)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(mod) in err and "relation 0 (alpha.beta, gamma.delta)" in err
+
+
 ALGEBRA_FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
 _Q_REPORTS = {}
 

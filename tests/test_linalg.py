@@ -15,6 +15,7 @@ from repherd.linalg import (
     _scaled,
     col_space,
     complement_places,
+    block_diag,
     extend_to_basis,
     hstack,
     inverse,
@@ -24,6 +25,7 @@ from repherd.linalg import (
     rank,
     rref,
     solve,
+    vstack,
 )
 from tests.conftest import in_form
 
@@ -237,6 +239,113 @@ def test_fraction_free_rref_over_q_matches_the_dense_loop(drawn):
     if m.rows:
         xs = solve(m, m.mul(x))
         assert xs.entries == dense_solve(m, m.mul(x)) and m.mul(xs).eq(m.mul(x))
+
+
+# -- empty shapes ----------------------------------------------------------------
+#
+# A vertex where a module is zero makes every block at it empty, and the kernels
+# return at once on such shapes; these tests hold each early answer to the plain
+# definition or to dense Gauss-Jordan.
+
+
+def shaped(field, rows, cols):
+    """A rows x cols matrix over field with drawn entries."""
+    return st.lists(entries(field), min_size=rows * cols, max_size=rows * cols).map(
+        lambda xs: Mat(field, rows, cols, tuple(field.coerce(x) for x in xs)))
+
+
+@st.composite
+def empty_products(draw):
+    """A field and matrices a (n x k), b (k x m) and c (n x m) with one of n, k, m zero."""
+    field = draw(st.sampled_from(FIELDS))
+    n, k, m = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(lambda t: 0 in t))
+    return field, draw(shaped(field, n, k)), draw(shaped(field, k, m)), draw(shaped(field, n, m))
+
+
+def _dot(f, xs, ys):
+    acc = f.zero
+    for x, y in zip(xs, ys):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def _dense_block_diag(f, mats):
+    nc = sum(m.cols for m in mats)
+    rows, c0 = [], 0
+    for m in mats:
+        rows += [[f.zero] * c0 + list(m.row(i)) + [f.zero] * (nc - c0 - m.cols) for i in range(m.rows)]
+        c0 += m.cols
+    return Mat(f, len(rows), nc, tuple(x for r in rows for x in r))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(empty_products(), st.sampled_from(_scalars))
+def test_empty_shapes_follow_the_plain_definitions(drawn, s):
+    """mul, transpose, add, scale, hstack, vstack and block_diag, with a zero
+    dimension somewhere, give what their definitions give."""
+    f, a, b, c = drawn
+    s = f.coerce(s)
+    prod = a.mul(b)
+    assert prod == Mat(f, a.rows, b.cols, tuple(_dot(f, a.row(i), b.col(j)) for i in range(a.rows) for j in range(b.cols)))
+    assert c.add(prod) == Mat(f, c.rows, c.cols, tuple(f.add(x, y) for x, y in zip(c.entries, prod.entries)))
+    for x in (a, b, c):
+        assert x.transpose() == Mat(f, x.cols, x.rows, tuple(x.at(i, j) for j in range(x.cols) for i in range(x.rows)))
+        assert x.scale(s) == Mat(f, x.rows, x.cols, tuple(f.mul(s, e) for e in x.entries))
+    for left, right in ((a, c), (c, a), (a, a)):
+        want = tuple(e for i in range(left.rows) for e in left.row(i) + right.row(i))
+        assert hstack(f, [left, right]) == Mat(f, left.rows, left.cols + right.cols, want)
+    for top, bottom in ((b, c), (c, b), (c, c)):
+        assert vstack(f, [top, bottom]) == Mat(f, top.rows + bottom.rows, c.cols, top.entries + bottom.entries)
+    for x in (a, b, c):
+        assert hstack(f, [x]) == vstack(f, [x]) == block_diag(f, [x]) == x
+    assert block_diag(f, [a, b, c]) == _dense_block_diag(f, [a, b, c])
+
+
+def dense_kernel(f, m):
+    """The kernel basis dense Gauss-Jordan reads off: one column per free column of m, in order."""
+    rows = m.row_lists()
+    pivots = _gauss_jordan(f, rows, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    cols = []
+    for fc in free:
+        col = [f.zero] * m.cols
+        col[fc] = f.one
+        for t, pc in enumerate(pivots):
+            col[pc] = f.neg(rows[t][fc])
+        cols.append(col)
+    return Mat(f, m.cols, len(free), tuple(col[i] for i in range(m.cols) for col in cols))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(empty_products(), st.booleans())
+def test_empty_shapes_match_the_dense_reference(drawn, zero_rhs):
+    """rank, col_space, kernel_basis and solve, with a zero dimension somewhere,
+    give what dense Gauss-Jordan gives."""
+    f, a, b, c = drawn
+    for x in (a, b, c):
+        pivots = _gauss_jordan(f, x.row_lists(), x.cols)
+        assert rank(x) == len(pivots)
+        assert col_space(x) == Mat(f, x.rows, len(pivots), tuple(x.at(i, p) for i in range(x.rows) for p in pivots))
+        assert kernel_basis(x) == dense_kernel(f, x)
+    rhs = Mat.zeros(f, c.rows, c.cols) if zero_rhs else c
+    xs = solve(a, rhs)
+    assert (None if xs is None else xs.entries) == dense_solve(a, rhs)
+    if xs is not None:
+        assert (xs.rows, xs.cols) == (a.cols, c.cols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_solve_with_no_unknowns_needs_a_zero_right_hand_side(field):
+    """a x = b with a.cols == 0 has the one solution x = 0 (0 x nb) when b is zero, and none
+    otherwise: an early answer on the shape must still read b."""
+    for rows, nb in ((1, 1), (3, 2)):
+        a = Mat(field, rows, 0, ())
+        assert solve(a, Mat.zeros(field, rows, nb)) == Mat(field, 0, nb, ())
+        for k in range(rows * nb):
+            b = Mat(field, rows, nb, tuple(field.one if t == k else field.zero for t in range(rows * nb)))
+            assert solve(a, b) is None
 
 
 class DenseSpan:

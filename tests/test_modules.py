@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -30,11 +32,16 @@ from repherd.modules import (
     radical_of,
     simple_at,
     socle_of,
+    subrep_from_bases,
     zero_morphism,
     zero_rep,
 )
+from repherd.io import algebra_from_dict
 
-from tests.conftest import catalog_of, load_fixture_algebra, rebased
+from tests.conftest import ROOT, catalog_of, load_fixture_algebra, rebased
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
 
 
 def dims_of(rep):
@@ -234,6 +241,90 @@ def test_relation_violation_rejected(loop2):
     ]
     with pytest.raises(InvalidRepresentation):
         Representation(loop2, (2, 1), worse)
+
+
+def _sq_module(alpha, beta):
+    """The module of sq with dims (1, 1, 0, 1): zero at vertex 3, so gamma and delta are empty."""
+    sq = load_fixture_algebra("sq")
+    f = sq.field
+    mats = [Mat.from_rows(f, [[alpha]]), Mat.from_rows(f, [[beta]]), Mat.zeros(f, 0, 1), Mat.zeros(f, 1, 0)]
+    return sq, mats
+
+
+def test_a_relation_term_through_a_zero_vertex_leaves_the_others_checked():
+    """sq's relation alpha.beta - gamma.delta on dims (1, 1, 0, 1): the gamma.delta term passes
+    through the zero vertex 3 and is zero, but alpha.beta = 1 does not vanish, and the error
+    names the relation by its index and its paths."""
+    sq, mats = _sq_module(1, 1)
+    with pytest.raises(InvalidRepresentation, match=r"^relation 0 \(alpha\.beta, gamma\.delta\) does not vanish"):
+        Representation(sq, (1, 1, 0, 1), mats)
+    sq, mats = _sq_module(1, 0)
+    assert Representation(sq, (1, 1, 0, 1), mats).dims == (1, 1, 0, 1)
+
+
+def test_a_subspace_zero_at_an_arrows_target_must_map_to_zero_there(a2):
+    """On P(1) of a2, the line at vertex 1 with nothing at vertex 2 is not a submodule, since
+    a maps it onto vertex 2; with a = 0 it is the simple S(1)."""
+    f = a2.field
+    bases = [Mat.identity(f, 1), Mat.zeros(f, 1, 0)]
+    with pytest.raises(InvalidRepresentation, match="not invariant under arrow a"):
+        subrep_from_bases(projective_at(a2, "1"), bases)
+    split = Representation(a2, (1, 1), [Mat.zeros(f, 1, 1)])
+    assert subrep_from_bases(split, bases)[0].dims == (1, 0)
+
+
+def test_a_square_that_does_not_commute_on_the_support_is_rejected():
+    """A map of the sq module zero at vertex 3 to itself, 1 at vertex 1 and 0 at vertex 2: the
+    square of alpha does not commute, though every square through vertex 3 is empty."""
+    sq, mats = _sq_module(1, 0)
+    x = Representation(sq, (1, 1, 0, 1), mats)
+    f = sq.field
+    one, zero = Mat.identity(f, 1), Mat.zeros(f, 1, 1)
+    ModuleMorphism(x, x, (one, one, Mat.identity(f, 0), one)).check()
+    with pytest.raises(InvalidRepresentation, match="does not commute with arrow alpha"):
+        ModuleMorphism(x, x, (one, zero, Mat.identity(f, 0), one)).check()
+
+
+def _generated(kind, n, r):
+    rng = random.Random("support:%s%d" % (kind, n))
+    data = gen.dynkin_algebra(rng, "A", n, "Q") if kind == "A" else gen.nakayama_algebra(rng, n, r, "Q")
+    return algebra_from_dict(data)
+
+
+@pytest.mark.parametrize("kind, n, r", [("A", 6, None), ("nakayama", 7, 3)])
+def test_checks_multiply_nothing_outside_the_support(kind, n, r, monkeypatch):
+    """`Representation._check_relations`, `ModuleMorphism.check` and `path_action` take no
+    product with an empty factor: on a module supported on one vertex of A_n or A_n/rad^r they
+    take none at all, and on a projective, an interval of the line, only products of its
+    nonzero blocks."""
+    alg = _generated(kind, n, r)
+    q = alg.quiver
+    f = alg.field
+    assert (len(alg.relations) > 0) == (kind == "nakayama")
+    one_vertex = []
+    for v in range(q.n_vertices):
+        dims = [2 if u == v else 0 for u in range(q.n_vertices)]
+        mats = [Mat.zeros(f, dims[q.arrow_tgt[a]], dims[q.arrow_src[a]]) for a in range(q.n_arrows)]
+        one_vertex.append(Representation(alg, dims, mats, check=False))
+    projectives = [projective_at(alg, v) for v in range(q.n_vertices)]
+    products = []
+    real = Mat.mul
+
+    def recording(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(Mat, "mul", recording)
+    for x in one_vertex:
+        x._check_relations()
+        ModuleMorphism(x, x, tuple(Mat.identity(f, d).scale(f.from_int(3)) for d in x.dims)).check()
+        for p in alg.basis:
+            assert path_action(x, p).is_zero() or not p.arrows
+    assert products == []
+    for x in projectives:
+        x._check_relations()
+        identity_morphism(x).check()
+    assert products and all(all(shape) for shape in products)
 
 
 def test_hom_basis_elements_commute(loop2, tilted4):
