@@ -43,7 +43,6 @@ from .homological import (
     minimal_right_approx,
     proj_dim,
     projective_cover,
-    reject_of,
     syzygy,
     trace_of,
     transpose,

@@ -10,7 +10,6 @@ from .homological import (
     ar_translate,
     inj_dim,
     proj_dim,
-    reject_of,
     trace_of,
 )
 from .modules import (
@@ -308,19 +307,22 @@ def node_facts(cat: IndecomposableCatalog):
     if cat._facts is not None:
         return cat._facts
     gc = gen_cogen(cat.algebra)
+    # the duals of the projectives are the injectives over the opposite algebra, and
+    # dim rej_A(x) = dim x - dim tr_{D A}(Dx): the reject of A is read off a trace over A^op
+    dual_proj = gc.duals[: len(gc.projectives)]
     facts = []
     for node in cat.nodes:
         x = node.rep
-        trace = trace_of(gc.injectives, x)[0].total_dim    # of DA in x
-        reject = reject_of(gc.projectives, x)[0].total_dim  # of A in x
+        trace = trace_of(gc.injectives, x)[0].total_dim              # of DA in x
+        cotrace = trace_of(dual_proj, dual_module(x))[0].total_dim  # dim x - dim rej_A(x)
         facts.append(
             {
                 "pd": proj_dim(x),
                 "id": inj_dim(x),
                 "gen_da": trace == x.total_dim,
-                "cogen_a": reject == 0,
+                "cogen_a": cotrace == x.total_dim,
                 "supp_da": trace > 0,
-                "supp_a": reject < x.total_dim,
+                "supp_a": cotrace > 0,
             }
         )
     cat._facts = facts

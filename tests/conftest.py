@@ -82,6 +82,11 @@ def h5():
 
 
 @pytest.fixture(scope="session")
+def a4_rad2():
+    return load_fixture_algebra("a4_rad2")
+
+
+@pytest.fixture(scope="session")
 def gf101():
     return PrimeField(101)
 
@@ -107,6 +112,29 @@ def main_report_of(alg):
     if id(alg) not in _mains:
         _mains[id(alg)] = check_representation_hereditary(alg, catalog=catalog_of(alg))
     return _mains[id(alg)]
+
+
+def verify_almost_split(seq, catalog):
+    """Check that seq, ending at z, is almost split: every radical morphism from a catalog node
+    into z lifts through the right-hand map.  From z itself these are rad End(z), and from a
+    node isomorphic to z they are rad End(z) composed with the isomorphism."""
+    from repherd.errors import VerificationFailed
+    from repherd.homological import solve_factor_right
+    from repherd.modules import compose, endomorphism_radical, hom_basis, indec_isomorphism
+
+    z = seq.right.target
+    rad = endomorphism_radical(z)
+    for node in catalog.nodes:
+        x = node.rep
+        if x is z:
+            tests = rad
+        elif (iso := indec_isomorphism(x, z)) is not None:
+            tests = [compose(r, iso) for r in rad]
+        else:
+            tests = hom_basis(x, z)
+        for h in tests:
+            if solve_factor_right(seq.right, h) is None:
+                raise VerificationFailed("a radical morphism does not lift through the sequence")
 
 
 def rebased(m, rng):

@@ -9,7 +9,6 @@ from repherd.errors import BudgetExceeded, IncompleteCatalog
 from repherd.fields import PrimeField
 from repherd.homological import (
     ShortExactSequence,
-    _verify_almost_split,
     almost_split_sequence,
     ar_translate,
     ar_translate_inv,
@@ -34,7 +33,7 @@ from repherd.modules import (
     morphism_flat,
 )
 
-from tests.conftest import catalog_of, in_form, load_fixture_algebra, rebased
+from tests.conftest import catalog_of, in_form, load_fixture_algebra, rebased, verify_almost_split
 from tests.test_cli import E6
 
 
@@ -122,7 +121,8 @@ def test_completeness_certificate(loop2, tilted4):
         cat = catalog_of(alg)
         for node in cat.nodes:
             if node.proj_vertex is None:
-                seq = almost_split_sequence(node.rep, catalog=cat)
+                seq = almost_split_sequence(node.rep)
+                verify_almost_split(seq, cat)
                 for piece in indecomposable_summands(seq.middle):
                     assert cat.find(piece) is not None
 
@@ -331,7 +331,7 @@ def test_sequence_starting_at_a_node_is_the_dual_of_one_over_the_opposite(name, 
         assert tuple(dual.left.source.mats) == tuple(node.rep.mats)
         assert tuple(tau_inv.mats) == tuple(tr_d.mats)
         assert is_isomorphic(dual.middle, almost_split_sequence(tr_d).middle)
-        _verify_almost_split(dual, tau_inv, endomorphism_radical(tau_inv), cat)
+        verify_almost_split(dual, cat)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])

@@ -72,6 +72,27 @@ def test_main_check_tilted5_actual_behavior(tilted5):
     assert len(outside) == 6
 
 
+def test_main_check_a4_rad2_fails(a4_rad2):
+    """The line 4 -> 3 -> 2 -> 1 with rad^2 = 0 Fails, and the oracle agrees: gl.dim
+    End(A + DA) = 4.  The minimal right approximation of S(3) is P(3) -> S(3), whose kernel
+    S(2) is not projective; the minimal left approximation of S(2) is S(2) -> P(3), whose
+    cokernel S(3) is not injective.  Hom(DA, A) != 0, so part (v)'s suite is gated off."""
+    report = main_report_of(a4_rad2)
+    assert report.verdict == FAILS
+    assert {"gldim_end": {"finite": 4}} in report.witnesses
+    wit = {w["module"]: w for w in report.witnesses if "module" in w}
+    assert sorted(wit) == ["S(2)", "S(3)"]
+    s3, s2 = wit["S(3)"], wit["S(2)"]
+    assert s3["right_source_dims"] == [0, 1, 1, 0] and s3["kernel_dims"] == [0, 1, 0, 0]
+    assert s3["right_kernel_projective"] is False and s3["kernel_pieces"] == ["non-projective (0, 1, 0, 0)"]
+    assert s3["left_cokernel_injective"] is True
+    assert s2["left_target_dims"] == [0, 1, 1, 0] and s2["cokernel_dims"] == [0, 0, 1, 0]
+    assert s2["left_cokernel_injective"] is False and s2["cokernel_pieces"] == ["non-injective (0, 0, 1, 0)"]
+    assert s2["right_kernel_projective"] is True
+    with pytest.raises(GateFailed, match=r"I\(1\) -> P\(2\)"):
+        check_no_inj_to_proj_suite(a4_rad2, catalog_of(a4_rad2), main_report=report)
+
+
 def test_tauinv4_p1_lands_in_add(tilted5):
     m = rio.load_module(tilted5, fixture_path("tilted5_tauinv4p1.json"))
     x = projective_at(tilted5, "1")

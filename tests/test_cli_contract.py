@@ -237,7 +237,24 @@ def test_a_module_that_breaks_a_relation_names_it(tmp_path, capsys):
     assert str(mod) in err and "relation 0 (alpha.beta, gamma.delta)" in err
 
 
-ALGEBRA_FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+@pytest.mark.parametrize("suite", [[], ["--suite", "all"]], ids=["main", "all"])
+@pytest.mark.parametrize("name,verdict,wrong", [("a4_rad2", "Fails", 3), ("a3", "Holds", 4)])
+def test_routes_that_disagree_refuse_a_verdict(name, verdict, wrong, suite, monkeypatch, capsys):
+    """With the oracle patched to a wrong gl.dim End(A + DA), the check refuses: exit 4 and one
+    error line that names both results."""
+    from repherd.dims import DimValue
+
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    monkeypatch.setattr(checks, "gldim_end_gen_cogen", lambda alg: DimValue.finite(wrong))
+    assert main(["check", fixture_path(name + ".json")] + suite) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "kernel test %s but gl.dim End(A + DA) = %d" % (verdict, wrong) in lines[0]
+
+
+ALGEBRA_FIXTURES = ["a2", "a3", "a4_rad2", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
 _Q_REPORTS = {}
 
 

@@ -6,8 +6,8 @@ from repherd import checks, homological, modules
 from repherd import io as rio
 from repherd.errors import VerificationFailed
 from repherd.fields import PrimeField
-from repherd.homological import is_right_approx, minimal_right_approx, projective_cover, solve_factor_right
-from repherd.linalg import hstack
+from repherd.homological import minimal_right_approx, projective_cover, solve_factor_right
+from repherd.linalg import Mat, hstack, rank
 from repherd.modules import (
     HomTable,
     ModuleMorphism,
@@ -16,8 +16,10 @@ from repherd.modules import (
     direct_sum,
     dual_module,
     gen_cogen,
+    hom_basis,
     is_isomorphic,
     kernel_of,
+    morphism_flat,
     projective_at,
     radical_of,
     simple_at,
@@ -28,28 +30,6 @@ from tests.conftest import catalog_of, fixture_path, load_fixture_algebra, main_
 COMPLETE = ["a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5"]
 FIELDS = [None, PrimeField(101)]
 FIELD_IDS = ["Q", "GF101"]
-
-# 1 -> 2 -> 3 -> 4 with rad^2 = 0: the kernel test Fails, with kernels that are not projective
-# and cokernels that are not injective
-A4_RAD2 = {
-    "field": "Q",
-    "vertices": ["1", "2", "3", "4"],
-    "arrows": [{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"},
-               {"name": "c", "from": "3", "to": "4"}],
-    "relations": [[{"coeff": "1", "path": ["a", "b"]}], [{"coeff": "1", "path": ["b", "c"]}]],
-    "length_bound": 2,
-}
-_a4_rad2 = {}
-
-
-def _algebra(name, field):
-    if name != "a4_rad2":
-        return load_fixture_algebra(name, field)
-    key = repr(field)
-    if key not in _a4_rad2:
-        _a4_rad2[key] = rio.algebra_from_dict(A4_RAD2, field=field)
-    return _a4_rad2[key]
-
 
 def _outside(alg):
     cat = catalog_of(alg)
@@ -78,7 +58,7 @@ def _assert_same_verdict(k, prefix, projs):
 def test_dimension_count_matches_the_cover_kernel(name, field, monkeypatch):
     """On every kernel and cokernel the kernel test produces, the dimension count and the
     kernel of the projective cover agree on projectivity and on the names."""
-    alg = _algebra(name, field)
+    alg = load_fixture_algebra(name, field)
     seen = []
     original = checks._projective_piece_names
 
@@ -102,7 +82,7 @@ def test_dimension_count_matches_the_cover_kernel(name, field, monkeypatch):
 @pytest.mark.parametrize("name", COMPLETE + ["kron", "a4_rad2"])
 def test_dimension_count_on_simples(name, field):
     """Every simple and the dual of every simple, projective or not."""
-    alg = _algebra(name, field)
+    alg = load_fixture_algebra(name, field)
     gc = gen_cogen(alg)
     verdicts = []
     for v in range(alg.quiver.n_vertices):
@@ -180,42 +160,50 @@ def test_second_kernel_test_solves_no_hom_among_the_summands(name, monkeypatch):
     assert first == second
 
 
-def _decomposed_built_right_approx(x, inj_list, inj_homs, add_homs):
-    """Reference for checks._built_right_approx_ok that compares the two sources by
-    decomposition: (built map is a right approximation, sources isomorphic, same dimension
-    vector), or None when the cokernel's cover does not lift."""
+def _is_right_approx(f, xs):
+    """Reference: whether every morphism from a module in xs to the target of f factors through
+    f.  The composites f . b with b in Hom(X, source f) lie in Hom(X, target f), so they span it
+    exactly when their rank is dim Hom(X, target f)."""
+    fld = f.target.algebra.field
+    for x in xs:
+        want = len(hom_basis(x, f.target))
+        vecs = [morphism_flat(compose(f, b)) for b in hom_basis(x, f.source)]
+        got = rank(Mat(fld, len(vecs), len(vecs[0]), tuple(a for v in vecs for a in v))) if vecs else 0
+        if got != want:
+            return False
+    return True
+
+
+def _built_map(x, inj_list, inj_homs):
+    """Reference for the map part (v) stands for: the minimal right add(inj_list)-approximation
+    fr of x, together with a lift through the projection onto coker fr of the projective cover
+    of coker fr, found by a Hom solve."""
     alg = x.algebra
     fr = minimal_right_approx(x, inj_list, _homs=inj_homs)
     cok, cproj = cokernel_of(fr)
     cover = projective_cover(cok)
     lift = solve_factor_right(cproj, cover)
-    if lift is None:
-        return None
+    assert lift is not None
     mats = [hstack(alg.field, [fr.mats[v], lift.mats[v]], rows=x.dims[v]) for v in range(len(x.dims))]
-    fp = ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
-    minimal = minimal_right_approx(x, add_homs.modules, _homs=add_homs)
-    return (is_right_approx(fp, add_homs.modules), is_isomorphic(fp.source, minimal.source),
-            fp.source.dims == minimal.source.dims)
+    return ModuleMorphism(direct_sum(alg, [fr.source, cover.source]), x, tuple(mats)).check()
 
 
 def _assert_minimality_by_dims(x, inj_list, inj_homs, add_homs):
-    """checks._built_right_approx_ok(...) is the decomposing reference's verdict, and on a right
-    approximation the dimension vectors of the two sources decide their isomorphism."""
-    ref = _decomposed_built_right_approx(x, inj_list, inj_homs, add_homs)
-    minimal_dims = minimal_right_approx(x, add_homs.modules, _homs=add_homs).source.dims
-    got = checks._built_right_approx_ok(x, inj_list, inj_homs, add_homs.modules, minimal_dims)
-    if ref is None:
-        assert got is False
-        return None
-    approx, iso, same_dims = ref
-    if approx:
-        assert iso == same_dims
-    assert got == (approx and iso)
-    return got
+    """For an inj_list that holds every indecomposable injective: the built map is a right
+    add(add_homs.modules)-approximation, the dimension vectors of its source and of the minimal
+    source decide whether the two are isomorphic, and checks._built_right_approx_ok(...) is the
+    verdict of the comparison by decomposition."""
+    fp = _built_map(x, inj_list, inj_homs)
+    minimal = minimal_right_approx(x, add_homs.modules, _homs=add_homs)
+    assert _is_right_approx(fp, add_homs.modules)
+    iso = is_isomorphic(fp.source, minimal.source)
+    assert iso == (fp.source.dims == minimal.source.dims)
+    assert checks._built_right_approx_ok(x, inj_list, inj_homs, minimal.source.dims) == iso
+    return iso
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("name", ["a2"] + COMPLETE)
+@pytest.mark.parametrize("name", ["a2"] + COMPLETE + ["a4_rad2"])
 def test_part_v_minimality_by_dimension_vectors(name, field):
     """On every module outside add(A + DA), and on its dual, part (v)'s comparison of
     dimension vectors gives the verdict of the comparison by decomposition."""
@@ -228,39 +216,22 @@ def test_part_v_minimality_by_dimension_vectors(name, field):
 
 
 def test_part_v_says_not_minimal(d4):
-    """A right approximation with too large a source is not minimal.  On d4, P(3) together with
-    the cover of its cokernel maps onto tau^-1 P(1) from a module of dimension vector (1,1,2,1);
-    the minimal add(A + DA)-approximation has source (1,1,1,1)."""
+    """A right approximation with too large a source is not minimal.  On d4, the injectives and
+    P(3), together with the cover of the cokernel, map onto tau^-1 P(1) from a source larger
+    than the minimal add(A + DA)-approximation's."""
     gc = gen_cogen(d4)
     x = catalog_of(d4).node_named("τ⁻¹P(1)").rep
     p3 = projective_at(d4, "3")
-    assert _decomposed_built_right_approx(x, [p3], HomTable([p3]), gc.homs) == (True, False, False)
-    minimal_dims = minimal_right_approx(x, gc.homs.modules, _homs=gc.homs).source.dims
-    assert checks._built_right_approx_ok(x, [p3], HomTable([p3]), gc.homs.modules, minimal_dims) is False
-    assert checks._built_right_approx_ok(x, gc.injectives, gc.inj_homs, gc.homs.modules, minimal_dims) is True
-    # every single summand of add(A + DA) in place of the injectives
-    verdicts = [_assert_minimality_by_dims(y, [u], HomTable([u]), gc.homs)
-                for y in _outside(d4) for u in gc.modules]
+    with_p3 = list(gc.injectives) + [p3]
+    assert _assert_minimality_by_dims(x, with_p3, HomTable(with_p3), gc.homs) is False
+    assert _assert_minimality_by_dims(x, gc.injectives, gc.inj_homs, gc.homs) is True
+    # every single summand of add(A + DA) added to the injectives
+    verdicts = []
+    for u in gc.modules:
+        xs = list(gc.injectives) + [u]
+        table = HomTable(xs)
+        verdicts.extend(_assert_minimality_by_dims(y, xs, table, gc.homs) for y in _outside(d4))
     assert verdicts.count(False) == 9 and verdicts.count(True) == 23
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("name", COMPLETE)
-def test_lift_is_taken_to_the_cover_of_the_cokernel(name, field):
-    """On every module outside add(A + DA), and on its dual, the projection onto the cokernel of
-    the minimal add DA-approximation takes part (v)'s lift to the projective cover of that
-    cokernel, entry by entry."""
-    alg = load_fixture_algebra(name, field)
-    gc = gen_cogen(alg)
-    dual_proj = gc.duals[: len(gc.projectives)]
-    for x in _outside(alg):
-        for m, xs, table in ((x, gc.injectives, gc.inj_homs), (dual_module(x), dual_proj, gc.dual_homs)):
-            fr = minimal_right_approx(m, xs, _homs=table)
-            cok, cproj = cokernel_of(fr)
-            got, want = compose(cproj, checks._cover_lift(fr)), projective_cover(cok)
-            _same_map(got, want)
-            assert [[(type(a), a) for a in g.entries] for g in got.mats] == \
-                [[(type(a), a) for a in w.entries] for w in want.mats]
 
 
 def test_part_v_needs_the_main_check_record(d4):

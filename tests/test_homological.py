@@ -1,6 +1,6 @@
 import pytest
 
-from repherd.catalog import enumerate_indecomposables
+from repherd.catalog import node_facts
 from repherd.dims import DimValue
 from repherd.errors import ZProjective
 from repherd.fields import QQ, PrimeField
@@ -18,13 +18,12 @@ from repherd.homological import (
     minimal_right_approx,
     proj_dim,
     projective_cover,
-    reject_of,
     solve_factor_right,
     syzygy,
     trace_of,
     transpose,
 )
-from repherd.linalg import Mat, hstack, rank, solve
+from repherd.linalg import Mat, hstack, rank, solve, vstack
 from repherd.modules import (
     Representation,
     cokernel_of,
@@ -46,7 +45,10 @@ from repherd.modules import (
     simple_at,
 )
 
-from tests.conftest import catalog_of, load_fixture_algebra
+from tests.conftest import catalog_of, load_fixture_algebra, verify_almost_split
+
+
+COMPLETE_FIXTURES = ("a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5")
 
 
 def addlist(alg):
@@ -146,7 +148,8 @@ def test_almost_split_a2(a2):
 
     cat = catalog_of(a2)
     s1 = simple_at(a2, "1")
-    seq = almost_split_sequence(s1, catalog=cat)
+    seq = almost_split_sequence(s1)
+    verify_almost_split(seq, cat)
     assert is_isomorphic(seq.left.source, simple_at(a2, "2"))
     assert seq.middle.dims == (1, 1)
     with pytest.raises(ZProjective):
@@ -158,7 +161,8 @@ def test_almost_split_loop2_matches_figure(loop2):
 
     cat = catalog_of(loop2)
     s1 = simple_at(loop2, "1")
-    seq = almost_split_sequence(s1, catalog=cat)
+    seq = almost_split_sequence(s1)
+    verify_almost_split(seq, cat)
     mid = indecomposable_summands(seq.middle)
     names = sorted(tuple(p.dims) for p in mid)
     assert names == [(1, 1), (2, 0)]  # I(2) and I(1)
@@ -194,6 +198,40 @@ def test_trace_and_reject(loop2, kron):
     tr, _ = trace_of(k_injs, r)
     assert tr.total_dim == 0
     assert not in_gen(k_injs, r)
+
+
+def _reject_dims(xs, m):
+    """Reference: the dimension vector of the reject of xs in m, the kernel of the map
+    m -> sum_j X_j^{Hom(m, X_j)}, taken vertex by vertex."""
+    fld = m.algebra.field
+    homs = [h for x in xs for h in hom_basis(m, x)]
+    if not homs:
+        return m.dims
+    return tuple(d - rank(vstack(fld, [h.mats[v] for h in homs], cols=d)) for v, d in enumerate(m.dims))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(2), PrimeField(3)], ids=["Q", "GF2", "GF3"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES + ("a4_rad2",))
+def test_cogen_and_reject_match_the_kernel_reference(name, field):
+    """node_facts reads the reject of A off a trace over the opposite algebra, and in_cogen asks
+    whether Dm lies in Gen of the duals.  On every node x both agree with the kernel of
+    x -> sum A^{Hom(x, A)}, and in_cogen([y], x) with the kernel of x -> sum y^{Hom(x, y)} for
+    every node y."""
+    cat = catalog_of(load_fixture_algebra(name, field))
+    assert cat.complete
+    projs = gen_cogen(cat.algebra).projectives
+    nodes = [node.rep for node in cat.nodes]
+    facts = node_facts(cat)
+    cogen = 0
+    for x, fact in zip(nodes, facts):
+        rej = sum(_reject_dims(projs, x))
+        assert fact["cogen_a"] == (rej == 0) == in_cogen(projs, x)
+        assert fact["supp_a"] == (rej < x.total_dim)
+        for y in nodes:
+            assert in_cogen([y], x) == (sum(_reject_dims([y], x)) == 0)
+            cogen += in_cogen([y], x)
+    # every node is cogenerated by itself, and some by another node
+    assert cogen > len(nodes)
 
 
 def test_minimal_right_approx_in_add(loop2):
@@ -395,9 +433,6 @@ def test_one_pass_approx_with_repeated_and_decomposable_modules(name):
     outside = [node.rep for node in catalog_of(alg).nodes if not node.in_add_gen_cogen]
     for m in outside + [direct_sum(alg, outside[:2])]:
         _assert_same_approx(m, xs)
-
-
-COMPLETE_FIXTURES = ("a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5")
 
 
 def _keyed_proj_dim(m, bound=None):

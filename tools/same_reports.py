@@ -38,9 +38,9 @@ import gen  # noqa: E402
 import workloads  # noqa: E402
 from bench_pairs import export  # noqa: E402
 
-FIXTURES = ["a2", "a3", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+FIXTURES = ["a2", "a3", "a4_rad2", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
 # Fixtures with relations, run again over GF(2) and GF(3), where a coefficient -1 is p - 1.
-RELATION_FIXTURES = ["loop2", "sq", "tilted4", "tilted5"]
+RELATION_FIXTURES = ["a4_rad2", "loop2", "sq", "tilted4", "tilted5"]
 SMALL_PRIMES = [2, 3]
 # (algebra, tilting module) and (algebra, module) fixture pairs
 TILTED = [("h5", "tilting_h5"), ("a2", "tilting_a2"), ("a3", "tilting_a3")]
