@@ -17,8 +17,8 @@ from .dims import DimValue
 from .errors import FieldTooSmall, NonSplit, VerificationFailed
 from .fields import PrimeField, Rationals
 from .linalg import (
-    Mat, SpanTracker, block_diag, col_space, commuting_maps, complement_places, hstack, inverse, is_invertible,
-    kernel_basis, rank, solve,
+    Mat, SpanTracker, _scaled, block_diag, col_space, commuting_maps, complement_places, hstack, inverse,
+    is_invertible, kernel_basis, rank, solve,
 )
 
 
@@ -447,6 +447,13 @@ def fitting_split(f, dims, ops):
     is raised: End(V)/rad is not split over k, or, when some op has no
     eigenvalue in k, no op showed a split.
 
+    Over Q the work runs on integers: each op is scaled by c > 0, the lcm of
+    the denominators of its entries (see linalg._scaled), and c op has the
+    eigenvalue c lam, the nilpotent part c psi and the powers c^d psi^d, of
+    the same ranks.  Each result is mapped back to op (see _eigenvalue and
+    _fitting), so it is the one the work on op itself gives, entry by entry.
+    Over GF(p) c is 1.
+
     One op spans End(V) only when End(V) = k id, which is local with
     radical 0: the result is (None, []) at once.
     """
@@ -454,46 +461,56 @@ def fitting_split(f, dims, ops):
         return None, []
     nil, every = [], True
     for op in ops:
-        lam = _eigenvalue(op)
+        c = _scaled([x for m in op for x in m.entries], None)[0] if isinstance(f, Rationals) else 1
+        if c != 1:
+            op = tuple(m.scale(c) for m in op)
+        lam = _eigenvalue(op, c)
         if lam is None:
             every = False
             continue
         psi = tuple(m.sub(Mat.identity(f, m.rows).scale(lam)) for m in op)
-        split = _fitting(psi)
+        split = _fitting(psi, c)
         if split:
             return split, None
         if any(not m.is_zero() for m in psi):
-            nil.append(psi)
-    if every and _images_vanish(f, dims, nil):
-        return None, nil
-    for a in nil:
-        for b in nil:
-            split = _fitting(tuple(x.mul(y) for x, y in zip(a, b)))
+            nil.append((c, psi))
+    if every and _images_vanish(f, dims, [psi for _, psi in nil]):
+        return None, [psi if c == 1 else tuple(m.scale(f.inv(c)) for m in psi) for c, psi in nil]
+    for ca, a in nil:
+        for cb, b in nil:
+            split = _fitting(tuple(x.mul(y) for x, y in zip(a, b)), ca * cb)
             if split:
                 return split, None
     raise NonSplit("the endomorphism ring of a space of dimensions %s is not split local and no "
                    "element splits it over the base field" % (tuple(dims),))
 
 
-def _eigenvalue(op):
-    """A root in the field of the minimal polynomial of the first block of op that has one; else None.
+def _eigenvalue(op, c=1):
+    """c lam for a root lam in the field of the minimal polynomial of the first block of op / c
+    that has one; else None.  c > 0 is 1 unless op is an op scaled to integers.
 
     A block is first tried as lam + nilpotent (see _single_eigenvalue); its
     minimal polynomial is then (x - lam)^k, whose one root the search would
     return.  Over Q that also finds lam where the search gives up on a
-    coefficient too large to factor.
+    coefficient too large to factor.  The search is handed the minimal
+    polynomial of the block of op / c, mu(x) = c^-n mu_op(c x) for mu_op of
+    degree n, so it factors the coefficients it would factor on op / c.
     """
     for m in op:
         if m.rows:
             lam = _single_eigenvalue(m)
             if lam is not None:
                 return lam
+            f, mu = m.field, min_poly_of_matrix(m)
+            if c != 1:
+                n = len(mu) - 1
+                mu = [f.mul(x, Fraction(1, c ** (n - k))) for k, x in enumerate(mu)]
             try:
-                roots = rational_roots(m.field, min_poly_of_matrix(m))
+                roots = rational_roots(f, mu)
             except RuntimeError:  # over Q, a coefficient too large to factor
                 roots = []
             if roots:
-                return roots[0][0]
+                return f.mul(c, roots[0][0])
     return None
 
 
@@ -501,6 +518,9 @@ def _single_eigenvalue(m):
     """lam when m - lam is nilpotent, read off the trace as tr(m) / d for m of size d; else None.
 
     None too when d is not invertible in the field, as over GF(p) with p | d.
+    A nilpotent psi = m - lam has a nilpotent psi^2, of trace 0 in every
+    characteristic, so a psi with tr(psi^2) != 0 is refused before any
+    product is taken.
     """
     f, d = m.field, m.rows
     dk = f.from_int(d)
@@ -511,6 +531,13 @@ def _single_eigenvalue(m):
         tr = f.add(tr, m.entries[i * d + i])
     lam = f.mul(tr, f.inv(dk))
     psi = m.sub(Mat.identity(f, d).scale(lam))
+    x, tr2 = psi.entries, f.zero
+    for i in range(d):
+        for j in range(d):
+            if x[i * d + j] and x[j * d + i]:
+                tr2 = f.add(tr2, f.mul(x[i * d + j], x[j * d + i]))
+    if tr2:
+        return None
     e = 1  # psi is nilpotent exactly when psi^e = 0 for an e >= d
     while e < d and not psi.is_zero():
         psi = psi.mul(psi)
@@ -518,24 +545,31 @@ def _single_eigenvalue(m):
     return lam if psi.is_zero() else None
 
 
-def _fitting(psi):
-    """(kers, ims) of ker psi^d + im psi^d per block, d large; None when psi is nilpotent."""
-    powers = [_stable_power(m) for m in psi]
-    if all(p.is_zero() for p in powers):
+def _fitting(psi, c):
+    """(kers, ims) of ker phi^d + im phi^d per block, d large, for psi = c phi with c > 0;
+    None when psi is nilpotent.
+
+    psi^d = c^d phi^d has the kernel basis of phi^d, which is read off their
+    common reduced row echelon form, and the pivot columns of phi^d scaled
+    by c^d, which are divided by it.
+    """
+    powers = [_stable_power(m, c) for m in psi]
+    if all(p.is_zero() for p, _ in powers):
         return None
-    return [kernel_basis(p) for p in powers], [col_space(p) for p in powers]
+    return ([kernel_basis(p) for p, _ in powers],
+            [col_space(p) if s == 1 else col_space(p).scale(p.field.inv(s)) for p, s in powers])
 
 
-def _stable_power(m):
-    """m^d for a d from which on the ranks of the powers of m stay the same."""
+def _stable_power(m, c):
+    """(m^d, c^d) for a d from which on the ranks of the powers of m stay the same."""
     r = rank(m)
     while r:
         sq = m.mul(m)
         rs = rank(sq)
         if rs == r:
             break
-        m, r = sq, rs
-    return m
+        m, r, c = sq, rs, c * c
+    return m, c
 
 
 def _images_vanish(f, dims, nil):

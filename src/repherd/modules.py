@@ -514,7 +514,9 @@ def _split_endomorphisms(m: Representation):
     try:
         return fitting_split(m.algebra.field, m.dims, [b.mats for b in hom_basis(m, m)])
     except NonSplit as exc:
-        raise NonSplitEndomorphismRing(str(exc)) from exc
+        raise NonSplitEndomorphismRing(
+            "the summand of dimension vector %s has an endomorphism ring that is not split local, and no "
+            "endomorphism splits it over %r" % (m.dims, m.algebra.field)) from exc
 
 
 def indecomposable_summands(m: Representation, known=()):

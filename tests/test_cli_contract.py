@@ -237,6 +237,46 @@ def test_a_module_that_breaks_a_relation_names_it(tmp_path, capsys):
     assert str(mod) in err and "relation 0 (alpha.beta, gamma.delta)" in err
 
 
+@pytest.mark.parametrize("p, code", [(None, 4), (3, 4), (5, 0)], ids=["Q", "GF3", "GF5"])
+def test_a_module_that_does_not_split_names_its_file(p, code, tmp_path, capsys):
+    """The Kronecker module a = I, b = J with J^2 = -1 has End = k[x]/(x^2 + 1), a field over Q
+    and GF(3): exit 4 and one error line naming the module file and the summand's dimension
+    vector.  Over GF(5) x^2 + 1 = (x - 2)(x - 3), and the module splits."""
+    data = json.loads(open(fixture_path("kron.json"), encoding="utf-8").read())
+    if p is not None:
+        data["field"] = {"GFp": p}
+    alg = tmp_path / "kron.json"
+    alg.write_text(json.dumps(data))
+    mod = tmp_path / "rotation.json"
+    mod.write_text(json.dumps({"dims": {"1": 2, "2": 2}, "maps": {"a": [[1, 0], [0, 1]], "b": [[0, -1], [1, 0]]}}))
+    assert main(["check-module", str(alg), str(mod)]) == code
+    captured = capsys.readouterr()
+    if code:
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: %s: " % mod) and "dimension vector (2, 2)" in lines[0]
+    else:
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["check", "kron"], ["ar-quiver", "kron"], ["check-tilted", "h5", "tilting_h5"]],
+                         ids=["check", "ar-quiver", "check-tilted"])
+def test_a_catalog_module_that_does_not_split_names_the_algebra_file(argv, monkeypatch, capsys):
+    """A split refused inside catalog enumeration, forced here, names the algebra file."""
+    from repherd import modules
+    from repherd.errors import NonSplit
+
+    def refuse(f, dims, ops):
+        raise NonSplit("forced")
+
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    monkeypatch.setattr(modules, "fitting_split", refuse)
+    paths = [fixture_path(name + ".json") for name in argv[1:]]
+    assert main(argv[:1] + paths) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: %s: the summand of dimension vector " % paths[0])
+
+
 @pytest.mark.parametrize("suite", [[], ["--suite", "all"]], ids=["main", "all"])
 @pytest.mark.parametrize("name,verdict,wrong", [("a4_rad2", "Fails", 3), ("a3", "Holds", 4)])
 def test_routes_that_disagree_refuse_a_verdict(name, verdict, wrong, suite, monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import os
+import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,11 +24,11 @@ from repherd.endo import (
     rational_roots,
 )
 from repherd import io as rio
-from repherd.errors import FieldTooSmall, VerificationFailed
+from repherd.errors import FieldTooSmall, NonSplit, VerificationFailed
 from repherd.fields import PrimeField, QQ
 from repherd.homological import proj_dim
 from repherd.fields import _is_prime
-from repherd.linalg import Mat, inverse
+from repherd.linalg import Mat, col_space, inverse, kernel_basis, rank
 from repherd.modules import (
     Representation,
     direct_sum,
@@ -35,10 +38,14 @@ from repherd.modules import (
     injective_at,
     projective_at,
     simple_at,
+    subrep_from_bases,
 )
 
-from tests.conftest import catalog_of, load_fixture_algebra, plain_rank
+from tests.conftest import ROOT, catalog_of, load_fixture_algebra, plain_rank
 from tests.test_catalog import COMPLETE_FIXTURES
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
 
 
 def test_end_simple_is_one_dimensional(loop2):
@@ -485,3 +492,214 @@ def test_bricks_of_a_catalog_carry_an_empty_radical(name, field, monkeypatch):
         else:
             assert x.local_parts == []
         assert endomorphism_radical(Representation(x.algebra, x.dims, x.mats)) == []
+
+
+# -- the Fitting step on the ops as given: the reference for the integral one --
+
+
+def _ref_fitting_split(f, dims, ops):
+    """fitting_split with every step on the ops themselves, over Q in their Fraction entries."""
+    if len(ops) == 1:
+        return None, []
+    nil, every = [], True
+    for op in ops:
+        lam = _ref_eigenvalue(op)
+        if lam is None:
+            every = False
+            continue
+        psi = tuple(m.sub(Mat.identity(f, m.rows).scale(lam)) for m in op)
+        split = _ref_fitting(psi)
+        if split:
+            return split, None
+        if any(not m.is_zero() for m in psi):
+            nil.append(psi)
+    if every and endo._images_vanish(f, dims, nil):
+        return None, nil
+    for a in nil:
+        for b in nil:
+            split = _ref_fitting(tuple(x.mul(y) for x, y in zip(a, b)))
+            if split:
+                return split, None
+    raise NonSplit("the endomorphism ring of a space of dimensions %s is not split local and no "
+                   "element splits it over the base field" % (tuple(dims),))
+
+
+def _ref_eigenvalue(op):
+    for m in op:
+        if m.rows:
+            lam = _ref_single_eigenvalue(m)
+            if lam is not None:
+                return lam
+            try:
+                roots = rational_roots(m.field, min_poly_of_matrix(m))
+            except RuntimeError:
+                roots = []
+            if roots:
+                return roots[0][0]
+    return None
+
+
+def _ref_single_eigenvalue(m):
+    f, d = m.field, m.rows
+    dk = f.from_int(d)
+    if not dk:
+        return None
+    tr = f.zero
+    for i in range(d):
+        tr = f.add(tr, m.entries[i * d + i])
+    lam = f.mul(tr, f.inv(dk))
+    psi = m.sub(Mat.identity(f, d).scale(lam))
+    e = 1
+    while e < d and not psi.is_zero():
+        psi = psi.mul(psi)
+        e *= 2
+    return lam if psi.is_zero() else None
+
+
+def _ref_fitting(psi):
+    powers = [_ref_stable_power(m) for m in psi]
+    if all(p.is_zero() for p in powers):
+        return None
+    return [kernel_basis(p) for p in powers], [col_space(p) for p in powers]
+
+
+def _ref_stable_power(m):
+    r = rank(m)
+    while r:
+        sq = m.mul(m)
+        rs = rank(sq)
+        if rs == r:
+            break
+        m, r = sq, rs
+    return m
+
+
+def _outcome(split, f, dims, ops):
+    """(result, its repr) of split(f, dims, ops), the repr telling an int from a Fraction; or
+    (None, the NonSplit it raised)."""
+    try:
+        out = split(f, dims, ops)
+    except NonSplit as exc:
+        return None, "NonSplit: %s" % exc
+    return out, repr(out)
+
+
+def _assert_splits_as_the_reference(m):
+    """fitting_split gives the reference's result on End(m) and, down the splits, on End of each
+    piece; returns the number of calls compared."""
+    todo, calls = [m], 0
+    while todo:
+        x = todo.pop()
+        f, ops = x.algebra.field, [b.mats for b in hom_basis(x, x)]
+        got, text = _outcome(endo.fitting_split, f, x.dims, ops)
+        assert text == _outcome(_ref_fitting_split, f, x.dims, ops)[1]
+        calls += 1
+        if got is not None and got[0] is not None:
+            todo += [subrep_from_bases(x, bases)[0] for bases in got[0]]
+    return calls
+
+
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES)
+def test_fitting_split_matches_the_reference_on_catalogs(name):
+    """Every catalog node, every module of add(A + DA) and their sum A + DA, which splits, over Q."""
+    alg = load_fixture_algebra(name)
+    mods = gen_cogen(alg).modules
+    for node in catalog_of(alg).nodes:
+        _assert_splits_as_the_reference(Representation(alg, node.rep.dims, node.rep.mats))
+    for x in mods:
+        _assert_splits_as_the_reference(Representation(alg, x.dims, x.mats))
+    assert _assert_splits_as_the_reference(direct_sum(alg, mods)) > len(mods)
+
+
+_KRON_SUMMAND = st.tuples(st.sampled_from(["preprojective", "preinjective", "regular"]), st.integers(0, 2),
+                          st.integers(-4, 4)).filter(lambda s: s[0] != "regular" or s[1] > 0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([None, 2, 3, 101]), st.lists(_KRON_SUMMAND, min_size=1, max_size=3), st.booleans(),
+       st.integers(0, 2**32))
+def test_fitting_split_matches_the_reference_on_kronecker_sums(p, summands, repeat, seed):
+    """perfbench's Kronecker sums in a random basis, with a repeated first summand X + X when repeat."""
+    kron = load_fixture_algebra("kron", None if p is None else PrimeField(p))
+    data = gen.kron_module(summands + summands[:1] * repeat, random.Random(seed))
+    _assert_splits_as_the_reference(rio.module_from_dict(kron, data))
+
+
+def test_fitting_split_matches_the_reference_through_the_product_fallback():
+    """id, e12, e21 and [[1, 1], [-1, -1]] on k^2, scaled by 2/3 or 5/7: each has one eigenvalue
+    and only e12 e21 splits, in the product fallback."""
+    s, t = Fraction(2, 3), Fraction(5, 7)
+    ops = [(Mat.from_rows(QQ, rows).scale(QQ.coerce(c)),) for rows, c in [
+        ([[1, 0], [0, 1]], s), ([[0, 1], [0, 0]], t), ([[0, 0], [1, 0]], s), ([[1, 1], [-1, -1]], t)]]
+    for op in ops:
+        assert _ref_eigenvalue(op) is not None
+    assert all(_ref_fitting(tuple(m.sub(Mat.identity(QQ, 2).scale(_ref_eigenvalue(op))) for m in op)) is None
+               for op in ops)
+    got = endo.fitting_split(QQ, (2,), ops)
+    assert got[0] is not None
+    assert repr(got) == repr(_ref_fitting_split(QQ, (2,), ops))
+
+
+def test_root_search_gives_up_where_it_gives_up_on_the_op_itself():
+    """diag(1, 2) / p for a prime p above 10^12 has the minimal polynomial x^2 - 3x / p + 2 / p^2,
+    whose denominator p^2 is too large to factor, so the op counts as having no eigenvalue, and
+    with id alone nothing splits k^2.  The integral diag(1, 2) would have given the search
+    x^2 - 3x + 2."""
+    p = 10**12 + 39
+    ops = [(Mat.identity(QQ, 2),), (Mat.from_rows(QQ, [[Fraction(1, p), 0], [0, Fraction(2, p)]]),)]
+    for split in (endo.fitting_split, _ref_fitting_split):
+        with pytest.raises(NonSplit):
+            split(QQ, (2,), ops)
+
+
+@pytest.mark.parametrize("p", [None, 3], ids=["Q", "GF3"])
+def test_rotation_module_is_refused_as_by_the_reference(p):
+    kron = load_fixture_algebra("kron", None if p is None else PrimeField(p))
+    f = kron.field
+    m = Representation(kron, (2, 2), [Mat.identity(f, 2), Mat.from_rows(f, [[0, -1], [1, 0]])])
+    ops = [b.mats for b in hom_basis(m, m)]
+    for split in (endo.fitting_split, _ref_fitting_split):
+        with pytest.raises(NonSplit):
+            split(f, m.dims, ops)
+
+
+def _count_products(monkeypatch):
+    count = [0]
+    mul = Mat.mul
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat, "mul", counted)
+    return count
+
+
+@pytest.mark.parametrize("field, rows", [
+    (QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),  # lam = 0, tr(psi^2) = 0, psi^3 = I
+    (PrimeField(2), [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),  # lam = 2 / 3 = 0, tr(psi^2) = 2 = 0
+], ids=["3-cycle-Q", "diag110-GF2"])
+def test_a_block_with_tr_psi2_zero_is_squared_and_refused(field, rows, monkeypatch):
+    m = Mat.from_rows(field, rows)
+    count = _count_products(monkeypatch)
+    assert endo._single_eigenvalue(m) is None
+    assert count[0] > 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("lam", [-3, 0, 5])
+def test_lam_plus_nilpotent_in_a_unimodular_basis(field, lam):
+    s, s_inv = gen.unimodular(random.Random("nilpotent:%d" % lam), 4)
+    n = Mat.from_rows(field, [[int(j > i) * (i + j) for j in range(4)] for i in range(4)])
+    m = Mat.from_rows(field, s).mul(n).mul(Mat.from_rows(field, s_inv)).add(Mat.identity(field, 4).scale(
+        field.from_int(lam)))
+    assert endo._single_eigenvalue(m) == field.from_int(lam)
+
+
+def test_two_rational_eigenvalues_are_refused_before_any_product(monkeypatch):
+    s, s_inv = gen.unimodular(random.Random("two eigenvalues"), 3)
+    m = Mat.from_rows(QQ, s).mul(Mat.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 3]])).mul(Mat.from_rows(QQ, s_inv))
+    count = _count_products(monkeypatch)
+    assert endo._single_eigenvalue(m) is None
+    assert count[0] == 0

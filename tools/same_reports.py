@@ -12,7 +12,9 @@ Nakayama algebras from ``perfbench/gen.py`` over Q, GF(2), GF(3) and GF(101),
 and on the four Euclidean quivers of the ``catalog-q`` workload over Q, GF(2) and
 GF(3); ``check-tilted`` on each shipped tilting module with its hereditary
 algebra; and ``check-module`` on each shipped module with its algebra and on
-the twelve Kronecker module sums of the ``module-queries-q`` workload.  Every
+the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
+Kronecker sums with a repeated summand over Q and GF(3), and on the rotation
+module a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
 ``--json`` report.  Every command whose stdout, exit code or ``--json`` file
 differs between the two trees is listed; the exit code is 1 when any does.
@@ -53,6 +55,15 @@ LARGE_BUDGET = ["--budget-modules", "1000", "--budget-dim", "4096"]
 # The module budgets of the catalog-q workload; these catalogs stay incomplete.  Over GF(2)
 # and GF(3), more of their pieces share a dimension vector.
 EUCLIDEAN_BUDGETS = {"kronecker": 12, "d4_tilde": 20, "a3_tilde": 20, "a2_tilde": 20}
+# Kronecker sums with a repeated summand, each in a random basis drawn from a fixed stream, over
+# Q and GF(3); the rotation module, whose End is k[x]/(x^2 + 1), over Q, GF(3) and GF(5), the
+# one of them where it splits.
+REPEATED = {
+    "regular(1)+regular(1)": [("regular", 1, 2)] * 2,
+    "preprojective(1)+preprojective(1)": [("preprojective", 1, 0)] * 2,
+    "regular(2)+regular(2)": [("regular", 2, -1)] * 2,
+}
+ROTATION = {"dims": {"1": 2, "2": 2}, "maps": {"a": [[1, 0], [0, 1]], "b": [[0, -1], [1, 0]]}}
 # Seeds the coefficients of the generated Dynkin and Nakayama algebras.
 SEED = 3
 # Commands run at once, one per core of a 2-core machine.
@@ -101,6 +112,17 @@ def commands(workdir):
     # the seed only orders a workload's requests; its inputs come from fixed streams
     for req in workloads.module_queries_q(random.Random(0), workdir, ROOT).requests:
         out.append((req.label, req.argv))
+    for field in ["Q", 3, 5]:
+        tag = "Q" if field == "Q" else "GF%d" % field
+        spec = "Q" if field == "Q" else {"GFp": field}
+        kron = gen.write_json(workdir, "kron-%s.json" % tag, dict(gen.KRONECKER, field=spec))
+        mods = {"rotation": ROTATION}
+        if field != 5:
+            mods.update((name, gen.kron_module(summands, random.Random("repeated:" + name)))
+                        for name, summands in REPEATED.items())
+        for name, data in mods.items():
+            path = gen.write_json(workdir, "%s-%s.json" % (name, tag), data)
+            out.append(("check-module kron-%s %s" % (tag, name), ["check-module", kron, path]))
     return out
 
 
