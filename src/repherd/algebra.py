@@ -247,59 +247,40 @@ def build_algebra(quiver: Quiver, relations, field, length_bound: int) -> BoundQ
                             j = index_of[w.key()]
                             vec[j] = f.add(vec[j], s)
                         ideal.add(vec)
+        # each path's entry, written once: (global index, coeff) pairs over the basis, one
+        # pair for a basis path, the reduced combination otherwise, () for a path in the ideal
         rep = SpanTracker(f, width, track=True)
         new_basis = []
-        z = f.zero
+        base = len(basis)
         for i, p in enumerate(plist):
-            unit = [z] * width
+            unit = [f.zero] * width
             unit[i] = f.one
             residue = ideal.reduce(unit)
-            if not any(residue):
-                table[p.key()] = None  # fill with zeros later
-                continue
-            coords = rep.coords(residue)
+            coords = rep.coords(residue) if any(residue) else ()
             if coords is None:
                 rep.add(residue)
+                table[p.key()] = ((base + len(new_basis), f.one),)
                 new_basis.append(p)
-                table[p.key()] = ("unit", len(basis) + len(new_basis) - 1)
             else:
-                table[p.key()] = ("combo", ell, coords)
+                # coords are over the degree's basis paths in creation order
+                table[p.key()] = tuple((base + j, c) for j, c in enumerate(coords) if c)
         if ell == length_bound and new_basis:
             raise NotAdmissible(
                 "path of length %d does not reduce to zero (e.g. %s)"
                 % (length_bound, "".join(quiver.arrow_names[a] for a in new_basis[0].arrows))
             )
-        # remember which global indices this degree's basis paths occupy
-        base_offset = len(basis)
         basis.extend(new_basis)
-        gpos = {p.key(): base_offset + i for i, p in enumerate(new_basis)}
-        for p in plist:
-            entry = table[p.key()]
-            if entry is None:
-                table[p.key()] = ("zero",)
-            elif entry[0] == "combo":
-                _, _, coords = entry
-                # coords are over the degree's basis paths in creation order
-                table[p.key()] = ("sparse", tuple(
-                    (base_offset + j, c) for j, c in enumerate(coords) if c
-                ))
         if not new_basis:
             # every path of this length lies in the ideal, so every longer
             # one does too: the algebra ends here, below the length bound
             break
 
-    dim = len(basis)
-
-    def densify(entry):
-        vec = [f.zero] * dim
-        if entry[0] == "unit":
-            vec[entry[1]] = f.one
-        elif entry[0] == "sparse":
-            for j, c in entry[1]:
-                vec[j] = c
-        return tuple(vec)
-
-    dense = {k: densify(v) for k, v in table.items()}
+    dense = {}
+    for key, pairs in table.items():
+        vec = [f.zero] * len(basis)
+        for j, c in pairs:
+            vec[j] = c
+        dense[key] = tuple(vec)
     return BoundQuiverAlgebra(quiver, field, rels, length_bound, tuple(basis), dense, ell)
 
 

@@ -10,7 +10,7 @@ from .homological import (
     ar_translate,
     inj_dim,
     proj_dim,
-    trace_of,
+    trace_dims,
 )
 from .modules import (
     cokernel_of,
@@ -308,13 +308,14 @@ def node_facts(cat: IndecomposableCatalog):
         return cat._facts
     gc = gen_cogen(cat.algebra)
     # the duals of the projectives are the injectives over the opposite algebra, and
-    # dim rej_A(x) = dim x - dim tr_{D A}(Dx): the reject of A is read off a trace over A^op
+    # dim rej_A(x) = dim x - dim tr_{D A}(Dx): the reject of A is read off a trace over A^op;
+    # each trace is the sum of the ranks of an evaluation
     dual_proj = gc.duals[: len(gc.projectives)]
     facts = []
     for node in cat.nodes:
         x = node.rep
-        trace = trace_of(gc.injectives, x)[0].total_dim              # of DA in x
-        cotrace = trace_of(dual_proj, dual_module(x))[0].total_dim  # dim x - dim rej_A(x)
+        trace = sum(trace_dims(gc.injectives, x))              # of DA in x
+        cotrace = sum(trace_dims(dual_proj, dual_module(x)))  # dim x - dim rej_A(x)
         facts.append(
             {
                 "pd": proj_dim(x),

@@ -11,13 +11,12 @@ from .homological import (
     ar_translate,
     ar_translate_inv,
     cosyzygy,
+    evaluation,
     ext1_dim,
     in_cogen,
     minimal_right_approx,
     proj_dim,
-    projective_cover,
     syzygy,
-    trace_of,
 )
 from .modules import (
     HomTable,
@@ -30,7 +29,7 @@ from .modules import (
     iso_class_index,
     kernel_of,
     known_index,
-    simple_at,
+    projective_at,
     top_dims,
 )
 
@@ -56,21 +55,32 @@ class CheckReport:
         }
 
 
+def _cover_dims(k, projs):
+    """The top t = dim k - dim rad k of k, and the dimension vector of its projective cover.
+
+    projs[v] is a module with the dimensions of the indecomposable projective
+    P(v) over k's algebra.  The projective cover of k is the sum of the
+    P(v)^{t_v} (Auslander–Reiten–Smalø, ch. I), so only its dimensions are
+    counted and no cover is built.
+    """
+    top = top_dims(k)
+    return top, [sum(t * p.dims[u] for t, p in zip(top, projs)) for u in range(len(k.dims))]
+
+
 def _projective_piece_names(k, prefix, projs):
     """When k is projective, name its summands by counting the top; else None.
 
     projs[v] is a module with the dimension of the indecomposable projective
-    at v over k's algebra.  With t = dim k - dim rad k, the projective cover
-    of k is the sum of the P(v)^{t_v}, and it maps onto k; so k is projective
-    exactly when sum_v t_v dim P(v) = dim k.  Applied with prefix "I" to the
-    dual of a module over the opposite algebra, with the injectives I(v) =
-    D P^op(v) as projs, this names the summands of an injective by counting
-    its socle.
+    at v over k's algebra.  The projective cover of k maps onto k, so k is
+    projective exactly when the cover has the dimensions of k.  Applied with
+    prefix "I" to the dual of a module over the opposite algebra, with the
+    injectives I(v) = D P^op(v) as projs, this names the summands of an
+    injective by counting its socle.
     """
     if k.is_zero():
         return []
-    top = top_dims(k)
-    if sum(t * p.total_dim for t, p in zip(top, projs)) != k.total_dim:
+    top, cover = _cover_dims(k, projs)
+    if cover != list(k.dims):
         return None
     verts = k.algebra.quiver.vertices
     return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top[v])]
@@ -310,11 +320,13 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     facts = node_facts(catalog)
     ok = True
 
-    # (i) global dimension at most two
-    nv = alg.quiver.n_vertices
+    # (i) global dimension at most two, from the pd of each simple, a node of the catalog
+    simple = {node.simple_vertex: i for i, node in enumerate(catalog.nodes) if node.simple_vertex is not None}
     gl = DimValue.finite(0)
-    for v in range(nv):
-        pd = proj_dim(simple_at(alg, v))
+    for v in range(alg.quiver.n_vertices):
+        if v not in simple:
+            raise VerificationFailed("complete catalog without the simple at %s" % alg.quiver.vertices[v])
+        pd = facts[simple[v]]["pd"]
         if pd.is_infinite or (pd.kind == "at_least"):
             gl = pd
             break
@@ -422,15 +434,17 @@ def _built_right_approx_ok(x, inj_list, inj_homs, minimal_dims) -> bool:
     begin with inj_list, and minimal_dims is the dimension vector of the source of the
     minimal right add(A + DA)-approximation of x.  The map (fr, lift) is onto, so a map from
     a projective factors through it, and a map from add DA factors through fr: it is a right
-    approximation, with no Hom solved to say so.  minimal_right_approx raises unless fr is
-    an approximation, and projective_cover unless the cover is onto.  The source of any
-    right approximation splits as X1 + X2 with the map right minimal on X1 and zero on X2
-    (Auslander–Reiten–Smalø, ch. I §2), so it is minimal exactly when its dimension vector
-    is that of the minimal source.
+    approximation, with no Hom solved to say so; minimal_right_approx raises unless fr is
+    an approximation.  The source of any right approximation splits as X1 + X2 with the map
+    right minimal on X1 and zero on X2 (Auslander–Reiten–Smalø, ch. I §2), so it is minimal
+    exactly when its dimension vector is that of the minimal source.  The cover is counted
+    from the top of coker fr, with the P(v) over x's algebra, which over the opposite
+    algebra have the dimensions of the I(v).
     """
     fr = minimal_right_approx(x, inj_list, _homs=inj_homs)
-    cover = projective_cover(cokernel_of(fr)[0])
-    return [a + b for a, b in zip(fr.source.dims, cover.source.dims)] == list(minimal_dims)
+    projs = [projective_at(x.algebra, v) for v in range(len(x.dims))]
+    _, cover = _cover_dims(cokernel_of(fr)[0], projs)
+    return [a + b for a, b in zip(fr.source.dims, cover)] == list(minimal_dims)
 
 
 # -- tilted sufficiency ---------------------------------------------------------
@@ -528,8 +542,7 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
         expected = list(summand_proj)
         if nonsummand_proj:
             p = direct_sum(h, nonsummand_proj)
-            tp, tincl = trace_of(distinct, p)
-            quot, _ = cokernel_of(tincl)
+            quot, _ = cokernel_of(evaluation(distinct, p))
             ti = ar_translate_inv(quot)
             expected.extend(indecomposable_summands(ti))
         identity_ok = len(expected) == len(distinct) and all(

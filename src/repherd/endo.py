@@ -9,6 +9,7 @@ which carry their radical and idempotents, and certifies both.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,9 +165,7 @@ def rational_roots(field, poly):
         return sorted(roots)
     candidates = []
     if isinstance(f, Rationals):
-        den_lcm = 1
-        for c in poly:
-            den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+        den_lcm = math.lcm(*(c.denominator for c in poly))
         ip = [int(c * den_lcm) for c in poly]
         a0, an = ip[0], ip[-1]
         for pnum in _int_divisors(a0):
@@ -240,12 +239,6 @@ def _p_eval_scalar(f, poly, x):
     for c in reversed(poly):
         acc = f.add(f.mul(acc, x), c)
     return acc
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- abstract algebras --------------------------------------------------------

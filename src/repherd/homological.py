@@ -20,7 +20,6 @@ from .modules import (
     endomorphism_radical,
     gen_cogen,
     hom_basis,
-    image_of,
     indecomposable_summands,
     iso_class_index,
     kernel_of,
@@ -272,7 +271,6 @@ def ext1_dim(m: Representation, n: Representation) -> int:
 def _restrict_to_kernel(incl: ModuleMorphism, phi0: ModuleMorphism) -> ModuleMorphism:
     """psi: K -> K with incl . psi = phi0 . incl."""
     k0 = incl.source
-    fld = k0.algebra.field
     mats = []
     for v in range(len(k0.dims)):
         rhs = phi0.mats[v].mul(incl.mats[v])
@@ -371,24 +369,23 @@ def solve_factor_right(f: ModuleMorphism, h: ModuleMorphism):
 # -- trace and approximations ---------------------------------------------------
 
 
-def trace_of(xs, m: Representation):
-    """Image of the evaluation sum_j X_j^{hom} -> m, as a subrepresentation."""
+def evaluation(xs, m: Representation) -> ModuleMorphism:
+    """The evaluation sum_j X_j^{Hom(X_j, m)} -> m, one component per basis map X_j -> m.
+
+    Its image is the trace of add(xs) in m.
+    """
     if not xs:
         raise ValueError("trace needs a nonempty module list")
-    alg = m.algebra
-    comps = []
-    for x in xs:
-        comps.extend((x, h) for h in hom_basis(x, m))
-    if not comps:
-        sub = zero_rep(alg)
-        return sub, zero_morphism(sub, m)
-    ev = _assemble_columns(alg, m, comps)
-    return image_of(ev)
+    return _assemble_columns(m.algebra, m, [(x, h) for x in xs for h in hom_basis(x, m)])
+
+
+def trace_dims(xs, m: Representation):
+    """The dimension vector of the trace of add(xs) in m: the ranks of the evaluation."""
+    return [rank(a) for a in evaluation(xs, m).mats]
 
 
 def in_gen(xs, m: Representation) -> bool:
-    sub, _ = trace_of(xs, m)
-    return sub.dims == m.dims
+    return trace_dims(xs, m) == list(m.dims)
 
 
 def in_cogen(xs, m: Representation) -> bool:
@@ -456,9 +453,6 @@ def minimal_right_approx(m: Representation, xs, _homs=None) -> ModuleMorphism:
         # only the spans that component k feeds can shrink
         if approximates(trial, [j for j in range(len(xs)) if blocks[k][j]]):
             keep = trial
-    if not keep:
-        src = zero_rep(alg)
-        return zero_morphism(src, m)
     return _assemble_columns(alg, m, [comps[k] for k in keep])
 
 

@@ -137,7 +137,6 @@ def algebra_from_dict(data, field=None, source="<algebra>") -> BoundQuiverAlgebr
     except RepherdError as exc:
         raise ParseError("%s: %s: %s" % (type(exc).__name__, source, exc)) from exc
     alg.digest = _digest(canon)
-    alg.source_dict = canon
     return alg
 
 

@@ -428,11 +428,6 @@ def kernel_of(f: ModuleMorphism):
     return subrep_from_bases(f.source, bases)
 
 
-def image_of(f: ModuleMorphism):
-    bases = [col_space(m) for m in f.mats]
-    return subrep_from_bases(f.target, bases)
-
-
 def cokernel_of(f: ModuleMorphism):
     rep, proj, _ = cokernel_with_section(f)
     return rep, proj

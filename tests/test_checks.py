@@ -1,6 +1,10 @@
+import os
+import random
+import sys
+
 import pytest
 
-from repherd.catalog import Budget, enumerate_indecomposables
+from repherd.catalog import Budget, enumerate_indecomposables, node_facts
 from repherd.checks import (
     DEGENERATE,
     FAILS,
@@ -21,7 +25,7 @@ from repherd.checks import (
 from repherd.dims import DimValue
 from repherd.errors import GateFailed, NotTilting
 from repherd.fields import QQ
-from repherd.homological import ar_translate_inv
+from repherd.homological import ar_translate_inv, proj_dim
 from repherd.linalg import Mat
 from repherd.modules import (
     Representation,
@@ -31,7 +35,10 @@ from repherd.modules import (
 )
 from repherd import io as rio
 
-from tests.conftest import catalog_of, fixture_path, main_report_of
+from tests.conftest import ROOT, catalog_of, fixture_path, load_fixture_algebra, main_report_of
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
 
 
 def test_main_check_loop2(loop2):
@@ -169,6 +176,47 @@ def test_suite_holds_on_d4(d4):
     assert {"i", "ii", "iii", "iv", "v"} <= parts
     gl = [w for w in report.witnesses if w.get("part") == "i"][0]
     assert gl["ok"] and gl["gl_dim_A"] == "1"
+
+
+def _gl_dim_of_simples(alg):
+    """Reference: gl.dim A as part (i) computed it before it read the facts, from a fresh
+    resolution of every simple, stopping at the first that is not finite."""
+    gl = DimValue.finite(0)
+    for v in range(alg.quiver.n_vertices):
+        pd = proj_dim(simple_at(alg, v))
+        if pd.is_infinite or (pd.kind == "at_least"):
+            return pd
+        if pd.value > gl.value:
+            gl = pd
+    return gl
+
+
+@pytest.mark.parametrize("name", ["d4", "h5", "E6"])
+def test_suite_reads_gl_dim_from_the_simples_facts(name):
+    """Part (i) reads each simple's pd from node_facts; its witness is the gl.dim A that fresh
+    resolutions of the simples give."""
+    if name == "E6":
+        alg = rio.algebra_from_dict(gen.dynkin_algebra(random.Random(3), "E", 6, "Q"))
+        cat = catalog_of(alg, Budget(1000, 4096))
+    else:
+        alg = load_fixture_algebra(name)
+        cat = catalog_of(alg)
+    assert cat.complete
+    report = check_no_inj_to_proj_suite(alg, cat)
+    gl = [w for w in report.witnesses if w.get("part") == "i"][0]
+    assert gl["gl_dim_A"] == str(_gl_dim_of_simples(alg))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4_rad2", "d4", "h5", "loop2", "sq", "tilted4", "tilted5"])
+def test_every_simple_is_a_node_with_its_pd(name):
+    """What part (i) relies on: every simple is a node of a complete catalog, and the pd its
+    facts hold is that of a fresh resolution, infinite ones included."""
+    alg = load_fixture_algebra(name)
+    cat = catalog_of(alg)
+    assert cat.complete
+    facts = node_facts(cat)
+    pds = {node.simple_vertex: facts[i]["pd"] for i, node in enumerate(cat.nodes) if node.simple_vertex is not None}
+    assert pds == {v: proj_dim(simple_at(alg, v)) for v in range(alg.quiver.n_vertices)}
 
 
 def test_suite_reads_tau_from_the_catalog(h5, monkeypatch):

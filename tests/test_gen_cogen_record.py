@@ -192,8 +192,12 @@ def _assert_minimality_by_dims(x, inj_list, inj_homs, add_homs):
     """For an inj_list that holds every indecomposable injective: the built map is a right
     add(add_homs.modules)-approximation, the dimension vectors of its source and of the minimal
     source decide whether the two are isomorphic, and checks._built_right_approx_ok(...) is the
-    verdict of the comparison by decomposition."""
+    verdict of the comparison by decomposition.  The projective cover of coker fr that part (v)
+    counts from the top has the dimensions of the one projective_cover builds."""
     fp = _built_map(x, inj_list, inj_homs)
+    cok = cokernel_of(minimal_right_approx(x, inj_list, _homs=inj_homs))[0]
+    projs = [projective_at(x.algebra, v) for v in range(len(x.dims))]
+    assert checks._cover_dims(cok, projs)[1] == list(projective_cover(cok).source.dims)
     minimal = minimal_right_approx(x, add_homs.modules, _homs=add_homs)
     assert _is_right_approx(fp, add_homs.modules)
     iso = is_isomorphic(fp.source, minimal.source)

@@ -8,7 +8,9 @@ from repherd.homological import (
     almost_split_sequence,
     ar_translate,
     ar_translate_inv,
+    _assemble_columns,
     cosyzygy,
+    evaluation,
     ext1_dim,
     in_cogen,
     in_gen,
@@ -20,10 +22,12 @@ from repherd.homological import (
     projective_cover,
     solve_factor_right,
     syzygy,
-    trace_of,
+    trace_dims,
     transpose,
 )
-from repherd.linalg import Mat, hstack, rank, solve, vstack
+from repherd.checks import TiltingContext
+from repherd.io import load_summands
+from repherd.linalg import Mat, col_space, hstack, rank, solve, vstack
 from repherd.modules import (
     Representation,
     cokernel_of,
@@ -43,9 +47,12 @@ from repherd.modules import (
     morphism_flat,
     projective_at,
     simple_at,
+    subrep_from_bases,
+    zero_morphism,
+    zero_rep,
 )
 
-from tests.conftest import catalog_of, load_fixture_algebra, verify_almost_split
+from tests.conftest import catalog_of, fixture_path, load_fixture_algebra, verify_almost_split
 
 
 COMPLETE_FIXTURES = ("a2", "a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5")
@@ -195,9 +202,58 @@ def test_trace_and_reject(loop2, kron):
     assert in_gen(injs, simple_at(loop2, "1"))
     r = Representation(kron, (1, 1), [Mat.from_rows(QQ, [[1]]), Mat.from_rows(QQ, [[1]])])
     k_injs = [injective_at(kron, v) for v in range(2)]
-    tr, _ = trace_of(k_injs, r)
-    assert tr.total_dim == 0
+    ev = evaluation(k_injs, r)
+    assert sum(rank(a) for a in ev.mats) == 0
     assert not in_gen(k_injs, r)
+
+
+def _trace_inclusion(xs, m):
+    """Reference: the trace of add(xs) in m built as a submodule, the image of the evaluation
+    with one solve per arrow, and its inclusion into m."""
+    comps = [(x, h) for x in xs for h in hom_basis(x, m)]
+    if not comps:
+        return zero_morphism(zero_rep(m.algebra), m)
+    ev = _assemble_columns(m.algebra, m, comps)
+    return subrep_from_bases(m, [col_space(a) for a in ev.mats])[1]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(2), PrimeField(3)], ids=["Q", "GF2", "GF3"])
+@pytest.mark.parametrize("name", COMPLETE_FIXTURES + ("a4_rad2",))
+def test_trace_counts_match_the_image_submodule(name, field):
+    """node_facts counts the trace of DA in x, and the trace of D A in Dx over the opposite
+    algebra, as the ranks of an evaluation; on every node these are the dimensions of the image
+    submodule, which decide gen_da, supp_da, cogen_a, supp_a and in_gen."""
+    cat = catalog_of(load_fixture_algebra(name, field))
+    assert cat.complete
+    gc = gen_cogen(cat.algebra)
+    dual_proj = gc.duals[: len(gc.projectives)]
+    facts = node_facts(cat)
+    for node, fact in zip(cat.nodes, facts):
+        x = node.rep
+        for xs, m, full, nonzero in ((gc.injectives, x, "gen_da", "supp_da"),
+                                     (dual_proj, dual_module(x), "cogen_a", "supp_a")):
+            sub = _trace_inclusion(xs, m).source
+            assert trace_dims(xs, m) == list(sub.dims)
+            assert fact[full] == (sub.dims == m.dims) == in_gen(xs, m)
+            assert fact[nonzero] == (sub.total_dim > 0)
+    # some node lies outside Gen DA, and some node outside Cogen A
+    assert not all(fact["gen_da"] for fact in facts) and not all(fact["cogen_a"] for fact in facts)
+
+
+@pytest.mark.parametrize("alg_name, tilting", [("h5", "tilting_h5"), ("a2", "tilting_a2"), ("a3", "tilting_a3")])
+def test_tilted_quotient_is_the_cokernel_of_the_trace(alg_name, tilting):
+    """The tilted lemma's P/tP is the cokernel of the evaluation of T into the sum P of the
+    projectives not in add T; it has the matrices of the cokernel of the trace's inclusion.  So
+    does the quotient by the trace of T in each projective and in their sum."""
+    h = load_fixture_algebra(alg_name)
+    distinct = TiltingContext(h, load_summands(h, fixture_path(tilting + ".json"))).validate()
+    gc = gen_cogen(h)
+    rest = [p for p in gc.projectives if iso_class_index(p, distinct) is None]
+    targets = list(gc.projectives) + [direct_sum(h, gc.projectives)] + ([direct_sum(h, rest)] if rest else [])
+    for p in targets:
+        quot, proj = cokernel_of(evaluation(distinct, p))
+        ref, ref_proj = cokernel_of(_trace_inclusion(distinct, p))
+        assert (quot.dims, quot.mats, proj.mats) == (ref.dims, ref.mats, ref_proj.mats)
 
 
 def _reject_dims(xs, m):

@@ -112,16 +112,11 @@ def test_kernel_of_identity_and_cokernel_of_zero(loop2):
 
 
 def test_loop2_evaluation_kernel_dims(loop2):
-    from repherd.homological import trace_of
+    from repherd.homological import evaluation
 
     s1 = simple_at(loop2, "1")
     i1, i2 = injective_at(loop2, "1"), injective_at(loop2, "2")
-    from repherd.homological import _assemble_columns
-
-    comps = []
-    for x in (i1, i2):
-        comps.extend((x, h) for h in hom_basis(x, s1))
-    ev = _assemble_columns(loop2, s1, comps)
+    ev = evaluation([i1, i2], s1)
     k, _ = kernel_of(ev)
     assert dims_of(k) == (2, 1)
     assert is_isomorphic(k, projective_at(loop2, "1"))

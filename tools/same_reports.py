@@ -9,7 +9,8 @@ change is the working tree.  Both run the same list of commands on the same
 input files: ``check --suite all`` and ``ar-quiver`` on each algebra fixture,
 on the fixtures with relations over GF(2) and GF(3) as well, on Dynkin and
 Nakayama algebras from ``perfbench/gen.py`` over Q, GF(2), GF(3) and GF(101),
-and on the four Euclidean quivers of the ``catalog-q`` workload over Q, GF(2) and
+on the generated E8 over Q and GF(101), whose part (v) is the largest, and on
+the four Euclidean quivers of the ``catalog-q`` workload over Q, GF(2) and
 GF(3); ``check-tilted`` on each shipped tilting module with its hereditary
 algebra; and ``check-module`` on each shipped module with its algebra and on
 the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
@@ -52,6 +53,9 @@ NAKAYAMA = [(6, 2), (8, 3), (7, 4)]
 FIELDS = ["Q", 2, 3, 101]
 # Large enough for a complete catalog of every generated algebra above.
 LARGE_BUDGET = ["--budget-modules", "1000", "--budget-dim", "4096"]
+# E8's 120 indecomposables need twice the dimension budget; it runs over two fields only.
+E8_FIELDS = ["Q", 101]
+E8_BUDGET = ["--budget-modules", "1000", "--budget-dim", "8192"]
 # The module budgets of the catalog-q workload; these catalogs stay incomplete.  Over GF(2)
 # and GF(3), more of their pieces share a dimension vector.
 EUCLIDEAN_BUDGETS = {"kronecker": 12, "d4_tilde": 20, "a3_tilde": 20, "a2_tilde": 20}
@@ -89,6 +93,10 @@ def inputs(workdir):
             label = "nakayama%d-rad%d-%s" % (n, r, tag)
             alg = gen.nakayama_algebra(random.Random("%d:%s" % (SEED, label)), n, r, field)
             out.append((label, gen.write_json(workdir, label + ".json", alg), LARGE_BUDGET))
+    for field in E8_FIELDS:
+        label = "E8-" + ("Q" if field == "Q" else "GF%d" % field)
+        alg = gen.dynkin_algebra(random.Random("%d:%s" % (SEED, label)), "E", 8, field)
+        out.append((label, gen.write_json(workdir, label + ".json", alg), E8_BUDGET))
     for name, budget in EUCLIDEAN_BUDGETS.items():
         alg = gen.euclidean_algebra(random.Random("catalog-q:" + name), gen.EUCLIDEAN[name], "Q")
         out.append((name, gen.write_json(workdir, name + ".json", alg), ["--budget-modules", str(budget)]))
