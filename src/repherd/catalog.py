@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceeded, IncompleteCatalog, VerificationFailed
 from .homological import (
     _transpose_with_cover,
     almost_split_sequence,
     ar_translate,
+    image_dims,
     inj_dim,
     proj_dim,
-    trace_dims,
 )
 from .modules import (
     cokernel_of,
@@ -55,6 +56,13 @@ class CatalogNode:
     @property
     def in_add_gen_cogen(self):
         return self.proj_vertex is not None or self.inj_vertex is not None
+
+    @cached_property
+    def dual(self):
+        """D of the module over A^op, built once; for a summand of add(A + DA), gen_cogen's own."""
+        gc = gen_cogen(self.rep.algebra)
+        k = known_index(self.rep, gc.modules)
+        return dual_module(self.rep) if k is None else gc.duals[k]
 
 
 class IndecomposableCatalog:
@@ -196,7 +204,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
                 break
         if node.inj_vertex is None and node.tau_inv is None:
             # D of the sequence over A^op that ends at D(node): tau^{-1} = Tr D
-            dual = dual_module(node.rep)
+            dual = node.dual
             presentation = _transpose_with_cover(dual)
             j = add_translate(presentation[0])
             if j is None:
@@ -307,15 +315,16 @@ def node_facts(cat: IndecomposableCatalog):
     if cat._facts is not None:
         return cat._facts
     gc = gen_cogen(cat.algebra)
-    # the duals of the projectives are the injectives over the opposite algebra, and
-    # dim rej_A(x) = dim x - dim tr_{D A}(Dx): the reject of A is read off a trace over A^op;
-    # each trace is the sum of the ranks of an evaluation
-    dual_proj = gc.duals[: len(gc.projectives)]
+    # the trace of DA in x is the image of the maps into x from the entries that are the I(v);
+    # the duals of the projectives are the injectives over A^op, and dim rej_A(x) = dim x -
+    # dim tr_{D A}(Dx).  Both traces read the rows the Hom tables keep for x and for Dx.
+    n = len(gc.projectives)
     facts = []
     for node in cat.nodes:
-        x = node.rep
-        trace = sum(trace_dims(gc.injectives, x))              # of DA in x
-        cotrace = sum(trace_dims(dual_proj, dual_module(x)))  # dim x - dim rej_A(x)
+        x, dx = node.rep, node.dual
+        into_x, into_dx = gc.homs.into(x), gc.dual_homs.into(dx)
+        trace = sum(image_dims([h for e in gc.inj_entries for h in into_x[e]], x))  # of DA in x
+        cotrace = sum(image_dims([h for hs in into_dx[:n] for h in hs], dx))       # dim x - dim rej_A(x)
         facts.append(
             {
                 "pd": proj_dim(x),

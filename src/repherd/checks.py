@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from .catalog import Budget, enumerate_indecomposables, left_right_parts, node_facts
 from .dims import DimValue
 from .endo import gldim_end_gen_cogen
-from .errors import GateFailed, IncompleteCatalog, NotTilting, VerificationFailed
+from .errors import GateFailed, IncompleteCatalog, NotTilting, RoutesDisagree, VerificationFailed
 from .homological import (
     ar_translate,
     ar_translate_inv,
@@ -21,10 +21,10 @@ from .homological import (
 from .modules import (
     HomTable,
     cokernel_of,
+    cokernel_top_dims,
     direct_sum,
     dual_module,
     gen_cogen,
-    hom_basis,
     indecomposable_summands,
     iso_class_index,
     kernel_of,
@@ -55,16 +55,15 @@ class CheckReport:
         }
 
 
-def _cover_dims(k, projs):
-    """The top t = dim k - dim rad k of k, and the dimension vector of its projective cover.
+def _cover_dims(top, projs):
+    """The dimension vector of the projective cover of a module whose top has dimensions top.
 
     projs[v] is a module with the dimensions of the indecomposable projective
-    P(v) over k's algebra.  The projective cover of k is the sum of the
-    P(v)^{t_v} (Auslander–Reiten–Smalø, ch. I), so only its dimensions are
+    P(v) over the module's algebra.  The projective cover is the sum of the
+    P(v)^{top_v} (Auslander–Reiten–Smalø, ch. I), so only its dimensions are
     counted and no cover is built.
     """
-    top = top_dims(k)
-    return top, [sum(t * p.dims[u] for t, p in zip(top, projs)) for u in range(len(k.dims))]
+    return [sum(t * p.dims[u] for t, p in zip(top, projs)) for u in range(len(top))]
 
 
 def _projective_piece_names(k, prefix, projs):
@@ -79,8 +78,8 @@ def _projective_piece_names(k, prefix, projs):
     """
     if k.is_zero():
         return []
-    top, cover = _cover_dims(k, projs)
-    if cover != list(k.dims):
+    top = top_dims(k)
+    if _cover_dims(top, projs) != list(k.dims):
         return None
     verts = k.algebra.quiver.vertices
     return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top[v])]
@@ -102,17 +101,18 @@ def _kernel_half(m, homs, add_names, prefix, kind, projs):
     return f, ker, names, ok
 
 
-def _module_kernel_test(alg, m):
+def _module_kernel_test(alg, m, dm=None):
     """Right and left approximation tests for one module outside add(A+DA).
 
     The left test is the right one for Dm over the opposite algebra: the
     cokernel of the minimal left approximation of m is dual to the kernel of
-    the minimal right approximation of Dm by the duals of add(A+DA).
+    the minimal right approximation of Dm by the duals of add(A+DA).  A caller
+    that keeps Dm passes it as dm, whose Hom rows the table then keeps.
     """
     gc = gen_cogen(alg)
     f, ker, knames, right_ok = _kernel_half(m, gc.homs, gc.names, "P", "projective", gc.projectives)
     dg, dcok, cnames, left_ok = _kernel_half(
-        dual_module(m), gc.dual_homs, gc.names, "I", "injective", gc.injectives
+        dual_module(m) if dm is None else dm, gc.dual_homs, gc.names, "I", "injective", gc.injectives
     )
     detail = {
         "right_source_dims": list(f.source.dims),
@@ -142,7 +142,7 @@ def check_representation_hereditary(alg, budget: Budget | None = None, catalog=N
     cond3 = True
     cond5 = True
     for node in outside:
-        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep)
+        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep, node.dual)
         detail["module"] = node.name
         report.witnesses.append(detail)
         cond3 = cond3 and right_ok
@@ -161,7 +161,7 @@ def check_representation_hereditary(alg, budget: Budget | None = None, catalog=N
         "gl.dim End(A + DA) = %s (%s the kernel test)" % (gd, "agrees with" if agree else "DISAGREES with")
     )
     if not agree:
-        raise VerificationFailed(
+        raise RoutesDisagree(
             "kernel test %s but gl.dim End(A + DA) = %s: the two routes disagree" % (report.verdict, gd)
         )
     return report
@@ -283,23 +283,20 @@ def check_corollary_parts(alg, catalog) -> CheckReport:
     hyp_c = set(range(n)) - (left & right) <= (simple_proj | simple_inj)
     report = CheckReport("corollary_parts", HOLDS)
     report.notes.append("hypothesis (a)=%s (b)=%s (c)=%s" % (hyp_a, hyp_b, hyp_c))
-    report.witnesses.append(
-        {
-            "left_part": [catalog.nodes[i].name for i in sorted(left)],
-            "right_part": [catalog.nodes[i].name for i in sorted(right)],
-            "any_hypothesis_holds": bool(hyp_a or hyp_b or hyp_c),
-        }
-    )
+    report.witnesses.append({"left_part": [catalog.nodes[i].name for i in sorted(left)],
+                             "right_part": [catalog.nodes[i].name for i in sorted(right)],
+                             "any_hypothesis_holds": bool(hyp_a or hyp_b or hyp_c)})
     report.verdict = HOLDS if (hyp_a or hyp_b or hyp_c) else FAILS
     return report
 
 
 def _gate_hom_da_a(alg):
+    """The first (v, w) with Hom(I(v), P(w)) != 0, read off the row of P(w) at the entry of I(v); or None."""
     gc = gen_cogen(alg)
     verts = alg.quiver.vertices
-    for i, iv in enumerate(gc.injectives):
-        for j, pj in enumerate(gc.projectives):
-            if hom_basis(iv, pj):
+    for i, e in enumerate(gc.inj_entries):
+        for j in range(len(gc.projectives)):
+            if gc.homs.row(j)[e]:
                 return (verts[i], verts[j])
     return None
 
@@ -318,24 +315,23 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
     if main_report.verdict != HOLDS:
         report.notes.append("main check verdict is %s; suite recorded informationally" % main_report.verdict)
     facts = node_facts(catalog)
-    ok = True
+    parts_ok = []  # each part counts toward the verdict when the main check Holds
 
-    # (i) global dimension at most two, from the pd of each simple, a node of the catalog
+    # (i) global dimension at most two, from the pd of each simple, a node of the catalog;
+    # the first pd that is not finite, in vertex order, is gl.dim A
     simple = {node.simple_vertex: i for i, node in enumerate(catalog.nodes) if node.simple_vertex is not None}
     gl = DimValue.finite(0)
     for v in range(alg.quiver.n_vertices):
         if v not in simple:
             raise VerificationFailed("complete catalog without the simple at %s" % alg.quiver.vertices[v])
         pd = facts[simple[v]]["pd"]
-        if pd.is_infinite or (pd.kind == "at_least"):
+        if not pd.is_finite or pd.value > gl.value:
             gl = pd
+        if not gl.is_finite:
             break
-        if gl.is_finite and pd.value > gl.value:
-            gl = pd
     gldim_ok = gl.is_finite and gl.value <= 2
     report.witnesses.append({"part": "i", "gl_dim_A": str(gl), "ok": gldim_ok})
-    if main_report.verdict == HOLDS:
-        ok = ok and gldim_ok
+    parts_ok.append(gldim_ok)
 
     # (ii) quasitilted or the orbit branch (universally quantified conditional)
     quasi = gldim_ok and all(
@@ -358,8 +354,7 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
                 report.witnesses.append({"part": "ii", "module": node.name, "pd_tau_inv==2": pd_ok, "id_tau==2": id_ok})
     report.witnesses.append({"part": "ii", "quasitilted": quasi, "orbit_branch": branch_b})
     report.notes.append("item (b) read as a universally quantified conditional over modules with pd = id = 2")
-    if main_report.verdict == HOLDS:
-        ok = ok and (quasi or branch_b)
+    parts_ok.append(quasi or branch_b)
 
     # (iii) Hom(DA, tau X) != 0 implies Hom(DA, X) != 0, and the dual
     orbits_ok = True
@@ -373,8 +368,7 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
                 orbits_ok = False
                 report.witnesses.append({"part": "iii", "module": node.name, "direction": "b"})
     report.witnesses.append({"part": "iii", "ok": orbits_ok})
-    if main_report.verdict == HOLDS:
-        ok = ok and orbits_ok
+    parts_ok.append(orbits_ok)
 
     # (iv) pd >= 2 propagates along tau^{-1}-orbits, and the dual
     orbit_dims_ok = True
@@ -390,13 +384,14 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
                 orbit_dims_ok = False
                 report.witnesses.append({"part": "iv", "module": node.name, "direction": "b"})
     report.witnesses.append({"part": "iv", "ok": orbit_dims_ok})
-    if main_report.verdict == HOLDS:
-        ok = ok and orbit_dims_ok
+    parts_ok.append(orbit_dims_ok)
 
     # (v) shape of the minimal approximations for modules outside add(A + DA);
     # the left-hand shape is the right-hand one for Dx over the opposite algebra.
     # The minimal sources are the ones the main check recorded for each module, and
     # the duals of the projectives are the injectives over the opposite algebra.
+    # Under the gate no I(v) is isomorphic to a P(w), so every I(v) is an entry of
+    # gc.modules, and the Hom rows are those the main check read.
     gc = gen_cogen(alg)
     dual_proj = gc.duals[: len(gc.projectives)]
     recorded = {w["module"]: w for w in main_report.witnesses if "module" in w}
@@ -406,44 +401,38 @@ def check_no_inj_to_proj_suite(alg, catalog, main_report=None) -> CheckReport:
             continue
         if node.name not in recorded:
             raise VerificationFailed("the main check recorded no approximation of %s" % node.name)
-        x = node.rep
-        entry = {"part": "v", "module": node.name}
         gen_ok = not facts[i]["gen_da"] and not facts[i]["cogen_a"]
-        entry["outside_gen_da_and_cogen_a"] = gen_ok
-        built_ok = _built_right_approx_ok(x, gc.injectives, gc.inj_homs, recorded[node.name]["right_source_dims"])
-        entry["constructed_equals_minimal_right_approx"] = built_ok
-        built2 = _built_right_approx_ok(
-            dual_module(x), dual_proj, gc.dual_homs, recorded[node.name]["left_target_dims"]
-        )
-        entry["constructed_equals_minimal_left_approx"] = built2
+        built_ok = _built_right_approx_ok(node.rep, gc.injectives, gc.homs, recorded[node.name]["right_source_dims"])
+        built2 = _built_right_approx_ok(node.dual, dual_proj, gc.dual_homs, recorded[node.name]["left_target_dims"])
         shape_ok = shape_ok and gen_ok and built_ok and built2
-        report.witnesses.append(entry)
+        report.witnesses.append({"part": "v", "module": node.name, "outside_gen_da_and_cogen_a": gen_ok,
+                                 "constructed_equals_minimal_right_approx": built_ok,
+                                 "constructed_equals_minimal_left_approx": built2})
     report.witnesses.append({"part": "v", "ok": shape_ok})
-    if main_report.verdict == HOLDS:
-        ok = ok and shape_ok
+    parts_ok.append(shape_ok)
 
-    report.verdict = HOLDS if ok else FAILS
+    report.verdict = FAILS if main_report.verdict == HOLDS and not all(parts_ok) else HOLDS
     return report
 
 
-def _built_right_approx_ok(x, inj_list, inj_homs, minimal_dims) -> bool:
+def _built_right_approx_ok(x, inj_list, homs, minimal_dims) -> bool:
     """Whether the minimal right add(inj_list)-approximation fr of x, together with a lift of
     the projective cover of coker fr, is a minimal right add(A + DA)-approximation of x.
 
-    inj_list holds every indecomposable injective, inj_homs is a Hom table whose modules
-    begin with inj_list, and minimal_dims is the dimension vector of the source of the
-    minimal right add(A + DA)-approximation of x.  The map (fr, lift) is onto, so a map from
-    a projective factors through it, and a map from add DA factors through fr: it is a right
+    inj_list holds every indecomposable injective, homs is a Hom table that holds each of
+    them, and minimal_dims is the dimension vector of the source of the minimal right
+    add(A + DA)-approximation of x.  The map (fr, lift) is onto, so a map from a projective
+    factors through it, and a map from add DA factors through fr: it is a right
     approximation, with no Hom solved to say so; minimal_right_approx raises unless fr is
     an approximation.  The source of any right approximation splits as X1 + X2 with the map
     right minimal on X1 and zero on X2 (Auslander–Reiten–Smalø, ch. I §2), so it is minimal
     exactly when its dimension vector is that of the minimal source.  The cover is counted
-    from the top of coker fr, with the P(v) over x's algebra, which over the opposite
-    algebra have the dimensions of the I(v).
+    from the top of coker fr, read off fr and the arrows of x with no cokernel built, with
+    the P(v) over x's algebra, which over the opposite algebra have the dimensions of the I(v).
     """
-    fr = minimal_right_approx(x, inj_list, _homs=inj_homs)
+    fr = minimal_right_approx(x, inj_list, _homs=homs)
     projs = [projective_at(x.algebra, v) for v in range(len(x.dims))]
-    _, cover = _cover_dims(cokernel_of(fr)[0], projs)
+    cover = _cover_dims(cokernel_top_dims(fr), projs)
     return [a + b for a, b in zip(fr.source.dims, cover)] == list(minimal_dims)
 
 
@@ -490,29 +479,17 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
     sinks = [v for v in range(q.n_vertices) if not q.out_arrows[v]]
     rset = [v for v, pv in enumerate(gc.projectives) if iso_class_index(pv, distinct) is not None]
     cond1 = set(sinks) <= set(rset)
-    report.witnesses.append(
-        {
-            "cond": "1",
-            "sinks": [q.vertices[v] for v in sinks],
-            "projective_summand_vertices": [q.vertices[v] for v in rset],
-            "holds": cond1,
-        }
-    )
+    report.witnesses.append({"cond": "1", "sinks": [q.vertices[v] for v in sinks],
+                             "projective_summand_vertices": [q.vertices[v] for v in rset], "holds": cond1})
     report.notes.append("condition (1) doubles as the slice criterion: P_H(i) in add T for every sink i")
 
-    tau_t = [ar_translate(t) for t in distinct]
-    tau_t = [t for t in tau_t if not t.is_zero()]
-    if tau_t:
-        cond2 = True
-        bad = []
-        for node in catalog.nodes:
-            if in_cogen(tau_t, node.rep) and iso_class_index(node.rep, tau_t) is None:
-                cond2 = False
-                bad.append(node.name)
-        report.witnesses.append({"cond": "2", "holds": cond2, "violations": bad})
-    else:
-        cond2 = True
-        report.witnesses.append({"cond": "2", "holds": True, "violations": [], "note": "tau T = 0"})
+    tau_t = [t for t in map(ar_translate, distinct) if not t.is_zero()]
+    bad = [node.name for node in catalog.nodes
+           if tau_t and in_cogen(tau_t, node.rep) and iso_class_index(node.rep, tau_t) is None]
+    cond2 = not bad
+    report.witnesses.append({"cond": "2", "holds": cond2, "violations": bad})
+    if not tau_t:
+        report.witnesses[-1]["note"] = "tau T = 0"
 
     iset = [gc.injectives[r] for r in rset]
     xs = list(distinct) + [iv for iv in iset if iso_class_index(iv, distinct) is None]
@@ -525,29 +502,20 @@ def check_tilted_sufficient(ctx: TiltingContext, budget: Budget | None = None) -
         ker, _ = kernel_of(phi)
         pieces = indecomposable_summands(ker)
         in_add_t = all(iso_class_index(p, distinct) is not None for p in pieces)
-        report.witnesses.append(
-            {
-                "cond": "3",
-                "injective_at": q.vertices[v],
-                "kernel_dims": list(ker.dims),
-                "kernel_in_add_T": in_add_t,
-            }
-        )
+        report.witnesses.append({"cond": "3", "injective_at": q.vertices[v], "kernel_dims": list(ker.dims),
+                                 "kernel_in_add_T": in_add_t})
         cond3 = cond3 and in_add_t
 
     # the torsion-radical identity T = tau^{-1}(P / tP) + P', recorded when (1) holds
     if cond1:
         nonsummand_proj = [gc.projectives[v] for v in range(q.n_vertices) if v not in rset]
-        summand_proj = [gc.projectives[v] for v in rset]
-        expected = list(summand_proj)
+        expected = [gc.projectives[v] for v in rset]
         if nonsummand_proj:
             p = direct_sum(h, nonsummand_proj)
             quot, _ = cokernel_of(evaluation(distinct, p))
             ti = ar_translate_inv(quot)
             expected.extend(indecomposable_summands(ti))
-        identity_ok = len(expected) == len(distinct) and all(
-            iso_class_index(e, distinct) is not None for e in expected
-        )
+        identity_ok = len(expected) == len(distinct) and all(iso_class_index(e, distinct) is not None for e in expected)
         report.witnesses.append({"lemma": "T = tau^{-1}(P/tP) + P'", "holds": identity_ok})
 
     report.notes.append("conditions: (1)=%s (2)=%s (3)=%s" % (cond1, cond2, cond3))
@@ -574,9 +542,7 @@ def run_all_checks(alg, budget: Budget | None = None, catalog=None):
         try:
             reports.append(check_no_inj_to_proj_suite(alg, catalog, main_report=main))
         except GateFailed as exc:
-            skip = CheckReport("no_inj_to_proj_suite", HOLDS)
-            skip.verdict = "Skipped"
-            skip.notes.append(str(exc))
+            skip = CheckReport("no_inj_to_proj_suite", "Skipped", notes=[str(exc)])
             if exc.witness:
                 skip.witnesses.append({"gate_witness": list(exc.witness)})
             reports.append(skip)

@@ -53,6 +53,10 @@ class VerificationFailed(RepherdError):
     """Internal consistency check failed; must never occur on shipped fixtures."""
 
 
+class RoutesDisagree(VerificationFailed):
+    """The kernel test and gl.dim End(A + DA) give different verdicts."""
+
+
 class IncompleteCatalog(RepherdError):
     pass
 

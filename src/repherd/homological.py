@@ -23,10 +23,9 @@ from .modules import (
     indecomposable_summands,
     iso_class_index,
     kernel_of,
-    morphism_add,
+    known_index,
     morphism_combo,
     morphism_flat,
-    morphism_scale,
     path_action,
     projective_at,
     projective_paths,
@@ -325,10 +324,7 @@ def almost_split_sequence(z: Representation, *, presentation=None) -> ShortExact
         coeffs = soc.col(0)
     else:
         coeffs = tuple(fld.one if i == 0 else fld.zero for i in range(len(reps)))
-    hstar = zero_morphism(k0, tz)
-    for c, h in zip(coeffs, reps):
-        if c:
-            hstar = morphism_add(hstar, morphism_scale(c, h))
+    hstar = morphism_combo(fld, reps, coeffs, k0, tz)
 
     # pushout: E = (tz + P0) / (hstar, -incl)(K)
     p0 = cover.source
@@ -381,7 +377,14 @@ def evaluation(xs, m: Representation) -> ModuleMorphism:
 
 def trace_dims(xs, m: Representation):
     """The dimension vector of the trace of add(xs) in m: the ranks of the evaluation."""
-    return [rank(a) for a in evaluation(xs, m).mats]
+    return image_dims([h for x in xs for h in hom_basis(x, m)], m)
+
+
+def image_dims(maps, m: Representation):
+    """The dimension vector of the sum of the images of maps into m: at each vertex, the rank
+    of their matrices side by side, which are those of the evaluation from their sources."""
+    fld = m.algebra.field
+    return [rank(hstack(fld, [h.mats[v] for h in maps], rows=d)) for v, d in enumerate(m.dims)]
 
 
 def in_gen(xs, m: Representation) -> bool:
@@ -421,26 +424,29 @@ def minimal_right_approx(m: Representation, xs, _homs=None) -> ModuleMorphism:
     never becomes droppable, and one pass in order drops exactly what a greedy
     search restarted after each removal drops.
 
-    The Hom(X_j, X_i) are read from a `HomTable`.  `_homs` is an internal
-    argument: a table whose modules begin with xs, shared by callers that
-    approximate by the same list again; without it a fresh table is built.
+    Hom(X_i, m) and the Hom(X_j, X_i) are read from a `HomTable`.  `_homs` is an
+    internal argument: a table whose modules include each of xs, the very objects,
+    shared by callers that approximate by the same modules again; without it a
+    fresh table is built.
     """
     if _homs is None:
         _homs = HomTable(xs)
-    elif tuple(_homs.modules[: len(xs)]) != tuple(xs):
-        raise ValueError("the Hom table does not start with the module list")
+    at = [known_index(x, _homs.modules) for x in xs]
+    if None in at:
+        raise ValueError("the Hom table does not hold every module of the list")
     alg = m.algebra
     fld = alg.field
-    to_m = [hom_basis(x, m) for x in xs]
+    into_m = _homs.into(m)
+    to_m = [into_m[a] for a in at]
     comps = []
     blocks = []  # blocks[k][j]: the flattened h . b, b in Hom(X_j, X_i), for component k = (X_i, h)
     for i, (x, hs) in enumerate(zip(xs, to_m)):
         if not hs:
             continue
-        into_x = _homs.row(i)[: len(xs)]
+        into_x = _homs.row(at[i])
         for h in hs:
             comps.append((x, h))
-            blocks.append([[morphism_flat(compose(h, b)) for b in bs] for bs in into_x])
+            blocks.append([[morphism_flat(compose(h, b)) for b in into_x[a]] for a in at])
 
     def approximates(keep, js):
         return all(_spans(fld, [vec for k in keep for vec in blocks[k][j]], len(to_m[j])) for j in js)

@@ -294,10 +294,11 @@ def simple_at(alg, v) -> Representation:
 
 
 class HomTable:
-    """Hom among a fixed list of modules, each solved once: row(i) is
-    [hom_basis(X_j, X_i) for each X_j], built the first time X_i is needed.
+    """Hom from a fixed list of modules, each solved once: into(m) is [hom_basis(X, m)
+    for each X], solved the first time m is asked for, and row(i) is into(modules[i]).
 
-    Callers read the rows and never change them.
+    The rows are kept by the object m itself, which the table keeps alive, so a module
+    made later never reads the rows of one that is gone.  Callers never change them.
     """
 
     __slots__ = ("modules", "_rows")
@@ -306,12 +307,14 @@ class HomTable:
         self.modules = modules
         self._rows = {}
 
-    def row(self, i):
-        row = self._rows.get(i)
+    def into(self, m):
+        row = self._rows.get(m)
         if row is None:
-            x = self.modules[i]
-            row = self._rows[i] = [hom_basis(y, x) for y in self.modules]
+            row = self._rows[m] = [hom_basis(x, m) for x in self.modules]
         return row
+
+    def row(self, i):
+        return self.into(self.modules[i])
 
 
 @dataclass(frozen=True)
@@ -321,10 +324,10 @@ class GenCogen:
     `modules` lists the projectives in vertex order, then each injective not
     isomorphic to an earlier entry; `names` labels them P(v) and I(v), and
     `vertices` holds the index of each v.  The order fixes the basis of
-    End(A + DA) that the oracle works in.  `duals` holds the dual of each
-    entry of `modules` over the opposite algebra, so its first entries are the
-    duals of the projectives.  `homs`, `dual_homs` and `inj_homs` are the Hom
-    tables among `modules`, `duals` and `injectives`.
+    End(A + DA) that the oracle works in.  `inj_entries[v]` indexes the entry
+    that is I(v), or the P(w) isomorphic to it.  `duals` holds the dual of each
+    entry over the opposite algebra, the duals of the projectives first.
+    `homs` and `dual_homs` are the Hom tables from `modules` and from `duals`.
     """
 
     projectives: tuple   # P(v) for every vertex v
@@ -332,10 +335,10 @@ class GenCogen:
     modules: tuple
     names: tuple
     vertices: tuple
+    inj_entries: tuple
     duals: tuple
     homs: HomTable
     dual_homs: HomTable
-    inj_homs: HomTable
 
 
 def gen_cogen(alg) -> GenCogen:
@@ -347,16 +350,20 @@ def gen_cogen(alg) -> GenCogen:
         modules = list(projs)
         names = ["P(%s)" % v for v in verts]
         vertices = list(range(len(verts)))
+        entries = []
         for k, (v, iv) in enumerate(zip(verts, injs)):
-            if iso_class_index(iv, modules) is None:
+            e = iso_class_index(iv, modules)
+            if e is None:
+                e = len(modules)
                 modules.append(iv)
                 names.append("I(%s)" % v)
                 vertices.append(k)
+            entries.append(e)
         modules = tuple(modules)
         duals = tuple(dual_module(x) for x in modules)
         alg._gen_cogen = GenCogen(
-            projs, injs, modules, tuple(names), tuple(vertices),
-            duals, HomTable(modules), HomTable(duals), HomTable(injs),
+            projs, injs, modules, tuple(names), tuple(vertices), tuple(entries),
+            duals, HomTable(modules), HomTable(duals),
         )
     return alg._gen_cogen
 
@@ -499,6 +506,14 @@ def socle_of(m: Representation):
 def top_dims(m: Representation):
     """dim (m / rad m) at each vertex: dim m_v less the rank of the arrows into v."""
     return [d - rank(_incoming(m, v)) for v, d in enumerate(m.dims)]
+
+
+def cokernel_top_dims(f: ModuleMorphism):
+    """The top of coker f, with no cokernel built: for f : X -> m it is m / (rad m + im f), of
+    dimension dim m_v less the rank of f_v beside the arrows into v."""
+    m = f.target
+    fld = m.algebra.field
+    return [d - rank(hstack(fld, [f.mats[v], _incoming(m, v)], rows=d)) for v, d in enumerate(m.dims)]
 
 
 # -- decomposition ------------------------------------------------------------

@@ -285,3 +285,33 @@ def test_fails_witness_reproduces(tilted5, kron):
         detail = single.witnesses[0]
         assert detail["right_kernel_projective"] == w["right_kernel_projective"]
         assert detail["left_cokernel_injective"] == w["left_cokernel_injective"]
+
+
+def _gate_by_fresh_solves(alg):
+    """Reference: the gate as it was before it read the table, a fresh Hom(I(v), P(w)) for each
+    injective and projective in vertex order."""
+    from repherd.modules import gen_cogen, hom_basis
+
+    gc = gen_cogen(alg)
+    verts = alg.quiver.vertices
+    for i, iv in enumerate(gc.injectives):
+        for j, pj in enumerate(gc.projectives):
+            if hom_basis(iv, pj):
+                return (verts[i], verts[j])
+    return None
+
+
+GATE_FIXTURES = ["a2", "a3", "a4_rad2", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3], ids=["Q", "GF2", "GF3"])
+@pytest.mark.parametrize("name", GATE_FIXTURES)
+def test_gate_reads_the_table_as_fresh_solves_do(name, p):
+    """The gate reads Hom(I(v), P(w)) off the row of P(w) at the entry of I(v), which is P(u)
+    when I(v) is isomorphic to P(u) (a2, a3, a4_rad2, sq, tilted5); its witness, or None, is the
+    one that fresh solves give."""
+    from repherd.checks import _gate_hom_da_a
+    from repherd.fields import PrimeField
+
+    alg = load_fixture_algebra(name, None if p is None else PrimeField(p))
+    assert _gate_hom_da_a(alg) == _gate_by_fresh_solves(alg)

@@ -25,7 +25,10 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
         assert main(["check", fixture_path("a3.json")]) == 0
 
 
-def test_suite_all_enumerates_once_and_cache_keeps_report(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("name", ["loop2", "d4", "h5"])
+def test_suite_all_enumerates_once_and_cache_keeps_report(name, tmp_path, monkeypatch, capsys):
+    """A cached catalog gives the fresh report.  On d4 and h5 the gate holds, so part (v) runs on
+    node modules loaded from the file, which are not the objects of add(A + DA)."""
     monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
     calls = []
     real = cli.enumerate_indecomposables
@@ -36,10 +39,11 @@ def test_suite_all_enumerates_once_and_cache_keeps_report(tmp_path, monkeypatch,
 
     monkeypatch.setattr(cli, "enumerate_indecomposables", counting)
     monkeypatch.setattr(checks, "enumerate_indecomposables", counting)
-    argv = ["check", fixture_path("loop2.json"), "--suite", "all"]
+    argv = ["check", fixture_path(name + ".json"), "--suite", "all"]
     assert main(argv) == 0
     assert len(calls) == 1
     fresh = capsys.readouterr().out
+    assert ('"part": "v"' in fresh) == (name != "loop2")
 
     monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
     assert main(argv) == 0 and main(argv) == 0
@@ -281,7 +285,7 @@ def test_a_catalog_module_that_does_not_split_names_the_algebra_file(argv, monke
 @pytest.mark.parametrize("name,verdict,wrong", [("a4_rad2", "Fails", 3), ("a3", "Holds", 4)])
 def test_routes_that_disagree_refuse_a_verdict(name, verdict, wrong, suite, monkeypatch, capsys):
     """With the oracle patched to a wrong gl.dim End(A + DA), the check refuses: exit 4 and one
-    error line that names both results."""
+    error line that names the algebra file and both results."""
     from repherd.dims import DimValue
 
     monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
@@ -290,7 +294,7 @@ def test_routes_that_disagree_refuse_a_verdict(name, verdict, wrong, suite, monk
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith("error: %s: " % fixture_path(name + ".json"))
     assert "kernel test %s but gl.dim End(A + DA) = %d" % (verdict, wrong) in lines[0]
 
 

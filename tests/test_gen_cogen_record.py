@@ -1,9 +1,14 @@
 """The add(A + DA) record: its Hom tables, the kernel test's projectivity by a dimension count,
 and part (v)'s minimality by dimension vectors."""
+import os
+import random
+import sys
+
 import pytest
 
 from repherd import checks, homological, modules
 from repherd import io as rio
+from repherd.catalog import Budget, enumerate_indecomposables
 from repherd.errors import VerificationFailed
 from repherd.fields import PrimeField
 from repherd.homological import minimal_right_approx, projective_cover, solve_factor_right
@@ -12,6 +17,7 @@ from repherd.modules import (
     HomTable,
     ModuleMorphism,
     cokernel_of,
+    cokernel_top_dims,
     compose,
     direct_sum,
     dual_module,
@@ -23,9 +29,13 @@ from repherd.modules import (
     projective_at,
     radical_of,
     simple_at,
+    top_dims,
 )
 
-from tests.conftest import catalog_of, fixture_path, load_fixture_algebra, main_report_of
+from tests.conftest import ROOT, catalog_of, fixture_path, load_fixture_algebra, main_report_of
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
 
 COMPLETE = ["a3", "d4", "h5", "loop2", "sq", "tilted4", "tilted5"]
 FIELDS = [None, PrimeField(101)]
@@ -117,21 +127,31 @@ def test_table_gives_the_same_approximations(name, field):
     alg = load_fixture_algebra(name, field)
     gc = gen_cogen(alg)
     n = len(gc.projectives)
+    inj_homs = HomTable(gc.injectives)
+    # where no I(v) is isomorphic to a P(w), every I(v) is an entry of the table over add(A + DA)
+    inj_in_homs = all(any(iv is x for x in gc.modules) for iv in gc.injectives)
+    assert inj_in_homs == (name not in ("a3", "sq", "tilted5"))
     for x in _outside(alg):
         dx = dual_module(x)
-        for m, xs, table in (
+        cases = [
             (x, gc.modules, gc.homs),
-            (x, gc.injectives, gc.inj_homs),
+            (x, gc.injectives, inj_homs),
             (dx, gc.duals, gc.dual_homs),
             (dx, gc.duals[:n], gc.dual_homs),
-        ):
+        ]
+        if inj_in_homs:
+            cases.append((x, gc.injectives, gc.homs))
+        for m, xs, table in cases:
             _same_map(minimal_right_approx(m, xs, _homs=table), minimal_right_approx(m, xs))
 
 
-def test_table_must_start_with_the_list(loop2):
-    gc = gen_cogen(loop2)
+def test_table_must_start_with_the_list(a4_rad2):
+    """A list with a module the table does not hold, the very object, is refused: a4_rad2's I(1)
+    is isomorphic to P(2), which stands for it in add(A + DA)."""
+    gc = gen_cogen(a4_rad2)
+    assert gc.inj_entries[0] == 1 and gc.injectives[0] not in gc.modules
     with pytest.raises(ValueError):
-        minimal_right_approx(_outside(loop2)[0], gc.injectives, _homs=gc.homs)
+        minimal_right_approx(_outside(a4_rad2)[0], gc.injectives, _homs=gc.homs)
 
 
 @pytest.mark.parametrize("name", ["d4", "h5"])
@@ -158,6 +178,53 @@ def test_second_kernel_test_solves_no_hom_among_the_summands(name, monkeypatch):
     second = [checks._module_kernel_test(alg, x) for x in outside]
     assert calls == []
     assert first == second
+
+
+def _fresh(name):
+    """A freshly loaded algebra, whose Hom tables are empty, and its complete catalog."""
+    if name == "E6":
+        alg = rio.algebra_from_dict(gen.dynkin_algebra(random.Random(3), "E", 6, "Q"))
+        return alg, enumerate_indecomposables(alg, Budget(1000, 4096))
+    alg = rio.load_algebra(fixture_path(name + ".json"))
+    return alg, enumerate_indecomposables(alg)
+
+
+@pytest.mark.parametrize("name", ["d4", "h5", "E6"])
+def test_suite_solves_each_hom_into_a_node_once(name, monkeypatch):
+    """Across the main check, node_facts, the gate, part (v) and the oracle, each Hom from a
+    summand of add(A + DA), or from the dual of one, into a catalog node's module or into its
+    dual is solved at most once.  Every dual of the same node counts as the same target."""
+    alg, cat = _fresh(name)
+    assert cat.complete
+    calls = []
+    original = modules.hom_basis
+
+    def recording(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    for mod in (modules, homological):
+        monkeypatch.setattr(mod, "hom_basis", recording)
+    reports, _ = checks.run_all_checks(alg, catalog=cat)
+    monkeypatch.undo()
+    assert reports[0].verdict == reports[-1].verdict == checks.HOLDS
+    gc = gen_cogen(alg)
+    sources = {id(x) for x in gc.modules + gc.duals}
+    nodes = {id(node.rep): i for i, node in enumerate(cat.nodes)}
+    duals = {_content(dual_module(node.rep)): i for i, node in enumerate(cat.nodes)}
+    pairs = []
+    for m, n in calls:
+        if id(m) in sources:
+            if id(n) in nodes:
+                pairs.append((id(m), "A", nodes[id(n)]))
+            elif _content(n) in duals:
+                pairs.append((id(m), "op", duals[_content(n)]))
+    assert {side for _, side, _ in pairs} == {"A", "op"}
+    assert len(pairs) == len(set(pairs))
+
+
+def _content(m):
+    return m.algebra, m.dims, m.mats
 
 
 def _is_right_approx(f, xs):
@@ -193,11 +260,14 @@ def _assert_minimality_by_dims(x, inj_list, inj_homs, add_homs):
     add(add_homs.modules)-approximation, the dimension vectors of its source and of the minimal
     source decide whether the two are isomorphic, and checks._built_right_approx_ok(...) is the
     verdict of the comparison by decomposition.  The projective cover of coker fr that part (v)
-    counts from the top has the dimensions of the one projective_cover builds."""
+    counts from the top, read off fr and the arrows with no cokernel built, has the dimensions of
+    the one projective_cover builds."""
     fp = _built_map(x, inj_list, inj_homs)
-    cok = cokernel_of(minimal_right_approx(x, inj_list, _homs=inj_homs))[0]
+    fr = minimal_right_approx(x, inj_list, _homs=inj_homs)
+    cok = cokernel_of(fr)[0]
     projs = [projective_at(x.algebra, v) for v in range(len(x.dims))]
-    assert checks._cover_dims(cok, projs)[1] == list(projective_cover(cok).source.dims)
+    assert cokernel_top_dims(fr) == top_dims(cok)
+    assert checks._cover_dims(cokernel_top_dims(fr), projs) == list(projective_cover(cok).source.dims)
     minimal = minimal_right_approx(x, add_homs.modules, _homs=add_homs)
     assert _is_right_approx(fp, add_homs.modules)
     iso = is_isomorphic(fp.source, minimal.source)
@@ -214,8 +284,9 @@ def test_part_v_minimality_by_dimension_vectors(name, field):
     alg = load_fixture_algebra(name, field)
     gc = gen_cogen(alg)
     dual_proj = gc.duals[: len(gc.projectives)]
+    inj_homs = HomTable(gc.injectives)
     for x in _outside(alg):
-        assert _assert_minimality_by_dims(x, gc.injectives, gc.inj_homs, gc.homs) is True
+        assert _assert_minimality_by_dims(x, gc.injectives, inj_homs, gc.homs) is True
         assert _assert_minimality_by_dims(dual_module(x), dual_proj, gc.dual_homs, gc.dual_homs) is True
 
 
@@ -228,7 +299,7 @@ def test_part_v_says_not_minimal(d4):
     p3 = projective_at(d4, "3")
     with_p3 = list(gc.injectives) + [p3]
     assert _assert_minimality_by_dims(x, with_p3, HomTable(with_p3), gc.homs) is False
-    assert _assert_minimality_by_dims(x, gc.injectives, gc.inj_homs, gc.homs) is True
+    assert _assert_minimality_by_dims(x, gc.injectives, HomTable(gc.injectives), gc.homs) is True
     # every single summand of add(A + DA) added to the injectives
     verdicts = []
     for u in gc.modules:
