@@ -146,8 +146,10 @@ def _int_divisors(n: int, cap=10**6):
 def rational_roots(field, poly):
     """All roots of poly in the field, as sorted (root, multiplicity) pairs.
 
-    Over Q this is exhaustive by the rational root theorem; over GF(p) the
-    candidates are the roots of gcd(poly, x^p - x).
+    Over Q this is exhaustive by the rational root theorem, and each
+    candidate p/q is tested in ints on the integral multiple ip of poly, as
+    q^n ip(p/q) = 0; over GF(p) the candidates are the roots of
+    gcd(poly, x^p - x).
     """
     f = field
     poly = _p_trim(f, list(poly))
@@ -172,8 +174,20 @@ def rational_roots(field, poly):
             for qden in _int_divisors(an):
                 candidates.append(f.coerce(Fraction(pnum, qden)))
                 candidates.append(f.coerce(Fraction(-pnum, qden)))
+
+        def is_root(lam):
+            # q^n poly(p/q) = sum_k ip_k p^k q^(n-k) / den_lcm, in ints by Horner's rule
+            p, q = lam.numerator, lam.denominator
+            acc, qk = 0, 1
+            for c in reversed(ip):
+                acc = acc * p + c * qk
+                qk *= q
+            return not acc
     elif isinstance(f, PrimeField):
         candidates = _gfp_roots(f, poly)
+
+        def is_root(lam):
+            return not _p_eval_scalar(f, poly, lam)
     else:
         raise RuntimeError("unknown field")
     seen = set()
@@ -181,7 +195,7 @@ def rational_roots(field, poly):
         if lam in seen:
             continue
         seen.add(lam)
-        if not _p_eval_scalar(f, poly, lam):
+        if is_root(lam):
             mult = 0
             cur = poly
             while True:

@@ -3,34 +3,48 @@
 A `Mat` holds its entries as a row-major tuple and is immutable by
 convention: no code assigns to a matrix after it is made.  Every elimination
 runs on one kernel, a row space kept as `{pivot: row}`: each row is a sparse
-dict `{column: int}` whose least column is its pivot, and every stored row is
-zero at every other pivot.  Over Q a row of rationals is first scaled to
-integers by the lcm of its denominators; row operations multiply by integers
-only, and each row is kept primitive with a positive pivot.  Entries are read
-back as x / pivot in the field's form (`_read`): the int quotient when the
-pivot divides x, else a `Fraction`.  Over GF(p) each row holds ints mod p and
-is kept monic at its pivot.  Only the two row operations, `_clear` and
-`_normalize`, depend on the field.  `_scaled` reads a dense row in one pass:
-it takes an lcm over the non-int entries only, and when every entry is an
-int (always over GF(p), mostly over Q) the nonzeros go in as they are.
+dict `{column: int}` whose least column is its pivot.  Over Q a row of
+rationals is first scaled to integers by the lcm of its denominators; row
+operations multiply by integers only, and a stored row is normalized to be
+primitive with a positive pivot.  Entries are read back as x / pivot in the
+field's form (`_read`): the int quotient when the pivot divides x, else a
+`Fraction`.  Over GF(p) each row holds ints mod p and is normalized to be
+monic at its pivot.  Only the two row operations, `_clear` and `_normalize`,
+depend on the field.  `_scaled` reads a dense row in one pass: it takes an
+lcm over the non-int entries only, and when every entry is an int (always
+over GF(p), mostly over Q) the nonzeros go in as they are.
+
+An elimination with its whole system up front runs in two phases.  Forward
+elimination (`_forward`) clears each row at its least column while that
+column is a pivot and stores it there, normalized; no stored row changes,
+so the stored rows are an echelon form, zero left of their pivots but not
+yet at the pivots right of them.  One back-substitution at the end
+(`_back_substitute`) takes the pivots in descending order, clears each row
+at the higher pivots it holds and normalizes each row it changed once; then
+every stored row is zero at every other pivot.  `SpanTracker` alone keeps
+its row space reduced at each insertion (`_insert`), because it answers
+`reduce` and `coords` between insertions.
 
 Over Q an entry is an int when integral and a `Fraction` with denominator > 1
 otherwise (see `fields`).  Since `Fraction(n) == n` and the two hash and
 print alike, a `Mat` built from `Fraction(n)` entries equals, and hashes as,
 the one built from ints, and both format the same.
 
-`SpanTracker` grows such a row space one generator at a time.  `rref`,
-`kernel_basis`, `solve` and `commuting_maps` (the Hom systems between
-modules) read their results off the row space of a matrix or a system.  The
-reduced row echelon form is unique, so every result is the one dense
-Gauss-Jordan (`_gauss_jordan`) gives, entry by entry.  Each elimination does
-only what its caller reads:
+`rref`, `kernel_basis`, `solve`, `quotient_maps` and `commuting_maps` (the
+Hom systems between modules) read their results off the reduced row space of
+a matrix or a system.  The normalized reduced row echelon form is unique, so
+every result is the one dense Gauss-Jordan (`_gauss_jordan`) gives, entry by
+entry.  Each elimination does only what its caller reads:
 
 - `rank` and `col_space` need only the pivot columns, which every echelon
-  form shares, so `_pivots` eliminates forward only and never substitutes
-  back into a stored row;
+  form shares, so `_pivots` stops after the forward phase;
 - `complement_places`, the places of the generators of every cover, is the
   complement of `_pivots` of the columns reversed;
+- `kernel_basis` and `commuting_maps` back-substitute only when some column
+  is free: with none the basis is empty, and `commuting_maps` returns as
+  soon as every unknown is a pivot; `solve` returns None before it
+  back-substitutes when a pivot lies among the columns of b, and
+  `quotient_maps` refuses dependent columns before it does;
 - `quotient_maps` reduces span(basis) with its columns reversed, so each
   pivot is the last nonzero place of a reduced basis vector; the section and
   the projection are read off those rows, with no inverse computed.
@@ -398,14 +412,16 @@ def _normalize(row, p, mod):
 
 
 def _reduce(piv, row, mod):
-    """Clear every pivot column of the row space piv from row, in place."""
+    """Clear every pivot column of the reduced row space piv from row, in place."""
     for c in [c for c in row if c in piv]:
         _clear(row, c, piv[c], mod)
 
 
 def _insert(piv, row, width, mod):
-    """Add row, which it consumes, to the row space piv; returns whether it
-    enlarged it.  Only columns below width can be pivots."""
+    """Add row, which it consumes, to the reduced row space piv, keeping it
+    reduced; returns whether it enlarged it.  Only columns below width can be
+    pivots.  Only `SpanTracker`, which answers queries between insertions,
+    pays for keeping every stored row zero at each new pivot."""
     _reduce(piv, row, mod)
     if not row:
         return False
@@ -421,24 +437,73 @@ def _insert(piv, row, width, mod):
     return True
 
 
-def _row_space(field, rows, width):
-    """The row space {pivot: row} of dense rows of field elements, and the modulus."""
+def _forward(piv, row, mod):
+    """Add row, which it consumes, to the echelon form piv by forward
+    elimination; returns whether it enlarged it.
+
+    The row is cleared at its least column while that column is a pivot; a
+    row left with a new least column is normalized and stored under it, and
+    no stored row changes.  Each stored row is then zero left of its pivot,
+    but not yet at the pivots right of it.
+    """
+    while row:
+        p = min(row)
+        prow = piv.get(p)
+        if prow is None:
+            _normalize(row, p, mod)
+            piv[p] = row
+            return True
+        _clear(row, p, prow, mod)
+    return False
+
+
+def _back_substitute(piv, mod):
+    """Turn the echelon form piv into the reduced one, in place.
+
+    The pivots are taken in descending order, so the rows at the higher
+    pivots a row holds are reduced already: clearing it there brings in no
+    other pivot column, and each row that changed is normalized once.
+    """
+    for p in sorted(piv, reverse=True):
+        row = piv[p]
+        held = [c for c in row if c != p and c in piv]
+        if held:
+            for c in held:
+                _clear(row, c, piv[c], mod)
+            _normalize(row, p, mod)
+
+
+def _echelon(field, rows, width):
+    """An echelon form {pivot: row} of dense rows of width field elements, by
+    forward elimination, and the modulus."""
     mod = _modulus(field)
     piv = {}
     for r in rows:
-        row = dict(_scaled(r, mod)[1])
-        if row:
-            _insert(piv, row, width, mod)
+        _forward(piv, dict(_scaled(r, mod)[1]), mod)
+        if len(piv) == width:
+            break
     return piv, mod
 
 
-def _mat_space(m: Mat):
-    return _row_space(m.field, (m.row(i) for i in range(m.rows)), m.cols)
+def _row_space(field, rows, width):
+    """The reduced row space {pivot: row} of dense rows of width field
+    elements, and the modulus: forward elimination, then one back-substitution."""
+    piv, mod = _echelon(field, rows, width)
+    _back_substitute(piv, mod)
+    return piv, mod
+
+
+def _rows(m: Mat):
+    return (m.row(i) for i in range(m.rows))
 
 
 def _null_space(field, piv, mod, ncols):
-    """A basis of the vectors x with row . x = 0 for each row of piv: one
-    vector per free column of the reduced row echelon form, in column order."""
+    """A basis of the vectors x with row . x = 0 for each row of the echelon
+    form piv: one vector per free column of the reduced row echelon form, in
+    column order.  piv is back-substituted in place, unless no column is free."""
+    if len(piv) == ncols:
+        return []
+    _back_substitute(piv, mod)
     z, o = field.zero, field.one
     vecs = {}
     for fc in range(ncols):
@@ -458,7 +523,7 @@ def _null_space(field, piv, mod, ncols):
 
 def rref(m: Mat):
     """Reduced row echelon form; returns (reduced, rank, pivot_columns)."""
-    piv, mod = _mat_space(m)
+    piv, mod = _row_space(m.field, _rows(m), m.cols)
     pivots = sorted(piv)
     ent = [m.field.zero] * (m.rows * m.cols)
     for k, p in enumerate(pivots):
@@ -470,31 +535,11 @@ def rref(m: Mat):
 
 
 def _pivots(m: Mat):
-    """The pivot columns of m, in order, by forward elimination only.
-
-    Each row is cleared at its least column while that column is a pivot;
-    a row left with a new least column is normalized and stored under it,
-    and no stored row changes afterwards.  The stored rows are then an
-    echelon form of the row space, and every echelon form has the pivot
-    columns of the reduced one.
-    """
+    """The pivot columns of m, in order, by forward elimination only: every
+    echelon form has the pivot columns of the reduced one."""
     if not m.entries:
         return []
-    mod = _modulus(m.field)
-    piv = {}
-    for i in range(m.rows):
-        row = dict(_scaled(m.row(i), mod)[1])
-        while row:
-            p = min(row)
-            prow = piv.get(p)
-            if prow is None:
-                _normalize(row, p, mod)
-                piv[p] = row
-                break
-            _clear(row, p, prow, mod)
-        if len(piv) == m.cols:
-            break
-    return sorted(piv)
+    return sorted(_echelon(m.field, _rows(m), m.cols)[0])
 
 
 def rank(m: Mat) -> int:
@@ -505,7 +550,7 @@ def kernel_basis(m: Mat) -> Mat:
     """Columns form a basis of the right null space of m."""
     if not m.entries:
         return Mat.identity(m.field, m.cols)
-    vecs = _null_space(m.field, *_mat_space(m), m.cols)
+    vecs = _null_space(m.field, *_echelon(m.field, _rows(m), m.cols), m.cols)
     ent = tuple(v[i] for i in range(m.cols) for v in vecs)
     return Mat(m.field, m.cols, len(vecs), ent)
 
@@ -520,7 +565,9 @@ def commuting_maps(field, src_dims, dst_dims, squares):
     per square and entry (r, c), in that order.  Each equation is built as a
     sparse integer row from the nonzeros of column c of A and row r of B,
     scaled by the lcm of their denominators over Q and reduced mod p over
-    GF(p), and goes straight into the kernel.
+    GF(p), and goes straight into forward elimination; the echelon form is
+    back-substituted once, at the end, and not at all when every unknown is
+    a pivot and the basis is empty.
     """
     offset, total = [], 0
     for s, d in zip(src_dims, dst_dims):
@@ -553,8 +600,8 @@ def commuting_maps(field, src_dims, dst_dims, squares):
                         row[t] = v
                     else:
                         del row[t]
-                if row:
-                    _insert(piv, row, total, mod)
+                if _forward(piv, row, mod) and len(piv) == total:
+                    return []
     return [tuple(v) for v in _null_space(field, piv, mod, total)]
 
 
@@ -571,9 +618,10 @@ def solve(a: Mat, b: Mat):
         return None if any(b.entries) else Mat(a.field, 0, nb, ())
     if not (a.rows and nb):
         return Mat.zeros(a.field, n, nb)
-    piv, mod = _row_space(a.field, (a.row(i) + b.row(i) for i in range(a.rows)), n + nb)
+    piv, mod = _echelon(a.field, (a.row(i) + b.row(i) for i in range(a.rows)), n + nb)
     if any(p >= n for p in piv):
         return None
+    _back_substitute(piv, mod)
     out = [a.field.zero] * (n * nb)
     for p, row in piv.items():
         d = row[p]
@@ -658,9 +706,10 @@ def quotient_maps(field, basis: Mat):
     d, r = basis.rows, basis.cols
     if not r:
         return Mat.identity(field, d), Mat.identity(field, d)
-    piv, mod = _row_space(field, (basis.col(j)[::-1] for j in range(r)), d)
+    piv, mod = _echelon(field, (basis.col(j)[::-1] for j in range(r)), d)
     if len(piv) != r:
         raise DimensionMismatch("quotient_maps: dependent input columns")
+    _back_substitute(piv, mod)
     free = [s for s in range(d) if d - 1 - s not in piv]
     pos = {s: i for i, s in enumerate(free)}
     z, o = field.zero, field.one

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import sys
@@ -259,6 +260,74 @@ def test_min_poly_and_roots():
     assert roots == [(Fraction(1), 2)]
     d = Mat.from_rows(QQ, [[2, 0], [0, 3]])
     assert sorted(r for r, _ in rational_roots(QQ, min_poly_of_matrix(d))) == [2, 3]
+
+
+def _fraction_rational_roots(f, poly):
+    """rational_roots over Q as it was before it tested candidates in ints: each candidate
+    p/q is evaluated on the Fraction polynomial by Horner's rule."""
+    poly = endo._p_trim(f, list(poly))
+    if len(poly) <= 1:
+        return []
+    roots = []
+    k = 0
+    while not poly[0]:
+        poly = poly[1:]
+        k += 1
+    if k:
+        roots.append((f.zero, k))
+    if len(poly) <= 1:
+        return sorted(roots)
+    den_lcm = math.lcm(*(c.denominator for c in poly))
+    ip = [int(c * den_lcm) for c in poly]
+    candidates = []
+    for pnum in endo._int_divisors(ip[0]):
+        for qden in endo._int_divisors(ip[-1]):
+            candidates.append(f.coerce(Fraction(pnum, qden)))
+            candidates.append(f.coerce(Fraction(-pnum, qden)))
+    seen = set()
+    for lam in candidates:
+        if lam in seen:
+            continue
+        seen.add(lam)
+        if not endo._p_eval_scalar(f, poly, lam):
+            mult = 0
+            cur = poly
+            while True:
+                q, r = endo._p_divmod(f, cur, [f.neg(lam), f.one])
+                if r:
+                    break
+                mult += 1
+                cur = q
+                if not cur or endo._p_eval_scalar(f, cur, lam):
+                    break
+            roots.append((lam, mult))
+    return sorted(roots)
+
+
+_ROOTS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(7, 6)])
+# x^2 + 1, x^2 - 2 and 3x^2 - x + 5 have no rational root
+_NO_ROOTS = st.sampled_from([[1, 0, 1], [-2, 0, 1], [5, -1, 3]])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(_ROOTS, st.integers(1, 3)), max_size=4), st.lists(_NO_ROOTS, max_size=2),
+       st.sampled_from([1, -1, Fraction(3, 7), Fraction(-10, 9), 6]))
+def test_roots_tested_in_ints_are_the_roots_tested_as_fractions(linear, others, scale):
+    """Products of (x - r)^m, with repeated, zero and non-integral rational roots r, times
+    factors with no rational root and a scalar: the same roots, multiplicities and order."""
+    poly = [QQ.coerce(scale)]
+    for r, m in linear:
+        for _ in range(m):
+            poly = endo._p_mul(QQ, poly, [QQ.coerce(-r), 1])
+    for g in others:
+        poly = endo._p_mul(QQ, poly, g)
+    got = rational_roots(QQ, poly)
+    assert got == _fraction_rational_roots(QQ, poly)
+    want = {}
+    for r, m in linear:
+        want[r] = want.get(r, 0) + m
+    assert got == sorted(want.items())
 
 
 def _root_search_eigenvalue(op):

@@ -11,7 +11,11 @@ from repherd.fields import PrimeField, QQ
 from repherd.linalg import (
     Mat,
     SpanTracker,
+    _echelon,
     _gauss_jordan,
+    _insert,
+    _modulus,
+    _row_space,
     _scaled,
     col_space,
     complement_places,
@@ -644,3 +648,93 @@ def test_complement_places_edge_shapes():
         assert complement_places(Mat.identity(field, 3)) == []
         assert complement_places(Mat.from_rows(field, [[1, 1], [1, 1]])) == [0]
         assert complement_places(Mat.from_rows(field, [[1, 0], [0, 0], [1, 1]])) == [1]
+
+
+# -- forward elimination, then one back-substitution ------------------------------
+#
+# rref, kernel_basis, solve, quotient_maps and commuting_maps eliminate forward and
+# back-substitute once.  The reference is the row space they kept before: every row
+# inserted with `_insert`, which reduces every stored row at each new pivot, as
+# SpanTracker still does.
+
+
+def incremental_row_space(field, rows, width):
+    """{pivot: row} of dense rows, each inserted into a row space kept reduced."""
+    mod = _modulus(field)
+    piv = {}
+    for r in rows:
+        row = dict(_scaled(r, mod)[1])
+        if row:
+            _insert(piv, row, width, mod)
+    return piv
+
+
+@st.composite
+def systems(draw, field):
+    """A matrix over field of up to 9 x 10, either dimension possibly 0, whose rows are
+    drawn, each times a small scalar, from up to 7 random rows and the zero row: zero rows,
+    repeated rows and rank below both dimensions all occur."""
+    ncols = draw(st.integers(0, 10))
+    pool = draw(row_pools(field, ncols, size=7))
+    picked = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_scalars)), max_size=9))
+    rows = [[field.mul(field.coerce(s), x) for x in row] for row, s in picked]
+    return Mat(field, len(rows), ncols, tuple(x for r in rows for x in r))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FIELDS).flatmap(systems))
+def test_row_space_is_the_incremental_one(m):
+    """The back-substituted echelon form is the row space that incremental insertion
+    keeps, row by row and entry by entry, with the same pivots as the echelon form."""
+    f = m.field
+    rows = [m.row(i) for i in range(m.rows)]
+    want = incremental_row_space(f, rows, m.cols)
+    echelon, mod = _echelon(f, rows, m.cols)
+    assert sorted(echelon) == sorted(want) and mod == _modulus(f)
+    assert _row_space(f, rows, m.cols) == (want, mod)
+
+
+def dense_quotient_maps(field, basis):
+    """The projection and section read off dense Gauss-Jordan on the columns of basis,
+    reversed, or None when they are dependent."""
+    d, r = basis.rows, basis.cols
+    rows = [list(basis.col(j)[::-1]) for j in range(r)]
+    pivots = _gauss_jordan(field, rows, d)
+    if len(pivots) != r:
+        return None
+    free = [s for s in range(d) if d - 1 - s not in pivots]
+    proj = [[field.one if t == s else field.zero for t in range(d)] for s in free]
+    for row, c in zip(rows, pivots):
+        for i, s in enumerate(free):
+            proj[i][d - 1 - c] = field.neg(row[d - 1 - s])
+    sect = [[field.one if i == s else field.zero for s in free] for i in range(d)]
+    return (Mat(field, d - r, d, tuple(x for row in proj for x in row)),
+            Mat(field, d, d - r, tuple(x for row in sect for x in row)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(systems(f), st.data())))
+def test_back_substituted_results_match_the_dense_loop(drawn):
+    """rref, kernel_basis and solve on the larger systems, and quotient_maps on their
+    column spaces and on their columns as they come, equal dense Gauss-Jordan."""
+    m, data = drawn
+    f = m.field
+    rows = m.row_lists()
+    pivots = _gauss_jordan(f, rows, m.cols)
+    assert rref(m) == (Mat(f, m.rows, m.cols, tuple(x for r in rows for x in r)), len(pivots), tuple(pivots))
+    assert kernel_basis(m) == dense_kernel(f, m)
+    nb = data.draw(st.integers(0, 2))
+    b = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.rows)])
+    x = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.cols)])
+    for rhs in (b, m.mul(x)) if m.rows else (b,):
+        xs = solve(m, rhs)
+        assert (None if xs is None else xs.entries) == dense_solve(m, rhs)
+    for basis in (col_space(m.transpose()), m.transpose()):
+        want = dense_quotient_maps(f, basis)
+        if want is None:
+            with pytest.raises(DimensionMismatch, match="dependent input columns"):
+                quotient_maps(f, basis)
+        else:
+            assert quotient_maps(f, basis) == want

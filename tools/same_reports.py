@@ -14,8 +14,9 @@ the four Euclidean quivers of the ``catalog-q`` workload over Q, GF(2) and
 GF(3); ``check-tilted`` on each shipped tilting module with its hereditary
 algebra; and ``check-module`` on each shipped module with its algebra and on
 the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
-Kronecker sums with a repeated summand over Q and GF(3), and on the rotation
-module a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  Every
+Kronecker sums with a repeated summand over Q and GF(3), on three larger ones,
+of total dimension 15 or 16, over Q and GF(101), and on the rotation module
+a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
 ``--json`` report.  Every command whose stdout, exit code or ``--json`` file
 differs between the two trees is listed; the exit code is 1 when any does.
@@ -68,6 +69,16 @@ REPEATED = {
     "regular(2)+regular(2)": [("regular", 2, -1)] * 2,
 }
 ROTATION = {"dims": {"1": 2, "2": 2}, "maps": {"a": [[1, 0], [0, 1]], "b": [[0, -1], [1, 0]]}}
+# Larger Kronecker sums, each in a random basis drawn from a fixed stream, of total dimension
+# (7, 8), (8, 7) and (8, 8), over Q and GF(101): their Hom solves back-substitute the longest.
+LARGE = {
+    "preprojective(2)+regular(2)+preinjective(1)+preprojective(1)":
+        [("preprojective", 2, 0), ("regular", 2, 3), ("preinjective", 1, 0), ("preprojective", 1, 0)],
+    "preinjective(2)+regular(1)+regular(1)+regular(2)+regular(1)":
+        [("preinjective", 2, 0), ("regular", 1, 2), ("regular", 1, 2), ("regular", 2, -3), ("regular", 1, 0)],
+    "regular(3)+preprojective(2)+preinjective(2)":
+        [("regular", 3, -1), ("preprojective", 2, 0), ("preinjective", 2, 0)],
+}
 # Seeds the coefficients of the generated Dynkin and Nakayama algebras.
 SEED = 3
 # Commands run at once, one per core of a 2-core machine.
@@ -120,14 +131,17 @@ def commands(workdir):
     # the seed only orders a workload's requests; its inputs come from fixed streams
     for req in workloads.module_queries_q(random.Random(0), workdir, ROOT).requests:
         out.append((req.label, req.argv))
-    for field in ["Q", 3, 5]:
+    for field in ["Q", 3, 5, 101]:
         tag = "Q" if field == "Q" else "GF%d" % field
         spec = "Q" if field == "Q" else {"GFp": field}
         kron = gen.write_json(workdir, "kron-%s.json" % tag, dict(gen.KRONECKER, field=spec))
-        mods = {"rotation": ROTATION}
-        if field != 5:
+        mods = {"rotation": ROTATION} if field != 101 else {}
+        if field in ("Q", 3):
             mods.update((name, gen.kron_module(summands, random.Random("repeated:" + name)))
                         for name, summands in REPEATED.items())
+        if field in ("Q", 101):
+            mods.update((name, gen.kron_module(summands, random.Random("large:" + name)))
+                        for name, summands in LARGE.items())
         for name, data in mods.items():
             path = gen.write_json(workdir, "%s-%s.json" % (name, tag), data)
             out.append(("check-module kron-%s %s" % (tag, name), ["check-module", kron, path]))
