@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .dims import DimValue
@@ -260,87 +261,146 @@ def _p_eval_scalar(f, poly, x):
 
 @dataclass(frozen=True)
 class AbstractAlgebra:
-    """A unital associative algebra given by structure constants.
+    """A unital associative algebra given by sparse structure constants.
 
-    table[i][j] holds the coordinates of b_i * b_j over the basis; labels,
-    when present, tie basis elements back to module endomorphisms.  radical
-    and idempotents, when present, are a claimed basis of the Jacobson
-    radical and a claimed complete set of primitive orthogonal idempotents;
-    global_dimension certifies them before it uses them.
+    terms[i] maps j to the nonzero structure constants ((t, c), ...) of
+    b_i * b_j; a product with no entry is zero.  labels, when present, tie
+    basis elements back to module endomorphisms.  radical and idempotents,
+    when present, are a claimed basis of the Jacobson radical and a claimed
+    complete set of primitive orthogonal idempotents; global_dimension
+    certifies them before it uses them.
     """
 
     field: object
     dim: int
-    table: tuple
+    terms: tuple
     unit: tuple
     labels: tuple = None
     radical: tuple = None
     idempotents: tuple = None
 
-    def __post_init__(self):
-        # the nonzero structure constants (t, c) of each product b_i * b_j
-        terms = tuple(tuple(tuple((t, c) for t, c in enumerate(e) if c) for e in row) for row in self.table)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_units", tuple(_unit_vec(self.field, self.dim, j) for j in range(self.dim)))
-
     def mult(self, x, y):
-        f = self.field
-        z = f.zero
-        out = [z] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = self._terms[i]
-            for j, yj in ys:
-                if ti[j]:
-                    s = f.mul(xi, yj)
-                    for t, c in ti[j]:
-                        out[t] = f.add(out[t], f.mul(s, c))
-        return tuple(out)
+        return _dense(self.field, self.dim, _product(self.field, self.terms, _nonzeros(x), _nonzeros(y)))
+
+    @cached_property
+    def grading(self):
+        """The Peirce block (a, c) of each basis element, certified from the structure constants.
+
+        With idempotents e_0, ..., e_{n-1} that are basis elements, a basis
+        element b lies in block (a, c) when e_a b = b = b e_c, for exactly one a
+        and one c; with no idempotents every basis element lies in block (0, 0).
+        Each stored product of an element of block (a, c) by one of block
+        (c', d) must chain, c = c', and lie in block (a, d).  A product of
+        elements of blocks that do not chain is then zero by the structure
+        constants themselves, whatever built them.  Raises VerificationFailed
+        when any of this fails.
+        """
+        f, terms = self.field, self.terms
+        if self.idempotents is None:
+            tags = [(0, 0)] * self.dim
+        else:
+            idem = {}
+            for a, e in enumerate(self.idempotents):
+                p = _basis_index(f, e)
+                if p is None:
+                    raise VerificationFailed("an idempotent is not a basis element")
+                idem[p] = a
+            left, right = [[] for _ in range(self.dim)], [[] for _ in range(self.dim)]
+            for s, row in enumerate(terms):
+                for t, tt in row.items():
+                    if s in idem and tt == ((t, f.one),):
+                        left[t].append(idem[s])
+                    if t in idem and tt == ((s, f.one),):
+                        right[s].append(idem[t])
+            tags = []
+            for t, (i, j) in enumerate(zip(left, right)):
+                if len(i) != 1 or len(j) != 1:
+                    raise VerificationFailed("basis element %d lies in no Peirce block" % t)
+                tags.append((i[0], j[0]))
+        for s, row in enumerate(terms):
+            a, c = tags[s]
+            for t, tt in row.items():
+                if tags[t][0] != c or any(tags[u] != (a, tags[t][1]) for u, _ in tt):
+                    raise VerificationFailed("the product of basis elements %d and %d leaves its block" % (s, t))
+        return tuple(tags)
 
 
 def _unit_vec(f, n, j):
     return tuple(f.one if i == j else f.zero for i in range(n))
 
 
+def _nonzeros(x):
+    """The vector x as {index: coordinate}, its nonzero coordinates."""
+    return {i: c for i, c in enumerate(x) if c}
+
+
+def _dense(f, n, x):
+    """The vector of length n with the nonzero coordinates x."""
+    out = [f.zero] * n
+    for i, c in x.items():
+        out[i] = c
+    return tuple(out)
+
+
+def _combo(f, pairs):
+    """The sum of c * p over the pairs (c, p), each p given by its terms (t, x), as its nonzeros."""
+    out = {}
+    for c, tt in pairs:
+        for t, x in tt:
+            out[t] = f.add(out[t], f.mul(c, x)) if t in out else f.mul(c, x)
+    return {t: x for t, x in out.items() if x}
+
+
+def _product(f, terms, x, y):
+    """x * y for x and y given by their nonzeros, as its nonzeros."""
+    return _combo(f, ((f.mul(xi, yj), tt) for i, xi in x.items() for j, yj in y.items()
+                      if (tt := terms[i].get(j))))
+
+
 def make_algebra(field, table, unit, labels=None, radical=None, idempotents=None) -> AbstractAlgebra:
-    n = len(table)
-    g = AbstractAlgebra(field, n, tuple(tuple(tuple(r) for r in row) for row in table), tuple(unit), labels,
-                        radical, idempotents)
+    """The algebra whose product b_i * b_j has the coordinates table[i][j], validated."""
+    terms = [{j: tt for j, e in enumerate(row) if (tt := tuple((t, c) for t, c in enumerate(e) if c))}
+             for row in table]
+    return _algebra(field, terms, unit, labels, radical, idempotents)
+
+
+def _algebra(field, terms, unit, labels=None, radical=None, idempotents=None) -> AbstractAlgebra:
+    """The algebra of the sparse structure constants terms, validated."""
+    g = AbstractAlgebra(field, len(terms), tuple(terms), tuple(unit), labels, radical, idempotents)
     _validate_algebra(g)
     return g
 
 
+def _chains(tags):
+    """Each triple (i, j, k) of basis elements whose blocks chain: (a, b), (b, c) and (c, d)."""
+    starting = {}
+    for t, (a, _) in enumerate(tags):
+        starting.setdefault(a, []).append(t)
+    for i, (_, b) in enumerate(tags):
+        for j in starting.get(b, ()):
+            for k in starting.get(tags[j][1], ()):
+                yield i, j, k
+
+
 def _validate_algebra(g: AbstractAlgebra):
-    """The unit law on every basis element and associativity on basis triples, read from the table."""
-    f, n, terms = g.field, g.dim, g._terms
+    """Certify the grading, then prove the unit law and associativity from the structure constants.
 
-    def combo(pairs):
-        """The sum of c * p over the pairs (c, p), each product p given by its terms (t, x)."""
-        out = [f.zero] * n
-        for c, tt in pairs:
-            for t, x in tt:
-                out[t] = f.add(out[t], f.mul(c, x))
-        return tuple(out)
-
-    unit = [(i, c) for i, c in enumerate(g.unit) if c]
-    for j in range(n):
-        left, right = combo((c, terms[i][j]) for i, c in unit), combo((c, terms[j][i]) for i, c in unit)
-        if left != g._units[j] or right != g._units[j]:
+    Associativity is checked on every basis triple whose blocks chain.  On
+    any other triple both (b_i b_j) b_k and b_i (b_j b_k) are zero by the
+    certified grading, so the check is a proof.
+    """
+    f, terms = g.field, g.terms
+    tags = g.grading
+    unit = _nonzeros(g.unit)
+    for j in range(g.dim):
+        b = {j: f.one}
+        if _product(f, terms, unit, b) != b or _product(f, terms, b, unit) != b:
             raise VerificationFailed("unit law fails at basis element %d" % j)
-    triples = []
-    if n <= 14:
-        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    else:
-        head = range(min(n, 6))
-        triples = [(i, j, k) for i in head for j in head for k in head]
-        rng = random.Random("assoc:%d" % n)
-        for _ in range(300):
-            triples.append((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
-    for (i, j, k) in triples:
+    for i, j, k in _chains(tags):
+        ij, jk = terms[i].get(j, ()), terms[j].get(k, ())
         # (b_i b_j) b_k and b_i (b_j b_k)
-        if combo((c, terms[t][k]) for t, c in terms[i][j]) != combo((c, terms[i][t]) for t, c in terms[j][k]):
+        if (ij or jk) and (_combo(f, ((c, terms[t].get(k, ())) for t, c in ij))
+                           != _combo(f, ((c, terms[i].get(t, ())) for t, c in jk))):
             raise VerificationFailed("associativity fails on basis triple (%d,%d,%d)" % (i, j, k))
 
 
@@ -360,17 +420,18 @@ def endomorphism_algebra(m) -> AbstractAlgebra:
     unit = tracker.coords(morphism_flat(identity_morphism(m)))
     if unit is None:
         raise VerificationFailed("identity not in endomorphism space")
-    n = len(basis)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coords = tracker.coords(morphism_flat(compose(basis[i], basis[j])))
+    terms = []
+    for b in basis:
+        row = {}
+        for j, c in enumerate(basis):
+            coords = tracker.coords(morphism_flat(compose(b, c)))
             if coords is None:
                 raise VerificationFailed("composition left the endomorphism space")
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    return make_algebra(f, table, unit, labels=tuple(basis))
+            tt = tuple((t, x) for t, x in enumerate(coords) if x)
+            if tt:
+                row[j] = tt
+        terms.append(row)
+    return _algebra(f, terms, unit, labels=tuple(basis))
 
 
 # -- radical ------------------------------------------------------------------
@@ -384,16 +445,18 @@ def algebra_radical(g: AbstractAlgebra):
     n = g.dim
     # tr(L_x L_y) = tr(L_xy), and tr(L_{b_t}) is the sum over s of the b_s-coordinate of b_t b_s
     trace = []
-    for t in range(n):
+    for row in g.terms:
         acc = f.zero
-        for s in range(n):
-            acc = f.add(acc, g.table[t][s][s])
+        for s, tt in row.items():
+            for t, c in tt:
+                if t == s:
+                    acc = f.add(acc, c)
         trace.append(acc)
     ent = []
-    for i in range(n):
+    for row in g.terms:
         for j in range(n):
             acc = f.zero
-            for t, c in g._terms[i][j]:
+            for t, c in row.get(j, ()):
                 acc = f.add(acc, f.mul(c, trace[t]))
             ent.append(acc)
     gram = Mat(f, n, n, tuple(ent))
@@ -409,27 +472,37 @@ def _basis_index(f, x):
     return nz[0] if len(nz) == 1 and x[nz[0]] == f.one else None
 
 
-def _products(g, xs, ys):
-    """Each product x * y, read from the structure table when x and y are basis vectors."""
-    f = g.field
-    yi = [(y, _basis_index(f, y)) for y in ys]
-    for x in xs:
-        i = _basis_index(f, x)
-        for y, j in yi:
-            yield g.table[i][j] if i is not None and j is not None else g.mult(x, y)
+def _chained(g, xs, ys):
+    """(a, b, xs[a] * ys[b]) for each pair whose blocks chain and whose product is not zero.
+
+    Vectors are given by their nonzeros, and so is each product.  The
+    grading is certified first; the pairs it skips, where no block of xs[a]
+    ends where a block of ys[b] starts, have a zero product by it.
+    """
+    f, terms, tags = g.field, g.terms, g.grading
+    starting = {}
+    for b, y in enumerate(ys):
+        for c in {tags[j][0] for j in y}:
+            starting.setdefault(c, []).append(b)
+    for a, x in enumerate(xs):
+        for b in sorted({b for c in {tags[i][1] for i in x} for b in starting.get(c, ())}):
+            p = _product(f, terms, x, ys[b])
+            if p:
+                yield a, b, p
 
 
 def _assert_nilpotent(g, basis):
-    if not basis:
-        return
-    f = g.field
-    cur = list(basis)
-    for _ in range(g.dim + 1):
-        tracker = SpanTracker(f, g.dim)
-        nxt = [y for y in _products(g, cur, basis) if tracker.add(y)]
-        if not nxt:
+    """Raise unless the span of basis is nilpotent: the span of the products of a basis of each
+    power by basis, the next power, shrinks to 0.  Only the nonzero products of pairs whose
+    blocks chain are formed, and only they reach a SpanTracker."""
+    f, n = g.field, g.dim
+    basis = [_nonzeros(x) for x in basis]
+    cur = basis
+    for _ in range(n + 1):
+        tracker = SpanTracker(f, n)
+        cur = [p for _, _, p in _chained(g, cur, basis) if tracker.add(_dense(f, n, p))]
+        if not cur:
             return
-        cur = nxt
     raise VerificationFailed("radical candidate is not nilpotent")
 
 
@@ -603,7 +676,13 @@ def primitive_idempotents(g: AbstractAlgebra):
     the unit in the final, local pieces are the idempotents.
     """
     f, n = g.field, g.dim
-    lmul = [Mat(f, n, n, tuple(g.table[b][j][i] for i in range(n) for j in range(n))) for b in range(n)]
+    lmul = []
+    for row in g.terms:
+        ent = [f.zero] * (n * n)
+        for j, tt in row.items():
+            for i, c in tt:
+                ent[i * n + j] = c
+        lmul.append(Mat(f, n, n, tuple(ent)))
     pieces, todo = [], [(Mat.identity(f, n), lmul)]
     while todo:
         basis, ops = todo.pop()
@@ -634,12 +713,10 @@ def _assert_complete_orthogonal(g, idems):
             total[i] = f.add(total[i], c)
     if tuple(total) != g.unit:
         raise VerificationFailed("idempotents do not sum to the unit")
-    zero = (f.zero,) * g.dim
-    products = _products(g, idems, idems)
-    for i, e1 in enumerate(idems):
-        for j in range(len(idems)):
-            if next(products) != (e1 if i == j else zero):
-                raise VerificationFailed("idempotents are not orthogonal")
+    idems = [_nonzeros(e) for e in idems]
+    products = {(a, b): p for a, b, p in _chained(g, idems, idems)}
+    if products != {(a, a): e for a, e in enumerate(idems) if e}:
+        raise VerificationFailed("idempotents are not orthogonal")
 
 
 def certify_structure(g: AbstractAlgebra):
@@ -650,8 +727,14 @@ def certify_structure(g: AbstractAlgebra):
     outside the ideal that sum to 1 stay independent modulo it; when there
     are as many of them as the ideal's codimension, the quotient is a product
     of copies of k, which is semisimple, so the ideal is the whole radical.
+
+    The ideal test, the nilpotency test and the orthogonality test form only
+    the products of pairs whose Peirce blocks chain, and send no zero product
+    to a SpanTracker.  Skipping the other products rests on g.grading, which
+    is certified from the structure constants before any product is formed,
+    not on how the blocks were built.
     Raises VerificationFailed when any step fails; returns the test for
-    membership in the radical.
+    membership in the radical of a vector given by its nonzeros.
     """
     f = g.field
     rad, idems = g.radical, g.idempotents
@@ -665,22 +748,25 @@ def certify_structure(g: AbstractAlgebra):
         raise VerificationFailed(
             "claimed radical has codimension %d, but there are %d idempotents" % (ann.cols, len(idems))
         )
-    funcs = [[(i, c) for i, c in enumerate(ann.col(j)) if c] for j in range(ann.cols)]
+    funcs = [_nonzeros(ann.col(j)) for j in range(ann.cols)]
 
     def in_rad(x):
         for w in funcs:
             acc = f.zero
-            for i, c in w:
-                if x[i]:
+            for i, c in w.items():
+                if i in x:
                     acc = f.add(acc, f.mul(c, x[i]))
             if acc:
                 return False
         return True
 
-    if not all(map(in_rad, _products(g, g._units, rad))) or not all(map(in_rad, _products(g, rad, g._units))):
-                raise VerificationFailed("claimed radical is not a two-sided ideal")
+    units = [{t: f.one} for t in range(g.dim)]
+    rads = [_nonzeros(r) for r in rad]
+    if not all(in_rad(p) for _, _, p in _chained(g, units, rads)) or not all(
+            in_rad(p) for _, _, p in _chained(g, rads, units)):
+        raise VerificationFailed("claimed radical is not a two-sided ideal")
     _assert_nilpotent(g, rad)
-    if any(in_rad(e) for e in idems):
+    if any(in_rad(_nonzeros(e)) for e in idems):
         raise VerificationFailed("an idempotent lies in the claimed radical")
     _assert_complete_orthogonal(g, idems)
     return in_rad
@@ -694,7 +780,7 @@ def _span_basis(f, width, vecs):
 
 def _corner_basis(g, a, b):
     """A basis of a g b."""
-    return _span_basis(g.field, g.dim, (g.mult(g.mult(a, u), b) for u in g._units))
+    return _span_basis(g.field, g.dim, (g.mult(g.mult(a, _unit_vec(g.field, g.dim, t)), b) for t in range(g.dim)))
 
 
 # -- global dimension over the Peirce grading ---------------------------------
@@ -712,29 +798,19 @@ class _Graded:
 class _Peirce:
     """The Peirce grading of an algebra whose basis is its idempotents and a radical basis.
 
-    certify_structure proves the carried radical and idempotents first.  Each
-    basis element must lie in one Peirce block e_i g e_j and, unless it is
-    one of the idempotents, in the radical; every product read must stay in
-    its block.
+    certify_structure proves the grading, the carried radical and the
+    idempotents first: each basis element lies in one Peirce block e_i g e_j,
+    every product stays in its block and, unless it is one of the
+    idempotents, each basis element lies in the radical.
     """
 
     def __init__(self, g: AbstractAlgebra):
         in_rad = certify_structure(g)
-        f, one = g.field, g.field.one
+        f = g.field
         self.idem = [_basis_index(f, e) for e in g.idempotents]
-        if None in self.idem:
-            raise VerificationFailed("an idempotent is not a basis element")
         n = len(self.idem)
         self.field, self.n = f, n
-        # e_i b = b and b e_j = b, read from the structure constants
-        self.tag = []
-        for t in range(g.dim):
-            unit = ((t, one),)
-            i = [k for k, p in enumerate(self.idem) if g._terms[p][t] == unit]
-            j = [k for k, p in enumerate(self.idem) if g._terms[t][p] == unit]
-            if len(i) != 1 or len(j) != 1:
-                raise VerificationFailed("basis element %d lies in no Peirce block" % t)
-            self.tag.append((i[0], j[0]))
+        self.tag = g.grading
         self.block = [[[] for _ in range(n)] for _ in range(n)]  # basis indices of e_i g e_j
         self.pos = [0] * g.dim  # position of each basis element in its block
         for t, (i, j) in enumerate(self.tag):
@@ -742,7 +818,7 @@ class _Peirce:
             self.block[i][j].append(t)
         idem = set(self.idem)
         self.rad = [t for t in range(g.dim) if t not in idem]
-        if not all(in_rad(g._units[t]) for t in self.rad):
+        if not all(in_rad({t: f.one}) for t in self.rad):
             raise VerificationFailed("a basis element other than the idempotents lies outside the radical")
         self.ridx = {t: r for r, t in enumerate(self.rad)}
         self.into = [[r for r, t in enumerate(self.rad) if self.tag[t][1] == k] for k in range(n)]
@@ -761,9 +837,7 @@ class _Peirce:
                 continue
             ent = [f.zero] * (rows * cols)
             for c, s in enumerate(self.block[k][i]):
-                for t, x in g._terms[s][b]:
-                    if self.tag[t] != (k, j):
-                        raise VerificationFailed("the product of basis elements %d and %d leaves its block" % (s, b))
+                for t, x in g.terms[s].get(b, ()):
                     ent[self.pos[t] * cols + c] = x
             acts.append(Mat(f, rows, cols, tuple(ent)))
         return _Graded(dims, tuple(acts))
@@ -815,8 +889,18 @@ class _Peirce:
             if not ki.cols:
                 acts.append(Mat.zeros(f, kj.cols, 0))
                 continue
-            a = block_diag(f, [self.proj[k].acts[r] for k, _ in gens])
-            x = solve(kj, a.mul(ki))
+            blocks = [self.proj[k].acts[r] for k, _ in gens]
+            if not kj.cols:
+                # b maps the kernel at i into the kernel at j, which is zero: each generator's block
+                # must kill its rows of ki, and there is nothing to solve for
+                lo, w = 0, ki.cols
+                for a in blocks:
+                    if any(a.entries) and not a.mul(Mat(f, a.cols, w, ki.entries[lo * w:(lo + a.cols) * w])).is_zero():
+                        raise VerificationFailed("the kernel of a projective cover is not a submodule")
+                    lo += a.cols
+                acts.append(Mat(f, 0, w, ()))
+                continue
+            x = solve(kj, block_diag(f, blocks).mul(ki))
             if x is None:
                 raise VerificationFailed("the kernel of a projective cover is not a submodule")
             acts.append(x)
@@ -919,7 +1003,8 @@ def _basic_corner(g: AbstractAlgebra) -> AbstractAlgebra:
         rad_span.add(r)
     reps = []
     for e in idems:
-        if not any(not rad_span.contains(g.mult(g.mult(r, u), e)) for r in reps for u in g._units):
+        if not any(not rad_span.contains(g.mult(g.mult(r, _unit_vec(f, g.dim, t)), e))
+                   for r in reps for t in range(g.dim)):
             reps.append(e)
     blocks = {}
     for i, a in enumerate(reps):
@@ -967,9 +1052,10 @@ def _block_algebra(f, n, blocks, flat, compose) -> AbstractAlgebra:
     """The algebra with basis the union of the lists blocks[(i, j)], for i, j < n.
 
     A product of an element of block (i, j) by one of block (j, k) is
-    compose(b, c), read in the basis of block (i, k); every other product is
-    zero.  Elements are compared as the vectors flat(b), and blocks[(i, i)][0]
-    is the identity of the i-th summand.  The algebra carries these identities
+    compose(b, c), read in the basis of block (i, k) and stored by its nonzero
+    coordinates; every other product is zero, and nothing is stored for it.
+    Elements are compared as the vectors flat(b), and blocks[(i, i)][0] is
+    the identity of the i-th summand.  The algebra carries these identities
     as its idempotents and every other basis element as its radical.
     """
     offset, dim = {}, 0
@@ -983,15 +1069,15 @@ def _block_algebra(f, n, blocks, flat, compose) -> AbstractAlgebra:
             if not tracker.add(flat(b)):
                 raise VerificationFailed("block basis is not independent")
         trackers[key] = tracker
-    zero = (f.zero,) * dim
-    table = [[zero] * dim for _ in range(dim)]
+    terms = [{} for _ in range(dim)]
     for (i, j), left in blocks.items():
         for k in range(n):
             right = blocks.get((j, k))
             if right is None:
                 continue
-            tracker = trackers.get((i, k))
+            tracker, lo = trackers.get((i, k)), offset.get((i, k))
             for s, b in enumerate(left):
+                row = terms[offset[(i, j)] + s]
                 for t, c in enumerate(right):
                     prod = flat(compose(b, c))
                     if not any(prod):
@@ -999,13 +1085,11 @@ def _block_algebra(f, n, blocks, flat, compose) -> AbstractAlgebra:
                     coords = tracker.coords(prod) if tracker is not None else None
                     if coords is None:
                         raise VerificationFailed("a product left its block")
-                    row = list(zero)
-                    row[offset[(i, k)]:offset[(i, k)] + len(coords)] = coords
-                    table[offset[(i, j)] + s][offset[(j, k)] + t] = tuple(row)
+                    row[offset[(j, k)] + t] = tuple((lo + u, x) for u, x in enumerate(coords) if x)
     ids = {offset[(i, i)] for i in range(n)}
     unit = tuple(f.one if t in ids else f.zero for t in range(dim))
-    return make_algebra(
-        f, table, unit,
+    return _algebra(
+        f, terms, unit,
         radical=tuple(_unit_vec(f, dim, t) for t in range(dim) if t not in ids),
         idempotents=tuple(_unit_vec(f, dim, t) for t in sorted(ids)),
     )

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 import os
 import random
@@ -29,7 +31,7 @@ from repherd.errors import FieldTooSmall, NonSplit, VerificationFailed
 from repherd.fields import PrimeField, QQ
 from repherd.homological import proj_dim
 from repherd.fields import _is_prime
-from repherd.linalg import Mat, col_space, inverse, kernel_basis, rank
+from repherd.linalg import Mat, SpanTracker, col_space, inverse, kernel_basis, rank
 from repherd.modules import (
     Representation,
     direct_sum,
@@ -524,6 +526,240 @@ def test_validation_rejects_a_changed_structure_constant():
 def test_validation_rejects_a_wrong_unit():
     with pytest.raises(VerificationFailed, match="unit law"):
         make_algebra(QQ, _square_zero_table(), (QQ.zero, QQ.one, QQ.zero))
+
+
+# -- End(A + DA) in sparse structure constants, against the dense table -------
+
+
+def _dense_block_table(f, n, blocks, flat, compose):
+    """The dense structure table of the algebra _block_algebra builds from these arguments,
+    built as _block_algebra built it before its constants were kept sparse: table[s][t] holds
+    the coordinates of b_s * b_t."""
+    offset, dim = {}, 0
+    for key, hb in blocks.items():
+        offset[key] = dim
+        dim += len(hb)
+    trackers = {}
+    for key, hb in blocks.items():
+        tracker = SpanTracker(f, len(flat(hb[0])), track=True)
+        for b in hb:
+            assert tracker.add(flat(b))
+        trackers[key] = tracker
+    zero = (f.zero,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for (i, j), left in blocks.items():
+        for k in range(n):
+            right = blocks.get((j, k))
+            if right is None:
+                continue
+            for s, b in enumerate(left):
+                for t, c in enumerate(right):
+                    prod = flat(compose(b, c))
+                    if not any(prod):
+                        continue
+                    coords = trackers[(i, k)].coords(prod)
+                    row = list(zero)
+                    row[offset[(i, k)]:offset[(i, k)] + len(coords)] = coords
+                    table[offset[(i, j)] + s][offset[(j, k)] + t] = tuple(row)
+    return table
+
+
+def _oracle_with_dense_table(alg, monkeypatch):
+    """gen_cogen_algebra(alg), and the dense reference table of the blocks it was built from."""
+    seen = []
+    build = endo._block_algebra
+
+    def recording(*args):
+        seen.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(endo, "_block_algebra", recording)
+    g = gen_cogen_algebra(alg)
+    (args,) = seen
+    return g, _dense_block_table(*args)
+
+
+def _nakayama(n, r):
+    """A_n / rad^r over GF(101)."""
+    return _quiver_algebra(n, [(v, v + 1) for v in range(1, n)], r, r)
+
+
+def _assert_sparse_constants_match_the_dense_table(alg, monkeypatch):
+    g, table = _oracle_with_dense_table(alg, monkeypatch)
+    f = g.field
+    assert len(table) == g.dim
+    assert all(tt and all(c for _, c in tt) for row in g.terms for tt in row.values())
+    for s, row in enumerate(table):
+        for t, want in enumerate(row):
+            got = [f.zero] * g.dim
+            for u, c in g.terms[s].get(t, ()):
+                got[u] = c
+            assert tuple(got) == want, (s, t)
+    # the dense table carries no radical and idempotents: its gl.dim comes from the trace form
+    assert global_dimension(make_algebra(f, table, g.unit)) == global_dimension(g)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_sparse_constants_match_the_dense_table_on_fixtures(name, field, monkeypatch):
+    _assert_sparse_constants_match_the_dense_table(load_fixture_algebra(name, field), monkeypatch)
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(3, 9) for r in range(2, n)])
+def test_sparse_constants_match_the_dense_table_on_nakayama_algebras(n, r, monkeypatch):
+    _assert_sparse_constants_match_the_dense_table(_nakayama(n, r), monkeypatch)
+
+
+def _sampled_triples(n):
+    """The basis triples on which associativity used to be checked: all of them for n <= 14,
+    else those of the first six basis elements and 300 drawn ones."""
+    if n <= 14:
+        return set(itertools.product(range(n), repeat=3))
+    triples = set(itertools.product(range(6), repeat=3))
+    rng = random.Random("assoc:%d" % n)
+    for _ in range(300):
+        triples.add((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
+    return triples
+
+
+def _unit(g, t):
+    return tuple(g.field.one if i == t else g.field.zero for i in range(g.dim))
+
+
+def _failing_triples(g, i, j):
+    """The basis triples on which g is not associative, among those whose products read the
+    constants of b_i * b_j: (i, j, z), (x, i, j), (x, y, j) with b_i in the support of b_x b_y, and
+    (i, y, z) with b_j in the support of b_y b_z."""
+    n, b = g.dim, [_unit(g, t) for t in range(g.dim)]
+    cand = {(i, j, z) for z in range(n)} | {(x, i, j) for x in range(n)}
+    for x, y in itertools.product(range(n), repeat=2):
+        p = g.mult(b[x], b[y])
+        if p[i]:
+            cand.add((x, y, j))
+        if p[j]:
+            cand.add((i, x, y))
+    return {(x, y, z) for x, y, z in cand
+            if g.mult(g.mult(b[x], b[y]), b[z]) != g.mult(b[x], g.mult(b[y], b[z]))}
+
+
+def _with_terms(g, s, t, tt):
+    """g with the structure constants of b_s * b_t replaced by tt, or removed when tt is empty."""
+    terms = [dict(row) for row in g.terms]
+    if tt:
+        terms[s][t] = tt
+    else:
+        del terms[s][t]
+    return replace(g, terms=tuple(terms))
+
+
+def _changes_the_sample_misses(g, last):
+    """g with the structure constants of b_s * b_t doubled, for two radical basis elements beyond
+    the first six whose product lies beyond them too, where g is then not associative and every
+    failing triple lies beyond the first six and outside the old sample; one per pair (s, t), in
+    increasing order, or in decreasing order when last."""
+    f, sample = g.field, _sampled_triples(g.dim)
+    idem = {endo._basis_index(f, e) for e in g.idempotents}
+    for s, t in sorted(((s, t) for s, row in enumerate(g.terms) for t in row), reverse=last):
+        tt = g.terms[s][t]
+        if min(s, t, *(u for u, _ in tt)) < 6 or s in idem or t in idem:
+            continue
+        bad = _with_terms(g, s, t, tuple((u, f.add(c, c)) for u, c in tt))
+        failing = _failing_triples(bad, s, t)
+        if failing and min(min(x) for x in failing) >= 6 and not failing & sample:
+            yield bad
+
+
+def test_validation_proves_associativity_where_the_sample_missed_a_change():
+    """In End(A + DA) for A_14/rad^5, of dimension 80, the first and the last changed constant that
+    the old sample misses, so that their failing triples come early and late in the check."""
+    g = gen_cogen_algebra(_nakayama(14, 5))
+    assert g.dim > 14
+    endo._validate_algebra(g)
+    for last in (False, True):
+        bad = next(_changes_the_sample_misses(g, last))
+        with pytest.raises(VerificationFailed, match="associativity"):
+            endo._validate_algebra(bad)
+
+
+def _radical_product(g):
+    """(s, t) for a nonzero product b_s * b_t of two radical basis elements."""
+    idem = {endo._basis_index(g.field, e) for e in g.idempotents}
+    return next((s, t) for s, row in enumerate(g.terms) for t in row if s not in idem and t not in idem)
+
+
+def test_validation_rejects_a_product_that_leaves_its_block():
+    g = gen_cogen_algebra(load_fixture_algebra("a3"))
+    s, t = _radical_product(g)
+    (u, c), *rest = g.terms[s][t]
+    other = next(v for v in range(g.dim) if g.grading[v] != g.grading[u])
+    bad = _with_terms(g, s, t, ((other, c), *rest))
+    for check in (endo._validate_algebra, global_dimension):
+        with pytest.raises(VerificationFailed, match="leaves its block"):
+            check(bad)
+
+
+def test_validation_rejects_a_basis_element_in_no_peirce_block():
+    """e_a b = b is removed for the basis element b of a radical product, so no idempotent fixes b
+    on the left."""
+    g = gen_cogen_algebra(load_fixture_algebra("a3"))
+    _, b = _radical_product(g)
+    p = next(p for p in (endo._basis_index(g.field, e) for e in g.idempotents) if b in g.terms[p])
+    bad = _with_terms(g, p, b, ())
+    for check in (endo._validate_algebra, global_dimension):
+        with pytest.raises(VerificationFailed, match="lies in no Peirce block"):
+            check(bad)
+
+
+def test_certifier_rejects_a_radical_candidate_that_is_not_nilpotent():
+    """k x k as k[x]/(x^2 - x), with basis 1, x, claiming x as its radical and 1 as its one
+    idempotent: x spans a two-sided ideal of codimension 1, but x^2 = x."""
+    z, o = QQ.zero, QQ.one
+    g = make_algebra(QQ, [[(o, z), (z, o)], [(z, o), (z, o)]], (o, z), radical=((z, o),), idempotents=((o, z),))
+    for check in (certify_structure, global_dimension):
+        with pytest.raises(VerificationFailed, match="not nilpotent"):
+            check(g)
+
+
+def _square_tables(n):
+    """The lists and tuples of n lists or tuples of length n that the collector tracks."""
+    return [x for x in gc.get_objects() if isinstance(x, (list, tuple)) and len(x) == n
+            and all(isinstance(y, (list, tuple)) and len(y) == n for y in x)]
+
+
+def test_associativity_visits_the_chaining_triples_and_no_square_table_exists(monkeypatch):
+    """On End(A + DA) for A_10/rad^3: the check visits exactly the basis triples whose Peirce
+    blocks chain, found here from products with the idempotents, and while it runs no dim x dim
+    table exists, nor does the dense-table constructor run."""
+    visited, squares = [], []
+    chains, validate = endo._chains, endo._validate_algebra
+
+    def counted(tags):
+        for triple in chains(tags):
+            visited.append(triple)
+            yield triple
+
+    def scanned(g):
+        squares.extend(_square_tables(g.dim))
+        return validate(g)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the dense-table constructor ran")
+
+    monkeypatch.setattr(endo, "_chains", counted)
+    monkeypatch.setattr(endo, "_validate_algebra", scanned)
+    monkeypatch.setattr(endo, "make_algebra", dense)
+    g = gen_cogen_algebra(_nakayama(10, 3))
+    n = g.dim
+    b = [_unit(g, t) for t in range(n)]
+    tags = [(next(a for a, e in enumerate(g.idempotents) if g.mult(e, b[t]) == b[t]),
+             next(c for c, e in enumerate(g.idempotents) if g.mult(b[t], e) == b[t])) for t in range(n)]
+    chaining = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                if tags[i][1] == tags[j][0] and tags[j][1] == tags[k][0]]
+    assert sorted(visited) == chaining
+    assert len(chaining) < n ** 3 // 10
+    assert squares == []
+    assert not hasattr(g, "table")
+    assert sum(len(row) for row in g.terms) < n * n // 10
 
 
 def _no_eigenvalue_or_fitting_split(monkeypatch):

@@ -16,7 +16,9 @@ algebra; and ``check-module`` on each shipped module with its algebra and on
 the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
 Kronecker sums with a repeated summand over Q and GF(3), on three larger ones,
 of total dimension 15 or 16, over Q and GF(101), and on the rotation module
-a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  Every
+a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  ``check`` alone runs on
+A_14/rad^5 and A_20/rad^6 over Q and GF(101), whose End(A + DA) has dimension
+80 and 135.  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
 ``--json`` report.  Every command whose stdout, exit code or ``--json`` file
 differs between the two trees is listed; the exit code is 1 when any does.
@@ -79,6 +81,10 @@ LARGE = {
     "regular(3)+preprojective(2)+preinjective(2)":
         [("regular", 3, -1), ("preprojective", 2, 0), ("preinjective", 2, 0)],
 }
+# Deep Nakayama algebras, run by check alone over Q and GF(101): End(A + DA) has dimension 80
+# and 135, where the associativity of its structure constants was once only sampled.
+DEEP_NAKAYAMA = [(14, 5), (20, 6)]
+DEEP_FIELDS = ["Q", 101]
 # Seeds the coefficients of the generated Dynkin and Nakayama algebras.
 SEED = 3
 # Commands run at once, one per core of a 2-core machine.
@@ -124,6 +130,11 @@ def commands(workdir):
     for label, path, budget in inputs(workdir):
         out.append(("check --suite all " + label, ["check", path, "--suite", "all"] + budget))
         out.append(("ar-quiver " + label, ["ar-quiver", path] + budget))
+    for field in DEEP_FIELDS:
+        for n, r in DEEP_NAKAYAMA:
+            label = "nakayama%d-rad%d-%s" % (n, r, "Q" if field == "Q" else "GF%d" % field)
+            alg = gen.nakayama_algebra(random.Random("%d:%s" % (SEED, label)), n, r, field)
+            out.append(("check " + label, ["check", gen.write_json(workdir, label + ".json", alg)] + LARGE_BUDGET))
     for sub, pairs in (("check-tilted", TILTED), ("check-module", MODULES)):
         for alg, mod in pairs:
             paths = [os.path.join(ROOT, "fixtures", name + ".json") for name in (alg, mod)]
