@@ -4,8 +4,10 @@ The split step by Fitting's lemma that decomposes modules and finds
 primitive idempotents, endomorphism algebras, the trace-form radical (the
 reference route), and global dimension of the algebra computed from
 projective resolutions of the simple right modules, graded by the algebra's
-idempotents.  The gl.dim oracle builds End(A + DA) from its Hom blocks,
-which carry their radical and idempotents, and certifies both.
+idempotents.  The gl.dim oracle builds End(A + DA) from its Hom blocks, with
+the identities of the summands as basis elements that it claims are its
+primitive idempotents and the rest as a basis of its radical, and certifies
+the claim.
 """
 from __future__ import annotations
 
@@ -265,10 +267,11 @@ class AbstractAlgebra:
 
     terms[i] maps j to the nonzero structure constants ((t, c), ...) of
     b_i * b_j; a product with no entry is zero.  labels, when present, tie
-    basis elements back to module endomorphisms.  radical and idempotents,
-    when present, are a claimed basis of the Jacobson radical and a claimed
-    complete set of primitive orthogonal idempotents; global_dimension
-    certifies them before it uses them.
+    basis elements back to module endomorphisms.  idempotents, when present,
+    are the indices of the basis elements claimed to be a complete set of
+    primitive orthogonal idempotents, and every other basis element is
+    claimed to lie in the Jacobson radical; global_dimension certifies the
+    claim before it uses it.
     """
 
     field: object
@@ -276,7 +279,6 @@ class AbstractAlgebra:
     terms: tuple
     unit: tuple
     labels: tuple = None
-    radical: tuple = None
     idempotents: tuple = None
 
     def mult(self, x, y):
@@ -286,9 +288,10 @@ class AbstractAlgebra:
     def grading(self):
         """The Peirce block (a, c) of each basis element, certified from the structure constants.
 
-        With idempotents e_0, ..., e_{n-1} that are basis elements, a basis
-        element b lies in block (a, c) when e_a b = b = b e_c, for exactly one a
-        and one c; with no idempotents every basis element lies in block (0, 0).
+        With idempotents e_0, ..., e_{n-1} the distinct basis elements of the
+        indices in idempotents, a basis element b lies in block (a, c) when
+        e_a b = b = b e_c, for exactly one a and one c; with no idempotents
+        every basis element lies in block (0, 0).
         Each stored product of an element of block (a, c) by one of block
         (c', d) must chain, c = c', and lie in block (a, d).  A product of
         elements of blocks that do not chain is then zero by the structure
@@ -299,12 +302,9 @@ class AbstractAlgebra:
         if self.idempotents is None:
             tags = [(0, 0)] * self.dim
         else:
-            idem = {}
-            for a, e in enumerate(self.idempotents):
-                p = _basis_index(f, e)
-                if p is None:
-                    raise VerificationFailed("an idempotent is not a basis element")
-                idem[p] = a
+            idem = {p: a for a, p in enumerate(self.idempotents)}
+            if len(idem) != len(self.idempotents) or not all(0 <= p < self.dim for p in idem):
+                raise VerificationFailed("the idempotents are not distinct basis elements")
             left, right = [[] for _ in range(self.dim)], [[] for _ in range(self.dim)]
             for s, row in enumerate(terms):
                 for t, tt in row.items():
@@ -357,16 +357,16 @@ def _product(f, terms, x, y):
                       if (tt := terms[i].get(j))))
 
 
-def make_algebra(field, table, unit, labels=None, radical=None, idempotents=None) -> AbstractAlgebra:
+def make_algebra(field, table, unit, labels=None, idempotents=None) -> AbstractAlgebra:
     """The algebra whose product b_i * b_j has the coordinates table[i][j], validated."""
     terms = [{j: tt for j, e in enumerate(row) if (tt := tuple((t, c) for t, c in enumerate(e) if c))}
              for row in table]
-    return _algebra(field, terms, unit, labels, radical, idempotents)
+    return _algebra(field, terms, unit, labels, idempotents)
 
 
-def _algebra(field, terms, unit, labels=None, radical=None, idempotents=None) -> AbstractAlgebra:
+def _algebra(field, terms, unit, labels=None, idempotents=None) -> AbstractAlgebra:
     """The algebra of the sparse structure constants terms, validated."""
-    g = AbstractAlgebra(field, len(terms), tuple(terms), tuple(unit), labels, radical, idempotents)
+    g = AbstractAlgebra(field, len(terms), tuple(terms), tuple(unit), labels, idempotents)
     _validate_algebra(g)
     return g
 
@@ -462,14 +462,8 @@ def algebra_radical(g: AbstractAlgebra):
     gram = Mat(f, n, n, tuple(ent))
     ker = kernel_basis(gram)
     basis = [ker.col(j) for j in range(ker.cols)]
-    _assert_nilpotent(g, basis)
+    _assert_nilpotent(g, [_nonzeros(x) for x in basis])
     return basis
-
-
-def _basis_index(f, x):
-    """t when x is the t-th basis vector, else None."""
-    nz = [i for i, c in enumerate(x) if c]
-    return nz[0] if len(nz) == 1 and x[nz[0]] == f.one else None
 
 
 def _chained(g, xs, ys):
@@ -492,11 +486,10 @@ def _chained(g, xs, ys):
 
 
 def _assert_nilpotent(g, basis):
-    """Raise unless the span of basis is nilpotent: the span of the products of a basis of each
-    power by basis, the next power, shrinks to 0.  Only the nonzero products of pairs whose
-    blocks chain are formed, and only they reach a SpanTracker."""
+    """Raise unless the span of basis, given by their nonzeros, is nilpotent: the span of the
+    products of a basis of each power by basis, the next power, shrinks to 0.  Only the nonzero
+    products of pairs whose blocks chain are formed, and only they reach a SpanTracker."""
     f, n = g.field, g.dim
-    basis = [_nonzeros(x) for x in basis]
     cur = basis
     for _ in range(n + 1):
         tracker = SpanTracker(f, n)
@@ -720,56 +713,38 @@ def _assert_complete_orthogonal(g, idems):
 
 
 def certify_structure(g: AbstractAlgebra):
-    """Prove that g.radical is the Jacobson radical of g and that g.idempotents
-    are complete orthogonal primitive idempotents with g/rad = k x ... x k.
+    """Prove that the basis elements g.idempotents are complete orthogonal primitive
+    idempotents, that the other basis elements span the Jacobson radical, and so that
+    g/rad = k x ... x k.
 
-    A nilpotent two-sided ideal lies in the radical.  Orthogonal idempotents
-    outside the ideal that sum to 1 stay independent modulo it; when there
-    are as many of them as the ideal's codimension, the quotient is a product
-    of copies of k, which is semisimple, so the ideal is the whole radical.
+    g.grading, certified from the structure constants first, proves that the
+    indices are distinct basis elements.  The span R of the other basis
+    elements is a two-sided ideal when no stored product with a factor in R
+    has a coordinate at an idempotent, and a nilpotent two-sided ideal lies
+    in the radical.  The idempotents, orthogonal and summing to 1, span a
+    complement of R, so g/R is a product of copies of k, which is
+    semisimple, and R is the whole radical.
 
-    The ideal test, the nilpotency test and the orthogonality test form only
-    the products of pairs whose Peirce blocks chain, and send no zero product
-    to a SpanTracker.  Skipping the other products rests on g.grading, which
-    is certified from the structure constants before any product is formed,
-    not on how the blocks were built.
-    Raises VerificationFailed when any step fails; returns the test for
-    membership in the radical of a vector given by its nonzeros.
+    The nilpotency test forms only the products of pairs whose Peirce blocks
+    chain, and sends no zero product to a SpanTracker.  Skipping the other
+    products rests on g.grading, not on how the blocks were built.
+    Raises VerificationFailed when any step fails.
     """
-    f = g.field
-    rad, idems = g.radical, g.idempotents
-    if rad is None or idems is None:
-        raise VerificationFailed("the algebra carries no radical and idempotents to certify")
-    # the functionals that vanish on the claimed radical cut it out exactly
-    ann = kernel_basis(Mat(f, len(rad), g.dim, tuple(x for r in rad for x in r)))
-    if ann.cols != g.dim - len(rad):
-        raise VerificationFailed("claimed radical basis is not independent")
-    if ann.cols != len(idems):
-        raise VerificationFailed(
-            "claimed radical has codimension %d, but there are %d idempotents" % (ann.cols, len(idems))
-        )
-    funcs = [_nonzeros(ann.col(j)) for j in range(ann.cols)]
-
-    def in_rad(x):
-        for w in funcs:
-            acc = f.zero
-            for i, c in w.items():
-                if i in x:
-                    acc = f.add(acc, f.mul(c, x[i]))
-            if acc:
-                return False
-        return True
-
-    units = [{t: f.one} for t in range(g.dim)]
-    rads = [_nonzeros(r) for r in rad]
-    if not all(in_rad(p) for _, _, p in _chained(g, units, rads)) or not all(
-            in_rad(p) for _, _, p in _chained(g, rads, units)):
-        raise VerificationFailed("claimed radical is not a two-sided ideal")
-    _assert_nilpotent(g, rad)
-    if any(in_rad(_nonzeros(e)) for e in idems):
-        raise VerificationFailed("an idempotent lies in the claimed radical")
-    _assert_complete_orthogonal(g, idems)
-    return in_rad
+    f, terms, idems = g.field, g.terms, g.idempotents
+    if idems is None:
+        raise VerificationFailed("the algebra carries no idempotents to certify")
+    g.grading  # refuses indices that are not distinct basis elements before terms[p] reads them
+    if _nonzeros(g.unit) != {p: f.one for p in idems}:
+        raise VerificationFailed("idempotents do not sum to the unit")
+    for p in idems:
+        if terms[p].get(p) != ((p, f.one),) or any(q in terms[p] for q in idems if q != p):
+            raise VerificationFailed("idempotents are not orthogonal")
+    idem = set(idems)
+    for s, row in enumerate(terms):
+        for t, tt in row.items():
+            if (s not in idem or t not in idem) and any(u in idem for u, _ in tt):
+                raise VerificationFailed("claimed radical is not a two-sided ideal")
+    _assert_nilpotent(g, [{t: f.one} for t in range(g.dim) if t not in idem])
 
 
 def _span_basis(f, width, vecs):
@@ -798,18 +773,17 @@ class _Graded:
 class _Peirce:
     """The Peirce grading of an algebra whose basis is its idempotents and a radical basis.
 
-    certify_structure proves the grading, the carried radical and the
-    idempotents first: each basis element lies in one Peirce block e_i g e_j,
-    every product stays in its block and, unless it is one of the
-    idempotents, each basis element lies in the radical.
+    certify_structure proves the grading and the claimed idempotents first:
+    each basis element lies in one Peirce block e_i g e_j, every product
+    stays in its block, and the basis elements other than the idempotents
+    span the radical.
     """
 
     def __init__(self, g: AbstractAlgebra):
-        in_rad = certify_structure(g)
-        f = g.field
-        self.idem = [_basis_index(f, e) for e in g.idempotents]
+        certify_structure(g)
+        self.idem = g.idempotents
         n = len(self.idem)
-        self.field, self.n = f, n
+        self.field, self.n = g.field, n
         self.tag = g.grading
         self.block = [[[] for _ in range(n)] for _ in range(n)]  # basis indices of e_i g e_j
         self.pos = [0] * g.dim  # position of each basis element in its block
@@ -818,8 +792,6 @@ class _Peirce:
             self.block[i][j].append(t)
         idem = set(self.idem)
         self.rad = [t for t in range(g.dim) if t not in idem]
-        if not all(in_rad({t: f.one}) for t in self.rad):
-            raise VerificationFailed("a basis element other than the idempotents lies outside the radical")
         self.ridx = {t: r for r, t in enumerate(self.rad)}
         self.into = [[r for r, t in enumerate(self.rad) if self.tag[t][1] == k] for k in range(n)]
         self.proj = [self._projective(g, k) for k in range(n)]
@@ -961,13 +933,13 @@ class _Peirce:
 def global_dimension(g: AbstractAlgebra, bound=None) -> DimValue:
     """Max projective dimension of the simple right modules.
 
-    An algebra that carries no radical and idempotents is first replaced by
-    its basic corner, which is Morita equivalent to it, so has the same
-    global dimension.
+    An algebra that carries no idempotents is first replaced by its basic
+    corner, which is Morita equivalent to it, so has the same global
+    dimension.
     """
     if bound is None:
         bound = g.dim + 2
-    if g.radical is None:
+    if g.idempotents is None:
         g = _basic_corner(g)
     peirce = _Peirce(g)
     worst_finite = 0
@@ -1031,8 +1003,8 @@ def gen_cogen_algebra(alg) -> AbstractAlgebra:
     phi -> phi_v[0, 0], where M_i is P(v) or I(v): the basis of P(v) at v
     starts with the stationary path e_v, and I(v) is the dual of P(v) over
     the opposite algebra, so phi_v[0, 0] is the scalar by which phi acts on
-    top P(v) or on soc I(v).  global_dimension certifies the radical and
-    idempotents the algebra carries.
+    top P(v) or on soc I(v).  global_dimension certifies the idempotents the
+    algebra carries, and with them its radical.
     """
     from .modules import compose, gen_cogen, morphism_flat
 
@@ -1055,8 +1027,9 @@ def _block_algebra(f, n, blocks, flat, compose) -> AbstractAlgebra:
     compose(b, c), read in the basis of block (i, k) and stored by its nonzero
     coordinates; every other product is zero, and nothing is stored for it.
     Elements are compared as the vectors flat(b), and blocks[(i, i)][0] is
-    the identity of the i-th summand.  The algebra carries these identities
-    as its idempotents and every other basis element as its radical.
+    the identity of the i-th summand.  The algebra carries the indices of
+    these identities as its idempotents; every other basis element is
+    claimed to lie in its radical.
     """
     offset, dim = {}, 0
     for key, hb in blocks.items():
@@ -1086,13 +1059,8 @@ def _block_algebra(f, n, blocks, flat, compose) -> AbstractAlgebra:
                     if coords is None:
                         raise VerificationFailed("a product left its block")
                     row[offset[(j, k)] + t] = tuple((lo + u, x) for u, x in enumerate(coords) if x)
-    ids = {offset[(i, i)] for i in range(n)}
-    unit = tuple(f.one if t in ids else f.zero for t in range(dim))
-    return _algebra(
-        f, terms, unit,
-        radical=tuple(_unit_vec(f, dim, t) for t in range(dim) if t not in ids),
-        idempotents=tuple(_unit_vec(f, dim, t) for t in sorted(ids)),
-    )
+    ids = tuple(offset[(i, i)] for i in range(n))
+    return _algebra(f, terms, _dense(f, dim, {t: f.one for t in ids}), idempotents=ids)
 
 
 def _local_basis(m, v, hb):

@@ -413,26 +413,31 @@ def test_idempotent_completeness_invariant(loop2):
 def test_block_oracle_matches_generic_route(name):
     alg = load_fixture_algebra(name)
     generic = endomorphism_algebra(direct_sum(alg, gen_cogen(alg).modules))
-    assert generic.radical is None
+    assert generic.idempotents is None
     assert gldim_end_gen_cogen(alg) == global_dimension(generic)
 
 
 def _off_diagonal(g):
-    """A radical basis element that maps one summand into another."""
-    for r in g.radical:
+    """The index of a radical basis element that maps one summand into another."""
+    for r in range(g.dim):
+        if r in g.idempotents:
+            continue
+        b = _unit(g, r)
         for i, ei in enumerate(g.idempotents):
             for j, ej in enumerate(g.idempotents):
-                if i != j and g.mult(ei, r) == r and g.mult(r, ej) == r:
+                if i != j and g.mult(_unit(g, ei), b) == b and g.mult(b, _unit(g, ej)) == b:
                     return r
     raise AssertionError("no off-diagonal radical element")
 
 
 def test_certifier_rejects_a_wrong_radical(loop2):
+    """The claimed radical is every basis element but the claimed idempotents: claiming an
+    off-diagonal radical element as one more idempotent shrinks it, dropping one enlarges it."""
     g = gen_cogen_algebra(loop2)
     certify_structure(g)
     r = _off_diagonal(g)
-    too_small = replace(g, radical=tuple(x for x in g.radical if x != r))
-    too_large = replace(g, radical=g.radical + (g.idempotents[0],))
+    too_small = replace(g, idempotents=g.idempotents + (r,))
+    too_large = replace(g, idempotents=g.idempotents[1:])
     for bad in (too_small, too_large):
         with pytest.raises(VerificationFailed):
             certify_structure(bad)
@@ -595,7 +600,7 @@ def _assert_sparse_constants_match_the_dense_table(alg, monkeypatch):
             for u, c in g.terms[s].get(t, ()):
                 got[u] = c
             assert tuple(got) == want, (s, t)
-    # the dense table carries no radical and idempotents: its gl.dim comes from the trace form
+    # the dense table carries no idempotents: its gl.dim comes from the trace form
     assert global_dimension(make_algebra(f, table, g.unit)) == global_dimension(g)
 
 
@@ -658,7 +663,7 @@ def _changes_the_sample_misses(g, last):
     failing triple lies beyond the first six and outside the old sample; one per pair (s, t), in
     increasing order, or in decreasing order when last."""
     f, sample = g.field, _sampled_triples(g.dim)
-    idem = {endo._basis_index(f, e) for e in g.idempotents}
+    idem = set(g.idempotents)
     for s, t in sorted(((s, t) for s, row in enumerate(g.terms) for t in row), reverse=last):
         tt = g.terms[s][t]
         if min(s, t, *(u for u, _ in tt)) < 6 or s in idem or t in idem:
@@ -683,7 +688,7 @@ def test_validation_proves_associativity_where_the_sample_missed_a_change():
 
 def _radical_product(g):
     """(s, t) for a nonzero product b_s * b_t of two radical basis elements."""
-    idem = {endo._basis_index(g.field, e) for e in g.idempotents}
+    idem = set(g.idempotents)
     return next((s, t) for s, row in enumerate(g.terms) for t in row if s not in idem and t not in idem)
 
 
@@ -703,7 +708,7 @@ def test_validation_rejects_a_basis_element_in_no_peirce_block():
     on the left."""
     g = gen_cogen_algebra(load_fixture_algebra("a3"))
     _, b = _radical_product(g)
-    p = next(p for p in (endo._basis_index(g.field, e) for e in g.idempotents) if b in g.terms[p])
+    p = next(p for p in g.idempotents if b in g.terms[p])
     bad = _with_terms(g, p, b, ())
     for check in (endo._validate_algebra, global_dimension):
         with pytest.raises(VerificationFailed, match="lies in no Peirce block"):
@@ -714,10 +719,36 @@ def test_certifier_rejects_a_radical_candidate_that_is_not_nilpotent():
     """k x k as k[x]/(x^2 - x), with basis 1, x, claiming x as its radical and 1 as its one
     idempotent: x spans a two-sided ideal of codimension 1, but x^2 = x."""
     z, o = QQ.zero, QQ.one
-    g = make_algebra(QQ, [[(o, z), (z, o)], [(z, o), (z, o)]], (o, z), radical=((z, o),), idempotents=((o, z),))
+    g = make_algebra(QQ, [[(o, z), (z, o)], [(z, o), (z, o)]], (o, z), idempotents=(0,))
     for check in (certify_structure, global_dimension):
         with pytest.raises(VerificationFailed, match="not nilpotent"):
             check(g)
+
+
+def _wrong_claim(case):
+    """An algebra whose claimed idempotents fail the certificate at the branch case names.
+
+    "ideal": k[x]/(x^2 - 1) over Q, with basis 1, x, claiming x as its radical and 1 as its one
+    idempotent; x^2 = 1, so x spans no two-sided ideal.  "repeated" and "out-of-range": End(A + DA)
+    for loop2 with one idempotent index claimed twice, or one past its last basis element."""
+    if case == "ideal":
+        z, o = QQ.zero, QQ.one
+        return make_algebra(QQ, [[(o, z), (z, o)], [(z, o), (o, z)]], (o, z), idempotents=(0,))
+    g = gen_cogen_algebra(load_fixture_algebra("loop2"))
+    extra = g.idempotents[0] if case == "repeated" else g.dim
+    return replace(g, idempotents=g.idempotents + (extra,))
+
+
+@pytest.mark.parametrize("case, match", [
+    ("ideal", "not a two-sided ideal"),
+    ("repeated", "not distinct basis elements"),
+    ("out-of-range", "not distinct basis elements"),
+])
+def test_certifier_rejects_a_wrong_claim_at_each_branch(case, match):
+    bad = _wrong_claim(case)
+    for check in (certify_structure, global_dimension):
+        with pytest.raises(VerificationFailed, match=match):
+            check(bad)
 
 
 def _square_tables(n):
@@ -751,8 +782,8 @@ def test_associativity_visits_the_chaining_triples_and_no_square_table_exists(mo
     g = gen_cogen_algebra(_nakayama(10, 3))
     n = g.dim
     b = [_unit(g, t) for t in range(n)]
-    tags = [(next(a for a, e in enumerate(g.idempotents) if g.mult(e, b[t]) == b[t]),
-             next(c for c, e in enumerate(g.idempotents) if g.mult(b[t], e) == b[t])) for t in range(n)]
+    tags = [(next(a for a, e in enumerate(g.idempotents) if g.mult(b[e], b[t]) == b[t]),
+             next(c for c, e in enumerate(g.idempotents) if g.mult(b[t], b[e]) == b[t])) for t in range(n)]
     chaining = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                 if tags[i][1] == tags[j][0] and tags[j][1] == tags[k][0]]
     assert sorted(visited) == chaining

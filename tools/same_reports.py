@@ -17,8 +17,8 @@ the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
 Kronecker sums with a repeated summand over Q and GF(3), on three larger ones,
 of total dimension 15 or 16, over Q and GF(101), and on the rotation module
 a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  ``check`` alone runs on
-A_14/rad^5 and A_20/rad^6 over Q and GF(101), whose End(A + DA) has dimension
-80 and 135.  Every
+A_14/rad^5, A_20/rad^6 and A_24/rad^8 over Q and GF(101), whose End(A + DA)
+has dimension 80, 135 and 220.  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
 ``--json`` report.  Every command whose stdout, exit code or ``--json`` file
 differs between the two trees is listed; the exit code is 1 when any does.
@@ -81,9 +81,10 @@ LARGE = {
     "regular(3)+preprojective(2)+preinjective(2)":
         [("regular", 3, -1), ("preprojective", 2, 0), ("preinjective", 2, 0)],
 }
-# Deep Nakayama algebras, run by check alone over Q and GF(101): End(A + DA) has dimension 80
-# and 135, where the associativity of its structure constants was once only sampled.
-DEEP_NAKAYAMA = [(14, 5), (20, 6)]
+# Deep Nakayama algebras, run by check alone over Q and GF(101): End(A + DA) has dimension 80,
+# 135 and 220, where the associativity of its structure constants was once only sampled; the
+# last, with 31 idempotents, is the largest algebra the oracle's certificate sees.
+DEEP_NAKAYAMA = [(14, 5), (20, 6), (24, 8)]
 DEEP_FIELDS = ["Q", 101]
 # Seeds the coefficients of the generated Dynkin and Nakayama algebras.
 SEED = 3
