@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedRelation, NotAdmissible, ParseError, PathTooLong
+from .errors import MalformedRelation, NotAdmissible, ParseError
 from .linalg import SpanTracker
 
 
@@ -125,21 +125,6 @@ class BoundQuiverAlgebra:
         if p.length >= self.zero_from:
             return (self.field.zero,) * self.dim
         return self.table[p.key()]
-
-    def normal_form(self, combo):
-        """Coordinates of a linear combination of paths (each within the bound)."""
-        f = self.field
-        acc = [f.zero] * self.dim
-        for scalar, p in combo:
-            if p.length > self.length_bound:
-                raise PathTooLong("path of length %d exceeds bound %d" % (p.length, self.length_bound))
-            s = f.coerce(scalar)
-            if not s:
-                continue
-            for i, c in enumerate(self.reduce_path(p)):
-                if c:
-                    acc[i] = f.add(acc[i], f.mul(s, c))
-        return tuple(acc)
 
     def path_times_arrow(self, basis_idx: int, arrow: int):
         p = self.basis[basis_idx]
@@ -282,7 +267,3 @@ def build_algebra(quiver: Quiver, relations, field, length_bound: int) -> BoundQ
             vec[j] = c
         dense[key] = tuple(vec)
     return BoundQuiverAlgebra(quiver, field, rels, length_bound, tuple(basis), dense, ell)
-
-
-def opposite_algebra(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
-    return alg.opposite

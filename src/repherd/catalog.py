@@ -78,12 +78,6 @@ class IndecomposableCatalog:
     def find(self, rep):
         return iso_class_index(rep, [node.rep for node in self.nodes])
 
-    def node_named(self, name):
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(name)
-
 
 def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = False) -> IndecomposableCatalog:
     """Closure of the projectives and injectives under AR-neighbor moves.

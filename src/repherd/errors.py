@@ -25,10 +25,6 @@ class NotAdmissible(RepherdError):
     pass
 
 
-class PathTooLong(RepherdError):
-    pass
-
-
 class InvalidRepresentation(RepherdError):
     pass
 

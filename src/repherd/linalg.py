@@ -33,8 +33,9 @@ the one built from ints, and both format the same.
 `rref`, `kernel_basis`, `solve`, `quotient_maps` and `commuting_maps` (the
 Hom systems between modules) read their results off the reduced row space of
 a matrix or a system.  The normalized reduced row echelon form is unique, so
-every result is the one dense Gauss-Jordan (`_gauss_jordan`) gives, entry by
-entry.  Each elimination does only what its caller reads:
+every result is the one dense Gauss-Jordan gives, entry by entry; the tests
+compare the two against the dense reference in tests/reference.py.  Each
+elimination does only what its caller reads:
 
 - `rank` and `col_space` need only the pivot columns, which every echelon
   form shares, so `_pivots` stops after the forward phase;
@@ -98,17 +99,6 @@ class Mat:
         return "Mat(field=%r, rows=%d, cols=%d, entries=%r)" % self._key()
 
     @staticmethod
-    def from_rows(field, rows):
-        rows = [list(r) for r in rows]
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != nc:
-                raise DimensionMismatch("ragged rows")
-        ent = tuple(field.coerce(x) for r in rows for x in r)
-        return Mat(field, nr, nc, ent)
-
-    @staticmethod
     def zeros(field, rows, cols):
         return Mat(field, rows, cols, (field.zero,) * (rows * cols))
 
@@ -134,9 +124,6 @@ class Mat:
 
     def col(self, j):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -290,47 +277,6 @@ def block_diag(field, mats):
         r0 += m.rows
         c0 += m.cols
     return Mat(field, nr, nc, tuple(out))
-
-
-def _gauss_jordan(field, rows, ncols):
-    """In-place dense Gauss-Jordan on a list of row lists; returns pivot columns.
-
-    No product code calls it: it is the dense reference the tests compare
-    the sparse kernel against.
-    """
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != field.one:
-            inv = field.inv(pv)
-            rr = rows[r]
-            for j in range(c, ncols):
-                if rr[j]:
-                    rr[j] = field.mul(inv, rr[j])
-        rr = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f0 = rows[i][c]
-                if f0:
-                    ri = rows[i]
-                    for j in range(c, ncols):
-                        if rr[j]:
-                            ri[j] = field.sub(ri[j], field.mul(f0, rr[j]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
 
 # -- the elimination kernel ---------------------------------------------------

@@ -282,17 +282,6 @@ def injective_at(alg, v) -> Representation:
     return Representation(alg, pop.dims, mats)
 
 
-def simple_at(alg, v) -> Representation:
-    q = alg.quiver
-    vi = q.vindex[str(v)] if not isinstance(v, int) else v
-    dims = [1 if u == vi else 0 for u in range(q.n_vertices)]
-    mats = [
-        Mat.zeros(alg.field, dims[q.arrow_tgt[a]], dims[q.arrow_src[a]])
-        for a in range(q.n_arrows)
-    ]
-    return Representation(alg, dims, mats, check=False)
-
-
 class HomTable:
     """Hom from a fixed list of modules, each solved once: into(m) is [hom_basis(X, m)
     for each X], solved the first time m is asked for, and row(i) is into(modules[i]).
@@ -397,10 +386,6 @@ def hom_basis(m: Representation, n: Representation):
     q = m.algebra.quiver
     squares = [(q.arrow_src[a], q.arrow_tgt[a], m.mats[a], n.mats[a]) for a in range(q.n_arrows)]
     return [morphism_from_flat(m, n, vec) for vec in commuting_maps(m.algebra.field, m.dims, n.dims, squares)]
-
-
-def hom_dim(m, n) -> int:
-    return len(hom_basis(m, n))
 
 
 # -- constructions ------------------------------------------------------------

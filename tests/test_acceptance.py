@@ -29,8 +29,9 @@ from repherd.checks import (
 from repherd.dims import DimValue
 from repherd.endo import gldim_end_gen_cogen
 from repherd.homological import proj_dim
-from repherd.modules import hom_dim, projective_at, simple_at
+from repherd.modules import projective_at
 
+from tests.reference import hom_dim, simple_at
 from tests.conftest import catalog_of, fixture_path, load_fixture_algebra, main_report_of
 
 

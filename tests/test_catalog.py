@@ -24,7 +24,6 @@ from repherd.modules import (
     endomorphism_radical,
     gen_cogen,
     hom_basis,
-    hom_dim,
     indec_isomorphic,
     indecomposable_summands,
     is_isomorphic,
@@ -33,6 +32,7 @@ from repherd.modules import (
     morphism_flat,
 )
 
+from tests.reference import endomorphism_algebra, from_rows, hom_dim
 from tests.conftest import catalog_of, in_form, load_fixture_algebra, rebased, verify_almost_split
 from tests.test_cli import E6
 
@@ -290,7 +290,7 @@ def test_enumeration_takes_one_tau_step_per_non_projective_node(name, monkeypatc
 @pytest.mark.parametrize("name", ["a3", "loop2", "d4", "tilted4"])
 def test_endomorphism_radical_matches_the_trace_form(name):
     """The certified nilpotent parts span the trace-form radical of End(X), for every node X."""
-    from repherd.endo import algebra_radical, endomorphism_algebra
+    from repherd.endo import algebra_radical
     from repherd.linalg import Mat, rank
     from repherd.modules import endomorphism_radical, morphism_combo, morphism_flat
 
@@ -299,12 +299,12 @@ def test_endomorphism_radical_matches_the_trace_form(name):
     assert cat.complete
     for node in cat.nodes:
         x = node.rep
-        g = endomorphism_algebra(x)
-        reference = [morphism_flat(morphism_combo(alg.field, g.labels, r, x, x)) for r in algebra_radical(g)]
+        g, basis = endomorphism_algebra(x)
+        reference = [morphism_flat(morphism_combo(alg.field, basis, r, x, x)) for r in algebra_radical(g)]
         certified = [morphism_flat(r) for r in endomorphism_radical(x)]
         assert len(certified) == len(reference) == g.dim - 1
         if reference:
-            assert rank(Mat.from_rows(alg.field, reference + certified)) == len(reference)
+            assert rank(from_rows(alg.field, reference + certified)) == len(reference)
 
 
 def _dual_sequence(seq):
@@ -359,14 +359,14 @@ def _assert_carried_radical(x):
     assert len(carried) == len(split)
     if split:
         fld = x.algebra.field
-        assert rank(Mat.from_rows(fld, split)) == rank(Mat.from_rows(fld, carried + split)) == len(split)
+        assert rank(from_rows(fld, split)) == rank(from_rows(fld, carried + split)) == len(split)
 
 
 def _kronecker_regular(alg, n, lam):
     """The Kronecker module with a = I and b = J_n(lam); End is k[x]/(x^n)."""
     fld = alg.field
     jordan = [[lam if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
-    return Representation(alg, (n, n), [Mat.identity(fld, n), Mat.from_rows(fld, jordan)])
+    return Representation(alg, (n, n), [Mat.identity(fld, n), from_rows(fld, jordan)])
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])

@@ -31,10 +31,10 @@ from repherd.modules import (
     Representation,
     injective_at,
     projective_at,
-    simple_at,
 )
 from repherd import io as rio
 
+from tests.reference import node_named, simple_at
 from tests.conftest import ROOT, catalog_of, fixture_path, load_fixture_algebra, main_report_of
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -280,7 +280,7 @@ def test_fails_witness_reproduces(tilted5, kron):
     for w in report.witnesses:
         if "module" not in w:
             continue
-        node = cat.node_named(w["module"])
+        node = node_named(cat, w["module"])
         single = check_module_conditions(tilted5, node.rep)
         detail = single.witnesses[0]
         assert detail["right_kernel_projective"] == w["right_kernel_projective"]

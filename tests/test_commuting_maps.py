@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from repherd import endo, linalg
 from repherd import io as rio
 from repherd.fields import PrimeField, QQ
-from repherd.linalg import _gauss_jordan
 from repherd.modules import gen_cogen, hom_basis, morphism_flat
 
+from tests.reference import _gauss_jordan
 from tests.conftest import ROOT, load_fixture_algebra, rebased
 from tests.test_linalg import incremental_row_space
 

@@ -3,16 +3,16 @@ import pytest
 
 from repherd.catalog import ar_quiver
 from repherd.dims import DimValue
-from repherd.endo import endomorphism_algebra, global_dimension
+from repherd.endo import global_dimension
 from repherd.homological import almost_split_sequence
 from repherd.modules import (
     direct_sum,
-    hom_dim,
     indec_isomorphic,
     indecomposable_summands,
     projective_at,
 )
 
+from tests.reference import basic_corner, endomorphism_algebra, hom_dim
 from tests.conftest import catalog_of
 
 
@@ -20,7 +20,7 @@ def test_end_of_regular_module_has_algebra_dimension(a2, a3, loop2, tilted4, til
     for alg in (a2, a3, loop2, tilted4, tilted5, sq, d4):
         nv = alg.quiver.n_vertices
         reg = direct_sum(alg, [projective_at(alg, v) for v in range(nv)])
-        assert endomorphism_algebra(reg).dim == alg.dim
+        assert endomorphism_algebra(reg)[0].dim == alg.dim
 
 
 def test_additive_generator_gives_global_dimension_at_most_two(a3, loop2):
@@ -30,8 +30,8 @@ def test_additive_generator_gives_global_dimension_at_most_two(a3, loop2):
         cat = catalog_of(alg)
         assert cat.complete
         m = direct_sum(alg, [node.rep for node in cat.nodes])
-        g = endomorphism_algebra(m)
-        gd = global_dimension(g)
+        g, _ = endomorphism_algebra(m)
+        gd = global_dimension(basic_corner(g))
         assert gd.is_finite and gd.value <= 2, gd
         # and it is exactly 2 as soon as the algebra is not semisimple
         assert gd == DimValue.finite(2)

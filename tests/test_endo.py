@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -12,16 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repherd import endo
+from repherd.cli import main
 from repherd.dims import DimValue
 from repherd.endo import (
     _eigenvalue,
     algebra_radical,
     certify_structure,
-    endomorphism_algebra,
     gen_cogen_algebra,
     gldim_end_gen_cogen,
     global_dimension,
-    make_algebra,
     min_poly_of_matrix,
     primitive_idempotents,
     rational_roots,
@@ -40,10 +40,11 @@ from repherd.modules import (
     hom_basis,
     injective_at,
     projective_at,
-    simple_at,
     subrep_from_bases,
 )
 
+from tests import reference
+from tests.reference import basic_corner, endomorphism_algebra, from_rows, make_algebra, mult, simple_at
 from tests.conftest import ROOT, catalog_of, load_fixture_algebra, plain_rank
 from tests.test_catalog import COMPLETE_FIXTURES
 
@@ -52,19 +53,19 @@ import gen  # noqa: E402
 
 
 def test_end_simple_is_one_dimensional(loop2):
-    g = endomorphism_algebra(simple_at(loop2, "1"))
+    g, _ = endomorphism_algebra(simple_at(loop2, "1"))
     assert g.dim == 1 and not algebra_radical(g)
 
 
 def test_end_p1_loop2(loop2):
-    g = endomorphism_algebra(projective_at(loop2, "1"))
+    g, _ = endomorphism_algebra(projective_at(loop2, "1"))
     assert g.dim == 2
     assert len(algebra_radical(g)) == 1
 
 
 def test_end_s1_plus_s1_matrix_algebra(loop2):
     s1 = simple_at(loop2, "1")
-    g = endomorphism_algebra(direct_sum(loop2, [s1, s1]))
+    g, _ = endomorphism_algebra(direct_sum(loop2, [s1, s1]))
     assert g.dim == 4
     assert algebra_radical(g) == []
     assert len(primitive_idempotents(g)) == 2
@@ -105,7 +106,7 @@ def test_radical_semisimple_and_triangular():
     assert len(primitive_idempotents(m2)) == 2
     tri = upper_triangular_2x2()
     assert len(algebra_radical(tri)) == 1
-    assert global_dimension(tri) == DimValue.finite(1)
+    assert global_dimension(basic_corner(tri)) == DimValue.finite(1)
 
 
 def test_radical_certified_by_independent_criteria(a2):
@@ -114,7 +115,7 @@ def test_radical_certified_by_independent_criteria(a2):
     iv = injective_at(a2, "1")
     parts.append(iv)
     m = direct_sum(a2, parts)
-    g = endomorphism_algebra(m)
+    g, _ = endomorphism_algebra(m)
     rad = algebra_radical(g)
     assert len(rad) == 2
     # (a) products of radical elements with anything stay in the radical span
@@ -124,8 +125,8 @@ def test_radical_certified_by_independent_criteria(a2):
     for r in rad:
         for t in range(g.dim):
             unit = tuple(QQ.one if i == t else QQ.zero for i in range(g.dim))
-            assert contains(g.mult(r, unit))
-            assert contains(g.mult(unit, r))
+            assert contains(mult(g, r, unit))
+            assert contains(mult(g, unit, r))
     # (b) the quotient's trace form is nondegenerate (test-local elimination)
     basis = []
     for t in range(g.dim):
@@ -184,7 +185,7 @@ def test_radical_certified_by_independent_criteria(a2):
     k = len(qbasis)
     lmats = []
     for i in range(k):
-        cols = [coords(g.mult(tuple(basis[i]), tuple(basis[j]))) for j in range(k)]
+        cols = [coords(mult(g, tuple(basis[i]), tuple(basis[j]))) for j in range(k)]
         lmats.append([[cols[j][t] for j in range(k)] for t in range(k)])
     gram = [
         [sum(lmats[i][s][t] * lmats[j][t][s] for s in range(k) for t in range(k)) for j in range(k)]
@@ -199,24 +200,22 @@ def test_primitive_idempotents_loop2_gen_cogen(loop2):
         iv = injective_at(loop2, v)
         parts.append(iv)
     m = direct_sum(loop2, parts)
-    g = endomorphism_algebra(m)
+    g, _ = endomorphism_algebra(m)
     assert len(primitive_idempotents(g)) == 4
 
 
 def test_primitive_idempotents_p1_plus_s2(a2):
-    from repherd.modules import simple_at as _simple
-
-    g = endomorphism_algebra(direct_sum(a2, [projective_at(a2, "1"), _simple(a2, "2")]))
+    g, _ = endomorphism_algebra(direct_sum(a2, [projective_at(a2, "1"), simple_at(a2, "2")]))
     assert len(primitive_idempotents(g)) == 2
 
 
 def test_global_dimension_examples(a2):
     m2 = matrix_algebra_2x2()
-    assert global_dimension(m2) == DimValue.finite(0)
+    assert global_dimension(basic_corner(m2)) == DimValue.finite(0)
     # path algebra of a2 viewed abstractly: End(P1 + P2) over a2
-    g = endomorphism_algebra(direct_sum(a2, [projective_at(a2, "1"), projective_at(a2, "2")]))
+    g, _ = endomorphism_algebra(direct_sum(a2, [projective_at(a2, "1"), projective_at(a2, "2")]))
     assert g.dim == 3
-    assert global_dimension(g) == DimValue.finite(1)
+    assert global_dimension(basic_corner(g)) == DimValue.finite(1)
 
 
 def test_gldim_end_gen_cogen_paper_values(a2, a3):
@@ -234,8 +233,8 @@ def test_gldim_morita_invariance(a2, a3):
 
             if not any(indec_isomorphic(iv, p) for p in parts):
                 parts.append(iv)
-        base = global_dimension(endomorphism_algebra(direct_sum(alg, parts)))
-        doubled = global_dimension(endomorphism_algebra(direct_sum(alg, parts + [parts[0]])))
+        base = global_dimension(basic_corner(endomorphism_algebra(direct_sum(alg, parts))[0]))
+        doubled = global_dimension(basic_corner(endomorphism_algebra(direct_sum(alg, parts + [parts[0]]))[0]))
         assert base == doubled
 
 
@@ -255,12 +254,12 @@ def test_field_too_small():
 
 
 def test_min_poly_and_roots():
-    m = Mat.from_rows(QQ, [[1, 1], [0, 1]])
+    m = from_rows(QQ, [[1, 1], [0, 1]])
     mu = min_poly_of_matrix(m)
     assert mu == [Fraction(1), Fraction(-2), Fraction(1)]  # (t-1)^2
     roots = rational_roots(QQ, mu)
     assert roots == [(Fraction(1), 2)]
-    d = Mat.from_rows(QQ, [[2, 0], [0, 3]])
+    d = from_rows(QQ, [[2, 0], [0, 3]])
     assert sorted(r for r, _ in rational_roots(QQ, min_poly_of_matrix(d))) == [2, 3]
 
 
@@ -393,14 +392,14 @@ def test_eigenvalue_beyond_the_root_search():
     above 10^12; the trace still gives p."""
     p = 10**12 + 39
     assert _is_prime(p)
-    block = Mat.from_rows(QQ, [[p, 1], [0, p]])
+    block = from_rows(QQ, [[p, 1], [0, p]])
     assert _root_search_eigenvalue((block,)) is None
     assert _eigenvalue((block,)) == p
 
 
 def test_idempotent_completeness_invariant(loop2):
     m = direct_sum(loop2, [projective_at(loop2, "1"), injective_at(loop2, "2"), simple_at(loop2, "1")])
-    g = endomorphism_algebra(m)
+    g, _ = endomorphism_algebra(m)
     idems = primitive_idempotents(g)
     # completeness and orthogonality are asserted inside; spot-check primitivity
     total = [QQ.zero] * g.dim
@@ -412,9 +411,9 @@ def test_idempotent_completeness_invariant(loop2):
 @pytest.mark.parametrize("name", ["a2", "a3", "d4", "kron", "loop2", "sq", "tilted4", "tilted5", "h5"])
 def test_block_oracle_matches_generic_route(name):
     alg = load_fixture_algebra(name)
-    generic = endomorphism_algebra(direct_sum(alg, gen_cogen(alg).modules))
+    generic, _ = endomorphism_algebra(direct_sum(alg, gen_cogen(alg).modules))
     assert generic.idempotents is None
-    assert gldim_end_gen_cogen(alg) == global_dimension(generic)
+    assert gldim_end_gen_cogen(alg) == global_dimension(basic_corner(generic))
 
 
 def _off_diagonal(g):
@@ -425,7 +424,7 @@ def _off_diagonal(g):
         b = _unit(g, r)
         for i, ei in enumerate(g.idempotents):
             for j, ej in enumerate(g.idempotents):
-                if i != j and g.mult(_unit(g, ei), b) == b and g.mult(b, _unit(g, ej)) == b:
+                if i != j and mult(g, _unit(g, ei), b) == b and mult(g, b, _unit(g, ej)) == b:
                     return r
     raise AssertionError("no off-diagonal radical element")
 
@@ -455,14 +454,14 @@ def test_global_dimension_matches_resolutions_of_simple_representations(name, fi
     from the simple modules of A without any of the structure-constant code."""
     alg = load_fixture_algebra(name, field)
     nv = alg.quiver.n_vertices
-    g = endomorphism_algebra(direct_sum(alg, [projective_at(alg, v) for v in range(nv)]))
+    g, _ = endomorphism_algebra(direct_sum(alg, [projective_at(alg, v) for v in range(nv)]))
     pds = [proj_dim(simple_at(alg, v)) for v in range(nv)]
     if any(pd.is_infinite for pd in pds):
         expected = DimValue.infinite()
     else:
         assert all(pd.is_finite for pd in pds)
         expected = DimValue.finite(max(pd.value for pd in pds))
-    assert global_dimension(g) == expected
+    assert global_dimension(basic_corner(g)) == expected
 
 
 def _bipartite(n, edges):
@@ -511,6 +510,45 @@ def test_oracle_on_nakayama_algebras(n, r, gldim):
     """A_n / rad^r, the linear quiver with every path of r arrows set to zero."""
     alg = _quiver_algebra(n, [(v, v + 1) for v in range(1, n)], r, r)
     assert gldim_end_gen_cogen(alg) == DimValue.finite(gldim)
+
+
+DUAL_NUMBERS = {
+    "vertices": ["1"],
+    "arrows": [{"name": "x", "from": "1", "to": "1"}],
+    "relations": [[{"coeff": "1", "path": ["x", "x"]}]],
+    "length_bound": 3,
+}
+
+
+@pytest.mark.parametrize("field", ["Q", {"GFp": 2}], ids=["Q", "GF2"])
+def test_oracle_finds_an_infinite_resolution_on_dual_numbers(field, tmp_path, monkeypatch, capsys):
+    """k[x]/(x^2) is self-injective, so End(A + DA) = A: the syzygy of the simple is the simple,
+    which the repeat test finds through one Hom solve; `check` reports gl.dim infinite and Fails."""
+    calls = []
+    hom = endo._Peirce.hom
+
+    def counted(self, v, w):
+        calls.append((v, w))
+        return hom(self, v, w)
+
+    monkeypatch.setattr(endo._Peirce, "hom", counted)
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    path = tmp_path / "dual_numbers.json"
+    path.write_text(json.dumps(dict(DUAL_NUMBERS, field=field)))
+    assert main(["check", str(path)]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["checks"]
+    assert report["verdict"] == "Fails"
+    assert "gl.dim End(A + DA) = infinite (agrees with the kernel test)" in report["notes"]
+    assert len(calls) == 1
+    assert gldim_end_gen_cogen(rio.algebra_from_dict(dict(DUAL_NUMBERS, field=field))) == DimValue.infinite()
+    assert len(calls) == 2
+
+
+def test_global_dimension_refuses_an_algebra_without_idempotents():
+    """global_dimension has one path: an algebra that carries no idempotents is refused, not
+    taken to its basic corner."""
+    with pytest.raises(VerificationFailed, match="carries no idempotents"):
+        global_dimension(upper_triangular_2x2())
 
 
 def _square_zero_table():
@@ -601,7 +639,7 @@ def _assert_sparse_constants_match_the_dense_table(alg, monkeypatch):
                 got[u] = c
             assert tuple(got) == want, (s, t)
     # the dense table carries no idempotents: its gl.dim comes from the trace form
-    assert global_dimension(make_algebra(f, table, g.unit)) == global_dimension(g)
+    assert global_dimension(basic_corner(make_algebra(f, table, g.unit))) == global_dimension(g)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(101)], ids=["Q", "GF101"])
@@ -638,13 +676,13 @@ def _failing_triples(g, i, j):
     n, b = g.dim, [_unit(g, t) for t in range(g.dim)]
     cand = {(i, j, z) for z in range(n)} | {(x, i, j) for x in range(n)}
     for x, y in itertools.product(range(n), repeat=2):
-        p = g.mult(b[x], b[y])
+        p = mult(g, b[x], b[y])
         if p[i]:
             cand.add((x, y, j))
         if p[j]:
             cand.add((i, x, y))
     return {(x, y, z) for x, y, z in cand
-            if g.mult(g.mult(b[x], b[y]), b[z]) != g.mult(b[x], g.mult(b[y], b[z]))}
+            if mult(g, mult(g, b[x], b[y]), b[z]) != mult(g, b[x], mult(g, b[y], b[z]))}
 
 
 def _with_terms(g, s, t, tt):
@@ -778,12 +816,12 @@ def test_associativity_visits_the_chaining_triples_and_no_square_table_exists(mo
 
     monkeypatch.setattr(endo, "_chains", counted)
     monkeypatch.setattr(endo, "_validate_algebra", scanned)
-    monkeypatch.setattr(endo, "make_algebra", dense)
+    monkeypatch.setattr(reference, "make_algebra", dense)
     g = gen_cogen_algebra(_nakayama(10, 3))
     n = g.dim
     b = [_unit(g, t) for t in range(n)]
-    tags = [(next(a for a, e in enumerate(g.idempotents) if g.mult(b[e], b[t]) == b[t]),
-             next(c for c, e in enumerate(g.idempotents) if g.mult(b[t], b[e]) == b[t])) for t in range(n)]
+    tags = [(next(a for a, e in enumerate(g.idempotents) if mult(g, b[e], b[t]) == b[t]),
+             next(c for c, e in enumerate(g.idempotents) if mult(g, b[t], b[e]) == b[t])) for t in range(n)]
     chaining = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                 if tags[i][1] == tags[j][0] and tags[j][1] == tags[k][0]]
     assert sorted(visited) == chaining
@@ -966,7 +1004,7 @@ def test_fitting_split_matches_the_reference_through_the_product_fallback():
     """id, e12, e21 and [[1, 1], [-1, -1]] on k^2, scaled by 2/3 or 5/7: each has one eigenvalue
     and only e12 e21 splits, in the product fallback."""
     s, t = Fraction(2, 3), Fraction(5, 7)
-    ops = [(Mat.from_rows(QQ, rows).scale(QQ.coerce(c)),) for rows, c in [
+    ops = [(from_rows(QQ, rows).scale(QQ.coerce(c)),) for rows, c in [
         ([[1, 0], [0, 1]], s), ([[0, 1], [0, 0]], t), ([[0, 0], [1, 0]], s), ([[1, 1], [-1, -1]], t)]]
     for op in ops:
         assert _ref_eigenvalue(op) is not None
@@ -983,7 +1021,7 @@ def test_root_search_gives_up_where_it_gives_up_on_the_op_itself():
     with id alone nothing splits k^2.  The integral diag(1, 2) would have given the search
     x^2 - 3x + 2."""
     p = 10**12 + 39
-    ops = [(Mat.identity(QQ, 2),), (Mat.from_rows(QQ, [[Fraction(1, p), 0], [0, Fraction(2, p)]]),)]
+    ops = [(Mat.identity(QQ, 2),), (from_rows(QQ, [[Fraction(1, p), 0], [0, Fraction(2, p)]]),)]
     for split in (endo.fitting_split, _ref_fitting_split):
         with pytest.raises(NonSplit):
             split(QQ, (2,), ops)
@@ -993,7 +1031,7 @@ def test_root_search_gives_up_where_it_gives_up_on_the_op_itself():
 def test_rotation_module_is_refused_as_by_the_reference(p):
     kron = load_fixture_algebra("kron", None if p is None else PrimeField(p))
     f = kron.field
-    m = Representation(kron, (2, 2), [Mat.identity(f, 2), Mat.from_rows(f, [[0, -1], [1, 0]])])
+    m = Representation(kron, (2, 2), [Mat.identity(f, 2), from_rows(f, [[0, -1], [1, 0]])])
     ops = [b.mats for b in hom_basis(m, m)]
     for split in (endo.fitting_split, _ref_fitting_split):
         with pytest.raises(NonSplit):
@@ -1017,7 +1055,7 @@ def _count_products(monkeypatch):
     (PrimeField(2), [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),  # lam = 2 / 3 = 0, tr(psi^2) = 2 = 0
 ], ids=["3-cycle-Q", "diag110-GF2"])
 def test_a_block_with_tr_psi2_zero_is_squared_and_refused(field, rows, monkeypatch):
-    m = Mat.from_rows(field, rows)
+    m = from_rows(field, rows)
     count = _count_products(monkeypatch)
     assert endo._single_eigenvalue(m) is None
     assert count[0] > 0
@@ -1027,15 +1065,15 @@ def test_a_block_with_tr_psi2_zero_is_squared_and_refused(field, rows, monkeypat
 @pytest.mark.parametrize("lam", [-3, 0, 5])
 def test_lam_plus_nilpotent_in_a_unimodular_basis(field, lam):
     s, s_inv = gen.unimodular(random.Random("nilpotent:%d" % lam), 4)
-    n = Mat.from_rows(field, [[int(j > i) * (i + j) for j in range(4)] for i in range(4)])
-    m = Mat.from_rows(field, s).mul(n).mul(Mat.from_rows(field, s_inv)).add(Mat.identity(field, 4).scale(
+    n = from_rows(field, [[int(j > i) * (i + j) for j in range(4)] for i in range(4)])
+    m = from_rows(field, s).mul(n).mul(from_rows(field, s_inv)).add(Mat.identity(field, 4).scale(
         field.from_int(lam)))
     assert endo._single_eigenvalue(m) == field.from_int(lam)
 
 
 def test_two_rational_eigenvalues_are_refused_before_any_product(monkeypatch):
     s, s_inv = gen.unimodular(random.Random("two eigenvalues"), 3)
-    m = Mat.from_rows(QQ, s).mul(Mat.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 3]])).mul(Mat.from_rows(QQ, s_inv))
+    m = from_rows(QQ, s).mul(from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 3]])).mul(from_rows(QQ, s_inv))
     count = _count_products(monkeypatch)
     assert endo._single_eigenvalue(m) is None
     assert count[0] == 0

@@ -28,10 +28,10 @@ from repherd.modules import (
     morphism_flat,
     projective_at,
     radical_of,
-    simple_at,
     top_dims,
 )
 
+from tests.reference import node_named, simple_at
 from tests.conftest import ROOT, catalog_of, fixture_path, load_fixture_algebra, main_report_of
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -295,7 +295,7 @@ def test_part_v_says_not_minimal(d4):
     P(3), together with the cover of the cokernel, map onto tau^-1 P(1) from a source larger
     than the minimal add(A + DA)-approximation's."""
     gc = gen_cogen(d4)
-    x = catalog_of(d4).node_named("τ⁻¹P(1)").rep
+    x = node_named(catalog_of(d4), "τ⁻¹P(1)").rep
     p3 = projective_at(d4, "3")
     with_p3 = list(gc.injectives) + [p3]
     assert _assert_minimality_by_dims(x, with_p3, HomTable(with_p3), gc.homs) is False

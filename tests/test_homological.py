@@ -37,7 +37,6 @@ from repherd.modules import (
     dual_morphism,
     gen_cogen,
     hom_basis,
-    hom_dim,
     indec_isomorphic,
     indecomposable_summands,
     injective_at,
@@ -46,12 +45,12 @@ from repherd.modules import (
     kernel_of,
     morphism_flat,
     projective_at,
-    simple_at,
     subrep_from_bases,
     zero_morphism,
     zero_rep,
 )
 
+from tests.reference import from_rows, hom_dim, node_named, simple_at
 from tests.conftest import catalog_of, fixture_path, load_fixture_algebra, verify_almost_split
 
 
@@ -200,7 +199,7 @@ def test_trace_and_reject(loop2, kron):
         assert in_gen(projs, m)
     injs = [injective_at(loop2, v) for v in range(nv)]
     assert in_gen(injs, simple_at(loop2, "1"))
-    r = Representation(kron, (1, 1), [Mat.from_rows(QQ, [[1]]), Mat.from_rows(QQ, [[1]])])
+    r = Representation(kron, (1, 1), [from_rows(QQ, [[1]]), from_rows(QQ, [[1]])])
     k_injs = [injective_at(kron, v) for v in range(2)]
     ev = evaluation(k_injs, r)
     assert sum(rank(a) for a in ev.mats) == 0
@@ -548,7 +547,7 @@ def test_proj_and_inj_dim_match_the_keyed_reference(name, field):
                 clashes += clash
     if name == "loop2":
         assert infinite and clashes
-        assert proj_dim(cat.node_named("I(2)").rep, 2) == DimValue.at_least(2)
+        assert proj_dim(node_named(cat, "I(2)").rep, 2) == DimValue.at_least(2)
 
 
 def test_proj_dim_decomposes_each_syzygy_at_most_once(loop2, monkeypatch):
@@ -564,7 +563,7 @@ def test_proj_dim_decomposes_each_syzygy_at_most_once(loop2, monkeypatch):
         return indecomposable_summands(rep)
 
     monkeypatch.setattr(hom, "indecomposable_summands", counted)
-    m = catalog_of(loop2).node_named("I(2)").rep
+    m = node_named(catalog_of(loop2), "I(2)").rep
     assert proj_dim(m) == DimValue.infinite()
     assert len(seen) == len({id(rep) for rep in seen}) == 3
     assert seen[0] is m and all(rep.dims == m.dims for rep in seen)

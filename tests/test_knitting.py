@@ -11,8 +11,8 @@ from repherd import catalog
 from repherd.catalog import Budget, enumerate_indecomposables
 from repherd.fields import PrimeField
 from repherd.io import algebra_from_dict
-from repherd.modules import hom_dim
 
+from tests.reference import hom_dim
 from tests.conftest import ROOT, catalog_of, load_fixture_algebra
 from tests.test_cli import E6
 

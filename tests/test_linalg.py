@@ -12,7 +12,6 @@ from repherd.linalg import (
     Mat,
     SpanTracker,
     _echelon,
-    _gauss_jordan,
     _insert,
     _modulus,
     _row_space,
@@ -31,6 +30,7 @@ from repherd.linalg import (
     solve,
     vstack,
 )
+from tests.reference import _gauss_jordan, from_rows, row_lists
 from tests.conftest import in_form
 
 
@@ -70,7 +70,7 @@ def test_rref_identity():
 
 
 def test_rref_proportional_rows():
-    m = Mat.from_rows(QQ, [[2, 4], [1, 2]])
+    m = from_rows(QQ, [[2, 4], [1, 2]])
     _, rk, pivots = rref(m)
     assert rk == 1 and pivots == (0,)
 
@@ -80,11 +80,11 @@ def test_rref_rank_matches_bareiss_oracle_gf101():
     rng = random.Random("rref-oracle")
     for _ in range(25):
         rows = [[rng.randrange(-9, 10) for _ in range(7)] for _ in range(5)]
-        m = Mat.from_rows(fld, [[x % 101 for x in r] for r in rows])
+        m = from_rows(fld, [[x % 101 for x in r] for r in rows])
         # fraction-free oracle over the integers, then project mod 101:
         # ranks agree because every integer pivot stays nonzero mod 101
         # for entries this small only when computed over Q; compare there.
-        mq = Mat.from_rows(QQ, rows)
+        mq = from_rows(QQ, rows)
         assert rank(mq) == bareiss_rank(rows)
         assert rank(m) <= rank(mq)
 
@@ -94,7 +94,7 @@ def test_rref_idempotent_random_both_fields():
         rng = random.Random("idem:%s" % fld)
         for _ in range(20):
             rows = [[rng.randrange(-5, 6) for _ in range(6)] for _ in range(4)]
-            m = Mat.from_rows(fld, rows)
+            m = from_rows(fld, rows)
             red, rk, piv = rref(m)
             red2, rk2, piv2 = rref(red)
             assert red2.eq(red) and rk2 == rk and piv2 == piv
@@ -104,7 +104,7 @@ def test_rank_nullity():
     rng = random.Random("rank-nullity")
     for _ in range(20):
         rows = [[rng.randrange(-4, 5) for _ in range(5)] for _ in range(7)]
-        m = Mat.from_rows(QQ, rows)
+        m = from_rows(QQ, rows)
         assert rank(m) + kernel_basis(m).cols == m.cols
 
 
@@ -114,7 +114,7 @@ def test_kernel_identity_and_zero():
 
 
 def test_kernel_example_proportional():
-    m = Mat.from_rows(QQ, [[1, 1, 0], [0, 0, 1]])
+    m = from_rows(QQ, [[1, 1, 0], [0, 0, 1]])
     k = kernel_basis(m)
     assert k.cols == 1
     v = k.col(0)
@@ -124,29 +124,29 @@ def test_kernel_example_proportional():
 
 
 def test_solve_identity_and_inconsistent():
-    b = Mat.from_rows(QQ, [[1], [2], [3]])
+    b = from_rows(QQ, [[1], [2], [3]])
     x = solve(Mat.identity(QQ, 3), b)
     assert x.eq(b)
-    a = Mat.from_rows(QQ, [[1], [1]])
-    assert solve(a, Mat.from_rows(QQ, [[0], [1]])) is None
+    a = from_rows(QQ, [[1], [1]])
+    assert solve(a, from_rows(QQ, [[0], [1]])) is None
 
 
 def test_solve_substitution_random():
     rng = random.Random("solve-sub")
     for _ in range(15):
-        a = Mat.from_rows(QQ, [[rng.randrange(-3, 4) for _ in range(4)] for _ in range(5)])
-        xtrue = Mat.from_rows(QQ, [[rng.randrange(-3, 4)] for _ in range(4)])
+        a = from_rows(QQ, [[rng.randrange(-3, 4) for _ in range(4)] for _ in range(5)])
+        xtrue = from_rows(QQ, [[rng.randrange(-3, 4)] for _ in range(4)])
         b = a.mul(xtrue)
         x = solve(a, b)
         assert x is not None and a.mul(x).eq(b)
 
 
 def test_col_space_and_inverse():
-    m = Mat.from_rows(QQ, [[1, 2, 3], [0, 0, 1], [1, 2, 4]])
+    m = from_rows(QQ, [[1, 2, 3], [0, 0, 1], [1, 2, 4]])
     cs = col_space(m)
     assert cs.cols == rank(m) == 2
-    inv = inverse(Mat.from_rows(QQ, [[2, 1], [1, 1]]))
-    assert inv.eq(Mat.from_rows(QQ, [[1, -1], [-1, 2]]))
+    inv = inverse(from_rows(QQ, [[2, 1], [1, 1]]))
+    assert inv.eq(from_rows(QQ, [[1, -1], [-1, 2]]))
 
 
 def test_span_tracker_coords():
@@ -218,7 +218,7 @@ def test_fraction_free_rref_over_q_matches_the_dense_loop(drawn):
     what dense Gauss-Jordan gives, entry by entry."""
     m, data = drawn
     f = m.field
-    rows = m.row_lists()
+    rows = row_lists(m)
     pivots = _gauss_jordan(f, rows, m.cols)
     reduced, rk, piv = rref(m)
     assert piv == tuple(pivots) and rk == rank(m) == len(pivots)
@@ -236,10 +236,10 @@ def test_fraction_free_rref_over_q_matches_the_dense_loop(drawn):
     assert m.mul(ker).is_zero()
     # solve on a random right-hand side, often inconsistent, and on one in the image
     nb = data.draw(st.integers(0, 2))
-    b = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.rows)])
+    b = from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.rows)])
     xs = solve(m, b)
     assert (None if xs is None else xs.entries) == dense_solve(m, b)
-    x = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.cols)])
+    x = from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.cols)])
     if m.rows:
         xs = solve(m, m.mul(x))
         assert xs.entries == dense_solve(m, m.mul(x)) and m.mul(xs).eq(m.mul(x))
@@ -308,7 +308,7 @@ def test_empty_shapes_follow_the_plain_definitions(drawn, s):
 
 def dense_kernel(f, m):
     """The kernel basis dense Gauss-Jordan reads off: one column per free column of m, in order."""
-    rows = m.row_lists()
+    rows = row_lists(m)
     pivots = _gauss_jordan(f, rows, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     cols = []
@@ -329,7 +329,7 @@ def test_empty_shapes_match_the_dense_reference(drawn, zero_rhs):
     give what dense Gauss-Jordan gives."""
     f, a, b, c = drawn
     for x in (a, b, c):
-        pivots = _gauss_jordan(f, x.row_lists(), x.cols)
+        pivots = _gauss_jordan(f, row_lists(x), x.cols)
         assert rank(x) == len(pivots)
         assert col_space(x) == Mat(f, x.rows, len(pivots), tuple(x.at(i, p) for i in range(x.rows) for p in pivots))
         assert kernel_basis(x) == dense_kernel(f, x)
@@ -435,7 +435,7 @@ def test_mat_entry_count_is_checked():
 
 
 def test_mat_value_equality_and_hash():
-    a = Mat.from_rows(QQ, [[1, 2], [3, 4]])
+    a = from_rows(QQ, [[1, 2], [3, 4]])
     b = Mat(QQ, 2, 2, (Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
     assert all(type(x) is int for x in a.entries)
     assert a == b and hash(a) == hash(b)
@@ -449,7 +449,7 @@ def test_mat_value_equality_and_hash():
 
 
 def test_mat_repr_is_readable():
-    m = Mat.from_rows(PrimeField(7), [[1, 0, 6]])
+    m = from_rows(PrimeField(7), [[1, 0, 6]])
     assert repr(m) == "Mat(field=GF(7), rows=1, cols=3, entries=(1, 0, 6))"
 
 
@@ -498,7 +498,7 @@ def test_every_result_is_in_the_stored_form(drawn):
     for out in (m.add(m.scale(s)), m.sub(m.scale(s)), m.scale(s), m.neg(), m.mul(mt), mt.mul(m)):
         assert ok(out.entries)
     assert ok(rref(m)[0].entries) and ok(kernel_basis(m).entries)
-    x = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=1, max_size=1)) for _ in range(m.cols)])
+    x = from_rows(f, [data.draw(st.lists(entries(f), min_size=1, max_size=1)) for _ in range(m.cols)])
     if m.rows and m.cols:
         assert ok(solve(m, m.mul(x)).entries)
     for sq in (m.mul(mt), mt.mul(m)):
@@ -560,10 +560,10 @@ def column_sets(draw):
         return field, Mat.zeros(field, d, 0)
     if shape == "full":
         def unit_triangular(upper):
-            return Mat.from_rows(field, [[draw(entries(field)) if (i < j) == upper and i != j else int(i == j)
+            return from_rows(field, [[draw(entries(field)) if (i < j) == upper and i != j else int(i == j)
                                           for j in range(d)] for i in range(d)])
         perm = draw(st.permutations(range(d)))
-        p = Mat.from_rows(field, [[int(perm[j] == i) for j in range(d)] for i in range(d)])
+        p = from_rows(field, [[int(perm[j] == i) for j in range(d)] for i in range(d)])
         full = unit_triangular(False).mul(unit_triangular(True)).mul(p) if d else Mat.zeros(field, 0, 0)
         return field, full
     c = draw(st.integers(0, d + 1))
@@ -607,7 +607,7 @@ def test_quotient_maps_edge_shapes():
         assert proj.eq(Mat.identity(field, 3)) and sect.eq(Mat.identity(field, 3))
         proj, sect = quotient_maps(field, Mat.identity(field, 3))
         assert (proj.rows, proj.cols, sect.rows, sect.cols) == (0, 3, 3, 0)
-        for dependent in (Mat.zeros(field, 2, 1), Mat.from_rows(field, [[1, 1], [1, 1]]), Mat.zeros(field, 0, 1)):
+        for dependent in (Mat.zeros(field, 2, 1), from_rows(field, [[1, 1], [1, 1]]), Mat.zeros(field, 0, 1)):
             with pytest.raises(DimensionMismatch, match="dependent input columns"):
                 quotient_maps(field, dependent)
 
@@ -646,8 +646,8 @@ def test_complement_places_edge_shapes():
         assert complement_places(Mat.zeros(field, 3, 0)) == [0, 1, 2]
         assert complement_places(Mat.zeros(field, 3, 2)) == [0, 1, 2]
         assert complement_places(Mat.identity(field, 3)) == []
-        assert complement_places(Mat.from_rows(field, [[1, 1], [1, 1]])) == [0]
-        assert complement_places(Mat.from_rows(field, [[1, 0], [0, 0], [1, 1]])) == [1]
+        assert complement_places(from_rows(field, [[1, 1], [1, 1]])) == [0]
+        assert complement_places(from_rows(field, [[1, 0], [0, 0], [1, 1]])) == [1]
 
 
 # -- forward elimination, then one back-substitution ------------------------------
@@ -721,13 +721,13 @@ def test_back_substituted_results_match_the_dense_loop(drawn):
     column spaces and on their columns as they come, equal dense Gauss-Jordan."""
     m, data = drawn
     f = m.field
-    rows = m.row_lists()
+    rows = row_lists(m)
     pivots = _gauss_jordan(f, rows, m.cols)
     assert rref(m) == (Mat(f, m.rows, m.cols, tuple(x for r in rows for x in r)), len(pivots), tuple(pivots))
     assert kernel_basis(m) == dense_kernel(f, m)
     nb = data.draw(st.integers(0, 2))
-    b = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.rows)])
-    x = Mat.from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.cols)])
+    b = from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.rows)])
+    x = from_rows(f, [data.draw(st.lists(entries(f), min_size=nb, max_size=nb)) for _ in range(m.cols)])
     for rhs in (b, m.mul(x)) if m.rows else (b,):
         xs = solve(m, rhs)
         assert (None if xs is None else xs.entries) == dense_solve(m, rhs)

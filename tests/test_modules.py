@@ -17,7 +17,6 @@ from repherd.modules import (
     direct_sum,
     dual_module,
     hom_basis,
-    hom_dim,
     identity_morphism,
     indec_isomorphic,
     indec_isomorphism,
@@ -30,7 +29,6 @@ from repherd.modules import (
     projective_at,
     projective_paths,
     radical_of,
-    simple_at,
     socle_of,
     subrep_from_bases,
     zero_morphism,
@@ -38,6 +36,7 @@ from repherd.modules import (
 )
 from repherd.io import algebra_from_dict
 
+from tests.reference import from_rows, hom_dim, simple_at
 from tests.conftest import ROOT, catalog_of, load_fixture_algebra, rebased
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -226,13 +225,13 @@ def test_path_action_is_the_product_from_the_identity(loop2, tilted4):
 def test_relation_violation_rejected(loop2):
     # alpha^2 = 0 fails for this matrix choice
     bad = [
-        Mat.from_rows(QQ, [[0, 0], [1, 0]]),  # alpha on a 2-dim space, alpha^2 = 0 ok
-        Mat.from_rows(QQ, [[1, 0]]),
+        from_rows(QQ, [[0, 0], [1, 0]]),  # alpha on a 2-dim space, alpha^2 = 0 ok
+        from_rows(QQ, [[1, 0]]),
     ]
     Representation(loop2, (2, 1), bad)  # fine
     worse = [
-        Mat.from_rows(QQ, [[1, 0], [0, 1]]),  # identity: alpha^2 != 0
-        Mat.from_rows(QQ, [[1, 0]]),
+        from_rows(QQ, [[1, 0], [0, 1]]),  # identity: alpha^2 != 0
+        from_rows(QQ, [[1, 0]]),
     ]
     with pytest.raises(InvalidRepresentation):
         Representation(loop2, (2, 1), worse)
@@ -242,7 +241,7 @@ def _sq_module(alpha, beta):
     """The module of sq with dims (1, 1, 0, 1): zero at vertex 3, so gamma and delta are empty."""
     sq = load_fixture_algebra("sq")
     f = sq.field
-    mats = [Mat.from_rows(f, [[alpha]]), Mat.from_rows(f, [[beta]]), Mat.zeros(f, 0, 1), Mat.zeros(f, 1, 0)]
+    mats = [from_rows(f, [[alpha]]), from_rows(f, [[beta]]), Mat.zeros(f, 0, 1), Mat.zeros(f, 1, 0)]
     return sq, mats
 
 
@@ -354,7 +353,7 @@ def _rotation_module(field):
 
     kron = load_fixture_algebra("kron", None if field is None else PrimeField(field))
     f = kron.field
-    return kron, Representation(kron, (2, 2), [Mat.identity(f, 2), Mat.from_rows(f, [[0, -1], [1, 0]])])
+    return kron, Representation(kron, (2, 2), [Mat.identity(f, 2), from_rows(f, [[0, -1], [1, 0]])])
 
 
 @pytest.mark.parametrize("p", [None, 3], ids=["Q", "GF3"])

@@ -9,9 +9,10 @@ change is the working tree.  Both run the same list of commands on the same
 input files: ``check --suite all`` and ``ar-quiver`` on each algebra fixture,
 on the fixtures with relations over GF(2) and GF(3) as well, on Dynkin and
 Nakayama algebras from ``perfbench/gen.py`` over Q, GF(2), GF(3) and GF(101),
-on the generated E8 over Q and GF(101), whose part (v) is the largest, and on
+on the generated E8 over Q and GF(101), whose part (v) is the largest, on
 the four Euclidean quivers of the ``catalog-q`` workload over Q, GF(2) and
-GF(3); ``check-tilted`` on each shipped tilting module with its hereditary
+GF(3), and on the dual numbers k[x]/(x^2), written here, over Q and GF(2),
+whose End(A + DA) has a simple of infinite projective dimension; ``check-tilted`` on each shipped tilting module with its hereditary
 algebra; and ``check-module`` on each shipped module with its algebra and on
 the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
 Kronecker sums with a repeated summand over Q and GF(3), on three larger ones,
@@ -86,6 +87,15 @@ LARGE = {
 # last, with 31 idempotents, is the largest algebra the oracle's certificate sees.
 DEEP_NAKAYAMA = [(14, 5), (20, 6), (24, 8)]
 DEEP_FIELDS = ["Q", 101]
+# k[x]/(x^2), over Q and GF(2): the one input on which the oracle finds a syzygy that repeats,
+# so the only one that solves a Hom between its graded modules.
+DUAL_NUMBERS = {
+    "vertices": ["1"],
+    "arrows": [{"name": "x", "from": "1", "to": "1"}],
+    "relations": [[{"coeff": "1", "path": ["x", "x"]}]],
+    "length_bound": 3,
+}
+DUAL_FIELDS = ["Q", 2]
 # Seeds the coefficients of the generated Dynkin and Nakayama algebras.
 SEED = 3
 # Commands run at once, one per core of a 2-core machine.
@@ -122,6 +132,10 @@ def inputs(workdir):
             label = "%s-GF%d" % (name, p)
             out.append((label, gen.write_json(workdir, label + ".json", dict(alg, field={"GFp": p})),
                         ["--budget-modules", str(budget)]))
+    for field in DUAL_FIELDS:
+        label = "dual-numbers-" + ("Q" if field == "Q" else "GF%d" % field)
+        spec = "Q" if field == "Q" else {"GFp": field}
+        out.append((label, gen.write_json(workdir, label + ".json", dict(DUAL_NUMBERS, field=spec)), []))
     return out
 
 
