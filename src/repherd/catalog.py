@@ -8,7 +8,6 @@ from .errors import BudgetExceeded, IncompleteCatalog, VerificationFailed
 from .homological import (
     _transpose_with_cover,
     almost_split_sequence,
-    ar_translate,
     image_dims,
     inj_dim,
     proj_dim,
@@ -52,6 +51,13 @@ class CatalogNode:
     # off the arrows out of tau of this node when they add up (see _mesh_middle).
     # None until the node is knitted.
     arrows: dict | None = None
+    # (the projective cover of rep, the inclusion of its kernel), kept from the transpose
+    # that the tau step built, or that _fill_tau_tables built where the budget stopped
+    # knitting first, and the same for dual from the tau^{-1} step.  None where no such
+    # transpose was built: at a node linked to its translate from the other side, or at one
+    # read from a cache.
+    cover: tuple | None = None
+    dual_cover: tuple | None = None
 
     @property
     def in_add_gen_cogen(self):
@@ -188,6 +194,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
                 break
         if node.proj_vertex is None and node.tau is None:
             presentation = _transpose_with_cover(node.rep)
+            node.cover = presentation[1:]
             j = add_translate(dual_module(presentation[0]))
             if j is None:
                 break
@@ -200,6 +207,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
             # D of the sequence over A^op that ends at D(node): tau^{-1} = Tr D
             dual = node.dual
             presentation = _transpose_with_cover(dual)
+            node.dual_cover = presentation[1:]
             j = add_translate(presentation[0])
             if j is None:
                 break
@@ -238,7 +246,8 @@ def _mesh_middle(nodes, s, right):
 
 
 def _fill_tau_tables(cat: IndecomposableCatalog):
-    """Read tau off ar_translate for the nodes that a knitting stopped by the budget never reached.
+    """Read tau off the transpose for the nodes that a knitting stopped by the budget never
+    reached, and keep each one's projective cover as the tau step does.
 
     Knitting links every node of a complete catalog both ways.
     """
@@ -246,7 +255,9 @@ def _fill_tau_tables(cat: IndecomposableCatalog):
         return
     for i, node in enumerate(cat.nodes):
         if node.proj_vertex is None and node.tau is None:
-            node.tau = cat.find(ar_translate(node.rep))
+            presentation = _transpose_with_cover(node.rep)
+            node.cover = presentation[1:]
+            node.tau = cat.find(dual_module(presentation[0]))
             if node.tau is not None:
                 cat.nodes[node.tau].tau_inv = i
 
@@ -311,14 +322,14 @@ def node_facts(cat: IndecomposableCatalog):
     gc = gen_cogen(cat.algebra)
     # the trace of DA in x is the image of the maps into x from the entries that are the I(v);
     # the duals of the projectives are the injectives over A^op, and dim rej_A(x) = dim x -
-    # dim tr_{D A}(Dx).  Both traces read the rows the Hom tables keep for x and for Dx.
+    # dim tr_{D A}(Dx).  Both traces read only these entries of the Hom tables' rows for x
+    # and for Dx: trace is dim tr_{DA}(x), and cotrace is dim x - dim rej_A(x).
     n = len(gc.projectives)
     facts = []
     for node in cat.nodes:
         x, dx = node.rep, node.dual
-        into_x, into_dx = gc.homs.into(x), gc.dual_homs.into(dx)
-        trace = sum(image_dims([h for e in gc.inj_entries for h in into_x[e]], x))  # of DA in x
-        cotrace = sum(image_dims([h for hs in into_dx[:n] for h in hs], dx))       # dim x - dim rej_A(x)
+        trace = sum(image_dims([h for e in gc.inj_entries for h in gc.homs.entry(x, e)], x))
+        cotrace = sum(image_dims([h for i in range(n) for h in gc.dual_homs.entry(dx, i)], dx))
         facts.append(
             {
                 "pd": proj_dim(x),

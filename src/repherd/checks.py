@@ -16,6 +16,7 @@ from .homological import (
     in_cogen,
     minimal_right_approx,
     proj_dim,
+    projective_cover,
     syzygy,
 )
 from .modules import (
@@ -85,12 +86,28 @@ def _projective_piece_names(k, prefix, projs):
     return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top[v])]
 
 
-def _kernel_half(m, homs, add_names, prefix, kind, projs):
+def _kernel_half(m, homs, outside, add_names, prefix, kind, projs, cover=None):
     """The minimal right approximation of m by add of the modules of the Hom table homs, its
-    kernel, the kernel's summand names, and whether the kernel is projective."""
+    kernel, the kernel's summand names, and whether the kernel is projective.
+
+    outside indexes the entries of homs that are injective and not projective; every other
+    entry is projective, and every indecomposable projective is isomorphic to one of them.
+    When no entry of outside maps to m, the projective cover of m is the approximation: a
+    map from a projective factors through the cover, which is onto, the maps from the other
+    entries are zero, and a projective cover is right minimal (Auslander–Reiten–Smalø,
+    ch. I).  Its kernel is the syzygy of m.  `cover` is (the projective cover of m, the
+    inclusion of its kernel) when the caller already holds them; otherwise the cover is
+    built.  Only when some entry of outside maps to m is minimal_right_approx asked.
+    """
     add_list = homs.modules
-    f = minimal_right_approx(m, add_list, _homs=homs)
-    ker, _ = kernel_of(f)
+    if any(homs.entry(m, i) for i in outside):
+        f = minimal_right_approx(m, add_list, _homs=homs)
+        ker, _ = kernel_of(f)
+    elif cover is not None:
+        f, ker = cover[0], cover[1].source
+    else:
+        f = projective_cover(m)
+        ker, _ = kernel_of(f)
     names = _projective_piece_names(ker, prefix, projs)
     ok = names is not None
     if not ok:
@@ -101,18 +118,31 @@ def _kernel_half(m, homs, add_names, prefix, kind, projs):
     return f, ker, names, ok
 
 
-def _module_kernel_test(alg, m, dm=None):
+def _module_kernel_test(alg, m, dm=None, cover=None, dual_cover=None):
     """Right and left approximation tests for one module outside add(A+DA).
 
     The left test is the right one for Dm over the opposite algebra: the
     cokernel of the minimal left approximation of m is dual to the kernel of
     the minimal right approximation of Dm by the duals of add(A+DA).  A caller
-    that keeps Dm passes it as dm, whose Hom rows the table then keeps.
+    that keeps Dm passes it as dm, whose Hom rows the table then keeps, and a
+    caller that holds the projective cover of m, or of dm, with the inclusion
+    of its kernel passes the pair as cover, or as dual_cover.
+
+    The injectives that are not projective are the entries of gc.modules after
+    the projectives; over the opposite algebra they are the duals of the
+    projectives that are not injective, the P(v) whose index is no entry of
+    gc.inj_entries.
     """
     gc = gen_cogen(alg)
-    f, ker, knames, right_ok = _kernel_half(m, gc.homs, gc.names, "P", "projective", gc.projectives)
+    n = len(gc.projectives)
+    inj_outside = range(n, len(gc.modules))
+    dual_inj_outside = [i for i in range(n) if i not in gc.inj_entries]
+    f, ker, knames, right_ok = _kernel_half(
+        m, gc.homs, inj_outside, gc.names, "P", "projective", gc.projectives, cover
+    )
     dg, dcok, cnames, left_ok = _kernel_half(
-        dual_module(m) if dm is None else dm, gc.dual_homs, gc.names, "I", "injective", gc.injectives
+        dual_module(m) if dm is None else dm, gc.dual_homs, dual_inj_outside, gc.names, "I", "injective",
+        gc.injectives, dual_cover,
     )
     detail = {
         "right_source_dims": list(f.source.dims),
@@ -142,7 +172,7 @@ def check_representation_hereditary(alg, budget: Budget | None = None, catalog=N
     cond3 = True
     cond5 = True
     for node in outside:
-        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep, node.dual)
+        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep, node.dual, node.cover, node.dual_cover)
         detail["module"] = node.name
         report.witnesses.append(detail)
         cond3 = cond3 and right_ok
@@ -296,7 +326,7 @@ def _gate_hom_da_a(alg):
     verts = alg.quiver.vertices
     for i, e in enumerate(gc.inj_entries):
         for j in range(len(gc.projectives)):
-            if gc.homs.row(j)[e]:
+            if gc.homs.entry(gc.modules[j], e):
                 return (verts[i], verts[j])
     return None
 

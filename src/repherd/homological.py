@@ -424,10 +424,10 @@ def minimal_right_approx(m: Representation, xs, _homs=None) -> ModuleMorphism:
     never becomes droppable, and one pass in order drops exactly what a greedy
     search restarted after each removal drops.
 
-    Hom(X_i, m) and the Hom(X_j, X_i) are read from a `HomTable`.  `_homs` is an
-    internal argument: a table whose modules include each of xs, the very objects,
-    shared by callers that approximate by the same modules again; without it a
-    fresh table is built.
+    Hom(X_i, m) and the Hom(X_j, X_i) are read from a `HomTable`, which solves
+    only the entries of xs.  `_homs` is an internal argument: a table whose
+    modules include each of xs, the very objects, shared by callers that
+    approximate by the same modules again; without it a fresh table is built.
     """
     if _homs is None:
         _homs = HomTable(xs)
@@ -436,17 +436,16 @@ def minimal_right_approx(m: Representation, xs, _homs=None) -> ModuleMorphism:
         raise ValueError("the Hom table does not hold every module of the list")
     alg = m.algebra
     fld = alg.field
-    into_m = _homs.into(m)
-    to_m = [into_m[a] for a in at]
+    to_m = [_homs.entry(m, a) for a in at]
     comps = []
     blocks = []  # blocks[k][j]: the flattened h . b, b in Hom(X_j, X_i), for component k = (X_i, h)
-    for i, (x, hs) in enumerate(zip(xs, to_m)):
+    for x, hs in zip(xs, to_m):
         if not hs:
             continue
-        into_x = _homs.row(at[i])
+        into_x = [_homs.entry(x, a) for a in at]
         for h in hs:
             comps.append((x, h))
-            blocks.append([[morphism_flat(compose(h, b)) for b in into_x[a]] for a in at])
+            blocks.append([[morphism_flat(compose(h, b)) for b in hb] for hb in into_x])
 
     def approximates(keep, js):
         return all(_spans(fld, [vec for k in keep for vec in blocks[k][j]], len(to_m[j])) for j in js)

@@ -283,8 +283,10 @@ def injective_at(alg, v) -> Representation:
 
 
 class HomTable:
-    """Hom from a fixed list of modules, each solved once: into(m) is [hom_basis(X, m)
-    for each X], solved the first time m is asked for, and row(i) is into(modules[i]).
+    """Hom from a fixed list of modules, each entry solved once: entry(m, i) is
+    hom_basis(modules[i], m), solved the first time it is asked for; into(m) is the
+    whole row [hom_basis(X, m) for each X], with whatever is missing filled in, and
+    row(i) is into(modules[i]).
 
     The rows are kept by the object m itself, which the table keeps alive, so a module
     made later never reads the rows of one that is gone.  Callers never change them.
@@ -296,11 +298,16 @@ class HomTable:
         self.modules = modules
         self._rows = {}
 
-    def into(self, m):
+    def entry(self, m, i):
         row = self._rows.get(m)
         if row is None:
-            row = self._rows[m] = [hom_basis(x, m) for x in self.modules]
-        return row
+            row = self._rows[m] = [None] * len(self.modules)
+        if row[i] is None:
+            row[i] = hom_basis(self.modules[i], m)
+        return row[i]
+
+    def into(self, m):
+        return [self.entry(m, i) for i in range(len(self.modules))]
 
     def row(self, i):
         return self.into(self.modules[i])

@@ -1,0 +1,145 @@
+"""The kernel test's cover branch: where no injective that is not projective maps to a module,
+the module's projective cover is its minimal right add(A + DA)-approximation, and the kernel
+test reads it, or the cover knitting kept, in place of asking minimal_right_approx."""
+import os
+import random
+import sys
+
+import pytest
+
+from repherd import checks
+from repherd import io as rio
+from repherd.catalog import Budget, enumerate_indecomposables
+from repherd.fields import PrimeField
+from repherd.homological import projective_cover
+from repherd.modules import gen_cogen, kernel_of
+
+from tests.conftest import ROOT, catalog_of, fixture_path, load_fixture_algebra
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
+
+FIXTURES = ["a2", "a3", "a4_rad2", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+RELATION_FIXTURES = ["a4_rad2", "loop2", "sq", "tilted4", "tilted5"]
+NAKAYAMA = [(n, r) for n in range(3, 9) for r in range(2, n)]
+# The halves, one per module and side, that the general path runs on; every other input has none.
+GENERAL_HALVES = {"loop2": 2, "tilted4": 4}
+
+CASES = (
+    [(name, None) for name in FIXTURES]
+    + [(name, p) for name in RELATION_FIXTURES for p in (2, 3)]
+    + [("A%d/rad%d" % nr, None) for nr in NAKAYAMA]
+)
+
+
+def _algebra(name, p):
+    if name.startswith("A"):
+        n, r = map(int, name[1:].split("/rad"))
+        return rio.algebra_from_dict(gen.nakayama_algebra(random.Random(name), n, r, "Q"))
+    return load_fixture_algebra(name, None if p is None else PrimeField(p))
+
+
+def _sides(alg, node):
+    """For the right and the left test of a node: (the module, its Hom table, the entries of the
+    table that are injective and not projective, the names and the projectives that name the
+    kernel's pieces, the cover knitting kept or None)."""
+    gc = gen_cogen(alg)
+    n = len(gc.projectives)
+    return [
+        (node.rep, gc.homs, range(n, len(gc.modules)), ("P", "projective", gc.projectives), node.cover),
+        (node.dual, gc.dual_homs, [i for i in range(n) if i not in gc.inj_entries],
+         ("I", "injective", gc.injectives), node.dual_cover),
+    ]
+
+
+def _half(alg, m, homs, outside, naming, cover):
+    """The source dimensions, kernel dimensions, kernel piece names and projectivity of one half."""
+    f, ker, names, ok = checks._kernel_half(m, homs, outside, gen_cogen(alg).names, *naming, cover)
+    return list(f.source.dims), list(ker.dims), names, ok
+
+
+@pytest.mark.parametrize("name, p", CASES, ids=["%s-%s" % (n, "Q" if p is None else "GF%d" % p) for n, p in CASES])
+def test_cover_branch_gives_the_minimal_approximation(name, p):
+    """On every module outside add(A + DA) and on its dual, the cover branch, with a fresh cover
+    and with the one knitting kept, gives what minimal_right_approx gives.  Counting every entry
+    of the table as one that may map in sends a half down the general path, as a projective maps
+    onto each nonzero module."""
+    alg = _algebra(name, p)
+    general = 0
+    for node in catalog_of(alg).nodes:
+        if node.in_add_gen_cogen:
+            continue
+        for m, homs, outside, naming, cover in _sides(alg, node):
+            assert not m.is_zero()
+            want = _half(alg, m, homs, range(len(homs.modules)), naming, None)
+            assert _half(alg, m, homs, outside, naming, cover) == want
+            if any(homs.entry(m, i) for i in outside):
+                general += 1
+                continue
+            assert _half(alg, m, homs, (), naming, None) == want
+            if cover is not None:
+                assert _half(alg, m, homs, (), naming, cover) == want
+    assert general == GENERAL_HALVES.get(name, 0)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_general_path_runs_only_on_loop2_and_tilted4(name, monkeypatch):
+    """The main check asks minimal_right_approx once for each half where an injective that is not
+    projective maps in: twice on loop2, four times on tilted4, and never on the hereditary fixtures
+    or on the other ones with relations."""
+    alg = rio.load_algebra(fixture_path(name + ".json"))
+    cat = enumerate_indecomposables(alg)
+    calls = []
+    original = checks.minimal_right_approx
+
+    def recording(m, xs, _homs=None):
+        calls.append(m)
+        return original(m, xs, _homs=_homs)
+
+    monkeypatch.setattr(checks, "minimal_right_approx", recording)
+    checks.check_representation_hereditary(alg, catalog=cat)
+    assert len(calls) == GENERAL_HALVES.get(name, 0)
+    if not alg.relations:
+        assert calls == []
+
+
+# The covers that nodes outside add(A + DA) carry, of the module or of its dual.  A node whose
+# translates were both linked from the other side, as every such node of d4 is, carries none.
+# kron's catalog stops at the budget, and the tau links it fills in keep covers too.
+CARRIED = {"d4": 0, "h5": 5, "tilted5": 3, "a4_rad2": 1, "sq": 1, "kron": 11}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_carried_cover_is_the_fresh_one(name):
+    """A cover that knitting kept, with its kernel's inclusion, has the matrices of a fresh
+    projective_cover and kernel_of."""
+    alg = load_fixture_algebra(name)
+    carried = 0
+    for node in catalog_of(alg).nodes:
+        for m, cover in ((node.rep, node.cover), (node.dual, node.dual_cover)):
+            if cover is None:
+                continue
+            carried += not node.in_add_gen_cogen
+            fresh = projective_cover(m)
+            ker, incl = kernel_of(fresh)
+            assert cover[0].source.dims == fresh.source.dims and cover[0].source.mats == fresh.source.mats
+            assert cover[0].mats == fresh.mats and cover[0].target is m
+            assert cover[1].source.mats == ker.mats and cover[1].mats == incl.mats
+    assert carried == CARRIED[name]
+
+
+@pytest.mark.parametrize("name", ["d4", "h5", "loop2", "tilted4", "tilted5", "a4_rad2"])
+def test_cached_catalog_gives_the_same_report(name, tmp_path, monkeypatch):
+    """A catalog read from the cache carries no covers; the main check builds them and gives the
+    report it gives on the knitted catalog."""
+    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
+    budget = Budget()
+    alg = rio.load_algebra(fixture_path(name + ".json"))
+    cat = enumerate_indecomposables(alg, budget)
+    rio.save_catalog_cache(alg, cat, budget)
+    fresh = rio.load_algebra(fixture_path(name + ".json"))
+    cached = rio.load_catalog_cache(fresh, budget)
+    assert cached is not None and len(cached.nodes) == len(cat.nodes)
+    assert all(node.cover is None and node.dual_cover is None for node in cached.nodes)
+    want = checks.check_representation_hereditary(alg, catalog=cat).to_json()
+    assert checks.check_representation_hereditary(fresh, catalog=cached).to_json() == want

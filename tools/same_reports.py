@@ -13,8 +13,10 @@ on the generated E8 over Q and GF(101), whose part (v) is the largest, on
 the four Euclidean quivers of the ``catalog-q`` workload over Q, GF(2) and
 GF(3), and on the dual numbers k[x]/(x^2), written here, over Q and GF(2),
 whose End(A + DA) has a simple of infinite projective dimension; ``check-tilted`` on each shipped tilting module with its hereditary
-algebra; and ``check-module`` on each shipped module with its algebra and on
-the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
+algebra; and ``check-module`` on each shipped module with its algebra, on
+the simples outside add(A + DA) of loop2 and tilted4 and the sum of
+tilted4's two, which a non-projective injective maps to, over Q, GF(2) and
+GF(3), and on the twelve Kronecker module sums of the ``module-queries-q`` workload, on three
 Kronecker sums with a repeated summand over Q and GF(3), on three larger ones,
 of total dimension 15 or 16, over Q and GF(101), and on the rotation module
 a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  ``check`` alone runs on
@@ -96,6 +98,19 @@ DUAL_NUMBERS = {
     "length_bound": 3,
 }
 DUAL_FIELDS = ["Q", 2]
+# Modules that an injective that is not projective maps to, so that the kernel test
+# approximates them by minimal_right_approx and not by their projective cover: the nodes
+# outside add(A + DA) of loop2 and of tilted4, each a simple, and the sum of tilted4's two.
+# They run with check-module over Q and, with the algebra files that inputs() writes, over
+# GF(2) and GF(3).
+GENERAL_PATH = {
+    "loop2": {"S(1)": {"dims": {"1": 1}, "maps": {}}},
+    "tilted4": {
+        "S(2)": {"dims": {"2": 1}, "maps": {}},
+        "S(3)": {"dims": {"3": 1}, "maps": {}},
+        "S(2)+S(3)": {"dims": {"2": 1, "3": 1}, "maps": {}},
+    },
+}
 # Seeds the coefficients of the generated Dynkin and Nakayama algebras.
 SEED = 3
 # Commands run at once, one per core of a 2-core machine.
@@ -154,6 +169,14 @@ def commands(workdir):
         for alg, mod in pairs:
             paths = [os.path.join(ROOT, "fixtures", name + ".json") for name in (alg, mod)]
             out.append(("%s %s %s" % (sub, alg, mod), [sub] + paths))
+    for name, mods in GENERAL_PATH.items():
+        for p in [None] + SMALL_PRIMES:
+            tag = "Q" if p is None else "GF%d" % p
+            alg = os.path.join(ROOT, "fixtures", name + ".json") if p is None else \
+                os.path.join(workdir, "%s-%s.json" % (name, tag))
+            for mod, data in mods.items():
+                path = gen.write_json(workdir, "%s-%s-%s.json" % (name, mod, tag), data)
+                out.append(("check-module %s-%s %s" % (name, tag, mod), ["check-module", alg, path]))
     # the seed only orders a workload's requests; its inputs come from fixed streams
     for req in workloads.module_queries_q(random.Random(0), workdir, ROOT).requests:
         out.append((req.label, req.argv))
