@@ -48,7 +48,7 @@ class CatalogNode:
     tau_inv: int | None = None   # index of tau^{-1}(this) when non-injective
     # The AR arrows into this node, {source index: multiplicity}: the summands of
     # rad P, or of the middle term of the almost-split sequence ending here, read
-    # off the arrows out of tau of this node when they add up (see _mesh_middle).
+    # off the arrows out of both of its ends when they add up (see _mesh_middle).
     # None until the node is knitted.
     arrows: dict | None = None
     # (the projective cover of rep, the inclusion of its kernel), kept from the transpose
@@ -148,10 +148,10 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
 
     def in_arrows(s, t, z, presentation):
         """The in-arrows of node t, at the right end of the almost-split sequence that starts at
-        node s; None once over budget.  They are read off the arrows out of s when those add
-        up; otherwise the sequence ending at z (t's module, or D of s's over A^op) is built
-        from its transpose `presentation` and its middle term is split."""
-        arrows = _mesh_middle(nodes, s, nodes[t].rep)
+        node s; None once over budget.  They are read off the arrows out of s and out of t when
+        those add up; otherwise the sequence ending at z (t's module, or D of s's over A^op) is
+        built from its transpose `presentation` and its middle term is split."""
+        arrows = _mesh_middle(nodes, s, t)
         if arrows is None:
             middle = almost_split_sequence(z, presentation=presentation).middle
             arrows = add_summands(middle if z.algebra is alg else dual_module(middle))
@@ -174,7 +174,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     # and transposes once; the skipped steps could only re-find nodes, which
     # keeps the order.  The summands of rad P, or of the middle term, are the
     # node's in-arrows.  A middle term whose summands the arrows out of its
-    # left end already account for is read off them, and the sequence is
+    # two ends already account for is read off them, and the sequence is
     # built only when they fall short: the summands it would add are all
     # nodes, so order, names and arrows are the same either way.
     pos = 0
@@ -231,17 +231,25 @@ def arrow_dims(nodes, arrows, n_vertices):
     return [sum(m * nodes[i].rep.dims[v] for i, m in arrows.items()) for v in range(n_vertices)]
 
 
-def _mesh_middle(nodes, s, right):
-    """The middle term of the almost-split sequence 0 -> nodes[s] -> E -> right -> 0, as
-    {node index: multiplicity}, read off the arrows recorded out of s; None when their
-    dimension vectors do not add up to dim nodes[s] + dim right.
+def _mesh_middle(nodes, s, t):
+    """The middle term of the almost-split sequence 0 -> nodes[s] -> E -> nodes[t] -> 0, as
+    {node index: multiplicity}, read off the arrows recorded out of both of its ends; None when
+    their dimension vectors do not add up to dim nodes[s] + dim nodes[t].
 
     Every node has End/rad = k, so the arrows out of tau Y are the arrows into Y, mult for
     mult (Auslander-Reiten-Smalø, ch. V): each recorded arrow s -> Y of multiplicity m makes
-    Y^m a summand of E.  When they add up to dim E, Krull-Schmidt leaves room for no other.
+    Y^m a summand of E, and so does each recorded t -> W, at a node W with a tau link, for
+    Y = tau W: that arrow came from the sequence ending at W.  When the two name one
+    Y with different multiplicities, the recorded arrows are not meshes and VerificationFailed
+    is raised.  When they add up to dim E, Krull-Schmidt leaves room for no other summand.
     """
-    middle = {k: node.arrows[s] for k, node in enumerate(nodes) if node.arrows and s in node.arrows}
-    want = [a + b for a, b in zip(nodes[s].rep.dims, right.dims)]
+    middle = {}
+    for k, node in enumerate(nodes):
+        if node.arrows:
+            for y, m in ((k, node.arrows.get(s)), (node.tau, node.arrows.get(t))):
+                if y is not None and m is not None and middle.setdefault(y, m) != m:
+                    raise VerificationFailed("the arrows out of both ends of an almost split sequence disagree")
+    want = [a + b for a, b in zip(nodes[s].rep.dims, nodes[t].rep.dims)]
     return middle if arrow_dims(nodes, middle, len(want)) == want else None
 
 

@@ -23,7 +23,7 @@ from .checks import (
     check_tilted_sufficient,
     run_all_checks,
 )
-from .errors import BudgetExceeded, NonSplitEndomorphismRing, NotTilting, RepherdError, RoutesDisagree, UsageError
+from .errors import BudgetExceeded, NonSplitEndomorphismRing, NotTilting, RepherdError, UsageError, VerificationFailed
 from .modules import gen_cogen, indecomposable_summands, known_index
 
 _EXIT = {HOLDS: 0, FAILS: 1, DEGENERATE: 2, INCONCLUSIVE: 3}
@@ -234,9 +234,10 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (NonSplitEndomorphismRing, RoutesDisagree) as exc:
-        # check-module splits the module of its module file; the other commands split modules built
-        # from their algebra file, and `check` compares its two routes on that algebra
+    except (NonSplitEndomorphismRing, VerificationFailed) as exc:
+        # check-module splits and checks the module of its module file; the other commands split
+        # and check modules built from their algebra file, and `check` compares its two routes
+        # (RoutesDisagree) on that algebra
         print("error: %s: %s" % (getattr(args, "module", args.algebra), exc), file=sys.stderr)
         return 4
     except (RepherdError, OSError) as exc:

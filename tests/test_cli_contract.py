@@ -281,6 +281,26 @@ def test_a_catalog_module_that_does_not_split_names_the_algebra_file(argv, monke
     assert len(lines) == 1 and lines[0].startswith("error: %s: the summand of dimension vector " % paths[0])
 
 
+@pytest.mark.parametrize("argv", [["check", "d4"], ["ar-quiver", "d4"], ["check-tilted", "h5", "tilting_h5"]],
+                         ids=["check", "ar-quiver", "check-tilted"])
+def test_a_failed_verification_in_knitting_names_the_algebra_file(argv, monkeypatch, capsys):
+    """A consistency check that fails inside catalog enumeration, forced here, names the algebra
+    file and gives exit 4 and no report."""
+    from repherd import catalog
+    from repherd.errors import VerificationFailed
+
+    def fail(nodes, s, t):
+        raise VerificationFailed("forced")
+
+    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+    monkeypatch.setattr(catalog, "_mesh_middle", fail)
+    paths = [fixture_path(name + ".json") for name in argv[1:]]
+    assert main(argv[:1] + paths) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: %s: forced" % paths[0]]
+
+
 @pytest.mark.parametrize("suite", [[], ["--suite", "all"]], ids=["main", "all"])
 @pytest.mark.parametrize("name,verdict,wrong", [("a4_rad2", "Fails", 3), ("a3", "Holds", 4)])
 def test_routes_that_disagree_refuse_a_verdict(name, verdict, wrong, suite, monkeypatch, capsys):

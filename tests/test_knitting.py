@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from repherd import catalog
-from repherd.catalog import Budget, enumerate_indecomposables
+from repherd.catalog import Budget, _mesh_middle, enumerate_indecomposables
+from repherd.errors import VerificationFailed
 from repherd.fields import PrimeField
 from repherd.io import algebra_from_dict
 
@@ -29,6 +30,17 @@ D5 = dict(E6, vertices=["1", "2", "3", "4", "5"], arrows=[
 GENERATED = {"D5": D5, "E6": E6}
 # The Euclidean quivers of the catalog-q benchmark workload, at its module budgets.
 EUCLIDEAN_BUDGETS = {"kronecker": 12, "d4_tilde": 20, "a3_tilde": 20, "a2_tilde": 20}
+# The generated shapes of the oracle-gfp benchmark workload, over its field GF(101), each drawn
+# from a fixed stream, with a budget that leaves every catalog complete.
+ORACLE_SHAPES = {
+    "E7": lambda rng: gen.dynkin_algebra(rng, "E", 7, 101),
+    "A8-rad3": lambda rng: gen.nakayama_algebra(rng, 8, 3, 101),
+    "A10-rad3": lambda rng: gen.nakayama_algebra(rng, 10, 3, 101),
+}
+# The almost-split sequences that knitting builds, in every field tested; the others are read
+# off the arrows out of the two ends of their meshes.
+READ_BUILT = {"h5": 7, "E6": 12, "kronecker": 3, "d4_tilde": 8, "a3_tilde": 5, "a2_tilde": 6,
+              "E7": 15, "A8-rad3": 6, "A10-rad3": 8}
 GF101 = PrimeField(101)
 
 
@@ -38,6 +50,9 @@ def _algebra(name, field):
     if name in EUCLIDEAN_BUDGETS:
         data = gen.euclidean_algebra(random.Random("catalog-q:" + name), gen.EUCLIDEAN[name], "Q")
         return algebra_from_dict(data, field=field), Budget(max_modules=EUCLIDEAN_BUDGETS[name])
+    if name in ORACLE_SHAPES:
+        data = ORACLE_SHAPES[name](random.Random("oracle-gfp:" + name))
+        return algebra_from_dict(data, field=field), Budget(max_modules=1000, max_total_dim=4096)
     return load_fixture_algebra(name, field=field), None
 
 
@@ -65,7 +80,7 @@ def _knit(alg, budget, monkeypatch, read_meshes):
     with monkeypatch.context() as m:
         m.setattr(catalog, "almost_split_sequence", building)
         if not read_meshes:
-            m.setattr(catalog, "_mesh_middle", lambda nodes, s, right: None)
+            m.setattr(catalog, "_mesh_middle", lambda nodes, s, t: None)
         cat = enumerate_indecomposables(alg, budget)
     return cat, len(built)
 
@@ -78,6 +93,7 @@ def _cases(names, primes):
 @pytest.mark.parametrize("name, field", [
     *_cases((*COMPLETE_FIXTURES, *GENERATED), (None, 101)),
     *_cases(EUCLIDEAN_BUDGETS, (None, 2, 3)),
+    *_cases(ORACLE_SHAPES, (101,)),
 ])
 def test_reading_middle_terms_off_the_meshes_changes_no_node(name, field, monkeypatch):
     """The catalog is the one that builds every sequence: the same modules, names, flags, tau
@@ -90,8 +106,29 @@ def test_reading_middle_terms_off_the_meshes_changes_no_node(name, field, monkey
     assert read_built <= plain_built
     if plain.complete:
         assert plain_built == sum(node.proj_vertex is None for node in plain.nodes)
-    if name in ("h5", "E6"):
-        assert read_built < plain_built
+    if name in READ_BUILT:
+        assert read_built == READ_BUILT[name]
+
+
+@pytest.mark.parametrize("name", ["d4", "h5", "E6"])
+def test_a_mesh_read_off_both_ends_refuses_arrows_that_disagree(name):
+    """On a complete catalog each middle term reads back as the recorded in-arrows.  Where the
+    arrows out of both ends name one summand, one multiplicity altered makes the read refuse."""
+    alg, budget = _algebra(name, GF101)
+    nodes = enumerate_indecomposables(alg, budget).nodes
+    both = []
+    for t, node in enumerate(nodes):
+        if node.tau is None:
+            continue
+        s = node.tau
+        assert _mesh_middle(nodes, s, t) == node.arrows
+        out_of_t = {nodes[w].tau for w, other in enumerate(nodes) if other.arrows and t in other.arrows}
+        both += [(s, t, y) for y in node.arrows if s in nodes[y].arrows and y in out_of_t]
+    assert both
+    s, t, y = both[0]
+    nodes[y].arrows[s] += 1
+    with pytest.raises(VerificationFailed, match="disagree"):
+        _mesh_middle(nodes, s, t)
 
 
 def ar_hom_dims(cat):

@@ -21,7 +21,9 @@ Kronecker sums with a repeated summand over Q and GF(3), on three larger ones,
 of total dimension 15 or 16, over Q and GF(101), and on the rotation module
 a = I, b = J with J^2 = -1 over Q, GF(3) and GF(5).  ``check`` alone runs on
 A_14/rad^5, A_20/rad^6 and A_24/rad^8 over Q and GF(101), whose End(A + DA)
-has dimension 80, 135 and 220.  Every
+has dimension 80, 135 and 220.  The ``check`` requests of the ``oracle-gfp``
+and ``catalog-q`` workloads run on their inputs at seeds 301 and 302, the
+inputs that the benchmark times.  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
 ``--json`` report.  Every command whose stdout, exit code or ``--json`` file
 differs between the two trees is listed; the exit code is 1 when any does.
@@ -113,6 +115,9 @@ GENERAL_PATH = {
 }
 # Seeds the coefficients of the generated Dynkin and Nakayama algebras.
 SEED = 3
+# The workloads whose check requests run as the benchmark builds them at each of these seeds.
+BENCH_WORKLOADS = ["oracle-gfp", "catalog-q"]
+BENCH_SEEDS = [301, 302]
 # Commands run at once, one per core of a 2-core machine.
 JOBS = 2
 
@@ -180,6 +185,14 @@ def commands(workdir):
     # the seed only orders a workload's requests; its inputs come from fixed streams
     for req in workloads.module_queries_q(random.Random(0), workdir, ROOT).requests:
         out.append((req.label, req.argv))
+    # each workload at each seed writes its inputs, some under fixed names, to a directory of its own
+    for name in BENCH_WORKLOADS:
+        for seed in BENCH_SEEDS:
+            subdir = os.path.join(workdir, "%s-%d" % (name, seed))
+            os.makedirs(subdir)
+            for req in workloads.build(name, random.Random(seed), subdir, ROOT).requests:
+                if req.argv[0] == "check":
+                    out.append(("%s %d: %s" % (name, seed, req.label), req.argv))
     for field in ["Q", 3, 5, 101]:
         tag = "Q" if field == "Q" else "GF%d" % field
         spec = "Q" if field == "Q" else {"GFp": field}
