@@ -117,6 +117,7 @@ class BoundQuiverAlgebra:
         self._opposite = None
         self._gen_cogen = None              # filled by modules.gen_cogen
         self._projectives = {}              # vertex -> (P(v), paths), filled by modules.projective_paths
+        self._projective_sums = {}          # vertex tuple -> sum of the P(v), filled by homological._projective_sum
 
     # -- reduction ---------------------------------------------------------
 

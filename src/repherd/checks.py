@@ -11,12 +11,12 @@ from .homological import (
     ar_translate,
     ar_translate_inv,
     cosyzygy,
+    cover_with_kernel,
     evaluation,
     ext1_dim,
     in_cogen,
     minimal_right_approx,
     proj_dim,
-    projective_cover,
     syzygy,
 )
 from .modules import (
@@ -106,8 +106,7 @@ def _kernel_half(m, homs, outside, add_names, prefix, kind, projs, cover=None):
     elif cover is not None:
         f, ker = cover[0], cover[1].source
     else:
-        f = projective_cover(m)
-        ker, _ = kernel_of(f)
+        f, ker, _ = cover_with_kernel(m)
     names = _projective_piece_names(ker, prefix, projs)
     ok = names is not None
     if not ok:

@@ -22,14 +22,13 @@ from .modules import (
     hom_basis,
     indecomposable_summands,
     iso_class_index,
-    kernel_of,
     known_index,
     morphism_combo,
     morphism_flat,
-    path_action,
     projective_at,
     projective_paths,
     same_summands,
+    subrep_from_bases,
     top_places,
     zero_morphism,
     zero_rep,
@@ -66,46 +65,68 @@ class ShortExactSequence:
 # -- covers and envelopes ------------------------------------------------------
 
 
+def _projective_sum(alg, verts):
+    """The sum of the P(v) for the vertex tuple verts, built once per algebra and tuple."""
+    if verts not in alg._projective_sums:
+        alg._projective_sums[verts] = direct_sum(alg, [projective_at(alg, v) for v in verts])
+    return alg._projective_sums[verts]
+
+
 def _from_generators(m: Representation, gens) -> ModuleMorphism:
     """The map from the sum of the P(v_k) to m that sends the top e_{v_k} of the k-th summand
     to w_k, for gens = [(v_k, w_k)] with w_k a vector of m at v_k.
 
-    A basis path p of P(v_k) goes to w_k acted on by p.  Any choice of the w_k gives a
-    morphism, and `check` verifies that it commutes with the arrows.
+    A basis path p of P(v_k) goes to w_k acted on by p: its last arrow applied to the image
+    of its prefix.  The images are kept by arrow tuple, and a path walks down to the longest
+    prefix already met, which assumes nothing of the order of the paths or of their
+    prefixes.  Any choice of the w_k gives a morphism, and `check` verifies that it
+    commutes with the arrows.
     """
     alg = m.algebra
-    parts, paths = [], []
-    for v, _ in gens:
-        p, plists = projective_paths(alg, v)
-        parts.append(p)
-        paths.append(plists)
-    src = direct_sum(alg, parts)
-    mats = []
-    for c, d in enumerate(m.dims):
-        cols = [path_action(m, pth).apply(w) for (_, w), plists in zip(gens, paths) for pth in plists[c]]
-        mats.append(Mat(alg.field, d, src.dims[c], tuple(col[i] for i in range(d) for col in cols)))
+    src = _projective_sum(alg, tuple(v for v, _ in gens))
+    cols = [[] for _ in m.dims]
+    for v, w in gens:
+        seen = {(): w}
+        for c, plist in enumerate(projective_paths(alg, v)[1]):
+            for pth in plist:
+                arr = pth.arrows
+                j = len(arr)
+                while arr[:j] not in seen:
+                    j -= 1
+                img = seen[arr[:j]]
+                for k in range(j, len(arr)):
+                    img = seen[arr[:k + 1]] = m.mats[arr[k]].apply(img)
+                cols[c].append(img)
+    mats = [Mat(alg.field, d, len(cs), tuple(col[i] for i in range(d) for col in cs)) for d, cs in zip(m.dims, cols)]
     return ModuleMorphism(src, m, tuple(mats)).check()
 
 
 def _cover_data(m: Representation):
-    """Projective cover as (morphism, list of summand vertices).
+    """Projective cover as (morphism, list of summand vertices, kernel basis at each vertex).
 
     The generators are the e_s at the places `top_places` keeps, which lift a basis of the
-    top; a rank check at every vertex certifies that the cover is onto.
+    top.  One elimination per vertex gives the kernel there, and rank-nullity on it
+    certifies that the cover is onto.
     """
     fld = m.algebra.field
     z, o = fld.zero, fld.one
     gens = [(v, tuple(o if i == s else z for i in range(m.dims[v]))) for v, s in top_places(m)]
     f = _from_generators(m, gens)
-    for v, d in enumerate(m.dims):
-        if rank(f.mats[v]) != d:
-            raise VerificationFailed("projective cover is not surjective")
-    return f, [v for v, _ in gens]
+    bases = [kernel_basis(a) for a in f.mats]
+    if any(a.cols - b.cols != d for a, b, d in zip(f.mats, bases, m.dims)):
+        raise VerificationFailed("projective cover is not surjective")
+    return f, [v for v, _ in gens], bases
 
 
 def projective_cover(m: Representation) -> ModuleMorphism:
     """The epi P0(m) -> m lifting a basis of the top."""
     return _cover_data(m)[0]
+
+
+def cover_with_kernel(m: Representation):
+    """(the projective cover of m, its kernel, the kernel's inclusion), from one elimination."""
+    f, _, bases = _cover_data(m)
+    return (f,) + subrep_from_bases(f.source, bases)
 
 
 def injective_envelope(m: Representation) -> ModuleMorphism:
@@ -119,7 +140,7 @@ def injective_envelope(m: Representation) -> ModuleMorphism:
 def syzygy(m: Representation, k: int = 1) -> Representation:
     cur = m
     for _ in range(k):
-        cur = kernel_of(projective_cover(cur))[0]
+        cur = cover_with_kernel(cur)[1]
     return cur
 
 
@@ -149,7 +170,7 @@ def proj_dim(m: Representation, bound: int | None = None) -> DimValue:
         return pieces[k]
 
     for i in range(1, bound + 1):
-        cur = kernel_of(projective_cover(syz[-1]))[0]
+        cur = cover_with_kernel(syz[-1])[1]
         if cur.is_zero():
             return DimValue.finite(i - 1)
         syz.append(cur)
@@ -185,15 +206,15 @@ def _transpose_with_cover(m: Representation):
     alg = m.algebra
     op = alg.opposite
     fld = alg.field
-    cover0, verts0 = _cover_data(m)
-    k0, incl = kernel_of(cover0)
+    cover0, verts0, bases0 = _cover_data(m)
+    k0, incl = subrep_from_bases(cover0.source, bases0)
     if k0.is_zero():
         return zero_rep(op), cover0, incl
-    cover1, verts1 = _cover_data(k0)
+    cover1, verts1, _ = _cover_data(k0)
     g = compose(incl, cover1)  # P1 -> P0
     names = alg.quiver.vertices
     paths0 = [projective_paths(alg, b)[1] for b in verts0]
-    tgt = direct_sum(op, [projective_at(op, a) for a in verts1])
+    tgt = _projective_sum(op, tuple(verts1))
     images = [[fld.zero] * tgt.dims[b] for b in verts0]
     col = [0] * len(m.dims)  # where summand l of P1 starts at each vertex
     row = [0] * len(m.dims)  # where summand l of the sum of the P^op(a_l) starts
@@ -264,7 +285,7 @@ def _ext_classes(incl: ModuleMorphism, n: Representation):
 
 def ext1_dim(m: Representation, n: Representation) -> int:
     """dim Ext^1(m, n) = Hom(Omega m, n) modulo maps factoring through P0(m)."""
-    return len(_ext_classes(kernel_of(projective_cover(m))[1], n)[0])
+    return len(_ext_classes(cover_with_kernel(m)[2], n)[0])
 
 
 def _restrict_to_kernel(incl: ModuleMorphism, phi0: ModuleMorphism) -> ModuleMorphism:

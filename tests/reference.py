@@ -11,6 +11,9 @@
 - `_gauss_jordan` is the dense elimination the sparse kernel of
   `repherd.linalg` is compared against; `from_rows` and `row_lists` build
   and read matrices as row lists.
+- `cover_mats` builds the matrices of a map from a sum of projectives,
+  given by the images of its tops, with one product of arrow matrices per
+  basis path, the route the prefix walk of `_from_generators` replaced.
 - `simple_at`, `hom_dim`, `normal_form`, `opposite_algebra` and `node_named`
   are small conveniences over the package's objects.
 """
@@ -21,7 +24,9 @@ from repherd.endo import (
 )
 from repherd.errors import DimensionMismatch, RepherdError, VerificationFailed
 from repherd.linalg import Mat, SpanTracker
-from repherd.modules import Representation, compose, hom_basis, identity_morphism, morphism_flat
+from repherd.modules import (
+    Representation, compose, hom_basis, identity_morphism, morphism_flat, path_action, projective_paths,
+)
 
 
 class PathTooLong(RepherdError):
@@ -207,6 +212,18 @@ def simple_at(alg, v):
         for a in range(q.n_arrows)
     ]
     return Representation(alg, dims, mats, check=False)
+
+
+def cover_mats(m, gens):
+    """The matrices, one per vertex, of the map from the sum of the P(v_k) to m that sends the
+    top of the k-th summand to w_k, for gens = [(v_k, w_k)]: each basis path p of P(v_k) goes
+    to path_action(m, p) applied to w_k."""
+    alg = m.algebra
+    mats = []
+    for c, d in enumerate(m.dims):
+        cols = [path_action(m, p).apply(w) for v, w in gens for p in projective_paths(alg, v)[1][c]]
+        mats.append(Mat(alg.field, d, len(cols), tuple(col[i] for i in range(d) for col in cols)))
+    return tuple(mats)
 
 
 def hom_dim(m, n) -> int:
