@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BudgetExceeded, IncompleteCatalog, VerificationFailed
+from .errors import BudgetExceeded, IncompleteCatalog, RepherdError, VerificationFailed
 from .homological import (
     _transpose_with_cover,
     almost_split_sequence,
@@ -16,6 +16,7 @@ from .modules import (
     cokernel_of,
     dual_module,
     gen_cogen,
+    indec_isomorphic,
     indecomposable_summands,
     iso_class_index,
     known_index,
@@ -48,9 +49,13 @@ class CatalogNode:
     tau_inv: int | None = None   # index of tau^{-1}(this) when non-injective
     # The AR arrows into this node, {source index: multiplicity}: the summands of
     # rad P, or of the middle term of the almost-split sequence ending here, read
-    # off the arrows out of both of its ends when they add up (see _mesh_middle).
-    # None until the node is knitted.
+    # off the arrows out of both of its ends, and the seeds not yet knitted, when
+    # they add up (see _mesh_middle).  None until the node is knitted.
     arrows: dict | None = None
+    # At a seed, a node flagged P(v), or flagged I(v) and not projective: (the
+    # summands of rad P, or of I/soc I, n), split against the first n nodes.  Made
+    # once, when a mesh read or the seed's own step first asks for it (_seed_split).
+    split: tuple | None = None
     # (the projective cover of rep, the inclusion of its kernel), kept from the transpose
     # that the tau step built, or that _fill_tau_tables built where the budget stopped
     # knitting first, and the same for dual from the tau^{-1} step.  None where no such
@@ -125,11 +130,12 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         idx = known_index(piece, known)
         return try_add(piece, len(known)) if idx is None else idx
 
-    def add_summands(rep):
-        """{node index: multiplicity} of rep's summands, adding new ones; None once over budget."""
-        known = [node.rep for node in nodes]
+    def commit(pieces, n):
+        """{node index: multiplicity} of pieces split against the first n nodes, adding new
+        ones; None once over budget."""
+        known = [node.rep for node in nodes[:n]]
         counts = {}
-        for piece in indecomposable_summands(rep, known):
+        for piece in pieces:
             idx = node_of(piece, known)
             if idx is None:
                 return None
@@ -154,7 +160,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         arrows = _mesh_middle(nodes, s, t)
         if arrows is None:
             middle = almost_split_sequence(z, presentation=presentation).middle
-            arrows = add_summands(middle if z.algebra is alg else dual_module(middle))
+            arrows = commit(*_split(nodes, middle if z.algebra is alg else dual_module(middle)))
         return arrows
 
     # Seeding flags the nodes of P(v) and I(v).  Once it is complete, every
@@ -174,23 +180,25 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     # and transposes once; the skipped steps could only re-find nodes, which
     # keeps the order.  The summands of rad P, or of the middle term, are the
     # node's in-arrows.  A middle term whose summands the arrows out of its
-    # two ends already account for is read off them, and the sequence is
-    # built only when they fall short: the summands it would add are all
-    # nodes, so order, names and arrows are the same either way.
+    # two ends, with the seeds not yet knitted, already account for is read
+    # off them, and the sequence is built only when they fall short: the
+    # summands it would add are all nodes, so order, names and arrows are the
+    # same either way.  A seed's rad P or I/soc I is split once, maybe by an
+    # earlier read, and its pieces are committed here, in queue order: a piece
+    # that matched none of the nodes known at the split is compared with the
+    # nodes added since, so each gets the index a split made here would give.
     pos = 0
     while pos < len(queue) and complete:
         idx = queue[pos]
         pos += 1
         node = nodes[idx]
         if node.proj_vertex is not None:
-            rad, _ = radical_of(node.rep)
-            node.arrows = add_summands(rad)
+            node.arrows = commit(*_seed_split(nodes, idx))
             if node.arrows is None:
                 break
         if node.inj_vertex is not None:
-            soc, incl = socle_of(node.rep)
-            quot, _ = cokernel_of(incl)
-            if add_summands(quot) is None:
+            split = _seed_split(nodes, idx) if node.proj_vertex is None else _split(nodes, _socle_quotient(node.rep))
+            if commit(*split) is None:
                 break
         if node.proj_vertex is None and node.tau is None:
             presentation = _transpose_with_cover(node.rep)
@@ -233,15 +241,21 @@ def arrow_dims(nodes, arrows, n_vertices):
 
 def _mesh_middle(nodes, s, t):
     """The middle term of the almost-split sequence 0 -> nodes[s] -> E -> nodes[t] -> 0, as
-    {node index: multiplicity}, read off the arrows recorded out of both of its ends; None when
-    their dimension vectors do not add up to dim nodes[s] + dim nodes[t].
+    {node index: multiplicity}, read off the arrows recorded out of both of its ends and the
+    seeds not yet knitted; None when their dimension vectors do not add up to
+    dim nodes[s] + dim nodes[t].  No node is added.
 
     Every node has End/rad = k, so the arrows out of tau Y are the arrows into Y, mult for
     mult (Auslander-Reiten-Smalø, ch. V): each recorded arrow s -> Y of multiplicity m makes
     Y^m a summand of E, and so does each recorded t -> W, at a node W with a tau link, for
     Y = tau W: that arrow came from the sequence ending at W.  When the two name one
     Y with different multiplicities, the recorded arrows are not meshes and VerificationFailed
-    is raised.  When they add up to dim E, Krull-Schmidt leaves room for no other summand.
+    is raised.  When they fall short, a seed with no arrows yet that fits in what is missing
+    is read off its kept split: rad P -> P is the sink map of P and I -> I/soc I the source
+    map of I (Assem-Simson-Skowroński IV.3), so P(v)^m is a summand of E for the m pieces of
+    rad P(v) that are node s, and I(v)^m for the m pieces of I(v)/soc I(v) that are node t.
+    A split that raises here is not kept, and that seed is skipped.  When the summands add
+    up to dim E, Krull-Schmidt leaves room for no other.
     """
     middle = {}
     for k, node in enumerate(nodes):
@@ -250,7 +264,43 @@ def _mesh_middle(nodes, s, t):
                 if y is not None and m is not None and middle.setdefault(y, m) != m:
                     raise VerificationFailed("the arrows out of both ends of an almost split sequence disagree")
     want = [a + b for a, b in zip(nodes[s].rep.dims, nodes[t].rep.dims)]
-    return middle if arrow_dims(nodes, middle, len(want)) == want else None
+    missing = [w - d for w, d in zip(want, arrow_dims(nodes, middle, len(want)))]
+    for k, node in enumerate(nodes):
+        if not any(missing):
+            break
+        end = s if node.proj_vertex is not None else t if node.inj_vertex is not None else None
+        if end is None or node.arrows is not None or k in middle or any(d > m for d, m in zip(node.rep.dims, missing)):
+            continue
+        try:
+            pieces, _ = _seed_split(nodes, k)
+        except RepherdError:
+            continue
+        m = sum(indec_isomorphic(p, nodes[end].rep) for p in pieces)
+        if m:
+            middle[k] = m
+            missing = [a - m * d for a, d in zip(missing, node.rep.dims)]
+    return None if any(missing) else middle
+
+
+def _socle_quotient(rep):
+    """I/soc I, for I = rep."""
+    return cokernel_of(socle_of(rep)[1])[0]
+
+
+def _split(nodes, part):
+    """(the summands of part, split against the modules of the nodes, the number of nodes)."""
+    known = [node.rep for node in nodes]
+    return indecomposable_summands(part, known), len(known)
+
+
+def _seed_split(nodes, k):
+    """The split of seed node k's rad P, or of its I/soc I when it is not projective, made
+    against the nodes known at the first call and kept on the node."""
+    node = nodes[k]
+    if node.split is None:
+        node.split = _split(nodes, radical_of(node.rep)[0] if node.proj_vertex is not None
+                            else _socle_quotient(node.rep))
+    return node.split
 
 
 def _fill_tau_tables(cat: IndecomposableCatalog):

@@ -9,7 +9,7 @@ import pytest
 
 from repherd import catalog
 from repherd.catalog import Budget, _mesh_middle, enumerate_indecomposables
-from repherd.errors import VerificationFailed
+from repherd.errors import NonSplitEndomorphismRing, VerificationFailed
 from repherd.fields import PrimeField
 from repherd.io import algebra_from_dict
 
@@ -38,9 +38,9 @@ ORACLE_SHAPES = {
     "A10-rad3": lambda rng: gen.nakayama_algebra(rng, 10, 3, 101),
 }
 # The almost-split sequences that knitting builds, in every field tested; the others are read
-# off the arrows out of the two ends of their meshes.
-READ_BUILT = {"h5": 7, "E6": 12, "kronecker": 3, "d4_tilde": 8, "a3_tilde": 5, "a2_tilde": 6,
-              "E7": 15, "A8-rad3": 6, "A10-rad3": 8}
+# off the arrows out of the two ends of their meshes and the seeds not yet knitted.
+READ_BUILT = {"h5": 5, "E6": 8, "kronecker": 2, "d4_tilde": 4, "a3_tilde": 3, "a2_tilde": 4,
+              "E7": 11, "A8-rad3": 6, "A10-rad3": 8}
 GF101 = PrimeField(101)
 
 
@@ -108,6 +108,84 @@ def test_reading_middle_terms_off_the_meshes_changes_no_node(name, field, monkey
         assert plain_built == sum(node.proj_vertex is None for node in plain.nodes)
     if name in READ_BUILT:
         assert read_built == READ_BUILT[name]
+
+
+def _reading(monkeypatch):
+    """A list that holds an entry while a mesh read runs."""
+    reading = []
+    real = catalog._mesh_middle
+
+    def read(nodes, s, t):
+        reading.append((s, t))
+        try:
+            return real(nodes, s, t)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(catalog, "_mesh_middle", read)
+    return reading
+
+
+@pytest.mark.parametrize("name", ["h5", "tilted4", "E6", "E7"])
+def test_each_seed_splits_its_neighbour_module_once(name, monkeypatch):
+    """Over a complete knitting, rad P of each node flagged P(v), and I/soc I of each node flagged
+    I(v), is split exactly once, whether a mesh read asked for it first or the node's own step."""
+    alg, budget = _algebra(name, GF101)
+    parts = {}    # id of a rad P or I/soc I -> (that module, the node's module, "rad" or "top")
+    first = {}    # (the node's module id, kind) -> [number of splits, made inside a read]
+    reading = _reading(monkeypatch)
+    real_radical, real_cokernel, real_split = catalog.radical_of, catalog.cokernel_of, catalog.indecomposable_summands
+
+    def radical_of(rep):
+        out = real_radical(rep)
+        parts[id(out[0])] = (out[0], rep, "rad")
+        return out
+
+    def cokernel_of(incl):
+        out = real_cokernel(incl)
+        parts[id(out[0])] = (out[0], incl.target, "top")
+        return out
+
+    def summands(rep, known=()):
+        if id(rep) in parts:
+            _, of, kind = parts[id(rep)]
+            first.setdefault((id(of), kind), [0, bool(reading)])[0] += 1
+        return real_split(rep, known)
+
+    monkeypatch.setattr(catalog, "radical_of", radical_of)
+    monkeypatch.setattr(catalog, "cokernel_of", cokernel_of)
+    monkeypatch.setattr(catalog, "indecomposable_summands", summands)
+    cat = enumerate_indecomposables(alg, budget)
+    assert cat.complete
+    want = {(id(node.rep), kind) for node in cat.nodes
+            for kind, flag in (("rad", node.proj_vertex), ("top", node.inj_vertex)) if flag is not None}
+    assert set(first) == want
+    assert all(count == 1 for count, _ in first.values())
+    assert {in_read for _, in_read in first.values()} == {True, False}
+
+
+def test_a_seed_split_that_fails_inside_a_read_is_dropped(monkeypatch):
+    """The first split a mesh read asks for raises: the read skips that seed, and over h5, where
+    that seed is a summand of the middle term, the sequence is built, one more than READ_BUILT.
+    The seed's own step splits it again, and the catalog is still the one that builds every
+    sequence."""
+    alg, budget = _algebra("h5", GF101)
+    plain, _ = _knit(alg, budget, monkeypatch, False)
+    reading = _reading(monkeypatch)
+    failed = []
+    real_split = catalog.indecomposable_summands
+
+    def summands(rep, known=()):
+        if reading and not failed:
+            failed.append(rep)
+            raise NonSplitEndomorphismRing("forced")
+        return real_split(rep, known)
+
+    monkeypatch.setattr(catalog, "indecomposable_summands", summands)
+    read, built = _knit(alg, budget, monkeypatch, True)
+    assert len(failed) == 1
+    assert [_node_key(node) for node in read.nodes] == [_node_key(node) for node in plain.nodes]
+    assert built == READ_BUILT["h5"] + 1
 
 
 @pytest.mark.parametrize("name", ["d4", "h5", "E6"])
