@@ -4,8 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .dims import DimValue
 from .errors import BudgetExceeded, IncompleteCatalog, RepherdError, VerificationFailed
 from .homological import (
+    SyzygyRecord,
     _transpose_with_cover,
     almost_split_sequence,
     image_dims,
@@ -56,13 +58,14 @@ class CatalogNode:
     # summands of rad P, or of I/soc I, n), split against the first n nodes.  Made
     # once, when a mesh read or the seed's own step first asks for it (_seed_split).
     split: tuple | None = None
-    # (the projective cover of rep, the inclusion of its kernel), kept from the transpose
-    # that the tau step built, or that _fill_tau_tables built where the budget stopped
-    # knitting first, and the same for dual from the tau^{-1} step.  None where no such
-    # transpose was built: at a node linked to its translate from the other side, or at one
-    # read from a cache.
-    cover: tuple | None = None
-    dual_cover: tuple | None = None
+    # The SyzygyRecord of rep, and of dual over A^op, from the transpose at either end of the
+    # node's tau pair: a transpose of X records X and Tr X, and D Tr X = tau X.  So the tau
+    # step writes this node's record and its translate's dual_record, and the tau^{-1} step
+    # this node's dual_record and its translate's record; _fill_tau_tables writes them where
+    # the budget stopped knitting first.  Only a record of the transposed module keeps its
+    # kernel.  None at a projective (injective) node, and at a node read from a cache.
+    record: SyzygyRecord | None = None
+    dual_record: SyzygyRecord | None = None
 
     @property
     def in_add_gen_cogen(self):
@@ -202,12 +205,13 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
                 break
         if node.proj_vertex is None and node.tau is None:
             presentation = _transpose_with_cover(node.rep)
-            node.cover = presentation[1:]
+            node.record = presentation[3]
             j = add_translate(dual_module(presentation[0]))
             if j is None:
                 break
             node.tau = j
             nodes[j].tau_inv = idx
+            nodes[j].dual_record = presentation[4]
             node.arrows = in_arrows(j, idx, node.rep, presentation)
             if node.arrows is None:
                 break
@@ -215,12 +219,13 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
             # D of the sequence over A^op that ends at D(node): tau^{-1} = Tr D
             dual = node.dual
             presentation = _transpose_with_cover(dual)
-            node.dual_cover = presentation[1:]
+            node.dual_record = presentation[3]
             j = add_translate(presentation[0])
             if j is None:
                 break
             node.tau_inv = j
             nodes[j].tau = idx
+            nodes[j].record = presentation[4]
             nodes[j].arrows = in_arrows(idx, j, dual, presentation)
             if nodes[j].arrows is None:
                 break
@@ -305,7 +310,7 @@ def _seed_split(nodes, k):
 
 def _fill_tau_tables(cat: IndecomposableCatalog):
     """Read tau off the transpose for the nodes that a knitting stopped by the budget never
-    reached, and keep each one's projective cover as the tau step does.
+    reached, and write the records of each one and of its translate as the tau step does.
 
     Knitting links every node of a complete catalog both ways.
     """
@@ -314,10 +319,11 @@ def _fill_tau_tables(cat: IndecomposableCatalog):
     for i, node in enumerate(cat.nodes):
         if node.proj_vertex is None and node.tau is None:
             presentation = _transpose_with_cover(node.rep)
-            node.cover = presentation[1:]
+            node.record = presentation[3]
             node.tau = cat.find(dual_module(presentation[0]))
             if node.tau is not None:
                 cat.nodes[node.tau].tau_inv = i
+                cat.nodes[node.tau].dual_record = presentation[4]
 
 
 def _assign_names(cat: IndecomposableCatalog):
@@ -373,8 +379,20 @@ def ar_quiver(cat: IndecomposableCatalog):
     return arrows, tau_table
 
 
+def _one_or_resolve(record, resolve, m):
+    """pd m from its SyzygyRecord: at most 1 when Omega m is projective, and 0 only when Omega m
+    is zero; otherwise, or with no record, resolve(m)."""
+    if record is not None and record.projective:
+        return DimValue.finite(1 if any(record.kernel_dims) else 0)
+    return resolve(m)
+
+
 def node_facts(cat: IndecomposableCatalog):
-    """Per-node facts reused by the checks: pd, id, memberships."""
+    """Per-node facts reused by the checks: pd, id, memberships.
+
+    pd and id are read off the node's records where Omega, or Omega of the dual, is
+    projective, and resolved by proj_dim and inj_dim otherwise.
+    """
     if cat._facts is not None:
         return cat._facts
     gc = gen_cogen(cat.algebra)
@@ -390,8 +408,8 @@ def node_facts(cat: IndecomposableCatalog):
         cotrace = sum(image_dims([h for i in range(n) for h in gc.dual_homs.entry(dx, i)], dx))
         facts.append(
             {
-                "pd": proj_dim(x),
-                "id": inj_dim(x),
+                "pd": _one_or_resolve(node.record, proj_dim, x),
+                "id": _one_or_resolve(node.dual_record, inj_dim, x),
                 "gen_da": trace == x.total_dim,
                 "cogen_a": cotrace == x.total_dim,
                 "supp_da": trace > 0,

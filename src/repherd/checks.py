@@ -86,46 +86,56 @@ def _projective_piece_names(k, prefix, projs):
     return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top[v])]
 
 
-def _kernel_half(m, homs, outside, add_names, prefix, kind, projs, cover=None):
-    """The minimal right approximation of m by add of the modules of the Hom table homs, its
-    kernel, the kernel's summand names, and whether the kernel is projective.
+def _kernel_half(m, homs, outside, add_names, prefix, kind, projs, record=None):
+    """The minimal right approximation of m by add of the modules of the Hom table homs, as
+    (its source's dimensions, its kernel's dimensions, the kernel's summand names, whether the
+    kernel is projective).
 
     outside indexes the entries of homs that are injective and not projective; every other
     entry is projective, and every indecomposable projective is isomorphic to one of them.
     When no entry of outside maps to m, the projective cover of m is the approximation: a
     map from a projective factors through the cover, which is onto, the maps from the other
     entries are zero, and a projective cover is right minimal (Auslander–Reiten–Smalø,
-    ch. I).  Its kernel is the syzygy of m.  `cover` is (the projective cover of m, the
-    inclusion of its kernel) when the caller already holds them; otherwise the cover is
-    built.  Only when some entry of outside maps to m is minimal_right_approx asked.
+    ch. I).  Its kernel is the syzygy of m, and `record` is m's SyzygyRecord when the caller
+    holds one.  A projective syzygy is named P(v) for each vertex v of its top, with no cover
+    built; one that is not is split from the record's kernel, or from a cover built here.
+    Only when some entry of outside maps to m is minimal_right_approx asked.
     """
     add_list = homs.modules
     if any(homs.entry(m, i) for i in outside):
         f = minimal_right_approx(m, add_list, _homs=homs)
-        ker, _ = kernel_of(f)
-    elif cover is not None:
-        f, ker = cover[0], cover[1].source
+        source, ker = f.source.dims, kernel_of(f)[0]
+        names = _projective_piece_names(ker, prefix, projs)
+    elif record is not None and record.projective:
+        verts = m.algebra.quiver.vertices
+        names = ["%s(%s)" % (prefix, verts[v]) for v in record.tops]
+        return list(record.source_dims), list(record.kernel_dims), names, True
     else:
-        f, ker, _ = cover_with_kernel(m)
-    names = _projective_piece_names(ker, prefix, projs)
+        if record is not None and record.kernel is not None:
+            source, ker = record.source_dims, record.kernel
+        else:
+            f, ker, _ = cover_with_kernel(m)
+            source = f.source.dims
+        # a record that is not projective says so with no rank taken
+        names = None if record is not None else _projective_piece_names(ker, prefix, projs)
     ok = names is not None
     if not ok:
         names = []
         for p in indecomposable_summands(ker, add_list):
             i = known_index(p, add_list)
             names.append(add_names[i] if i is not None else "non-%s %s" % (kind, p.dims))
-    return f, ker, names, ok
+    return list(source), list(ker.dims), names, ok
 
 
-def _module_kernel_test(alg, m, dm=None, cover=None, dual_cover=None):
+def _module_kernel_test(alg, m, dm=None, record=None, dual_record=None):
     """Right and left approximation tests for one module outside add(A+DA).
 
     The left test is the right one for Dm over the opposite algebra: the
     cokernel of the minimal left approximation of m is dual to the kernel of
     the minimal right approximation of Dm by the duals of add(A+DA).  A caller
     that keeps Dm passes it as dm, whose Hom rows the table then keeps, and a
-    caller that holds the projective cover of m, or of dm, with the inclusion
-    of its kernel passes the pair as cover, or as dual_cover.
+    caller that holds the SyzygyRecord of m, or of dm, passes it as record, or
+    as dual_record.
 
     The injectives that are not projective are the entries of gc.modules after
     the projectives; over the opposite algebra they are the duals of the
@@ -136,20 +146,20 @@ def _module_kernel_test(alg, m, dm=None, cover=None, dual_cover=None):
     n = len(gc.projectives)
     inj_outside = range(n, len(gc.modules))
     dual_inj_outside = [i for i in range(n) if i not in gc.inj_entries]
-    f, ker, knames, right_ok = _kernel_half(
-        m, gc.homs, inj_outside, gc.names, "P", "projective", gc.projectives, cover
+    source, ker, knames, right_ok = _kernel_half(
+        m, gc.homs, inj_outside, gc.names, "P", "projective", gc.projectives, record
     )
-    dg, dcok, cnames, left_ok = _kernel_half(
+    target, cok, cnames, left_ok = _kernel_half(
         dual_module(m) if dm is None else dm, gc.dual_homs, dual_inj_outside, gc.names, "I", "injective",
-        gc.injectives, dual_cover,
+        gc.injectives, dual_record,
     )
     detail = {
-        "right_source_dims": list(f.source.dims),
-        "kernel_dims": list(ker.dims),
+        "right_source_dims": source,
+        "kernel_dims": ker,
         "kernel_pieces": knames,
         "right_kernel_projective": right_ok,
-        "left_target_dims": list(dg.source.dims),
-        "cokernel_dims": list(dcok.dims),
+        "left_target_dims": target,
+        "cokernel_dims": cok,
         "cokernel_pieces": cnames,
         "left_cokernel_injective": left_ok,
     }
@@ -171,7 +181,7 @@ def check_representation_hereditary(alg, budget: Budget | None = None, catalog=N
     cond3 = True
     cond5 = True
     for node in outside:
-        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep, node.dual, node.cover, node.dual_cover)
+        right_ok, left_ok, detail = _module_kernel_test(alg, node.rep, node.dual, node.record, node.dual_record)
         detail["module"] = node.name
         report.witnesses.append(detail)
         cond3 = cond3 and right_ok

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .dims import DimValue
 from .errors import FieldTooSmall, NonSplit, VerificationFailed
-from .fields import PrimeField, Rationals
+from .fields import PRIME_LIMIT, PrimeField, Rationals, _is_prime
 from .linalg import (
     Mat, SpanTracker, _scaled, block_diag, col_space, commuting_maps, complement_places, hstack, inverse,
     is_invertible, kernel_basis, rank, solve,
@@ -129,13 +129,24 @@ def min_poly_of_matrix(L: Mat):
 
 
 def _int_divisors(n: int, cap=10**6):
+    """The positive divisors of n, sorted, by trial division up to cap.
+
+    A cofactor above cap^2 with no prime factor up to cap cannot be split, and is refused.
+    Whenever the cofactor shrinks, and at the start, one above cap^2 and below PRIME_LIMIT,
+    where _is_prime is exact, is tested, and a prime one is refused at once rather than
+    after the whole division.
+    """
     n = abs(n)
     if n == 0:
         return [1]
     factors = {}
     d = 2
     m = n
+    shrunk = True
     while d * d <= m and d <= cap:
+        if shrunk and cap * cap < m < PRIME_LIMIT and _is_prime(m):
+            break
+        shrunk = m % d == 0
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
             m //= d

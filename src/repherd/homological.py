@@ -62,6 +62,27 @@ class ShortExactSequence:
         return self
 
 
+class SyzygyRecord:
+    """What a minimal projective presentation of a module X says of its syzygy, with no morphism.
+
+    source_dims and kernel_dims are the dimension vectors of the projective cover P0(X) and of
+    Omega X, tops the vertices of the top of Omega X, sorted and with multiplicity, and
+    projective whether Omega X is projective (Omega^2 X = 0).  Each is invariant under
+    isomorphism of X, so a record made for one module holds for any module isomorphic to it.
+    kernel is Omega X itself where the presentation built it, else None.  Immutable by
+    convention.
+    """
+
+    __slots__ = ("source_dims", "kernel_dims", "tops", "projective", "kernel")
+
+    def __init__(self, source_dims, kernel_dims, tops, projective, kernel=None):
+        self.source_dims = source_dims
+        self.kernel_dims = kernel_dims
+        self.tops = tops
+        self.projective = projective
+        self.kernel = kernel
+
+
 # -- covers and envelopes ------------------------------------------------------
 
 
@@ -196,33 +217,45 @@ def transpose(m: Representation) -> Representation:
 
 
 def _transpose_with_cover(m: Representation):
-    """(Tr m, the projective cover of m, the inclusion of its kernel).
+    """(Tr m, the projective cover of m, the inclusion of its kernel, the SyzygyRecord of m, the
+    SyzygyRecord of Tr m over the opposite algebra).
 
     With g : P1 -> P0 the minimal presentation, P1 the sum of the P(a_l) and P0 that of the
     P(b_k), Tr m is the cokernel of g* : sum_k P^op(b_k) -> sum_l P^op(a_l).  g sends the top
     of P(a_l) to a combination of paths from b_k to a_l in each P(b_k), and g* sends the top
     of P^op(b_k) to the same combination of the reversed paths in each P^op(a_l).
+
+    Both records come from what the presentation already holds.  That of m reads Omega m = K
+    off the first cover, its top off the second, and Omega^2 m = 0 off the second cover's
+    kernel.  g* is a minimal presentation of Tr m when m has no projective summand
+    (Auslander-Reiten-Smalø IV.1): its image is Omega Tr m, of dimension dim P1* - dim Tr m,
+    which is projective exactly when g* is mono, that is when it has the dimension of P0*,
+    and whose top is that of P0*.  P1* -> Tr m is a projective cover when no top of a
+    P^op(b_k) goes to a combination with a stationary path in it, which is checked here.
     """
     alg = m.algebra
     op = alg.opposite
     fld = alg.field
     cover0, verts0, bases0 = _cover_data(m)
     k0, incl = subrep_from_bases(cover0.source, bases0)
+    nv = len(m.dims)
     if k0.is_zero():
-        return zero_rep(op), cover0, incl
-    cover1, verts1, _ = _cover_data(k0)
+        zero = (0,) * nv
+        return (zero_rep(op), cover0, incl, SyzygyRecord(cover0.source.dims, k0.dims, (), True, k0),
+                SyzygyRecord(zero, zero, (), True))
+    cover1, verts1, bases1 = _cover_data(k0)
     g = compose(incl, cover1)  # P1 -> P0
     names = alg.quiver.vertices
     paths0 = [projective_paths(alg, b)[1] for b in verts0]
     tgt = _projective_sum(op, tuple(verts1))
     images = [[fld.zero] * tgt.dims[b] for b in verts0]
-    col = [0] * len(m.dims)  # where summand l of P1 starts at each vertex
-    row = [0] * len(m.dims)  # where summand l of the sum of the P^op(a_l) starts
+    col = [0] * nv  # where summand l of P1 starts at each vertex
+    row = [0] * nv  # where summand l of the sum of the P^op(a_l) starts
     for a in verts1:
         p1, plists1 = projective_paths(alg, a)
-        if plists1[a][0].arrows:
-            raise VerificationFailed("the first basis path of P(%s) at %s is not stationary" % (names[a], names[a]))
         oplists = projective_paths(op, a)[1]
+        if plists1[a][0].arrows or oplists[a][0].arrows:
+            raise VerificationFailed("the first basis path of P(%s) at %s is not stationary" % (names[a], names[a]))
         r0 = 0  # where summand k of P0 starts at a
         for k, b in enumerate(verts0):
             pos = {op.basis_index[pth.key()]: i for i, pth in enumerate(oplists[b])}
@@ -237,12 +270,19 @@ def _transpose_with_cover(m: Representation):
                         raise VerificationFailed("a reversed path lands outside P^op(%s) at %s" % (names[a], names[b]))
                     j = row[b] + pos[t]
                     images[k][j] = fld.add(images[k][j], fld.mul(coeff, x))
+            if b == a and images[k][row[a]]:
+                raise VerificationFailed(
+                    "g* sends the top of P^op(%s) to a stationary path: P1* -> Tr is not a cover" % names[b])
             r0 += len(paths0[k][a])
-        for v in range(len(m.dims)):
+        for v in range(nv):
             col[v] += p1.dims[v]
             row[v] += len(oplists[v])
     gstar = _from_generators(tgt, [(b, tuple(w)) for b, w in zip(verts0, images)])
-    return cokernel_of(gstar)[0], cover0, incl
+    tr = cokernel_of(gstar)[0]
+    omega = tuple(p - t for p, t in zip(tgt.dims, tr.dims))
+    return (tr, cover0, incl,
+            SyzygyRecord(cover0.source.dims, k0.dims, tuple(verts1), not any(b.cols for b in bases1), k0),
+            SyzygyRecord(tgt.dims, omega, tuple(verts0), omega == gstar.source.dims))
 
 
 def ar_translate(m: Representation) -> Representation:
@@ -312,7 +352,7 @@ def almost_split_sequence(z: Representation, *, presentation=None) -> ShortExact
     nv = alg.quiver.n_vertices
     if iso_class_index(z, gen_cogen(alg).projectives) is not None:
         raise ZProjective("almost split sequence requested for a projective module")
-    tr, cover, incl = presentation or _transpose_with_cover(z)
+    tr, cover, incl = (presentation or _transpose_with_cover(z))[:3]
     tz = dual_module(tr)
     if tz.is_zero():
         raise VerificationFailed("translate of a non-projective module vanished")

@@ -1,6 +1,6 @@
 """The kernel test's cover branch: where no injective that is not projective maps to a module,
 the module's projective cover is its minimal right add(A + DA)-approximation, and the kernel
-test reads it, or the cover knitting kept, in place of asking minimal_right_approx."""
+test reads it, or the syzygy record knitting wrote, in place of asking minimal_right_approx."""
 import os
 import random
 import sys
@@ -42,26 +42,25 @@ def _algebra(name, p):
 def _sides(alg, node):
     """For the right and the left test of a node: (the module, its Hom table, the entries of the
     table that are injective and not projective, the names and the projectives that name the
-    kernel's pieces, the cover knitting kept or None)."""
+    kernel's pieces, the record knitting wrote or None)."""
     gc = gen_cogen(alg)
     n = len(gc.projectives)
     return [
-        (node.rep, gc.homs, range(n, len(gc.modules)), ("P", "projective", gc.projectives), node.cover),
+        (node.rep, gc.homs, range(n, len(gc.modules)), ("P", "projective", gc.projectives), node.record),
         (node.dual, gc.dual_homs, [i for i in range(n) if i not in gc.inj_entries],
-         ("I", "injective", gc.injectives), node.dual_cover),
+         ("I", "injective", gc.injectives), node.dual_record),
     ]
 
 
-def _half(alg, m, homs, outside, naming, cover):
+def _half(alg, m, homs, outside, naming, record):
     """The source dimensions, kernel dimensions, kernel piece names and projectivity of one half."""
-    f, ker, names, ok = checks._kernel_half(m, homs, outside, gen_cogen(alg).names, *naming, cover)
-    return list(f.source.dims), list(ker.dims), names, ok
+    return checks._kernel_half(m, homs, outside, gen_cogen(alg).names, *naming, record)
 
 
 @pytest.mark.parametrize("name, p", CASES, ids=["%s-%s" % (n, "Q" if p is None else "GF%d" % p) for n, p in CASES])
 def test_cover_branch_gives_the_minimal_approximation(name, p):
     """On every module outside add(A + DA) and on its dual, the cover branch, with a fresh cover
-    and with the one knitting kept, gives what minimal_right_approx gives.  Counting every entry
+    and with the record knitting wrote, gives what minimal_right_approx gives.  Counting every entry
     of the table as one that may map in sends a half down the general path, as a projective maps
     onto each nonzero module."""
     alg = _algebra(name, p)
@@ -69,16 +68,16 @@ def test_cover_branch_gives_the_minimal_approximation(name, p):
     for node in catalog_of(alg).nodes:
         if node.in_add_gen_cogen:
             continue
-        for m, homs, outside, naming, cover in _sides(alg, node):
+        for m, homs, outside, naming, record in _sides(alg, node):
             assert not m.is_zero()
             want = _half(alg, m, homs, range(len(homs.modules)), naming, None)
-            assert _half(alg, m, homs, outside, naming, cover) == want
+            assert _half(alg, m, homs, outside, naming, record) == want
             if any(homs.entry(m, i) for i in outside):
                 general += 1
                 continue
             assert _half(alg, m, homs, (), naming, None) == want
-            if cover is not None:
-                assert _half(alg, m, homs, (), naming, cover) == want
+            if record is not None:
+                assert _half(alg, m, homs, (), naming, record) == want
     assert general == GENERAL_HALVES.get(name, 0)
 
 
@@ -103,35 +102,39 @@ def test_general_path_runs_only_on_loop2_and_tilted4(name, monkeypatch):
         assert calls == []
 
 
-# The covers that nodes outside add(A + DA) carry, of the module or of its dual.  A node whose
-# translates were both linked from the other side, as every such node of d4 is, carries none.
-# kron's catalog stops at the budget, and the tau links it fills in keep covers too.
-CARRIED = {"d4": 0, "h5": 5, "tilted5": 3, "a4_rad2": 1, "sq": 1, "kron": 11}
+# What nodes outside add(A + DA) carry of their covers: the records of the module and of its
+# dual, and the kernels kept with them.  A complete catalog records both sides of every such
+# node; a record keeps its kernel only where its own module was transposed, which on d4 is at
+# no such node.  kron's catalog stops at the budget, and the tau links it fills in write
+# records too.
+CARRIED = {"d4": (8, 0), "h5": (20, 5), "tilted5": (12, 3), "a4_rad2": (4, 1), "sq": (8, 1), "kron": (23, 11)}
 
 
 @pytest.mark.parametrize("name", sorted(CARRIED))
 def test_carried_cover_is_the_fresh_one(name):
-    """A cover that knitting kept, with its kernel's inclusion, has the matrices of a fresh
-    projective_cover and kernel_of."""
+    """A record gives the source dimensions of a fresh projective_cover, and a kernel it keeps
+    has the matrices of a fresh kernel_of."""
     alg = load_fixture_algebra(name)
-    carried = 0
+    recorded = kept = 0
     for node in catalog_of(alg).nodes:
-        for m, cover in ((node.rep, node.cover), (node.dual, node.dual_cover)):
-            if cover is None:
+        for m, record in ((node.rep, node.record), (node.dual, node.dual_record)):
+            if record is None or node.in_add_gen_cogen:
                 continue
-            carried += not node.in_add_gen_cogen
+            recorded += 1
             fresh = projective_cover(m)
-            ker, incl = kernel_of(fresh)
-            assert cover[0].source.dims == fresh.source.dims and cover[0].source.mats == fresh.source.mats
-            assert cover[0].mats == fresh.mats and cover[0].target is m
-            assert cover[1].source.mats == ker.mats and cover[1].mats == incl.mats
-    assert carried == CARRIED[name]
+            assert record.source_dims == fresh.source.dims
+            if record.kernel is None:
+                continue
+            kept += 1
+            ker, _ = kernel_of(fresh)
+            assert record.kernel.dims == ker.dims and record.kernel.mats == ker.mats
+    assert (recorded, kept) == CARRIED[name]
 
 
 @pytest.mark.parametrize("name", ["d4", "h5", "loop2", "tilted4", "tilted5", "a4_rad2"])
 def test_cached_catalog_gives_the_same_report(name, tmp_path, monkeypatch):
-    """A catalog read from the cache carries no covers; the main check builds them and gives the
-    report it gives on the knitted catalog."""
+    """A catalog read from the cache carries no records; the main check builds covers and gives
+    the report it gives on the knitted catalog."""
     monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
     budget = Budget()
     alg = rio.load_algebra(fixture_path(name + ".json"))
@@ -140,6 +143,6 @@ def test_cached_catalog_gives_the_same_report(name, tmp_path, monkeypatch):
     fresh = rio.load_algebra(fixture_path(name + ".json"))
     cached = rio.load_catalog_cache(fresh, budget)
     assert cached is not None and len(cached.nodes) == len(cat.nodes)
-    assert all(node.cover is None and node.dual_cover is None for node in cached.nodes)
+    assert all(node.record is None and node.dual_record is None for node in cached.nodes)
     want = checks.check_representation_hereditary(alg, catalog=cat).to_json()
     assert checks.check_representation_hereditary(fresh, catalog=cached).to_json() == want

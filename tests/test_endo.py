@@ -262,6 +262,56 @@ def test_min_poly_and_roots():
     assert sorted(r for r, _ in rational_roots(QQ, min_poly_of_matrix(d))) == [2, 3]
 
 
+def _trial_divisors(n, cap=10**6):
+    """_int_divisors as it was before it tested the cofactor for primality: the whole trial
+    division runs before a cofactor above cap^2 is refused."""
+    n = abs(n)
+    if n == 0:
+        return [1]
+    factors = {}
+    d, m = 2, n
+    while d * d <= m and d <= cap:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        if m > cap * cap:
+            raise RuntimeError("integer too large to factor for root search: %d" % n)
+        factors[m] = factors.get(m, 0) + 1
+    divs = [1]
+    for p, e in factors.items():
+        divs = [d0 * p**k for d0 in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def _divisors_or_refusal(fn, n, cap):
+    try:
+        return fn(n, cap)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+BIG_PRIME = 10**12 + 39
+
+
+def test_int_divisors_gives_what_the_whole_trial_division_gives():
+    """A prime cofactor above cap^2 is refused at once, and every outcome, divisors or refusal,
+    is the one the whole trial division gives: also for a composite cofactor above cap^2 with
+    no factor up to cap, which only the division can refuse, and for prime cofactors at or
+    below cap^2, which it still splits off."""
+    assert _is_prime(BIG_PRIME)
+    rng = random.Random(33)
+    sample = [0, 1, -1, 2, 97, -360, 2**40, 3**25, BIG_PRIME, -BIG_PRIME, 2 * BIG_PRIME, 7**3 * BIG_PRIME,
+              (10**6 + 3) * (10**6 + 33), 999983**2, 999983 * 1000003, 2 * 999983 * 1000003]
+    sample += [rng.randrange(1, 10**12) for _ in range(8)] + [rng.randrange(1, 10**4) for _ in range(200)]
+    for n in sample:
+        assert _divisors_or_refusal(endo._int_divisors, n, 10**6) == _divisors_or_refusal(_trial_divisors, n, 10**6), n
+    for n in range(-300, 3000):
+        assert _divisors_or_refusal(endo._int_divisors, n, 7) == _divisors_or_refusal(_trial_divisors, n, 7), n
+    assert _divisors_or_refusal(endo._int_divisors, 2 * BIG_PRIME, 10**6).startswith("integer too large")
+
+
 def _fraction_rational_roots(f, poly):
     """rational_roots over Q as it was before it tested candidates in ints: each candidate
     p/q is evaluated on the Fraction polynomial by Horner's rule."""

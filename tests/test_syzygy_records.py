@@ -1,0 +1,136 @@
+"""The syzygy records that each transpose writes at both ends of its tau pair, checked against
+fresh covers, and the pd and id that node_facts reads off them, checked against resolutions."""
+import os
+import random
+import sys
+
+import pytest
+
+from repherd import homological
+from repherd.catalog import Budget, node_facts
+from repherd.errors import VerificationFailed
+from repherd.fields import PrimeField
+from repherd.homological import (
+    SyzygyRecord, _transpose_with_cover, cover_with_kernel, inj_dim, proj_dim, projective_cover,
+)
+from repherd.io import algebra_from_dict
+from repherd.modules import kernel_of, top_dims
+
+from tests.conftest import ROOT, catalog_of, load_fixture_algebra
+from tests.test_endo import DUAL_NUMBERS
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
+
+FIXTURES = ["a2", "a3", "a4_rad2", "d4", "h5", "kron", "loop2", "sq", "tilted4", "tilted5"]
+# The Euclidean quivers of the catalog-q benchmark workload, at its module budgets: their
+# catalogs stop at the budget, and _fill_tau_tables writes the records the knitting did not.
+EUCLIDEAN_BUDGETS = {"kronecker": 12, "d4_tilde": 20, "a3_tilde": 20, "a2_tilde": 20}
+LARGE = Budget(max_modules=1000, max_total_dim=4096)
+
+
+def _generated(name):
+    """(algebra, budget) of a generated input: A<n>/rad<r>, E6, E7, a Euclidean quiver, or
+    k[x]/(x^2), all over Q."""
+    if name.startswith("A"):
+        n, r = map(int, name[1:].split("/rad"))
+        return algebra_from_dict(gen.nakayama_algebra(random.Random(name), n, r, "Q")), LARGE
+    if name in ("E6", "E7"):
+        return algebra_from_dict(gen.dynkin_algebra(random.Random(3), "E", int(name[1]), "Q")), LARGE
+    if name in EUCLIDEAN_BUDGETS:
+        data = gen.euclidean_algebra(random.Random("catalog-q:" + name), gen.EUCLIDEAN[name], "Q")
+        return algebra_from_dict(data), Budget(max_modules=EUCLIDEAN_BUDGETS[name])
+    return algebra_from_dict(dict(DUAL_NUMBERS, field="Q")), None
+
+
+GENERATED = ["A%d/rad%d" % (n, r) for n in range(3, 9) for r in range(2, n)] + ["E6", "E7", *EUCLIDEAN_BUDGETS, "k[x]/(x^2)"]
+CASES = (
+    [pytest.param(name, p, id="%s-%s" % (name, "GF%d" % p if p else "Q")) for name in FIXTURES for p in (None, 2, 3)]
+    + [pytest.param(name, None, id=name) for name in GENERATED]
+)
+
+
+def _catalog(name, p):
+    if name in FIXTURES:
+        alg = load_fixture_algebra(name, None if p is None else PrimeField(p))
+        return catalog_of(alg)
+    return catalog_of(*_generated(name))
+
+
+def fresh_record(m):
+    """(source dims, kernel dims, tops of the kernel, projectivity) from a fresh cover of m and
+    one of its kernel, the top counted by rank."""
+    f, ker, _ = cover_with_kernel(m)
+    tops = tuple(v for v, t in enumerate(top_dims(ker)) for _ in range(t))
+    return f.source.dims, ker.dims, tops, ker.is_zero() or cover_with_kernel(ker)[1].is_zero()
+
+
+def record_holds(record, m):
+    """Whether a record says of m what fresh covers say, and a kept kernel is a fresh kernel_of."""
+    if (record.source_dims, record.kernel_dims, record.tops, record.projective) != fresh_record(m):
+        return False
+    if record.kernel is None:
+        return True
+    ker, _ = kernel_of(projective_cover(m))
+    return record.kernel.dims == ker.dims and record.kernel.mats == ker.mats
+
+
+def _sides(node):
+    return ((node.rep, node.record, node.proj_vertex), (node.dual, node.dual_record, node.inj_vertex))
+
+
+@pytest.mark.parametrize("name, p", CASES)
+def test_every_record_is_what_fresh_covers_give(name, p):
+    """Every record on every node, of the module and of its dual, holds.  In a complete catalog
+    each node that is not projective has a record and each that is not injective a dual one."""
+    cat = _catalog(name, p)
+    for node in cat.nodes:
+        for m, record, vertex in _sides(node):
+            if record is None:
+                assert vertex is not None or not cat.complete
+                continue
+            assert vertex is None
+            assert record_holds(record, m)
+
+
+@pytest.mark.parametrize("name, p", CASES)
+def test_node_facts_read_off_the_records_are_the_resolved_ones(name, p):
+    cat = _catalog(name, p)
+    for node, facts in zip(cat.nodes, node_facts(cat)):
+        assert facts["pd"] == proj_dim(node.rep) and facts["id"] == inj_dim(node.rep)
+
+
+def test_dual_numbers_resolve_the_simple():
+    """Over k[x]/(x^2) the syzygy of the simple is the simple, so its records are not projective
+    and node_facts resolves its infinite pd and id."""
+    cat = _catalog("k[x]/(x^2)", None)
+    (simple,) = [node for node in cat.nodes if node.proj_vertex is None]
+    assert not simple.record.projective and not simple.dual_record.projective
+    facts = node_facts(cat)[cat.nodes.index(simple)]
+    assert not facts["pd"].is_finite and not facts["id"].is_finite
+
+
+@pytest.mark.parametrize("name", ["h5", "tilted4", "a4_rad2"])
+def test_a_record_with_the_wrong_projectivity_fails(name):
+    cat = catalog_of(load_fixture_algebra(name))
+    records = [(m, r) for node in cat.nodes for m, r, _ in _sides(node) if r is not None]
+    assert records
+    for m, record in records:
+        assert record_holds(record, m)
+        flipped = SyzygyRecord(record.source_dims, record.kernel_dims, record.tops, not record.projective,
+                               record.kernel)
+        assert not record_holds(flipped, m)
+
+
+@pytest.mark.parametrize("name", ["h5", "sq", "loop2", "tilted4"])
+def test_a_transpose_whose_dual_map_reaches_a_stationary_path_is_refused(name, monkeypatch):
+    """With the first top generator taken twice, each cover is onto but not minimal, the second
+    cover sends a top to a stationary path, and g* does too: P1* -> Tr is no projective cover,
+    and the dimension counts of the record of Tr would be wrong, so the transpose refuses."""
+    alg = load_fixture_algebra(name)
+    modules = [node.rep for node in catalog_of(alg).nodes]
+    real = homological.top_places
+    monkeypatch.setattr(homological, "top_places", lambda m: real(m) + real(m)[:1])
+    for m in modules:
+        with pytest.raises(VerificationFailed, match="stationary path"):
+            _transpose_with_cover(m)

@@ -1,0 +1,187 @@
+"""Time `repherd check --suite all` at the frontier, stage by stage, in CPU seconds.
+
+Run from the repository root:
+
+    python3 tools/scale.py --parent HEAD --out SCALE_33.json
+
+Each input is a generated algebra from perfbench/gen.py: E8, D16 and A30 from
+``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8 from
+``nakayama_algebra(random.Random(5), ...)``, over Q, and E8 over GF(101) too.
+``check --suite all --budget-modules 4000 --budget-dim 40000`` runs on each,
+in one process through ``repherd.cli.main``, with the catalog cache off.
+``time.process_time`` is read around the functions that make up the stages,
+and a stage's seconds leave out the stages nested in it:
+
+- ``enumeration``: ``enumerate_indecomposables``;
+- ``kernel_test``: ``checks._module_kernel_test``, every module's kernel test;
+- ``node_facts``: ``node_facts``;
+- ``oracle``: ``gldim_end_gen_cogen``, gl.dim End(A + DA);
+- ``suite``: ``check_no_inj_to_proj_suite``, the Hom(DA, A) = 0 suite;
+- ``total``: the whole command.
+
+With ``--parent REV`` the committed files of REV are exported with ``git
+archive`` into .bench_build/ and timed as well, each side in a process of its
+own, the parent first in even repeats and the working tree first in odd ones.
+With ``--repeat N`` every stage reports the median of N runs.  The JSON goes
+to ``--out`` at the repository root, beside the BENCH_*.json files.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import io
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import gen  # noqa: E402
+
+ARGV = ["--suite", "all", "--budget-modules", "4000", "--budget-dim", "40000"]
+INPUTS = [
+    ("E8", "Q", lambda: gen.dynkin_algebra(random.Random(3), "E", 8, "Q")),
+    ("E8", "GF(101)", lambda: gen.dynkin_algebra(random.Random(3), "E", 8, 101)),
+    ("D16", "Q", lambda: gen.dynkin_algebra(random.Random(3), "D", 16, "Q")),
+    ("A30", "Q", lambda: gen.dynkin_algebra(random.Random(3), "A", 30, "Q")),
+    ("A_24/rad^8", "Q", lambda: gen.nakayama_algebra(random.Random(5), 24, 8, "Q")),
+]
+STAGES = ["enumeration", "kernel_test", "node_facts", "oracle", "suite"]
+
+
+def _stage_timers(seconds, nodes):
+    """Wrap the functions of each stage in the modules that call them; a stage's own CPU time,
+    less the stages nested in it, is added to seconds[stage]."""
+    from repherd import catalog, checks, cli
+
+    stack = []
+
+    def timed(stage, fn):
+        def wrapper(*args, **kwargs):
+            stack.append(0.0)
+            start = time.process_time()
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                spent = time.process_time() - start
+                nested = stack.pop()
+                seconds[stage] += spent - nested
+                if stack:
+                    stack[-1] += spent
+            if stage == "enumeration":
+                nodes.append(len(out.nodes))
+            return out
+        return wrapper
+
+    targets = [
+        ("enumeration", [cli], "enumerate_indecomposables"),
+        ("kernel_test", [checks], "_module_kernel_test"),
+        ("node_facts", [checks, catalog], "node_facts"),
+        ("oracle", [checks], "gldim_end_gen_cogen"),
+        ("suite", [checks], "check_no_inj_to_proj_suite"),
+    ]
+    for stage, modules, name in targets:
+        wrapped = timed(stage, getattr(modules[0], name))
+        for module in modules:
+            setattr(module, name, wrapped)
+
+
+def time_inputs():
+    """[{input, field, nodes, exit, cpu_s}] for one run of each input in this process."""
+    from repherd import cli
+
+    os.environ.pop("REPHERD_CACHE_DIR", None)
+    seconds = dict.fromkeys(STAGES, 0.0)
+    nodes = []
+    _stage_timers(seconds, nodes)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, field, build in INPUTS:
+            path = gen.write_json(tmp, "algebra.json", build())
+            for stage in STAGES:
+                seconds[stage] = 0.0
+            del nodes[:]
+            gc.collect()
+            start = time.process_time()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["check", path, *ARGV])
+            total = time.process_time() - start
+            out.append({"input": name, "field": field, "nodes": nodes[0] if nodes else None, "exit": code,
+                        "cpu_s": dict({"total": total}, **seconds)})
+    return out
+
+
+def run_side(src):
+    """time_inputs() in a fresh process that imports repherd from src."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit("scale run failed on %s" % src)
+    return json.loads(proc.stdout)
+
+
+def merge(runs):
+    """One row per input, with the median of each stage over the runs."""
+    rows = []
+    for k, row in enumerate(runs[0]):
+        cpu = {stage: round(statistics.median(r[k]["cpu_s"][stage] for r in runs), 3) for stage in row["cpu_s"]}
+        rows.append(dict(row, cpu_s=cpu))
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="a commit to time as well")
+    ap.add_argument("--out", help="SCALE_<n>.json at the repository root")
+    ap.add_argument("--repeat", type=int, default=1)
+    ap.add_argument("--src", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.src:
+        sys.path.insert(0, args.src)
+        json.dump(time_inputs(), sys.stdout)
+        return 0
+    if not args.out:
+        ap.error("--out is required")
+
+    from bench_pairs import export, git
+
+    sides = {"change": os.path.join(ROOT, "src")}
+    if args.parent:
+        sides["parent"] = os.path.join(export(args.parent), "src")
+    runs = {side: [] for side in sides}
+    for k in range(args.repeat):
+        order = sorted(sides, reverse=k % 2 == 0)
+        for side in order:
+            runs[side].append(run_side(sides[side]))
+    report = {
+        "command": "repherd check ALGEBRA " + " ".join(ARGV),
+        "method": "CPU seconds (time.process_time) in one process per side; each stage leaves out the "
+                  "stages nested in it; median of %d run(s)" % args.repeat,
+        "host": {"cores": os.cpu_count(), "python": platform.python_version(),
+                 "implementation": platform.python_implementation(), "system": platform.system()},
+        "sides": {side: merge(r) for side, r in runs.items()},
+    }
+    if args.parent:
+        report["parent_commit"] = git("rev-parse", "--short", args.parent)
+    with open(os.path.join(ROOT, args.out), "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    for side, rows in report["sides"].items():
+        for row in rows:
+            print("%-6s %-11s %-7s nodes %4s  %s" % (side, row["input"], row["field"], row["nodes"], "  ".join(
+                "%s %.2f" % (stage, s) for stage, s in row["cpu_s"].items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
