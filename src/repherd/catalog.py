@@ -63,7 +63,8 @@ class CatalogNode:
     # step writes this node's record and its translate's dual_record, and the tau^{-1} step
     # this node's dual_record and its translate's record; _fill_tau_tables writes them where
     # the budget stopped knitting first.  Only a record of the transposed module keeps its
-    # kernel.  None at a projective (injective) node, and at a node read from a cache.
+    # kernel.  None at a projective (injective) node; dual_record is also None at a node
+    # whose tau^{-1} a knitting stopped by the budget never reached.
     record: SyzygyRecord | None = None
     dual_record: SyzygyRecord | None = None
 

@@ -74,15 +74,6 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _catalog_for(alg, budget):
-    cached = rio.load_catalog_cache(alg, budget)
-    if cached is not None:
-        return cached
-    cat = enumerate_indecomposables(alg, budget)
-    rio.save_catalog_cache(alg, cat, budget)
-    return cat
-
-
 def cmd_check(args) -> int:
     alg = rio.load_algebra(args.algebra)
     budget = _budget(args)
@@ -91,7 +82,7 @@ def cmd_check(args) -> int:
             print("error: --suite tilted needs --tilting FILE", file=sys.stderr)
             return 4
         return _run_tilted(args, alg, args.tilting, budget)
-    cat = _catalog_for(alg, budget)
+    cat = enumerate_indecomposables(alg, budget)
     if args.suite == "all":
         reports, _ = run_all_checks(alg, budget, catalog=cat)
         main = reports[0]
@@ -105,7 +96,7 @@ def cmd_check(args) -> int:
 
 def cmd_ar_quiver(args) -> int:
     alg = rio.load_algebra(args.algebra)
-    cat = _catalog_for(alg, _budget(args))
+    cat = enumerate_indecomposables(alg, _budget(args))
     if not cat.complete:
         print("error: catalog incomplete at the given budget", file=sys.stderr)
         return 3

@@ -1,4 +1,4 @@
-"""File formats: algebras, modules, reports, catalog cache.
+"""File formats: algebras, modules, reports.
 
 Everything is JSON with coefficients carried as strings (or ints), parsed
 exactly; floats are rejected outright.
@@ -249,155 +249,3 @@ def report_file(alg, reports, cat=None) -> dict:
     if cat is not None:
         out["catalog"] = catalog_summary(cat)
     return out
-
-
-# -- catalog cache -------------------------------------------------------------
-
-
-def cache_path(alg, budget):
-    """The cache file of the catalog of alg at this budget, keyed by algebra, field and budget."""
-    root = os.environ.get("REPHERD_CACHE_DIR")
-    if not root or not getattr(alg, "digest", None):
-        return None
-    os.makedirs(root, exist_ok=True)
-    suffix = "q" if alg.field.kind == "Q" else "p%d" % alg.field.p
-    name = "%s-%s-m%d-d%d.json" % (alg.digest, suffix, budget.max_modules, budget.max_total_dim)
-    return os.path.join(root, name)
-
-
-def save_catalog_cache(alg, cat, budget):
-    path = cache_path(alg, budget)
-    if path is None:
-        return
-    data = {
-        "tool_version": TOOL_VERSION,
-        "complete": cat.complete,
-        "nodes": [
-            {
-                "name": node.name,
-                "module": module_to_dict(node.rep),
-                "proj_vertex": node.proj_vertex,
-                "inj_vertex": node.inj_vertex,
-                "simple_vertex": node.simple_vertex,
-                "tau": node.tau,
-                "tau_inv": node.tau_inv,
-                "arrows": None if node.arrows is None else sorted([i, m] for i, m in node.arrows.items()),
-            }
-            for node in cat.nodes
-        ],
-    }
-    dump_json(path, data)
-
-
-def load_catalog_cache(alg, budget):
-    """The cached catalog, or None when there is none or it cannot be read."""
-    path = cache_path(alg, budget)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        return _catalog_from_cache(alg, load_json(path))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, RepherdError):
-        return None
-
-
-def _catalog_from_cache(alg, data):
-    """The catalog in a cache file, or None when its flags do not check out.
-
-    `complete` must be a bool, every vertex flag None or a vertex index,
-    every tau link None or a node index, and a node flagged P(v) or I(v) must
-    be isomorphic to P(v) or I(v).  The links must pair up (tau X = Y iff
-    tau^{-1} Y = X), each tau X must be isomorphic to the translate of X,
-    and a complete catalog must link exactly its non-projective and
-    non-injective nodes.  Each node's arrows must be None or pairs
-    [node index, multiplicity > 0] with distinct indices, every node of a
-    complete catalog must have them, and they must form AR meshes (see
-    _arrows_form_meshes).
-    """
-    from .catalog import CatalogNode, IndecomposableCatalog
-    from .homological import ar_translate
-    from .modules import gen_cogen, iso_class_index
-
-    if data.get("tool_version") != TOOL_VERSION or not isinstance(data["complete"], bool):
-        return None
-    gc = gen_cogen(alg)
-    n_vertices, n_nodes = alg.quiver.n_vertices, len(data["nodes"])
-    nodes = []
-    for nd in data["nodes"]:
-        rep = module_from_dict(alg, nd["module"])
-        arrows = nd.get("arrows")
-        node = CatalogNode(
-            rep,
-            name=nd["name"],
-            proj_vertex=nd["proj_vertex"],
-            inj_vertex=nd["inj_vertex"],
-            simple_vertex=nd["simple_vertex"],
-            tau=nd["tau"],
-            tau_inv=nd["tau_inv"],
-            arrows=None if arrows is None else dict(arrows),
-        )
-        vertex_flags = (node.proj_vertex, node.inj_vertex, node.simple_vertex)
-        if not all(_index_or_none(x, n_vertices) for x in vertex_flags):
-            return None
-        if not all(_index_or_none(x, n_nodes) for x in (node.tau, node.tau_inv)):
-            return None
-        if node.arrows is None:
-            if data["complete"]:
-                return None
-        elif len(node.arrows) != len(arrows) or not all(
-            i is not None and _index_or_none(i, n_nodes) and type(m) is int and m > 0 for i, m in node.arrows.items()
-        ):
-            return None
-        for v, canonical in ((node.proj_vertex, gc.projectives), (node.inj_vertex, gc.injectives)):
-            if v is not None and iso_class_index(rep, [canonical[v]]) is None:
-                return None
-        nodes.append(node)
-    for i, node in enumerate(nodes):
-        if node.tau is not None and nodes[node.tau].tau_inv != i:
-            return None
-        if node.tau_inv is not None and nodes[node.tau_inv].tau != i:
-            return None
-        if data["complete"] and (node.tau is None, node.tau_inv is None) != (
-            node.proj_vertex is not None,
-            node.inj_vertex is not None,
-        ):
-            return None
-        if node.tau is not None and iso_class_index(ar_translate(node.rep), [nodes[node.tau].rep]) is None:
-            return None
-    if not _arrows_form_meshes(nodes):
-        return None
-    return IndecomposableCatalog(alg, nodes, data["complete"])
-
-
-def _index_or_none(x, n):
-    return x is None or (type(x) is int and 0 <= x < n)
-
-
-def _arrows_form_meshes(nodes):
-    """Whether the recorded in-arrows are those of AR meshes, checked without a Hom solve.
-
-    At X, sum(mult * dim Y) over the arrows Y -> X is dim P(v) - e_v when X = P(v),
-    and dim tau X + dim X otherwise; then the arrows out of tau X are also those into
-    X, mult for mult, as End/rad = k at every node.  The mesh test passes over nodes
-    that a budget-stopped knitting left without arrows.
-    """
-    from .catalog import arrow_dims
-
-    out = [{} for _ in nodes]
-    for y, node in enumerate(nodes):
-        for z, mult in (node.arrows or {}).items():
-            out[z][y] = mult
-    for node in nodes:
-        if node.arrows is None:
-            continue
-        if node.proj_vertex is not None:
-            want = list(node.rep.dims)
-            want[node.proj_vertex] -= 1
-        elif node.tau is not None:
-            want = [a + b for a, b in zip(nodes[node.tau].rep.dims, node.rep.dims)]
-            if {y: m for y, m in node.arrows.items() if nodes[y].arrows is not None} != out[node.tau]:
-                return False
-        else:
-            return False
-        if arrow_dims(nodes, node.arrows, len(want)) != want:
-            return False
-    return True

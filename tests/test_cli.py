@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -136,16 +135,6 @@ def test_module_roundtrip(tmp_path, loop2):
         rio.dump_json(str(p), rio.module_to_dict(node.rep))
         back = rio.load_module(loop2, str(p))
         assert is_isomorphic(back, node.rep)
-
-
-def test_catalog_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
-    code1, out1 = run(capsys, "check", fixture_path("loop2.json"))
-    assert code1 == 0
-    cached = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
-    assert len(cached) == 1
-    code2, out2 = run(capsys, "check", fixture_path("loop2.json"))
-    assert code2 == 0 and out1 == out2
 
 
 def test_check_tilted_cli(capsys):

@@ -1,5 +1,4 @@
-"""Exit codes mean what they say: crashes exit 4, and a cache never changes a verdict."""
-import copy
+"""Exit codes mean what they say: crashes exit 4."""
 import json
 
 import pytest
@@ -10,26 +9,10 @@ from repherd.cli import main
 from tests.conftest import fixture_path
 
 
-def test_cache_is_keyed_by_budget(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
-    assert main(["check", fixture_path("tilted4.json"), "--budget-modules", "5"]) == 3
-    assert main(["check", fixture_path("tilted4.json")]) == 0
-
-
-def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
-    assert main(["check", fixture_path("a3.json")]) == 0
-    (cached,) = tmp_path.glob("*.json")
-    for junk in ("not json", "[]", '{"tool_version": "0.1.0", "nodes": [{}], "complete": true}'):
-        cached.write_text(junk)
-        assert main(["check", fixture_path("a3.json")]) == 0
-
-
 @pytest.mark.parametrize("name", ["loop2", "d4", "h5"])
-def test_suite_all_enumerates_once_and_cache_keeps_report(name, tmp_path, monkeypatch, capsys):
-    """A cached catalog gives the fresh report.  On d4 and h5 the gate holds, so part (v) runs on
-    node modules loaded from the file, which are not the objects of add(A + DA)."""
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+def test_suite_all_enumerates_once(name, monkeypatch, capsys):
+    """`check --suite all` knits one catalog for all its checks.  On d4 and h5 the gate holds,
+    so part (v) runs."""
     calls = []
     real = cli.enumerate_indecomposables
 
@@ -39,16 +22,20 @@ def test_suite_all_enumerates_once_and_cache_keeps_report(name, tmp_path, monkey
 
     monkeypatch.setattr(cli, "enumerate_indecomposables", counting)
     monkeypatch.setattr(checks, "enumerate_indecomposables", counting)
-    argv = ["check", fixture_path(name + ".json"), "--suite", "all"]
-    assert main(argv) == 0
+    assert main(["check", fixture_path(name + ".json"), "--suite", "all"]) == 0
     assert len(calls) == 1
-    fresh = capsys.readouterr().out
-    assert ('"part": "v"' in fresh) == (name != "loop2")
+    assert ('"part": "v"' in capsys.readouterr().out) == (name != "loop2")
 
+
+def test_a_cache_dir_in_the_environment_changes_nothing(tmp_path, monkeypatch, capsys):
+    """The catalog is knitted on every run: with REPHERD_CACHE_DIR set, `check --suite all`
+    writes no file there and prints the report it prints without it."""
+    argv = ["check", fixture_path("d4.json"), "--suite", "all"]
+    want = (main(argv), capsys.readouterr().out)
     monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
-    assert main(argv) == 0 and main(argv) == 0
-    assert len(calls) == 2  # the second cached run enumerates nothing
-    assert capsys.readouterr().out == fresh * 2
+    assert (main(argv), capsys.readouterr().out) == want
+    assert (main(argv), capsys.readouterr().out) == want
+    assert not any(tmp_path.iterdir())
 
 
 def test_crash_exits_4_with_one_line(tmp_path, capsys):
@@ -63,88 +50,6 @@ def test_crash_exits_4_with_one_line(tmp_path, capsys):
     assert main(["check-module", fixture_path("kron.json"), str(mod)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: ") and err.count("\n") == 1
-
-
-def test_cached_flags_are_verified(tmp_path, monkeypatch, capsys):
-    """A cache file whose flags do not check out is a miss: the report is the uncached one."""
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
-    argv = ["check", fixture_path("a3.json")]
-    want = (main(argv), capsys.readouterr().out)
-    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
-    assert (main(argv), capsys.readouterr().out) == want
-    (cached,) = tmp_path.glob("*.json")
-    good = json.loads(cached.read_text())
-
-    wrong_proj = copy.deepcopy(good)
-    node = next(nd for nd in wrong_proj["nodes"] if nd["proj_vertex"] is None and nd["inj_vertex"] is None)
-    node["proj_vertex"] = 0
-    not_bool = dict(good, complete="yes")
-    for bad in (wrong_proj, not_bool):
-        cached.write_text(json.dumps(bad))
-        assert (main(argv), capsys.readouterr().out) == want
-
-
-def test_cached_tau_links_are_verified(tmp_path, monkeypatch, capsys):
-    """A cache file whose tau links are swapped or missing, or whose arrows are wrong or missing,
-    is a miss: the suite's report, which reads the left and right parts off the arrows, is the
-    uncached one."""
-    from repherd import io as rio
-
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
-    argv = ["check", fixture_path("a3.json"), "--suite", "all"]
-    want = (main(argv), capsys.readouterr().out)
-    monkeypatch.setenv("REPHERD_CACHE_DIR", str(tmp_path))
-    assert (main(argv), capsys.readouterr().out) == want
-    (cached,) = tmp_path.glob("*.json")
-    good = json.loads(cached.read_text())
-    alg = rio.load_algebra(fixture_path("a3.json"))
-    assert good["complete"] and rio._catalog_from_cache(alg, good) is not None
-
-    swapped = copy.deepcopy(good)
-    nds = swapped["nodes"]
-    i, k = [n for n, nd in enumerate(nds) if nd["tau"] is not None][:2]
-    a, b = nds[i]["tau"], nds[k]["tau"]
-    nds[i]["tau"], nds[k]["tau"], nds[a]["tau_inv"], nds[b]["tau_inv"] = b, a, k, i
-    missing = copy.deepcopy(good)
-    nds = missing["nodes"]
-    nds[nds[i]["tau"]]["tau_inv"] = nds[i]["tau"] = None
-    k = next(n for n, nd in enumerate(good["nodes"]) if nd["arrows"])
-    # One source Y -> X replaced by two nodes whose dimension vectors add up to dim Y:
-    # only the mesh at X can tell.
-    dims = [node.rep.dims for node in rio._catalog_from_cache(alg, good).nodes]
-    x, y, y1, y2 = next(
-        (x, y, y1, y2)
-        for x, nd in enumerate(good["nodes"])
-        for y, m in nd["arrows"]
-        if m == 1
-        for y1 in range(len(dims))
-        for y2 in range(y1 + 1, len(dims))
-        if [a + b for a, b in zip(dims[y1], dims[y2])] == list(dims[y])
-    )
-    arrow_faults = []
-    for fault in ("mult", "drop", "range", "null", "no key", "split"):
-        bad = copy.deepcopy(good)
-        nd = bad["nodes"][k]
-        if fault == "mult":
-            nd["arrows"][0][1] += 1
-        elif fault == "drop":
-            nd["arrows"].pop()
-        elif fault == "range":
-            nd["arrows"][0][0] = len(bad["nodes"])
-        elif fault == "null":
-            nd["arrows"] = None
-        elif fault == "no key":
-            del nd["arrows"]
-        else:
-            arrows = dict(bad["nodes"][x]["arrows"])
-            del arrows[y]
-            arrows[y1], arrows[y2] = arrows.get(y1, 0) + 1, arrows.get(y2, 0) + 1
-            bad["nodes"][x]["arrows"] = sorted(map(list, arrows.items()))
-        arrow_faults.append(bad)
-    for bad in (swapped, missing, *arrow_faults):
-        cached.write_text(json.dumps(bad))
-        assert rio._catalog_from_cache(alg, bad) is None
-        assert (main(argv), capsys.readouterr().out) == want
 
 
 @pytest.mark.parametrize(
@@ -169,10 +74,9 @@ def test_usage_errors_exit_4_with_one_line(argv, named, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
-def test_consecutive_calls_share_no_state(monkeypatch, capsys):
+def test_consecutive_calls_share_no_state(capsys):
     """main builds its parser once; a usage error, then check --suite all, then a
     plain check each give what they give on a freshly built parser."""
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
     alg = fixture_path("a3.json")
     runs = [["check", alg, "--suite", "bogus"], ["check", alg, "--suite", "all"], ["check", alg]]
 
@@ -273,7 +177,6 @@ def test_a_catalog_module_that_does_not_split_names_the_algebra_file(argv, monke
     def refuse(f, dims, ops):
         raise NonSplit("forced")
 
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
     monkeypatch.setattr(modules, "fitting_split", refuse)
     paths = [fixture_path(name + ".json") for name in argv[1:]]
     assert main(argv[:1] + paths) == 4
@@ -292,7 +195,6 @@ def test_a_failed_verification_in_knitting_names_the_algebra_file(argv, monkeypa
     def fail(nodes, s, t):
         raise VerificationFailed("forced")
 
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
     monkeypatch.setattr(catalog, "_mesh_middle", fail)
     paths = [fixture_path(name + ".json") for name in argv[1:]]
     assert main(argv[:1] + paths) == 4
@@ -308,7 +210,6 @@ def test_routes_that_disagree_refuse_a_verdict(name, verdict, wrong, suite, monk
     error line that names the algebra file and both results."""
     from repherd.dims import DimValue
 
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
     monkeypatch.setattr(checks, "gldim_end_gen_cogen", lambda alg: DimValue.finite(wrong))
     assert main(["check", fixture_path(name + ".json")] + suite) == 4
     captured = capsys.readouterr()
@@ -332,9 +233,8 @@ def _suite_all_report(argv_path, tmp_path, name):
 
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
 @pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
-def test_every_prime_field_gives_the_report_over_q(name, p, tmp_path, monkeypatch, capsys):
+def test_every_prime_field_gives_the_report_over_q(name, p, tmp_path, capsys):
     """Decomposition needs no p > dim End(M): `check --suite all` over GF(p) reports as over Q."""
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
     if name not in _Q_REPORTS:
         _Q_REPORTS[name] = _suite_all_report(fixture_path(name + ".json"), tmp_path, name + "_q")
     data = json.loads(open(fixture_path(name + ".json"), encoding="utf-8").read())

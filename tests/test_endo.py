@@ -581,7 +581,6 @@ def test_oracle_finds_an_infinite_resolution_on_dual_numbers(field, tmp_path, mo
         return hom(self, v, w)
 
     monkeypatch.setattr(endo._Peirce, "hom", counted)
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
     path = tmp_path / "dual_numbers.json"
     path.write_text(json.dumps(dict(DUAL_NUMBERS, field=field)))
     assert main(["check", str(path)]) == 1

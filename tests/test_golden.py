@@ -8,7 +8,7 @@ tilted check carry the reports that the minimal approximations write.
 a4_rad2 is the one that Fails the main check, with the two routes agreeing.
 
 A change that means to alter a report regenerates the files, from the
-repository root and with REPHERD_CACHE_DIR unset:
+repository root:
 
     for f in a2 a3 loop2 d4 sq kron tilted4 tilted5 h5 a4_rad2; do
         PYTHONPATH=src python -m repherd.cli check fixtures/$f.json --suite all \\
@@ -55,8 +55,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("golden,argv,code", CASES, ids=[c[0][: -len(".json")] for c in CASES])
-def test_report_matches_golden(golden, argv, code, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("REPHERD_CACHE_DIR", raising=False)
+def test_report_matches_golden(golden, argv, code, tmp_path, capsys):
     out = tmp_path / golden
     assert main(argv + ["--json", str(out)]) == code
     with open(os.path.join(GOLDEN, golden), "rb") as fh:

@@ -27,11 +27,9 @@ inputs that the benchmark times.  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
 ``--json`` report.  Every command whose stdout, exit code or ``--json`` file
 differs between the two trees is listed; the exit code is 1 when any does.
-These runs keep the catalog cache off, so each command computes its catalog
-afresh.  Each ``check`` command then runs once more in each tree, with a
-fresh ``REPHERD_CACHE_DIR`` of its own, and the catalog cache files it
-writes, which hold every node's matrices, tau links and arrows, are compared
-byte for byte along with its output.
+``REPHERD_CACHE_DIR`` is removed from each command's environment, so that a
+parent commit that still has the on-disk catalog cache computes every
+catalog afresh, as the working tree does.
 """
 from __future__ import annotations
 
@@ -214,33 +212,23 @@ def commands(workdir):
     return out
 
 
-def run(tree, argv, json_path, cache_dir=None):
-    """(exit code, stdout, --json file or None, cache files) of ``repherd argv`` with the sources
-    of tree.
+def run(tree, argv, json_path):
+    """(exit code, stdout, --json file or None) of ``repherd argv`` with the sources of tree.
 
-    The commands that write a report write it to json_path.  With cache_dir the catalog cache
-    is on there, and the files written to it are returned as {name: bytes}; without it the
-    cache is off and {} is returned.
+    The commands that write a report write it to json_path.
     """
     report = argv[0] in ("check", "check-module", "check-tilted")
     if report:
         argv = argv + ["--json", json_path]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.pop("REPHERD_CACHE_DIR", None)
-    if cache_dir is not None:
-        env["REPHERD_CACHE_DIR"] = cache_dir
     proc = subprocess.run([sys.executable, "-m", "repherd.cli", *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
     blob = None
     if report and os.path.exists(json_path):
         with open(json_path, encoding="utf-8") as fh:
             blob = fh.read()
-    cache = {}
-    if cache_dir is not None and os.path.isdir(cache_dir):
-        for name in sorted(os.listdir(cache_dir)):
-            with open(os.path.join(cache_dir, name), "rb") as fh:
-                cache[name] = fh.read()
-    return proc.returncode, proc.stdout, blob, cache
+    return proc.returncode, proc.stdout, blob
 
 
 def main(argv=None):
@@ -256,33 +244,19 @@ def main(argv=None):
         def compare(k):
             label, argv = cmds[k]
             out = os.path.join(workdir, "report-%d-%%s.json" % k)
-            pair = run(parent, argv, out % "parent"), run(ROOT, argv, out % "change")
-            cached = None
-            if argv[0] == "check":
-                cache = os.path.join(workdir, "cache-%d-%%s" % k)
-                cached = (run(parent, argv, out % "parent", cache % "parent"),
-                          run(ROOT, argv, out % "change", cache % "change"))
-            return label, pair, cached
+            return label, (run(parent, argv, out % "parent"), run(ROOT, argv, out % "change"))
 
-        differ = cached_runs = cache_files = cache_differ = 0
+        differ = 0
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            for label, (old, new), cached in pool.map(compare, range(len(cmds))):
+            for label, (old, new) in pool.map(compare, range(len(cmds))):
                 same = old == new
                 differ += not same
                 print("%s  exit %d -> %d  %s" % ("same  " if same else "DIFFER", old[0], new[0], label), flush=True)
-                if cached is not None:
-                    same = cached[0] == cached[1]
-                    cached_runs += 1
-                    cache_files += len(cached[1][3])
-                    cache_differ += not same
-                    print("%s  cached, %d files  %s" % ("same  " if same else "DIFFER", len(cached[1][3]), label),
-                          flush=True)
         print("%d commands, %d differ" % (len(cmds), differ))
-        print("%d cached check runs (%d cache files), %d differ" % (cached_runs, cache_files, cache_differ))
     finally:
         shutil.rmtree(parent, ignore_errors=True)
         shutil.rmtree(workdir, ignore_errors=True)
-    return 1 if differ or cache_differ else 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ Each input is a generated algebra from perfbench/gen.py: E8, D16 and A30 from
 ``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8 from
 ``nakayama_algebra(random.Random(5), ...)``, over Q, and E8 over GF(101) too.
 ``check --suite all --budget-modules 4000 --budget-dim 40000`` runs on each,
-in one process through ``repherd.cli.main``, with the catalog cache off.
+in one process through ``repherd.cli.main``.  ``REPHERD_CACHE_DIR`` is removed
+from the environment, so that a ``--parent`` commit that still has the
+on-disk catalog cache knits every catalog, as the working tree does.
 ``time.process_time`` is read around the functions that make up the stages,
 and a stage's seconds leave out the stages nested in it:
 
