@@ -62,9 +62,9 @@ class CatalogNode:
     # node's tau pair: a transpose of X records X and Tr X, and D Tr X = tau X.  So the tau
     # step writes this node's record and its translate's dual_record, and the tau^{-1} step
     # this node's dual_record and its translate's record; _fill_tau_tables writes them where
-    # the budget stopped knitting first.  Only a record of the transposed module keeps its
-    # kernel.  None at a projective (injective) node; dual_record is also None at a node
-    # whose tau^{-1} a knitting stopped by the budget never reached.
+    # the budget stopped knitting first.  Each record keeps Omega as a module.  None at a
+    # projective (injective) node; dual_record is also None at a node whose tau^{-1} a
+    # knitting stopped by the budget never reached.
     record: SyzygyRecord | None = None
     dual_record: SyzygyRecord | None = None
 
@@ -384,7 +384,7 @@ def _one_or_resolve(record, resolve, m):
     """pd m from its SyzygyRecord: at most 1 when Omega m is projective, and 0 only when Omega m
     is zero; otherwise, or with no record, resolve(m)."""
     if record is not None and record.projective:
-        return DimValue.finite(1 if any(record.kernel_dims) else 0)
+        return DimValue.finite(0 if record.kernel.is_zero() else 1)
     return resolve(m)
 
 

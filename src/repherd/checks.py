@@ -11,13 +11,15 @@ from .homological import (
     ar_translate,
     ar_translate_inv,
     cosyzygy,
-    cover_with_kernel,
+    cover_dims,
     evaluation,
     ext1_dim,
     in_cogen,
+    kernel_record,
     minimal_right_approx,
     proj_dim,
     syzygy,
+    syzygy_record,
 )
 from .modules import (
     HomTable,
@@ -30,8 +32,6 @@ from .modules import (
     iso_class_index,
     kernel_of,
     known_index,
-    projective_at,
-    top_dims,
 )
 
 HOLDS = "Holds"
@@ -56,37 +56,7 @@ class CheckReport:
         }
 
 
-def _cover_dims(top, projs):
-    """The dimension vector of the projective cover of a module whose top has dimensions top.
-
-    projs[v] is a module with the dimensions of the indecomposable projective
-    P(v) over the module's algebra.  The projective cover is the sum of the
-    P(v)^{top_v} (Auslander–Reiten–Smalø, ch. I), so only its dimensions are
-    counted and no cover is built.
-    """
-    return [sum(t * p.dims[u] for t, p in zip(top, projs)) for u in range(len(top))]
-
-
-def _projective_piece_names(k, prefix, projs):
-    """When k is projective, name its summands by counting the top; else None.
-
-    projs[v] is a module with the dimension of the indecomposable projective
-    at v over k's algebra.  The projective cover of k maps onto k, so k is
-    projective exactly when the cover has the dimensions of k.  Applied with
-    prefix "I" to the dual of a module over the opposite algebra, with the
-    injectives I(v) = D P^op(v) as projs, this names the summands of an
-    injective by counting its socle.
-    """
-    if k.is_zero():
-        return []
-    top = top_dims(k)
-    if _cover_dims(top, projs) != list(k.dims):
-        return None
-    verts = k.algebra.quiver.vertices
-    return ["%s(%s)" % (prefix, verts[v]) for v in range(len(verts)) for _ in range(top[v])]
-
-
-def _kernel_half(m, homs, outside, add_names, prefix, kind, projs, record=None):
+def _kernel_half(m, homs, outside, add_names, prefix, kind, record=None):
     """The minimal right approximation of m by add of the modules of the Hom table homs, as
     (its source's dimensions, its kernel's dimensions, the kernel's summand names, whether the
     kernel is projective).
@@ -97,34 +67,26 @@ def _kernel_half(m, homs, outside, add_names, prefix, kind, projs, record=None):
     map from a projective factors through the cover, which is onto, the maps from the other
     entries are zero, and a projective cover is right minimal (Auslander–Reiten–Smalø,
     ch. I).  Its kernel is the syzygy of m, and `record` is m's SyzygyRecord when the caller
-    holds one.  A projective syzygy is named P(v) for each vertex v of its top, with no cover
-    built; one that is not is split from the record's kernel, or from a cover built here.
-    Only when some entry of outside maps to m is minimal_right_approx asked.
+    holds one; otherwise one cover is built here.  Only when some entry of outside maps to m
+    is minimal_right_approx asked, and its kernel is recorded the same way.  A projective
+    kernel is named P(v) for each vertex v of its top, and one that is not is split.
     """
     add_list = homs.modules
     if any(homs.entry(m, i) for i in outside):
         f = minimal_right_approx(m, add_list, _homs=homs)
-        source, ker = f.source.dims, kernel_of(f)[0]
-        names = _projective_piece_names(ker, prefix, projs)
-    elif record is not None and record.projective:
+        record = kernel_record(f.source.dims, kernel_of(f)[0])
+    else:
+        record = record or syzygy_record(m)
+    ker = record.kernel
+    if record.projective:
         verts = m.algebra.quiver.vertices
         names = ["%s(%s)" % (prefix, verts[v]) for v in record.tops]
-        return list(record.source_dims), list(record.kernel_dims), names, True
     else:
-        if record is not None and record.kernel is not None:
-            source, ker = record.source_dims, record.kernel
-        else:
-            f, ker, _ = cover_with_kernel(m)
-            source = f.source.dims
-        # a record that is not projective says so with no rank taken
-        names = None if record is not None else _projective_piece_names(ker, prefix, projs)
-    ok = names is not None
-    if not ok:
         names = []
         for p in indecomposable_summands(ker, add_list):
             i = known_index(p, add_list)
             names.append(add_names[i] if i is not None else "non-%s %s" % (kind, p.dims))
-    return list(source), list(ker.dims), names, ok
+    return list(record.source_dims), list(ker.dims), names, record.projective
 
 
 def _module_kernel_test(alg, m, dm=None, record=None, dual_record=None):
@@ -146,12 +108,9 @@ def _module_kernel_test(alg, m, dm=None, record=None, dual_record=None):
     n = len(gc.projectives)
     inj_outside = range(n, len(gc.modules))
     dual_inj_outside = [i for i in range(n) if i not in gc.inj_entries]
-    source, ker, knames, right_ok = _kernel_half(
-        m, gc.homs, inj_outside, gc.names, "P", "projective", gc.projectives, record
-    )
+    source, ker, knames, right_ok = _kernel_half(m, gc.homs, inj_outside, gc.names, "P", "projective", record)
     target, cok, cnames, left_ok = _kernel_half(
-        dual_module(m) if dm is None else dm, gc.dual_homs, dual_inj_outside, gc.names, "I", "injective",
-        gc.injectives, dual_record,
+        dual_module(m) if dm is None else dm, gc.dual_homs, dual_inj_outside, gc.names, "I", "injective", dual_record
     )
     detail = {
         "right_source_dims": source,
@@ -470,8 +429,7 @@ def _built_right_approx_ok(x, inj_list, homs, minimal_dims) -> bool:
     the P(v) over x's algebra, which over the opposite algebra have the dimensions of the I(v).
     """
     fr = minimal_right_approx(x, inj_list, _homs=homs)
-    projs = [projective_at(x.algebra, v) for v in range(len(x.dims))]
-    cover = _cover_dims(cokernel_top_dims(fr), projs)
+    cover = cover_dims(x.algebra, cokernel_top_dims(fr))
     return [a + b for a, b in zip(fr.source.dims, cover)] == list(minimal_dims)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from .algebra import Path
 from .dims import DimValue
 from .errors import VerificationFailed, ZProjective
-from .linalg import Mat, SpanTracker, hstack, kernel_basis, rank, solve, vstack
+from .linalg import Mat, SpanTracker, col_space, hstack, kernel_basis, rank, solve, vstack
 from .modules import (
     HomTable,
     ModuleMorphism,
@@ -27,8 +27,10 @@ from .modules import (
     morphism_flat,
     projective_at,
     projective_paths,
+    quotient_with_section,
     same_summands,
     subrep_from_bases,
+    top_dims,
     top_places,
     zero_morphism,
     zero_rep,
@@ -63,21 +65,21 @@ class ShortExactSequence:
 
 
 class SyzygyRecord:
-    """What a minimal projective presentation of a module X says of its syzygy, with no morphism.
+    """What a right minimal map onto a module X says of its kernel, with no morphism.
 
-    source_dims and kernel_dims are the dimension vectors of the projective cover P0(X) and of
-    Omega X, tops the vertices of the top of Omega X, sorted and with multiplicity, and
-    projective whether Omega X is projective (Omega^2 X = 0).  Each is invariant under
+    source_dims is the dimension vector of the map's source, kernel a module isomorphic to its
+    kernel, tops the vertices of the top of the kernel, sorted and with multiplicity, and
+    projective whether the kernel is projective.  Knitting and syzygy_record write it for the
+    projective cover P0(X), whose kernel is Omega X; the kernel test's general path also
+    writes one for a minimal add(A + DA)-approximation of X.  Each field is invariant under
     isomorphism of X, so a record made for one module holds for any module isomorphic to it.
-    kernel is Omega X itself where the presentation built it, else None.  Immutable by
-    convention.
+    Immutable by convention.
     """
 
-    __slots__ = ("source_dims", "kernel_dims", "tops", "projective", "kernel")
+    __slots__ = ("source_dims", "tops", "projective", "kernel")
 
-    def __init__(self, source_dims, kernel_dims, tops, projective, kernel=None):
+    def __init__(self, source_dims, tops, projective, kernel):
         self.source_dims = source_dims
-        self.kernel_dims = kernel_dims
         self.tops = tops
         self.projective = projective
         self.kernel = kernel
@@ -148,6 +150,28 @@ def cover_with_kernel(m: Representation):
     """(the projective cover of m, its kernel, the kernel's inclusion), from one elimination."""
     f, _, bases = _cover_data(m)
     return (f,) + subrep_from_bases(f.source, bases)
+
+
+def cover_dims(alg, top):
+    """The dimension vector of the projective cover of a module over alg whose top has dimensions
+    top: the sum of the P(v)^{top_v} (Auslander–Reiten–Smalø, ch. I), counted and not built."""
+    projs = [projective_at(alg, v) for v in range(len(top))]
+    return [sum(t * p.dims[u] for t, p in zip(top, projs)) for u in range(len(top))]
+
+
+def kernel_record(source_dims, k):
+    """The SyzygyRecord of a right minimal map onto a module from a module of dimensions
+    source_dims, with kernel k.  The top of k is read once; the projective cover of k maps onto k, so k is
+    projective exactly when that cover has the dimensions of k, and none is built."""
+    top = top_dims(k)
+    tops = tuple(v for v, t in enumerate(top) for _ in range(t))
+    return SyzygyRecord(source_dims, tops, cover_dims(k.algebra, top) == list(k.dims), k)
+
+
+def syzygy_record(m: Representation) -> SyzygyRecord:
+    """The SyzygyRecord of m, from one projective cover and its kernel."""
+    f, ker, _ = cover_with_kernel(m)
+    return kernel_record(f.source.dims, ker)
 
 
 def injective_envelope(m: Representation) -> ModuleMorphism:
@@ -225,13 +249,16 @@ def _transpose_with_cover(m: Representation):
     of P(a_l) to a combination of paths from b_k to a_l in each P(b_k), and g* sends the top
     of P^op(b_k) to the same combination of the reversed paths in each P^op(a_l).
 
-    Both records come from what the presentation already holds.  That of m reads Omega m = K
-    off the first cover, its top off the second, and Omega^2 m = 0 off the second cover's
-    kernel.  g* is a minimal presentation of Tr m when m has no projective summand
-    (Auslander-Reiten-Smalø IV.1): its image is Omega Tr m, of dimension dim P1* - dim Tr m,
-    which is projective exactly when g* is mono, that is when it has the dimension of P0*,
-    and whose top is that of P0*.  P1* -> Tr m is a projective cover when no top of a
-    P^op(b_k) goes to a combination with a stationary path in it, which is checked here.
+    Both records come from what the presentation already holds, and each keeps its Omega.
+    That of m reads Omega m = K off the first cover, its top off the second, and
+    Omega^2 m = 0 off the second cover's kernel.  g* is a minimal presentation of Tr m when m
+    has no projective summand (Auslander-Reiten-Smalø IV.1): its image is Omega Tr m, of
+    dimension dim P1* - dim Tr m, which is projective exactly when g* is mono, that is when it
+    has the dimension of P0*, and whose top is that of P0*.  The record of Tr m keeps P0* as
+    Omega Tr m when g* is mono, and otherwise the span of the columns of g*, whose spaces are
+    reduced once for it and for Tr m.  P1* -> Tr m is
+    a projective cover when no top of a P^op(b_k) goes to a combination with a stationary
+    path in it, which is checked here.
     """
     alg = m.algebra
     op = alg.opposite
@@ -240,9 +267,9 @@ def _transpose_with_cover(m: Representation):
     k0, incl = subrep_from_bases(cover0.source, bases0)
     nv = len(m.dims)
     if k0.is_zero():
-        zero = (0,) * nv
-        return (zero_rep(op), cover0, incl, SyzygyRecord(cover0.source.dims, k0.dims, (), True, k0),
-                SyzygyRecord(zero, zero, (), True))
+        zero = zero_rep(op)
+        return (zero, cover0, incl, SyzygyRecord(cover0.source.dims, (), True, k0),
+                SyzygyRecord(zero.dims, (), True, zero))
     cover1, verts1, bases1 = _cover_data(k0)
     g = compose(incl, cover1)  # P1 -> P0
     names = alg.quiver.vertices
@@ -278,11 +305,12 @@ def _transpose_with_cover(m: Representation):
             col[v] += p1.dims[v]
             row[v] += len(oplists[v])
     gstar = _from_generators(tgt, [(b, tuple(w)) for b, w in zip(verts0, images)])
-    tr = cokernel_of(gstar)[0]
-    omega = tuple(p - t for p, t in zip(tgt.dims, tr.dims))
-    return (tr, cover0, incl,
-            SyzygyRecord(cover0.source.dims, k0.dims, tuple(verts1), not any(b.cols for b in bases1), k0),
-            SyzygyRecord(tgt.dims, omega, tuple(verts0), omega == gstar.source.dims))
+    images = [col_space(a) for a in gstar.mats]
+    tr = quotient_with_section(tgt, images)[0]
+    mono = [b.cols for b in images] == list(gstar.source.dims)
+    omega = gstar.source if mono else subrep_from_bases(tgt, images)[0]
+    return (tr, cover0, incl, SyzygyRecord(cover0.source.dims, tuple(verts1), not any(b.cols for b in bases1), k0),
+            SyzygyRecord(tgt.dims, tuple(verts0), mono, omega))
 
 
 def ar_translate(m: Representation) -> Representation:

@@ -284,9 +284,8 @@ def injective_at(alg, v) -> Representation:
 
 class HomTable:
     """Hom from a fixed list of modules, each entry solved once: entry(m, i) is
-    hom_basis(modules[i], m), solved the first time it is asked for; into(m) is the
-    whole row [hom_basis(X, m) for each X], with whatever is missing filled in, and
-    row(i) is into(modules[i]).
+    hom_basis(modules[i], m), solved the first time it is asked for, and row(i) is the
+    whole row [hom_basis(X, modules[i]) for each X], with whatever is missing filled in.
 
     The rows are kept by the object m itself, which the table keeps alive, so a module
     made later never reads the rows of one that is gone.  Callers never change them.
@@ -306,11 +305,8 @@ class HomTable:
             row[i] = hom_basis(self.modules[i], m)
         return row[i]
 
-    def into(self, m):
-        return [self.entry(m, i) for i in range(len(self.modules))]
-
     def row(self, i):
-        return self.into(self.modules[i])
+        return [self.entry(self.modules[i], j) for j in range(len(self.modules))]
 
 
 @dataclass(frozen=True)
@@ -434,16 +430,21 @@ def cokernel_of(f: ModuleMorphism):
 
 def cokernel_with_section(f: ModuleMorphism):
     """Cokernel plus a linear section of the projection (not a morphism)."""
-    q = f.source.algebra.quiver
-    n = f.target
-    maps = [quotient_maps(n.algebra.field, col_space(m)) for m in f.mats]
+    return quotient_with_section(f.target, [col_space(m) for m in f.mats])
+
+
+def quotient_with_section(n: Representation, bases):
+    """n modulo the subrepresentation spanned by the per-vertex column bases, with the
+    projection and a linear section of it (not a morphism)."""
+    q = n.algebra.quiver
+    maps = [quotient_maps(n.algebra.field, b) for b in bases]
     projs = tuple(p for p, _ in maps)
     sections = tuple(s for _, s in maps)
     mats = []
     for a in range(q.n_arrows):
         i, j = q.arrow_src[a], q.arrow_tgt[a]
         mats.append(projs[j].mul(n.mats[a]).mul(sections[i]))
-    cok = Representation(f.source.algebra, [p.rows for p in projs], mats)
+    cok = Representation(n.algebra, [p.rows for p in projs], mats)
     proj = ModuleMorphism(n, cok, projs).check()
     return cok, proj, sections
 

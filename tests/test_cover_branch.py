@@ -8,12 +8,12 @@ import sys
 
 import pytest
 
-from repherd import checks
+from repherd import catalog, checks, homological
 from repherd import io as rio
 from repherd.catalog import Budget, IndecomposableCatalog, enumerate_indecomposables
 from repherd.fields import PrimeField
 from repherd.homological import projective_cover
-from repherd.modules import gen_cogen, kernel_of
+from repherd.modules import gen_cogen, indecomposable_summands, kernel_of, same_summands
 
 from tests.conftest import ROOT, catalog_of, fixture_path, load_fixture_algebra
 
@@ -42,14 +42,14 @@ def _algebra(name, p):
 
 def _sides(alg, node):
     """For the right and the left test of a node: (the module, its Hom table, the entries of the
-    table that are injective and not projective, the names and the projectives that name the
-    kernel's pieces, the record knitting wrote or None)."""
+    table that are injective and not projective, the names that name the kernel's pieces, the
+    record knitting wrote or None)."""
     gc = gen_cogen(alg)
     n = len(gc.projectives)
     return [
-        (node.rep, gc.homs, range(n, len(gc.modules)), ("P", "projective", gc.projectives), node.record),
+        (node.rep, gc.homs, range(n, len(gc.modules)), ("P", "projective"), node.record),
         (node.dual, gc.dual_homs, [i for i in range(n) if i not in gc.inj_entries],
-         ("I", "injective", gc.injectives), node.dual_record),
+         ("I", "injective"), node.dual_record),
     ]
 
 
@@ -104,39 +104,52 @@ def test_general_path_runs_only_on_loop2_and_tilted4(name, monkeypatch):
 
 
 # What nodes outside add(A + DA) carry of their covers: the records of the module and of its
-# dual, and the kernels kept with them.  A complete catalog records both sides of every such
-# node; a record keeps its kernel only where its own module was transposed, which on d4 is at
-# no such node.  kron's catalog stops at the budget, and the tau links it fills in write
-# records too.
+# dual, each with its kernel, and how many of those records a transpose of the record's own
+# module wrote.  A complete catalog records both sides of every such node; on d4 each record was
+# written at the other end of its tau pair.  kron's catalog stops at the budget, and the tau
+# links it fills in write records too.
 CARRIED = {"d4": (8, 0), "h5": (20, 5), "tilted5": (12, 3), "a4_rad2": (4, 1), "sq": (8, 1), "kron": (23, 11)}
 
 
 @pytest.mark.parametrize("name", sorted(CARRIED))
-def test_carried_cover_is_the_fresh_one(name):
-    """A record gives the source dimensions of a fresh projective_cover, and a kernel it keeps
-    has the matrices of a fresh kernel_of."""
+def test_carried_cover_is_the_fresh_one(name, monkeypatch):
+    """A record gives the source dimensions of a fresh projective_cover.  Its kernel has the
+    matrices of a fresh kernel_of where its own module was transposed, and the summands of a
+    fresh kernel_of where the transpose at the other end of the tau pair wrote it."""
     alg = load_fixture_algebra(name)
-    recorded = kept = 0
-    for node in catalog_of(alg).nodes:
+    transposed = []
+    real = catalog._transpose_with_cover
+
+    def recording(m):
+        presentation = real(m)
+        transposed.append(presentation[3])
+        return presentation
+
+    monkeypatch.setattr(catalog, "_transpose_with_cover", recording)
+    cat = enumerate_indecomposables(alg)
+    monkeypatch.undo()
+    recorded = own = 0
+    for node in cat.nodes:
         for m, record in ((node.rep, node.record), (node.dual, node.dual_record)):
             if record is None or node.in_add_gen_cogen:
                 continue
             recorded += 1
             fresh = projective_cover(m)
             assert record.source_dims == fresh.source.dims
-            if record.kernel is None:
-                continue
-            kept += 1
             ker, _ = kernel_of(fresh)
-            assert record.kernel.dims == ker.dims and record.kernel.mats == ker.mats
-    assert (recorded, kept) == CARRIED[name]
+            if any(record is r for r in transposed):
+                own += 1
+                assert record.kernel.dims == ker.dims and record.kernel.mats == ker.mats
+            else:
+                assert same_summands(indecomposable_summands(record.kernel), indecomposable_summands(ker))
+    assert (recorded, own) == CARRIED[name]
 
 
 @pytest.mark.parametrize("name", ["d4", "h5", "loop2", "tilted4", "tilted5", "a4_rad2"])
 def test_cached_catalog_gives_the_same_report(name, monkeypatch):
     """The knitted catalog's nodes copied without their records, as check-module's modules
-    come: the main check builds a cover at each half on the cover branch that read a record,
-    and gives the report it gives on the knitted catalog."""
+    come: syzygy_record builds a cover at each half on the cover branch that read a record,
+    and the main check gives the report it gives on the knitted catalog."""
     alg = rio.load_algebra(fixture_path(name + ".json"))
     cat = enumerate_indecomposables(alg, Budget())
     want = checks.check_representation_hereditary(alg, catalog=cat).to_json()
@@ -148,13 +161,13 @@ def test_cached_catalog_gives_the_same_report(name, monkeypatch):
     )
     bare = [dataclasses.replace(node, record=None, dual_record=None) for node in cat.nodes]
     covers = []
-    real = checks.cover_with_kernel
+    real = homological.cover_with_kernel
 
     def counting(m):
         covers.append(m)
         return real(m)
 
-    monkeypatch.setattr(checks, "cover_with_kernel", counting)
+    monkeypatch.setattr(homological, "cover_with_kernel", counting)
     got = checks.check_representation_hereditary(alg, catalog=IndecomposableCatalog(alg, bare, cat.complete))
     assert got.to_json() == want
     assert len(covers) == recorded - GENERAL_HALVES.get(name, 0)

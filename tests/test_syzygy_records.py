@@ -6,15 +6,15 @@ import sys
 
 import pytest
 
-from repherd import homological
-from repherd.catalog import Budget, node_facts
+from repherd import catalog, checks, homological
+from repherd.catalog import Budget, enumerate_indecomposables, node_facts
 from repherd.errors import VerificationFailed
 from repherd.fields import PrimeField
 from repherd.homological import (
     SyzygyRecord, _transpose_with_cover, cover_with_kernel, inj_dim, proj_dim, projective_cover,
 )
 from repherd.io import algebra_from_dict
-from repherd.modules import kernel_of, top_dims
+from repherd.modules import indecomposable_summands, kernel_of, same_summands, top_dims
 
 from tests.conftest import ROOT, catalog_of, load_fixture_algebra
 from tests.test_endo import DUAL_NUMBERS
@@ -50,11 +50,31 @@ CASES = (
 )
 
 
-def _catalog(name, p):
+def _algebra(name, p):
+    """(algebra, budget) of a case."""
     if name in FIXTURES:
-        alg = load_fixture_algebra(name, None if p is None else PrimeField(p))
-        return catalog_of(alg)
-    return catalog_of(*_generated(name))
+        return load_fixture_algebra(name, None if p is None else PrimeField(p)), None
+    return _generated(name)
+
+
+def _catalog(name, p):
+    return catalog_of(*_algebra(name, p))
+
+
+def _knit(name, p, monkeypatch):
+    """A fresh catalog of a case, and the records in it that a transpose of their own module
+    wrote; each other record was written by the transpose at the other end of its tau pair."""
+    own = []
+    real = catalog._transpose_with_cover
+
+    def recording(m):
+        presentation = real(m)
+        own.append(presentation[3])
+        return presentation
+
+    with monkeypatch.context() as patched:
+        patched.setattr(catalog, "_transpose_with_cover", recording)
+        return enumerate_indecomposables(*_algebra(name, p)), own
 
 
 def fresh_record(m):
@@ -65,14 +85,20 @@ def fresh_record(m):
     return f.source.dims, ker.dims, tops, ker.is_zero() or cover_with_kernel(ker)[1].is_zero()
 
 
-def record_holds(record, m):
-    """Whether a record says of m what fresh covers say, and a kept kernel is a fresh kernel_of."""
-    if (record.source_dims, record.kernel_dims, record.tops, record.projective) != fresh_record(m):
+def record_holds(record, m, own):
+    """Whether a record says of m what fresh covers say, and its kernel is a fresh kernel_of:
+    with the same matrices where a transpose of m itself wrote the record (own), else with the
+    same summands."""
+    if (record.source_dims, record.kernel.dims, record.tops, record.projective) != fresh_record(m):
         return False
-    if record.kernel is None:
-        return True
     ker, _ = kernel_of(projective_cover(m))
-    return record.kernel.dims == ker.dims and record.kernel.mats == ker.mats
+    if record.kernel.mats == ker.mats:
+        return True
+    return not own and same_summands(indecomposable_summands(record.kernel), indecomposable_summands(ker))
+
+
+def _is_own(record, own):
+    return any(record is r for r in own)
 
 
 def _sides(node):
@@ -80,17 +106,17 @@ def _sides(node):
 
 
 @pytest.mark.parametrize("name, p", CASES)
-def test_every_record_is_what_fresh_covers_give(name, p):
+def test_every_record_is_what_fresh_covers_give(name, p, monkeypatch):
     """Every record on every node, of the module and of its dual, holds.  In a complete catalog
     each node that is not projective has a record and each that is not injective a dual one."""
-    cat = _catalog(name, p)
+    cat, own = _knit(name, p, monkeypatch)
     for node in cat.nodes:
         for m, record, vertex in _sides(node):
             if record is None:
                 assert vertex is not None or not cat.complete
                 continue
             assert vertex is None
-            assert record_holds(record, m)
+            assert record_holds(record, m, _is_own(record, own))
 
 
 @pytest.mark.parametrize("name, p", CASES)
@@ -110,16 +136,43 @@ def test_dual_numbers_resolve_the_simple():
     assert not facts["pd"].is_finite and not facts["id"].is_finite
 
 
+# The complete catalogs: every fixture but kron, over Q, GF(2) and GF(3), A_n/rad^r for
+# 3 <= n <= 8, and k[x]/(x^2).
+COMPLETE = (
+    [pytest.param(name, p, id="%s-%s" % (name, "GF%d" % p if p else "Q"))
+     for name in FIXTURES if name != "kron" for p in (None, 2, 3)]
+    + [pytest.param(name, None, id=name) for name in GENERATED if name.startswith("A") or name == "k[x]/(x^2)"]
+)
+
+
+@pytest.mark.parametrize("name, p", COMPLETE)
+def test_the_main_check_builds_no_cover_on_a_complete_catalog(name, p, monkeypatch):
+    """Knitting records both sides of every node outside add(A + DA), each record with its
+    kernel, so each half of the kernel test reads a record or asks minimal_right_approx, and
+    the main check builds no projective cover."""
+    cat = _catalog(name, p)
+    assert cat.complete
+    covers = []
+    real = homological._cover_data
+
+    def counting(m):
+        covers.append(m)
+        return real(m)
+
+    monkeypatch.setattr(homological, "_cover_data", counting)
+    checks.check_representation_hereditary(cat.algebra, catalog=cat)
+    assert covers == []
+
+
 @pytest.mark.parametrize("name", ["h5", "tilted4", "a4_rad2"])
-def test_a_record_with_the_wrong_projectivity_fails(name):
-    cat = catalog_of(load_fixture_algebra(name))
+def test_a_record_with_the_wrong_projectivity_fails(name, monkeypatch):
+    cat, own = _knit(name, None, monkeypatch)
     records = [(m, r) for node in cat.nodes for m, r, _ in _sides(node) if r is not None]
     assert records
     for m, record in records:
-        assert record_holds(record, m)
-        flipped = SyzygyRecord(record.source_dims, record.kernel_dims, record.tops, not record.projective,
-                               record.kernel)
-        assert not record_holds(flipped, m)
+        assert record_holds(record, m, _is_own(record, own))
+        flipped = SyzygyRecord(record.source_dims, record.tops, not record.projective, record.kernel)
+        assert not record_holds(flipped, m, _is_own(record, own))
 
 
 @pytest.mark.parametrize("name", ["h5", "sq", "loop2", "tilted4"])

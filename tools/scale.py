@@ -2,11 +2,12 @@
 
 Run from the repository root:
 
-    python3 tools/scale.py --parent HEAD --out SCALE_33.json
+    python3 tools/scale.py --parent HEAD --repeat 3 --out SCALE_35.json
 
 Each input is a generated algebra from perfbench/gen.py: E8, D16 and A30 from
-``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8 from
+``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8 and A_30/rad^10 from
 ``nakayama_algebra(random.Random(5), ...)``, over Q, and E8 over GF(101) too.
+On A_30/rad^10 the kernel test splits syzygies that are not projective.
 ``check --suite all --budget-modules 4000 --budget-dim 40000`` runs on each,
 in one process through ``repherd.cli.main``.  ``REPHERD_CACHE_DIR`` is removed
 from the environment, so that a ``--parent`` commit that still has the
@@ -56,6 +57,7 @@ INPUTS = [
     ("D16", "Q", lambda: gen.dynkin_algebra(random.Random(3), "D", 16, "Q")),
     ("A30", "Q", lambda: gen.dynkin_algebra(random.Random(3), "A", 30, "Q")),
     ("A_24/rad^8", "Q", lambda: gen.nakayama_algebra(random.Random(5), 24, 8, "Q")),
+    ("A_30/rad^10", "Q", lambda: gen.nakayama_algebra(random.Random(5), 30, 10, "Q")),
 ]
 STAGES = ["enumeration", "kernel_test", "node_facts", "oracle", "suite"]
 
