@@ -7,8 +7,6 @@ lexicographic order on (length, arrow-name sequence).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MalformedRelation, NotAdmissible, ParseError
 from .linalg import SpanTracker
 
@@ -61,10 +59,22 @@ class Quiver:
         return Quiver(self.vertices, arrows)
 
 
-@dataclass(frozen=True)
 class Path:
-    start: int
-    arrows: tuple
+    """A path from vertex start along the arrow indices arrows; a value, immutable by convention."""
+
+    __slots__ = ("start", "arrows")
+
+    def __init__(self, start, arrows):
+        self.start, self.arrows = start, arrows
+
+    def __eq__(self, other):
+        return self.key() == other.key() if other.__class__ is Path else NotImplemented
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        return "Path(start=%r, arrows=%r)" % (self.start, self.arrows)
 
     @property
     def length(self):

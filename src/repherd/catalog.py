@@ -1,13 +1,11 @@
 """Enumeration of indecomposables, the AR quiver, and coarse partitions."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .dims import DimValue
 from .errors import BudgetExceeded, IncompleteCatalog, RepherdError, VerificationFailed
 from .homological import (
-    SyzygyRecord,
     _transpose_with_cover,
     almost_split_sequence,
     image_dims,
@@ -34,39 +32,39 @@ def _sup(n: int) -> str:
     return "".join(_SUPERSCRIPT[c] for c in str(n))
 
 
-@dataclass
 class Budget:
-    max_modules: int = 64
-    max_total_dim: int = 128
+    # the defaults, which the command line reads from the class
+    max_modules = 64
+    max_total_dim = 128
+
+    def __init__(self, max_modules=max_modules, max_total_dim=max_total_dim):
+        self.max_modules, self.max_total_dim = max_modules, max_total_dim
 
 
-@dataclass
 class CatalogNode:
-    rep: object
-    name: str = ""
-    proj_vertex: int | None = None
-    inj_vertex: int | None = None
-    simple_vertex: int | None = None
-    tau: int | None = None       # index of tau(this) when non-projective
-    tau_inv: int | None = None   # index of tau^{-1}(this) when non-injective
-    # The AR arrows into this node, {source index: multiplicity}: the summands of
-    # rad P, or of the middle term of the almost-split sequence ending here, read
-    # off the arrows out of both of its ends, and the seeds not yet knitted, when
-    # they add up (see _mesh_middle).  None until the node is knitted.
-    arrows: dict | None = None
-    # At a seed, a node flagged P(v), or flagged I(v) and not projective: (the
-    # summands of rad P, or of I/soc I, n), split against the first n nodes.  Made
-    # once, when a mesh read or the seed's own step first asks for it (_seed_split).
-    split: tuple | None = None
-    # The SyzygyRecord of rep, and of dual over A^op, from the transpose at either end of the
-    # node's tau pair: a transpose of X records X and Tr X, and D Tr X = tau X.  So the tau
-    # step writes this node's record and its translate's dual_record, and the tau^{-1} step
-    # this node's dual_record and its translate's record; _fill_tau_tables writes them where
-    # the budget stopped knitting first.  Each record keeps Omega as a module.  None at a
-    # projective (injective) node; dual_record is also None at a node whose tau^{-1} a
-    # knitting stopped by the budget never reached.
-    record: SyzygyRecord | None = None
-    dual_record: SyzygyRecord | None = None
+    def __init__(self, rep, name="", proj_vertex=None, inj_vertex=None, simple_vertex=None, tau=None,
+                 tau_inv=None, arrows=None, split=None, record=None, dual_record=None):
+        self.rep, self.name = rep, name
+        self.proj_vertex, self.inj_vertex, self.simple_vertex = proj_vertex, inj_vertex, simple_vertex
+        self.tau = tau           # index of tau(this) when non-projective
+        self.tau_inv = tau_inv   # index of tau^{-1}(this) when non-injective
+        # The AR arrows into this node, {source index: multiplicity}: the summands of
+        # rad P, or of the middle term of the almost-split sequence ending here, read
+        # off the arrows out of both of its ends, and the seeds not yet knitted, when
+        # they add up (see _mesh_middle).  None until the node is knitted.
+        self.arrows = arrows
+        # At a seed, a node flagged P(v), or flagged I(v) and not projective: (the
+        # summands of rad P, or of I/soc I, n), split against the first n nodes.  Made
+        # once, when a mesh read or the seed's own step first asks for it (_seed_split).
+        self.split = split
+        # The SyzygyRecord of rep, and of dual over A^op, from the transpose at either end of the
+        # node's tau pair: a transpose of X records X and Tr X, and D Tr X = tau X.  So the tau
+        # step writes this node's record and its translate's dual_record, and the tau^{-1} step
+        # this node's dual_record and its translate's record; _fill_tau_tables writes them where
+        # the budget stopped knitting first.  Each record keeps Omega as a module.  None at a
+        # projective (injective) node; dual_record is also None at a node whose tau^{-1} a
+        # knitting stopped by the budget never reached.
+        self.record, self.dual_record = record, dual_record
 
     @property
     def in_add_gen_cogen(self):

@@ -1,8 +1,6 @@
 """Executable forms of the theorem-level predicates, with witnesses."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .catalog import Budget, enumerate_indecomposables, left_right_parts, node_facts
 from .dims import DimValue
 from .endo import gldim_end_gen_cogen
@@ -40,12 +38,13 @@ DEGENERATE = "Degenerate"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
 class CheckReport:
-    check: str
-    verdict: str
-    witnesses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("check", "verdict", "witnesses", "notes")
+
+    def __init__(self, check, verdict, witnesses=None, notes=None):
+        self.check, self.verdict = check, verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {
@@ -436,10 +435,12 @@ def _built_right_approx_ok(x, inj_list, homs, minimal_dims) -> bool:
 # -- tilted sufficiency ---------------------------------------------------------
 
 
-@dataclass
 class TiltingContext:
-    hereditary: object          # a bound quiver algebra without relations
-    summands: list              # indecomposable summands of the tilting module
+    __slots__ = ("hereditary", "summands")
+
+    def __init__(self, hereditary, summands):
+        self.hereditary = hereditary    # a bound quiver algebra without relations
+        self.summands = summands        # indecomposable summands of the tilting module
 
     def validate(self):
         h = self.hereditary

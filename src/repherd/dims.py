@@ -1,13 +1,23 @@
 """Dimension values that may be finite, provably infinite, or undetermined."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class DimValue:
-    kind: str  # "finite" | "infinite" | "at_least"
-    value: int | None = None
+    """A dimension: finite, infinite, or at least value; a value, immutable by convention."""
+
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: int | None = None):
+        self.kind, self.value = kind, value  # kind: "finite" | "infinite" | "at_least"
+
+    def __eq__(self, other):
+        return (self.kind, self.value) == (other.kind, other.value) if other.__class__ is DimValue else NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.value))
+
+    def __repr__(self):
+        return "DimValue(kind=%r, value=%r)" % (self.kind, self.value)
 
     @staticmethod
     def finite(n: int) -> "DimValue":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -276,7 +275,6 @@ def _p_eval_scalar(f, poly, x):
 # -- abstract algebras --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AbstractAlgebra:
     """A unital associative algebra given by sparse structure constants.
 
@@ -286,13 +284,11 @@ class AbstractAlgebra:
     primitive orthogonal idempotents, and every other basis element is
     claimed to lie in the Jacobson radical; global_dimension certifies the
     claim before it uses it, and refuses an algebra that carries none.
+    Immutable by convention; not slotted, since grading is a cached_property.
     """
 
-    field: object
-    dim: int
-    terms: tuple
-    unit: tuple
-    idempotents: tuple = None
+    def __init__(self, field, dim, terms, unit, idempotents=None):
+        self.field, self.dim, self.terms, self.unit, self.idempotents = field, dim, terms, unit, idempotents
 
     @cached_property
     def grading(self):
@@ -719,13 +715,15 @@ def certify_structure(g: AbstractAlgebra):
 # -- global dimension over the Peirce grading ---------------------------------
 
 
-@dataclass(frozen=True)
 class _Graded:
     """A right module V = V_0 + ... + V_{n-1}, V_i = V e_i, and the d_j x d_i
-    matrix of v -> v b for each radical basis element b of e_i g e_j."""
+    matrix of v -> v b for each radical basis element b of e_i g e_j.  Immutable by convention."""
 
-    dims: tuple  # dim V_i, per vertex i
-    acts: tuple  # one matrix per radical basis element, in _Peirce.rad order
+    __slots__ = ("dims", "acts")
+
+    def __init__(self, dims, acts):
+        self.dims = dims  # dim V_i, per vertex i
+        self.acts = acts  # one matrix per radical basis element, in _Peirce.rad order
 
 
 class _Peirce:

@@ -1,8 +1,6 @@
 """Covers, syzygies, translates, extensions, and minimal approximations."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Path
 from .dims import DimValue
 from .errors import VerificationFailed, ZProjective
@@ -37,12 +35,14 @@ from .modules import (
 )
 
 
-@dataclass(frozen=True)
 class ShortExactSequence:
-    """0 -> X -> E -> Z -> 0 given by the two middle morphisms."""
+    """0 -> X -> E -> Z -> 0 given by the two middle morphisms.  Immutable by convention."""
 
-    left: ModuleMorphism   # X -> E, mono
-    right: ModuleMorphism  # E -> Z, epi
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ModuleMorphism, right: ModuleMorphism):
+        self.left = left    # X -> E, mono
+        self.right = right  # E -> Z, epi
 
     @property
     def middle(self):
@@ -154,9 +154,14 @@ def cover_with_kernel(m: Representation):
 
 def cover_dims(alg, top):
     """The dimension vector of the projective cover of a module over alg whose top has dimensions
-    top: the sum of the P(v)^{top_v} (Auslander–Reiten–Smalø, ch. I), counted and not built."""
-    projs = [projective_at(alg, v) for v in range(len(top))]
-    return [sum(t * p.dims[u] for t, p in zip(top, projs)) for u in range(len(top))]
+    top: the sum of the P(v)^{top_v} (Auslander–Reiten–Smalø, ch. I), counted and not built.
+    Only the vertices in the top are read, each P(v) from projective_at's cache."""
+    dims = [0] * len(top)
+    for v, t in enumerate(top):
+        if t:
+            for u, d in enumerate(projective_at(alg, v).dims):
+                dims[u] += t * d
+    return dims
 
 
 def kernel_record(source_dims, k):

@@ -1,8 +1,6 @@
 """Quiver representations (right modules), morphisms, and decompositions."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .endo import fitting_split
 from .errors import (
     DimensionMismatch,
@@ -309,7 +307,6 @@ class HomTable:
         return [self.entry(self.modules[i], j) for j in range(len(self.modules))]
 
 
-@dataclass(frozen=True)
 class GenCogen:
     """The indecomposable summands of A + DA.
 
@@ -320,17 +317,17 @@ class GenCogen:
     that is I(v), or the P(w) isomorphic to it.  `duals` holds the dual of each
     entry over the opposite algebra, the duals of the projectives first.
     `homs` and `dual_homs` are the Hom tables from `modules` and from `duals`.
+    Immutable by convention.
     """
 
-    projectives: tuple   # P(v) for every vertex v
-    injectives: tuple    # I(v) for every vertex v
-    modules: tuple
-    names: tuple
-    vertices: tuple
-    inj_entries: tuple
-    duals: tuple
-    homs: HomTable
-    dual_homs: HomTable
+    __slots__ = ("projectives", "injectives", "modules", "names", "vertices", "inj_entries", "duals", "homs",
+                 "dual_homs")
+
+    def __init__(self, projectives, injectives, modules, names, vertices, inj_entries, duals, homs, dual_homs):
+        self.projectives = projectives  # P(v) for every vertex v
+        self.injectives = injectives    # I(v) for every vertex v
+        self.modules, self.names, self.vertices, self.inj_entries = modules, names, vertices, inj_entries
+        self.duals, self.homs, self.dual_homs = duals, homs, dual_homs
 
 
 def gen_cogen(alg) -> GenCogen:
@@ -576,9 +573,11 @@ def endomorphism_radical(z: Representation):
     return [r for r in (ModuleMorphism(z, z, n) for n in nil) if tracker.add(morphism_flat(r))]
 
 
-@dataclass
 class Decomposition:
-    pieces: list          # list of (Representation, multiplicity)
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces):
+        self.pieces = pieces  # list of (Representation, multiplicity)
 
 
 def decompose(m: Representation) -> Decomposition:

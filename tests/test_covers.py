@@ -70,6 +70,20 @@ def test_projective_sum_is_kept_per_algebra_and_tuple():
     assert alg._projective_sums is not op._projective_sums
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("p", [None, 2], ids=["Q", "GF2"])
+def test_cover_dims_is_the_sum_of_the_projectives(name, p):
+    """cover_dims(alg, top), which counts only the vertices in the top, is the dimension vector of
+    the direct sum of the P(v)^{top_v}, on random tops with zeros and multiplicities."""
+    alg = rio.load_algebra(fixture_path(name + ".json"), field=None if p is None else PrimeField(p))
+    n = alg.quiver.n_vertices
+    rng = random.Random("%s-%s" % (name, p))
+    tops = [[0] * n] + [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(12)]
+    for top in tops:
+        want = direct_sum(alg, [projective_at(alg, v) for v, t in enumerate(top) for _ in range(t)]).dims
+        assert homological.cover_dims(alg, top) == list(want)
+
+
 @pytest.mark.parametrize("name", sorted(SUMS_BUILT))
 def test_check_builds_each_sum_of_projectives_once(name, monkeypatch):
     """`check` builds each sum of projectives once; dropping the cache shows as a higher count.

@@ -5,7 +5,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +15,7 @@ from repherd import endo
 from repherd.cli import main
 from repherd.dims import DimValue
 from repherd.endo import (
+    AbstractAlgebra,
     _eigenvalue,
     algebra_radical,
     certify_structure,
@@ -484,8 +484,8 @@ def test_certifier_rejects_a_wrong_radical(loop2):
     g = gen_cogen_algebra(loop2)
     certify_structure(g)
     r = _off_diagonal(g)
-    too_small = replace(g, idempotents=g.idempotents + (r,))
-    too_large = replace(g, idempotents=g.idempotents[1:])
+    too_small = AbstractAlgebra(g.field, g.dim, g.terms, g.unit, g.idempotents + (r,))
+    too_large = AbstractAlgebra(g.field, g.dim, g.terms, g.unit, g.idempotents[1:])
     for bad in (too_small, too_large):
         with pytest.raises(VerificationFailed):
             certify_structure(bad)
@@ -740,7 +740,7 @@ def _with_terms(g, s, t, tt):
         terms[s][t] = tt
     else:
         del terms[s][t]
-    return replace(g, terms=tuple(terms))
+    return AbstractAlgebra(g.field, g.dim, tuple(terms), g.unit, g.idempotents)
 
 
 def _changes_the_sample_misses(g, last):
@@ -822,7 +822,7 @@ def _wrong_claim(case):
         return make_algebra(QQ, [[(o, z), (z, o)], [(z, o), (o, z)]], (o, z), idempotents=(0,))
     g = gen_cogen_algebra(load_fixture_algebra("loop2"))
     extra = g.idempotents[0] if case == "repeated" else g.dim
-    return replace(g, idempotents=g.idempotents + (extra,))
+    return AbstractAlgebra(g.field, g.dim, g.terms, g.unit, g.idempotents + (extra,))
 
 
 @pytest.mark.parametrize("case, match", [

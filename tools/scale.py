@@ -22,11 +22,20 @@ and a stage's seconds leave out the stages nested in it:
 - ``suite``: ``check_no_inj_to_proj_suite``, the Hom(DA, A) = 0 suite;
 - ``total``: the whole command.
 
+Before any input runs, each side's process also reports ``import``: the CPU
+seconds of its first ``import repherd.cli``, the start-up that every command
+pays.  Each side runs from a copy without ``__pycache__`` under
+.bench_build/, in a process started with ``-B``, so the package is compiled
+from source on every run, as the benchmark (``PYTHONDONTWRITEBYTECODE=1`` on a
+fresh checkout) compiles it; the standard library keeps its bytecode.
+
 With ``--parent REV`` the committed files of REV are exported with ``git
 archive`` into .bench_build/ and timed as well, each side in a process of its
 own, the parent first in even repeats and the working tree first in odd ones.
-With ``--repeat N`` every stage reports the median of N runs.  The JSON goes
-to ``--out`` at the repository root, beside the BENCH_*.json files.
+The working tree's side is a copy of the files that git tracks or would
+track.  Both copies are removed at the end.  With ``--repeat N`` every stage
+reports the median of N runs.  The JSON goes to ``--out`` at the repository
+root, beside the BENCH_*.json files.
 """
 from __future__ import annotations
 
@@ -38,6 +47,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -99,6 +109,13 @@ def _stage_timers(seconds, nodes):
             setattr(module, name, wrapped)
 
 
+def import_cli():
+    """CPU seconds of this process's first import of repherd.cli."""
+    start = time.process_time()
+    import repherd.cli  # noqa: F401
+    return time.process_time() - start
+
+
 def time_inputs():
     """[{input, field, nodes, exit, cpu_s}] for one run of each input in this process."""
     from repherd import cli
@@ -125,8 +142,9 @@ def time_inputs():
 
 
 def run_side(src):
-    """time_inputs() in a fresh process that imports repherd from src."""
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src],
+    """{"import": import_cli(), "inputs": time_inputs()} in a fresh process that imports repherd
+    from src and writes no bytecode."""
+    proc = subprocess.run([sys.executable, "-B", os.path.abspath(__file__), "--src", src],
                           capture_output=True, text=True)
     if proc.returncode:
         sys.stderr.write(proc.stderr)
@@ -152,28 +170,34 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.src:
         sys.path.insert(0, args.src)
-        json.dump(time_inputs(), sys.stdout)
+        json.dump({"import": import_cli(), "inputs": time_inputs()}, sys.stdout)
         return 0
     if not args.out:
         ap.error("--out is required")
 
-    from bench_pairs import export, git
+    from bench_pairs import export, git, snapshot
 
-    sides = {"change": os.path.join(ROOT, "src")}
+    trees = {"change": snapshot()}
     if args.parent:
-        sides["parent"] = os.path.join(export(args.parent), "src")
-    runs = {side: [] for side in sides}
-    for k in range(args.repeat):
-        order = sorted(sides, reverse=k % 2 == 0)
-        for side in order:
-            runs[side].append(run_side(sides[side]))
+        trees["parent"] = export(args.parent)
+    runs = {side: [] for side in trees}
+    try:
+        for k in range(args.repeat):
+            order = sorted(trees, reverse=k % 2 == 0)
+            for side in order:
+                runs[side].append(run_side(os.path.join(trees[side], "src")))
+    finally:
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
     report = {
         "command": "repherd check ALGEBRA " + " ".join(ARGV),
         "method": "CPU seconds (time.process_time) in one process per side; each stage leaves out the "
-                  "stages nested in it; median of %d run(s)" % args.repeat,
+                  "stages nested in it; import_cpu_s is the first import of repherd.cli, compiled from source; "
+                  "median of %d run(s)" % args.repeat,
         "host": {"cores": os.cpu_count(), "python": platform.python_version(),
                  "implementation": platform.python_implementation(), "system": platform.system()},
-        "sides": {side: merge(r) for side, r in runs.items()},
+        "import_cpu_s": {side: round(statistics.median(r["import"] for r in rs), 4) for side, rs in runs.items()},
+        "sides": {side: merge([r["inputs"] for r in rs]) for side, rs in runs.items()},
     }
     if args.parent:
         report["parent_commit"] = git("rev-parse", "--short", args.parent)
@@ -181,6 +205,7 @@ def main(argv=None):
         json.dump(report, fh, indent=1)
         fh.write("\n")
     for side, rows in report["sides"].items():
+        print("%-6s import %.4f" % (side, report["import_cpu_s"][side]))
         for row in rows:
             print("%-6s %-11s %-7s nodes %4s  %s" % (side, row["input"], row["field"], row["nodes"], "  ".join(
                 "%s %.2f" % (stage, s) for stage, s in row["cpu_s"].items())))
