@@ -5,13 +5,7 @@ from functools import cached_property
 
 from .dims import DimValue
 from .errors import BudgetExceeded, IncompleteCatalog, RepherdError, VerificationFailed
-from .homological import (
-    _transpose_with_cover,
-    almost_split_sequence,
-    image_dims,
-    inj_dim,
-    proj_dim,
-)
+from .homological import _transpose_with_cover, almost_split_sequence, image_dims
 from .modules import (
     cokernel_of,
     dual_module,
@@ -378,37 +372,68 @@ def ar_quiver(cat: IndecomposableCatalog):
     return arrows, tau_table
 
 
-def _one_or_resolve(record, resolve, m):
-    """pd m from its SyzygyRecord: at most 1 when Omega m is projective, and 0 only when Omega m
-    is zero; otherwise, or with no record, resolve(m)."""
-    if record is not None and record.projective:
-        return DimValue.finite(0 if record.kernel.is_zero() else 1)
-    return resolve(m)
+def resolution_dims(base, kernels):
+    """[d_i] for kernels[i], the node indices of the summands of a kernel at node i: 0 on the set
+    base, otherwise 1 + the largest d_j over kernels[i] (1 when it is empty), and infinite when a
+    chain of summands meets a node still open on it.  Each d_j is found once; no module is built."""
+    dims = [DimValue.finite(0) if i in base else None for i in range(len(kernels))]
+
+    def visit(i):
+        dims[i] = DimValue.infinite()  # what a chain that comes back to i reads
+        yield from (j for j in kernels[i] if dims[j] is None)
+        if all(dims[j].is_finite for j in kernels[i]):
+            dims[i] = DimValue.finite(1 + max((dims[j].value for j in kernels[i]), default=0))
+
+    stack = [(root for root in range(len(kernels)) if dims[root] is None)]
+    while stack:
+        j = next(stack[-1], None)
+        if j is None:
+            stack.pop()
+        else:
+            stack.append(visit(j))
+    return dims
+
+
+def _kept_summands(node, record, at_base, known):
+    """The indices in known of the summands of the Omega that node's record keeps; [] at a base
+    node and where the record says Omega is projective."""
+    if at_base or record is not None and record.projective:
+        return []
+    if record is None:
+        raise VerificationFailed("%s has no syzygy record in a complete catalog" % node.name)
+    found = [known_index(p, known) for p in indecomposable_summands(record.kernel, known)]
+    if None in found:
+        raise VerificationFailed("a summand of the syzygy of %s is no node of the complete catalog" % node.name)
+    return found
 
 
 def node_facts(cat: IndecomposableCatalog):
-    """Per-node facts reused by the checks: pd, id, memberships.
-
-    pd and id are read off the node's records where Omega, or Omega of the dual, is
-    projective, and resolved by proj_dim and inj_dim otherwise.
-    """
+    """Per-node facts reused by the checks: pd, id, memberships, and omega and co_omega, the node
+    indices of the summands of the Omega X and the Omega D X over A^op that the node's records
+    keep, split against the nodes and their duals.  pd and id are their resolution_dims."""
     if cat._facts is not None:
         return cat._facts
+    if not cat.complete:
+        raise IncompleteCatalog("node facts need a complete catalog")
     gc = gen_cogen(cat.algebra)
+    reps, duals = [node.rep for node in cat.nodes], [node.dual for node in cat.nodes]
+    omega = [_kept_summands(node, node.record, node.proj_vertex is not None, reps) for node in cat.nodes]
+    co_omega = [_kept_summands(node, node.dual_record, node.inj_vertex is not None, duals) for node in cat.nodes]
+    pd = resolution_dims({i for i, node in enumerate(cat.nodes) if node.proj_vertex is not None}, omega)
+    id_ = resolution_dims({i for i, node in enumerate(cat.nodes) if node.inj_vertex is not None}, co_omega)
     # the trace of DA in x is the image of the maps into x from the entries that are the I(v);
     # the duals of the projectives are the injectives over A^op, and dim rej_A(x) = dim x -
     # dim tr_{D A}(Dx).  Both traces read only these entries of the Hom tables' rows for x
     # and for Dx: trace is dim tr_{DA}(x), and cotrace is dim x - dim rej_A(x).
     n = len(gc.projectives)
     facts = []
-    for node in cat.nodes:
-        x, dx = node.rep, node.dual
+    for k, (x, dx) in enumerate(zip(reps, duals)):
         trace = sum(image_dims([h for e in gc.inj_entries for h in gc.homs.entry(x, e)], x))
         cotrace = sum(image_dims([h for i in range(n) for h in gc.dual_homs.entry(dx, i)], dx))
         facts.append(
             {
-                "pd": _one_or_resolve(node.record, proj_dim, x),
-                "id": _one_or_resolve(node.dual_record, inj_dim, x),
+                "pd": pd[k], "omega": omega[k],
+                "id": id_[k], "co_omega": co_omega[k],
                 "gen_da": trace == x.total_dim,
                 "cogen_a": cotrace == x.total_dim,
                 "supp_da": trace > 0,

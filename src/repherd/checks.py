@@ -8,7 +8,6 @@ from .errors import GateFailed, IncompleteCatalog, NotTilting, RoutesDisagree, V
 from .homological import (
     ar_translate,
     ar_translate_inv,
-    cosyzygy,
     cover_dims,
     evaluation,
     ext1_dim,
@@ -16,7 +15,6 @@ from .homological import (
     kernel_record,
     minimal_right_approx,
     proj_dim,
-    syzygy,
     syzygy_record,
 )
 from .modules import (
@@ -174,22 +172,25 @@ def check_module_conditions(alg, m) -> CheckReport:
 
 
 def check_torsionless_structure(alg, catalog) -> CheckReport:
-    """Non-injectives in Gen DA are cosyzygies of projectives; dual; counts."""
+    """Non-injectives in Gen DA are cosyzygies of projectives; dual; counts.  Node i is Omega I(v)
+    when I(v)'s omega is [i], and Omega^{-1} P(v) = D Omega_{A^op} D P(v) when P(v)'s co_omega is."""
     if not catalog.complete:
         raise IncompleteCatalog("torsionless structure needs a complete catalog")
     facts = node_facts(catalog)
-    gc = gen_cogen(alg)
-    cosyz = [cosyzygy(p) for p in gc.projectives]
-    syz = [syzygy(iv) for iv in gc.injectives]
+    cosyz, syz = {}, {}
+    for k, node in enumerate(catalog.nodes):
+        for found, v, summands in ((cosyz, node.proj_vertex, facts[k]["co_omega"]), (syz, node.inj_vertex, facts[k]["omega"])):
+            if v is not None and len(summands) == 1:
+                found[summands[0]] = min(v, found.get(summands[0], v))
     report = CheckReport("torsionless_structure", HOLDS)
     ok = True
     for i, node in enumerate(catalog.nodes):
         if node.inj_vertex is None and facts[i]["gen_da"]:
-            match = iso_class_index(node.rep, cosyz)
+            match = cosyz.get(i)
             report.witnesses.append({"part": "a", "module": node.name, "cosyzygy_of_projective_at": match})
             ok = ok and match is not None
         if node.proj_vertex is None and facts[i]["cogen_a"]:
-            match = iso_class_index(node.rep, syz)
+            match = syz.get(i)
             report.witnesses.append({"part": "b", "module": node.name, "syzygy_of_injective_at": match})
             ok = ok and match is not None
     count = sum(1 for i in range(len(catalog.nodes)) if facts[i]["cogen_a"])

@@ -8,7 +8,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra, make_path
 from .errors import ParseError, RepherdError
@@ -213,8 +212,8 @@ def module_to_dict(rep: Representation) -> dict:
 def dump_json(path, obj):
     """Atomic write with stable key order."""
     blob = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".json")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".tmp-%d-%s.json" % (os.getpid(), os.urandom(6).hex()))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(blob)

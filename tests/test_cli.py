@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -135,6 +136,26 @@ def test_module_roundtrip(tmp_path, loop2):
         rio.dump_json(str(p), rio.module_to_dict(node.rep))
         back = rio.load_module(loop2, str(p))
         assert is_isomorphic(back, node.rep)
+
+
+def test_dump_json_replaces_the_file_and_leaves_no_temporary_one(tmp_path, monkeypatch):
+    """The report is written to a private temporary file beside the target and moved over it;
+    a write that fails removes that file and leaves the target as it was."""
+    target = tmp_path / "report.json"
+    rio.dump_json(str(target), {"b": 1, "a": [2]})
+    assert target.read_text(encoding="utf-8") == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def refuse(src, dst):
+        assert os.path.dirname(src) == str(tmp_path) and os.path.basename(src).startswith(".tmp-")
+        raise OSError("refused")
+
+    monkeypatch.setattr(rio.os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        rio.dump_json(str(target), {"c": 3})
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert json.loads(target.read_text(encoding="utf-8")) == {"a": [2], "b": 1}
 
 
 def test_check_tilted_cli(capsys):

@@ -18,9 +18,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repherd.__file__)))
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    """A fresh process that imports repherd.cli loads no code generator; -S keeps site-packages'
-    start-up hooks out of the count."""
-    code = "import sys, repherd.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    """A fresh process that imports repherd.cli loads no code generator, nor tempfile, which
+    pulls in shutil, bz2 and lzma; -S keeps site-packages' start-up hooks out of the count."""
+    code = "import sys, repherd.cli; print(sorted({'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

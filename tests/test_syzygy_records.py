@@ -2,13 +2,15 @@
 fresh covers, and the pd and id that node_facts reads off them, checked against resolutions."""
 import os
 import random
+import re
 import sys
 
 import pytest
 
 from repherd import catalog, checks, homological
-from repherd.catalog import Budget, enumerate_indecomposables, node_facts
-from repherd.errors import VerificationFailed
+from repherd.catalog import Budget, enumerate_indecomposables, node_facts, resolution_dims
+from repherd.dims import DimValue
+from repherd.errors import IncompleteCatalog, VerificationFailed
 from repherd.fields import PrimeField
 from repherd.homological import (
     SyzygyRecord, _transpose_with_cover, cover_with_kernel, inj_dim, proj_dim, projective_cover,
@@ -26,6 +28,8 @@ FIXTURES = ["a2", "a3", "a4_rad2", "d4", "h5", "kron", "loop2", "sq", "tilted4",
 # The Euclidean quivers of the catalog-q benchmark workload, at its module budgets: their
 # catalogs stop at the budget, and _fill_tau_tables writes the records the knitting did not.
 EUCLIDEAN_BUDGETS = {"kronecker": 12, "d4_tilde": 20, "a3_tilde": 20, "a2_tilde": 20}
+# The cases whose catalogs stop at the budget: kron's at the default one.
+INCOMPLETE = {"kron", *EUCLIDEAN_BUDGETS}
 LARGE = Budget(max_modules=1000, max_total_dim=4096)
 
 
@@ -121,19 +125,79 @@ def test_every_record_is_what_fresh_covers_give(name, p, monkeypatch):
 
 @pytest.mark.parametrize("name, p", CASES)
 def test_node_facts_read_off_the_records_are_the_resolved_ones(name, p):
+    """On a complete catalog the pd and id that node_facts reads off the kept Omega are those of
+    proj_dim and inj_dim, node by node.  An incomplete catalog, whose Omega may have a summand
+    that is no node, is refused."""
     cat = _catalog(name, p)
+    assert cat.complete is (name not in INCOMPLETE)
+    if not cat.complete:
+        with pytest.raises(IncompleteCatalog):
+            node_facts(cat)
+        return
     for node, facts in zip(cat.nodes, node_facts(cat)):
         assert facts["pd"] == proj_dim(node.rep) and facts["id"] == inj_dim(node.rep)
 
 
 def test_dual_numbers_resolve_the_simple():
-    """Over k[x]/(x^2) the syzygy of the simple is the simple, so its records are not projective
-    and node_facts resolves its infinite pd and id."""
+    """Over k[x]/(x^2) the syzygy of the simple is the simple, so its records are not projective,
+    its omega and co_omega are the simple itself, and that cycle makes its pd and id infinite."""
     cat = _catalog("k[x]/(x^2)", None)
     (simple,) = [node for node in cat.nodes if node.proj_vertex is None]
     assert not simple.record.projective and not simple.dual_record.projective
-    facts = node_facts(cat)[cat.nodes.index(simple)]
+    i = cat.nodes.index(simple)
+    facts = node_facts(cat)[i]
+    assert facts["omega"] == facts["co_omega"] == [i]
     assert not facts["pd"].is_finite and not facts["id"].is_finite
+
+
+FIN, INF = DimValue.finite, DimValue.infinite()
+
+
+def test_resolution_dims_on_a_hand_made_table():
+    """Base nodes give 0 and an empty kernel 1; a chain adds one a step; node 4 is a summand at
+    5 and at 6; 7 is a self-loop and 8, 9 a 2-cycle; 10 reaches the 2-cycle after it is
+    resolved, and 11 reaches the 2-cycle 13, 14 before, through a node 12 of finite depth."""
+    kernels = [[], [], [], [2], [3, 0], [4], [4, 1, 1], [7], [9], [8], [2, 8], [13], [0], [14], [13, 12]]
+    assert resolution_dims({0, 1}, kernels) == [
+        FIN(0), FIN(0), FIN(1), FIN(2), FIN(3), FIN(4), FIN(4), INF, INF, INF, INF, INF, FIN(1), INF, INF,
+    ]
+
+
+def test_resolution_dims_memoizes_shared_summands():
+    """Each level of the ladder has two nodes whose kernels are both nodes of the level below, so
+    without memoization the 60 levels would take 2^60 visits; each list is read a bounded number
+    of times, the same for every node."""
+    reads = {}
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads[i] = reads.get(i, 0) + 1
+            return list.__getitem__(self, i)
+
+    kernels = Counted([[]] + [[1 + 2 * (level - 1), 2 + 2 * (level - 1)] if level else [0]
+                              for level in range(60) for _ in range(2)])
+    dims = resolution_dims({0}, kernels)
+    assert dims == [FIN(0)] + [FIN(level + 1) for level in range(60) for _ in range(2)]
+    assert len(set(reads.values())) == 1
+
+
+def test_resolution_dims_follows_a_long_chain_without_recursion():
+    kernels = [[]] + [[i - 1] for i in range(1, 5000)] + [[5000]]
+    dims = resolution_dims(set(), kernels)
+    assert dims[4999] == FIN(5000) and dims[5000] == INF
+
+
+@pytest.mark.parametrize("side", ["record", "dual_record"])
+def test_a_node_outside_the_base_with_no_record_is_refused(side):
+    """On a freshly knitted complete catalog of h5, a node that is neither projective (for its
+    record) nor injective (for its dual record) but has no record makes node_facts raise, naming it."""
+    cat = enumerate_indecomposables(load_fixture_algebra("h5"))
+    assert cat.complete
+    base = "proj_vertex" if side == "record" else "inj_vertex"
+    node = next(node for node in cat.nodes if getattr(node, base) is None)
+    setattr(node, side, None)
+    with pytest.raises(VerificationFailed, match=re.escape(node.name)):
+        node_facts(cat)
 
 
 # The complete catalogs: every fixture but kron, over Q, GF(2) and GF(3), A_n/rad^r for
@@ -149,7 +213,9 @@ COMPLETE = (
 def test_the_main_check_builds_no_cover_on_a_complete_catalog(name, p, monkeypatch):
     """Knitting records both sides of every node outside add(A + DA), each record with its
     kernel, so each half of the kernel test reads a record or asks minimal_right_approx, and
-    the main check builds no projective cover."""
+    the main check builds no projective cover.  Node facts, made afresh, and the torsionless
+    check read pd, id and the (co)syzygies of the projectives and injectives off the same kept
+    kernels, and build none either."""
     cat = _catalog(name, p)
     assert cat.complete
     covers = []
@@ -160,7 +226,10 @@ def test_the_main_check_builds_no_cover_on_a_complete_catalog(name, p, monkeypat
         return real(m)
 
     monkeypatch.setattr(homological, "_cover_data", counting)
+    monkeypatch.setattr(cat, "_facts", None)
     checks.check_representation_hereditary(cat.algebra, catalog=cat)
+    node_facts(cat)
+    checks.check_torsionless_structure(cat.algebra, cat)
     assert covers == []
 
 

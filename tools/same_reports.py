@@ -27,9 +27,6 @@ inputs that the benchmark times.  Every
 ``check``, ``check-module`` and ``check-tilted`` command also writes its
 ``--json`` report.  Every command whose stdout, exit code or ``--json`` file
 differs between the two trees is listed; the exit code is 1 when any does.
-``REPHERD_CACHE_DIR`` is removed from each command's environment, so that a
-parent commit that still has the on-disk catalog cache computes every
-catalog afresh, as the working tree does.
 """
 from __future__ import annotations
 
@@ -221,7 +218,6 @@ def run(tree, argv, json_path):
     if report:
         argv = argv + ["--json", json_path]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    env.pop("REPHERD_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-m", "repherd.cli", *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
     blob = None

@@ -2,16 +2,14 @@
 
 Run from the repository root:
 
-    python3 tools/scale.py --parent HEAD --repeat 3 --out SCALE_35.json
+    python3 tools/scale.py --parent HEAD --repeat 3 --out SCALE_37.json
 
 Each input is a generated algebra from perfbench/gen.py: E8, D16 and A30 from
-``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8 and A_30/rad^10 from
-``nakayama_algebra(random.Random(5), ...)``, over Q, and E8 over GF(101) too.
-On A_30/rad^10 the kernel test splits syzygies that are not projective.
-``check --suite all --budget-modules 4000 --budget-dim 40000`` runs on each,
-in one process through ``repherd.cli.main``.  ``REPHERD_CACHE_DIR`` is removed
-from the environment, so that a ``--parent`` commit that still has the
-on-disk catalog cache knits every catalog, as the working tree does.
+``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8, A_30/rad^10 and
+A_40/rad^12 from ``nakayama_algebra(random.Random(5), ...)``, over Q, and E8
+over GF(101) too.  On A_30/rad^10 the kernel test splits syzygies that are not
+projective.  ``check --suite all --budget-modules 4000 --budget-dim 40000``
+runs on each, in one process through ``repherd.cli.main``.
 ``time.process_time`` is read around the functions that make up the stages,
 and a stage's seconds leave out the stages nested in it:
 
@@ -68,6 +66,7 @@ INPUTS = [
     ("A30", "Q", lambda: gen.dynkin_algebra(random.Random(3), "A", 30, "Q")),
     ("A_24/rad^8", "Q", lambda: gen.nakayama_algebra(random.Random(5), 24, 8, "Q")),
     ("A_30/rad^10", "Q", lambda: gen.nakayama_algebra(random.Random(5), 30, 10, "Q")),
+    ("A_40/rad^12", "Q", lambda: gen.nakayama_algebra(random.Random(5), 40, 12, "Q")),
 ]
 STAGES = ["enumeration", "kernel_test", "node_facts", "oracle", "suite"]
 
@@ -120,7 +119,6 @@ def time_inputs():
     """[{input, field, nodes, exit, cpu_s}] for one run of each input in this process."""
     from repherd import cli
 
-    os.environ.pop("REPHERD_CACHE_DIR", None)
     seconds = dict.fromkeys(STAGES, 0.0)
     nodes = []
     _stage_timers(seconds, nodes)
