@@ -5,7 +5,7 @@ from functools import cached_property
 
 from .dims import DimValue
 from .errors import BudgetExceeded, IncompleteCatalog, RepherdError, VerificationFailed
-from .homological import _transpose_with_cover, almost_split_sequence, image_dims
+from .homological import _transpose_with_cover, almost_split_sequence, cover_dims, image_dims, syzygy_record
 from .modules import (
     cokernel_of,
     dual_module,
@@ -16,6 +16,7 @@ from .modules import (
     known_index,
     radical_of,
     socle_of,
+    top_dims,
 )
 
 _SUPERSCRIPT = {"-": "⁻", "0": "⁰", "1": "¹", "2": "²", "3": "³",
@@ -54,8 +55,9 @@ class CatalogNode:
         # The SyzygyRecord of rep, and of dual over A^op, from the transpose at either end of the
         # node's tau pair: a transpose of X records X and Tr X, and D Tr X = tau X.  So the tau
         # step writes this node's record and its translate's dual_record, and the tau^{-1} step
-        # this node's dual_record and its translate's record; _fill_tau_tables writes them where
-        # the budget stopped knitting first.  Each record keeps Omega as a module.  None at a
+        # this node's dual_record and its translate's record.  Where the budget stopped knitting
+        # first, _fill_tau_tables writes the record from one cover, and the translate's
+        # dual_record when it links the pair.  Each record keeps Omega as a module.  None at a
         # projective (injective) node; dual_record is also None at a node whose tau^{-1} a
         # knitting stopped by the budget never reached.
         self.record, self.dual_record = record, dual_record
@@ -302,21 +304,46 @@ def _seed_split(nodes, k):
 
 
 def _fill_tau_tables(cat: IndecomposableCatalog):
-    """Read tau off the transpose for the nodes that a knitting stopped by the budget never
-    reached, and write the records of each one and of its translate as the tau step does.
+    """Link tau for the nodes that a knitting stopped by the budget never reached, and write the
+    records of each one and of its translate as the tau step does.
+
+    Each such node X not projective gets its record, from one cover when the tau step did not
+    write it, and the bounds of _tau_dims_bounds on dim tau X.  tau X is never injective, and
+    a node whose tau^{-1} is linked is the translate of that node only.  So X is transposed,
+    and its translate looked up, only when a node that is neither fits in those bounds; any
+    other lookup would find nothing.
 
     Knitting links every node of a complete catalog both ways.
     """
     if cat.complete:
         return
-    for i, node in enumerate(cat.nodes):
-        if node.proj_vertex is None and node.tau is None:
-            presentation = _transpose_with_cover(node.rep)
-            node.record = presentation[3]
-            node.tau = cat.find(dual_module(presentation[0]))
-            if node.tau is not None:
-                cat.nodes[node.tau].tau_inv = i
-                cat.nodes[node.tau].dual_record = presentation[4]
+    nodes = cat.nodes
+    for i, node in enumerate(nodes):
+        if node.proj_vertex is not None or node.tau is not None:
+            continue
+        if node.record is None:
+            node.record = syzygy_record(node.rep)
+        lo, hi = _tau_dims_bounds(node.rep, node.record)
+        if not any(y.inj_vertex is None and y.tau_inv is None
+                   and all(a <= d <= b for a, d, b in zip(lo, y.rep.dims, hi)) for y in nodes):
+            continue
+        presentation = _transpose_with_cover(node.rep)
+        node.tau = cat.find(dual_module(presentation[0]))
+        if node.tau is not None:
+            nodes[node.tau].tau_inv = i
+            nodes[node.tau].dual_record = presentation[4]
+
+
+def _tau_dims_bounds(rep, record):
+    """(lo, hi) with lo <= dim tau rep <= hi at each vertex, from rep's SyzygyRecord.  A minimal
+    presentation P1 -> P0 -> rep -> 0 gives the exact sequence
+    0 -> tau rep -> nu P1 -> nu P0 -> nu rep -> 0 with nu P(v) = I(v) (Auslander-Reiten-Smalø
+    IV.1), so hi = dim nu P1 and lo = hi - dim nu P0.  P1 is read off the tops of Omega rep in
+    the record and P0 off the top of rep; over the opposite algebra the P(v) have the dimensions
+    of the I(v)."""
+    op = rep.algebra.opposite
+    hi = cover_dims(op, [record.tops.count(v) for v in range(len(rep.dims))])
+    return [a - b for a, b in zip(hi, cover_dims(op, top_dims(rep)))], hi
 
 
 def _assign_names(cat: IndecomposableCatalog):

@@ -456,10 +456,10 @@ class TiltingContext:
                 "tilting modules need %d pairwise non-isomorphic summands, found %d"
                 % (h.quiver.n_vertices, len(distinct))
             )
+        # pd t <= 1 exactly when Omega t is projective; proj_dim only words the refusal
         for t in self.summands:
-            pd = proj_dim(t)
-            if pd.le(1) is not True:
-                raise NotTilting("a summand has projective dimension %s" % pd)
+            if not syzygy_record(t).projective:
+                raise NotTilting("a summand has projective dimension %s" % proj_dim(t))
         total = direct_sum(h, list(self.summands))
         if ext1_dim(total, total) != 0:
             raise NotTilting("the candidate has self-extensions")

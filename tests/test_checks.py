@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from repherd import homological
 from repherd.catalog import Budget, enumerate_indecomposables, node_facts
 from repherd.checks import (
     DEGENERATE,
@@ -263,6 +264,26 @@ def test_tilted_sufficient_h5_construction_fails_condition_one(h5):
     assert cond1["holds"] is False
     assert cond1["sinks"] == ["1", "5"]
     assert sorted(cond1["projective_summand_vertices"]) == ["4", "5"]
+
+
+@pytest.mark.parametrize("alg_name, tilting", [("h5", "tilting_h5"), ("a2", "tilting_a2"), ("a3", "tilting_a3")])
+def test_tilting_validation_covers_each_summand_once(alg_name, tilting, monkeypatch):
+    """validate reads pd <= 1 off one projective cover of each summand, with no cover of a
+    syzygy; the one other cover is that of the sum of the summands, for Ext^1."""
+    alg = load_fixture_algebra(alg_name)
+    summands = rio.load_summands(alg, fixture_path(tilting + ".json"))
+    covered = []
+    real = homological.cover_with_kernel
+
+    def counting(m):
+        covered.append(m)
+        return real(m)
+
+    monkeypatch.setattr(homological, "cover_with_kernel", counting)
+    TiltingContext(alg, summands).validate()
+    assert [sum(m is t for m in covered) for t in summands] == [1] * len(summands)
+    rest = [m for m in covered if not any(m is t for t in summands)]
+    assert [list(m.dims) for m in rest] == [[sum(d) for d in zip(*(t.dims for t in summands))]]
 
 
 def test_not_tilting_is_rejected(a2):

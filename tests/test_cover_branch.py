@@ -104,27 +104,33 @@ def test_general_path_runs_only_on_loop2_and_tilted4(name, monkeypatch):
 
 # What nodes outside add(A + DA) carry of their covers: the records of the module and of its
 # dual, each with its kernel, and how many of those records a transpose of the record's own
-# module wrote.  A complete catalog records both sides of every such node; on d4 each record was
-# written at the other end of its tau pair.  kron's catalog stops at the budget, and the tau
-# links it fills in write records too.
+# module wrote, by a transpose or by the one cover that _fill_tau_tables makes.  A complete
+# catalog records both sides of every such node; on d4 each record was written at the other end
+# of its tau pair.  kron's catalog stops at the budget, and the nodes the knitting did not reach
+# get their records from the fill.
 CARRIED = {"d4": (8, 0), "h5": (20, 5), "tilted5": (12, 3), "a4_rad2": (4, 1), "sq": (8, 1), "kron": (23, 11)}
 
 
 @pytest.mark.parametrize("name", sorted(CARRIED))
 def test_carried_cover_is_the_fresh_one(name, monkeypatch):
     """A record gives the source dimensions of a fresh projective_cover.  Its kernel has the
-    matrices of a fresh kernel_of where its own module was transposed, and the summands of a
+    matrices of a fresh kernel_of where its own module was transposed or covered, and the summands of a
     fresh kernel_of where the transpose at the other end of the tau pair wrote it."""
     alg = load_fixture_algebra(name)
     transposed = []
-    real = catalog._transpose_with_cover
+    real, real_record = catalog._transpose_with_cover, catalog.syzygy_record
 
     def recording(m):
         presentation = real(m)
         transposed.append(presentation[3])
         return presentation
 
+    def recording_record(m):
+        transposed.append(real_record(m))
+        return transposed[-1]
+
     monkeypatch.setattr(catalog, "_transpose_with_cover", recording)
+    monkeypatch.setattr(catalog, "syzygy_record", recording_record)
     cat = enumerate_indecomposables(alg)
     monkeypatch.undo()
     recorded = own = 0

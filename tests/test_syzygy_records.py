@@ -66,18 +66,24 @@ def _catalog(name, p):
 
 
 def _knit(name, p, monkeypatch):
-    """A fresh catalog of a case, and the records in it that a transpose of their own module
-    wrote; each other record was written by the transpose at the other end of its tau pair."""
+    """A fresh catalog of a case, and the records in it that a transpose or a cover of their own
+    module wrote; each other record was written by the transpose at the other end of its tau
+    pair."""
     own = []
-    real = catalog._transpose_with_cover
+    real, real_record = catalog._transpose_with_cover, catalog.syzygy_record
 
     def recording(m):
         presentation = real(m)
         own.append(presentation[3])
         return presentation
 
+    def recording_record(m):
+        own.append(real_record(m))
+        return own[-1]
+
     with monkeypatch.context() as patched:
         patched.setattr(catalog, "_transpose_with_cover", recording)
+        patched.setattr(catalog, "syzygy_record", recording_record)
         return enumerate_indecomposables(*_algebra(name, p)), own
 
 

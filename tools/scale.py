@@ -2,18 +2,24 @@
 
 Run from the repository root:
 
-    python3 tools/scale.py --parent HEAD --repeat 3 --out SCALE_37.json
+    python3 tools/scale.py --parent HEAD --repeat 3 --out SCALE_38.json
 
 Each input is a generated algebra from perfbench/gen.py: E8, D16 and A30 from
 ``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8, A_30/rad^10 and
 A_40/rad^12 from ``nakayama_algebra(random.Random(5), ...)``, over Q, and E8
 over GF(101) too.  On A_30/rad^10 the kernel test splits syzygies that are not
 projective.  ``check --suite all --budget-modules 4000 --budget-dim 40000``
-runs on each, in one process through ``repherd.cli.main``.
+runs on each, in one process through ``repherd.cli.main``.  Two more rows run
+the Euclidean quivers a2_tilde and d4_tilde of the catalog-q workload
+(``euclidean_algebra(random.Random("catalog-q:" + name), ...)``) with
+``--budget-modules 40 --budget-dim 600``, where the budget stops the catalog
+and the command answers Inconclusive; each row keeps its own arguments.
 ``time.process_time`` is read around the functions that make up the stages,
 and a stage's seconds leave out the stages nested in it:
 
 - ``enumeration``: ``enumerate_indecomposables``;
+- ``fill_tau``: ``catalog._fill_tau_tables``, nested in enumeration, the tau
+  links of a catalog stopped by the budget;
 - ``kernel_test``: ``checks._module_kernel_test``, every module's kernel test;
 - ``node_facts``: ``node_facts``;
 - ``oracle``: ``gldim_end_gen_cogen``, gl.dim End(A + DA);
@@ -59,16 +65,26 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 import gen  # noqa: E402
 
 ARGV = ["--suite", "all", "--budget-modules", "4000", "--budget-dim", "40000"]
+STOPPED_ARGV = ["--suite", "all", "--budget-modules", "40", "--budget-dim", "600"]
+
+
+def _euclidean(name):
+    return gen.euclidean_algebra(random.Random("catalog-q:" + name), gen.EUCLIDEAN[name], "Q")
+
+
+# (input, field, algebra builder, the arguments after `check ALGEBRA`)
 INPUTS = [
-    ("E8", "Q", lambda: gen.dynkin_algebra(random.Random(3), "E", 8, "Q")),
-    ("E8", "GF(101)", lambda: gen.dynkin_algebra(random.Random(3), "E", 8, 101)),
-    ("D16", "Q", lambda: gen.dynkin_algebra(random.Random(3), "D", 16, "Q")),
-    ("A30", "Q", lambda: gen.dynkin_algebra(random.Random(3), "A", 30, "Q")),
-    ("A_24/rad^8", "Q", lambda: gen.nakayama_algebra(random.Random(5), 24, 8, "Q")),
-    ("A_30/rad^10", "Q", lambda: gen.nakayama_algebra(random.Random(5), 30, 10, "Q")),
-    ("A_40/rad^12", "Q", lambda: gen.nakayama_algebra(random.Random(5), 40, 12, "Q")),
+    ("E8", "Q", lambda: gen.dynkin_algebra(random.Random(3), "E", 8, "Q"), ARGV),
+    ("E8", "GF(101)", lambda: gen.dynkin_algebra(random.Random(3), "E", 8, 101), ARGV),
+    ("D16", "Q", lambda: gen.dynkin_algebra(random.Random(3), "D", 16, "Q"), ARGV),
+    ("A30", "Q", lambda: gen.dynkin_algebra(random.Random(3), "A", 30, "Q"), ARGV),
+    ("A_24/rad^8", "Q", lambda: gen.nakayama_algebra(random.Random(5), 24, 8, "Q"), ARGV),
+    ("A_30/rad^10", "Q", lambda: gen.nakayama_algebra(random.Random(5), 30, 10, "Q"), ARGV),
+    ("A_40/rad^12", "Q", lambda: gen.nakayama_algebra(random.Random(5), 40, 12, "Q"), ARGV),
+    ("a2_tilde", "Q", lambda: _euclidean("a2_tilde"), STOPPED_ARGV),
+    ("d4_tilde", "Q", lambda: _euclidean("d4_tilde"), STOPPED_ARGV),
 ]
-STAGES = ["enumeration", "kernel_test", "node_facts", "oracle", "suite"]
+STAGES = ["enumeration", "fill_tau", "kernel_test", "node_facts", "oracle", "suite"]
 
 
 def _stage_timers(seconds, nodes):
@@ -97,6 +113,7 @@ def _stage_timers(seconds, nodes):
 
     targets = [
         ("enumeration", [cli], "enumerate_indecomposables"),
+        ("fill_tau", [catalog], "_fill_tau_tables"),
         ("kernel_test", [checks], "_module_kernel_test"),
         ("node_facts", [checks, catalog], "node_facts"),
         ("oracle", [checks], "gldim_end_gen_cogen"),
@@ -116,7 +133,7 @@ def import_cli():
 
 
 def time_inputs():
-    """[{input, field, nodes, exit, cpu_s}] for one run of each input in this process."""
+    """[{input, field, argv, nodes, exit, cpu_s}] for one run of each input in this process."""
     from repherd import cli
 
     seconds = dict.fromkeys(STAGES, 0.0)
@@ -124,7 +141,7 @@ def time_inputs():
     _stage_timers(seconds, nodes)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, field, build in INPUTS:
+        for name, field, build, argv in INPUTS:
             path = gen.write_json(tmp, "algebra.json", build())
             for stage in STAGES:
                 seconds[stage] = 0.0
@@ -132,10 +149,10 @@ def time_inputs():
             gc.collect()
             start = time.process_time()
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["check", path, *ARGV])
+                code = cli.main(["check", path, *argv])
             total = time.process_time() - start
-            out.append({"input": name, "field": field, "nodes": nodes[0] if nodes else None, "exit": code,
-                        "cpu_s": dict({"total": total}, **seconds)})
+            out.append({"input": name, "field": field, "argv": " ".join(argv), "nodes": nodes[0] if nodes else None,
+                        "exit": code, "cpu_s": dict({"total": total}, **seconds)})
     return out
 
 
@@ -188,7 +205,7 @@ def main(argv=None):
         for tree in trees.values():
             shutil.rmtree(tree, ignore_errors=True)
     report = {
-        "command": "repherd check ALGEBRA " + " ".join(ARGV),
+        "command": "repherd check ALGEBRA, followed by each row's argv",
         "method": "CPU seconds (time.process_time) in one process per side; each stage leaves out the "
                   "stages nested in it; import_cpu_s is the first import of repherd.cli, compiled from source; "
                   "median of %d run(s)" % args.repeat,
@@ -206,7 +223,7 @@ def main(argv=None):
         print("%-6s import %.4f" % (side, report["import_cpu_s"][side]))
         for row in rows:
             print("%-6s %-11s %-7s nodes %4s  %s" % (side, row["input"], row["field"], row["nodes"], "  ".join(
-                "%s %.2f" % (stage, s) for stage, s in row["cpu_s"].items())))
+                "%s %.3f" % (stage, s) for stage, s in row["cpu_s"].items())))
     return 0
 
 
