@@ -5,7 +5,14 @@ from functools import cached_property
 
 from .dims import DimValue
 from .errors import BudgetExceeded, IncompleteCatalog, RepherdError, VerificationFailed
-from .homological import _transpose_with_cover, almost_split_sequence, cover_dims, image_dims, syzygy_record
+from .homological import (
+    _cover_data,
+    _transpose_with_cover,
+    almost_split_sequence,
+    cover_dims,
+    image_dims,
+    syzygy_record,
+)
 from .modules import (
     cokernel_of,
     dual_module,
@@ -46,7 +53,8 @@ class CatalogNode:
         # The AR arrows into this node, {source index: multiplicity}: the summands of
         # rad P, or of the middle term of the almost-split sequence ending here, read
         # off the arrows out of both of its ends, and the seeds not yet knitted, when
-        # they add up (see _mesh_middle).  None until the node is knitted.
+        # they add up (see _mesh_middle), else off the arrows into its left end
+        # (_translated_middle).  None until the node is knitted.
         self.arrows = arrows
         # At a seed, a node flagged P(v), or flagged I(v) and not projective: (the
         # summands of rad P, or of I/soc I, n), split against the first n nodes.  Made
@@ -100,6 +108,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     cat = IndecomposableCatalog(alg, [], True)
     nodes = cat.nodes
     queue = []
+    kept = {}  # node index: the transpose of its dual that a read made for its tau^{-1} step
     total_dim = 0
     complete = True
 
@@ -142,24 +151,25 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
 
     def add_translate(rep):
         """Node index of a translate of an indecomposable, or None over budget."""
-        if rep.is_zero():
-            raise VerificationFailed("translate of a non-projective or non-injective module vanished")
         known = [node.rep for node in nodes]
-        pieces = indecomposable_summands(rep, known)
-        if len(pieces) != 1:
-            raise VerificationFailed("a translate of an indecomposable module is not indecomposable")
-        return node_of(pieces[0], known)
+        return node_of(_translate_piece(rep, known), known)
 
     def in_arrows(s, t, z, presentation):
         """The in-arrows of node t, at the right end of the almost-split sequence that starts at
         node s; None once over budget.  They are read off the arrows out of s and out of t when
-        those add up; otherwise the sequence ending at z (t's module, or D of s's over A^op) is
-        built from its transpose `presentation` and its middle term is split."""
+        those add up, and otherwise off the in-arrows of s translated by tau^{-1}, when s has
+        them and they add up; the pieces of that read are committed as a split of the middle
+        term made here would commit them.  Only when both reads decline is the sequence ending
+        at z (t's module, or D of s's over A^op) built from its transpose `presentation`, and
+        its middle term split."""
         arrows = _mesh_middle(nodes, s, t)
-        if arrows is None:
-            middle = almost_split_sequence(z, presentation=presentation).middle
-            arrows = commit(*_split(nodes, middle if z.algebra is alg else dual_module(middle)))
-        return arrows
+        if arrows is not None:
+            return arrows
+        pieces = None if nodes[s].arrows is None else _translated_middle(nodes, s, t, kept)
+        if pieces is not None:
+            return commit(pieces, len(nodes))
+        middle = almost_split_sequence(z, presentation=presentation).middle
+        return commit(*_split(nodes, middle if z.algebra is alg else dual_module(middle)))
 
     # Seeding flags the nodes of P(v) and I(v).  Once it is complete, every
     # projective and injective class is a node, so no later node is either.
@@ -179,9 +189,14 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     # keeps the order.  The summands of rad P, or of the middle term, are the
     # node's in-arrows.  A middle term whose summands the arrows out of its
     # two ends, with the seeds not yet knitted, already account for is read
-    # off them, and the sequence is built only when they fall short: the
-    # summands it would add are all nodes, so order, names and arrows are the
-    # same either way.  A seed's rad P or I/soc I is split once, maybe by an
+    # off them: those summands are all nodes.  Otherwise it is read off the
+    # in-arrows of its left end translated by tau^{-1}, when they are recorded
+    # and add up, and its pieces are committed as a split of the built middle
+    # term would commit them: a new node holds Tr D W, isomorphic to that
+    # split's piece, so order, names and arrows are the same either way.  A
+    # translate that read makes is kept for W's own tau^{-1} step, which then
+    # transposes no more.  The sequence is built only when both reads
+    # decline.  A seed's rad P or I/soc I is split once, maybe by an
     # earlier read, and its pieces are committed here, in queue order: a piece
     # that matched none of the nodes known at the split is compared with the
     # nodes added since, so each gets the index a split made here would give.
@@ -213,7 +228,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         if node.inj_vertex is None and node.tau_inv is None:
             # D of the sequence over A^op that ends at D(node): tau^{-1} = Tr D
             dual = node.dual
-            presentation = _transpose_with_cover(dual)
+            presentation = kept.pop(idx, None) or _transpose_with_cover(dual)
             node.dual_record = presentation[3]
             j = add_translate(presentation[0])
             if j is None:
@@ -250,12 +265,8 @@ def _mesh_middle(nodes, s, t):
     Y^m a summand of E, and so does each recorded t -> W, at a node W with a tau link, for
     Y = tau W: that arrow came from the sequence ending at W.  When the two name one
     Y with different multiplicities, the recorded arrows are not meshes and VerificationFailed
-    is raised.  When they fall short, a seed with no arrows yet that fits in what is missing
-    is read off its kept split: rad P -> P is the sink map of P and I -> I/soc I the source
-    map of I (Assem-Simson-Skowroński IV.3), so P(v)^m is a summand of E for the m pieces of
-    rad P(v) that are node s, and I(v)^m for the m pieces of I(v)/soc I(v) that are node t.
-    A split that raises here is not kept, and that seed is skipped.  When the summands add
-    up to dim E, Krull-Schmidt leaves room for no other.
+    is raised.  When they fall short, the seeds are read as _read_seeds reads them, with I(v)
+    read at t.  When the summands add up to dim E, Krull-Schmidt leaves room for no other.
     """
     middle = {}
     for k, node in enumerate(nodes):
@@ -265,6 +276,20 @@ def _mesh_middle(nodes, s, t):
                     raise VerificationFailed("the arrows out of both ends of an almost split sequence disagree")
     want = [a + b for a, b in zip(nodes[s].rep.dims, nodes[t].rep.dims)]
     missing = [w - d for w, d in zip(want, arrow_dims(nodes, middle, len(want)))]
+    return None if any(_read_seeds(nodes, middle, missing, s, t)) else middle
+
+
+def _read_seeds(nodes, middle, missing, s, t):
+    """Read into middle, {node index: multiplicity}, the seeds with no arrows yet that fit in
+    missing, what the summands read so far leave of the dimension vector of the middle term E
+    of 0 -> nodes[s] -> E -> nodes[t] -> 0, and return what is then missing.
+
+    rad P -> P is the sink map of P and I -> I/soc I the source map of I (Assem-Simson-
+    Skowroński IV.3), so P(v)^m is a summand of E for the m pieces of rad P(v) that are node s,
+    and, when t is not None, I(v)^m for the m pieces of I(v)/soc I(v) that are node t.  Each
+    is read off the seed's kept split.  A split that raises here is not kept, and that seed is
+    skipped.
+    """
     for k, node in enumerate(nodes):
         if not any(missing):
             break
@@ -279,7 +304,72 @@ def _mesh_middle(nodes, s, t):
         if m:
             middle[k] = m
             missing = [a - m * d for a, d in zip(missing, node.rep.dims)]
-    return None if any(missing) else middle
+    return missing
+
+
+def _translated_middle(nodes, s, t, kept):
+    """The summands of the middle term E of the almost-split sequence
+    0 -> nodes[s] -> E -> nodes[t] -> 0, nodes[t] = tau^{-1} nodes[s], read off the in-arrows
+    recorded at s, as modules sorted by dimension vector; None when their dimension vectors do
+    not add up to dim E, when two that are not isomorphic share one, or when a RepherdError is
+    raised.  No node is added.
+
+    The irreducible maps out of s go to (tau^{-1} W)^m for each arrow W -> s of multiplicity m
+    with W not injective, and to P^m for each projective P with s a summand of rad P m times
+    (Auslander-Reiten-Smalø, ch. V; Assem-Simson-Skowroński IV.4).  tau^{-1} W is node
+    W.tau_inv when that link is set; otherwise it is Tr D W, certified one piece as
+    add_translate does, from a transpose that kept[W] holds for W's own tau^{-1} step.  A
+    knitted P gives its recorded arrow from s, and the seeds are read by _read_seeds with no
+    I(v): an injective in E is some tau^{-1} W.  With no two pieces of one dimension vector,
+    the pieces come in the order of a split of E.  A read that raises drops from kept every
+    transpose it made or used, so that W's own step transposes again.
+    """
+    known = [node.rep for node in nodes]
+    middle, new, used = {}, [], []
+    try:
+        for w, m in nodes[s].arrows.items():
+            node = nodes[w]
+            if node.inj_vertex is not None:
+                continue
+            if node.tau_inv is not None:
+                middle[node.tau_inv] = m
+                continue
+            used.append(w)
+            if w not in kept:
+                kept[w] = _transpose_with_cover(node.dual)
+            piece = _translate_piece(kept[w][0], known)
+            k = known_index(piece, known)
+            if k is None:
+                new.append((piece, m))
+            else:
+                middle[k] = m
+        for k, node in enumerate(nodes):
+            if node.proj_vertex is not None and node.arrows and node.arrows.get(s):
+                middle[k] = node.arrows[s]
+        want = [a + b for a, b in zip(nodes[s].rep.dims, nodes[t].rep.dims)]
+        missing = [a - d - sum(m * x.dims[v] for x, m in new)
+                   for v, (a, d) in enumerate(zip(want, arrow_dims(nodes, middle, len(want))))]
+        if any(_read_seeds(nodes, middle, missing, s, None)):
+            return None
+    except RepherdError:
+        for w in used:
+            kept.pop(w, None)
+        return None
+    pieces = [(nodes[k].rep, m) for k, m in middle.items()] + new
+    if len({x.dims for x, _ in pieces}) < len(pieces):
+        return None
+    return sorted((x for x, m in pieces for _ in range(m)), key=lambda x: x.dims)
+
+
+def _translate_piece(rep, known):
+    """The one piece of indecomposable_summands(rep, known), for rep a translate of an
+    indecomposable; VerificationFailed when it vanished or has more pieces."""
+    if rep.is_zero():
+        raise VerificationFailed("translate of a non-projective or non-injective module vanished")
+    pieces = indecomposable_summands(rep, known)
+    if len(pieces) != 1:
+        raise VerificationFailed("a translate of an indecomposable module is not indecomposable")
+    return pieces[0]
 
 
 def _socle_quotient(rep):
@@ -310,8 +400,8 @@ def _fill_tau_tables(cat: IndecomposableCatalog):
     Each such node X not projective gets its record, from one cover when the tau step did not
     write it, and the bounds of _tau_dims_bounds on dim tau X.  tau X is never injective, and
     a node whose tau^{-1} is linked is the translate of that node only.  So X is transposed,
-    and its translate looked up, only when a node that is neither fits in those bounds; any
-    other lookup would find nothing.
+    from the record's cover when there is one, and its translate looked up, only when a node
+    that is neither fits in those bounds; any other lookup would find nothing.
 
     Knitting links every node of a complete catalog both ways.
     """
@@ -321,13 +411,15 @@ def _fill_tau_tables(cat: IndecomposableCatalog):
     for i, node in enumerate(nodes):
         if node.proj_vertex is not None or node.tau is not None:
             continue
+        cover = None
         if node.record is None:
-            node.record = syzygy_record(node.rep)
+            cover = _cover_data(node.rep)
+            node.record = syzygy_record(node.rep, cover)
         lo, hi = _tau_dims_bounds(node.rep, node.record)
         if not any(y.inj_vertex is None and y.tau_inv is None
                    and all(a <= d <= b for a, d, b in zip(lo, y.rep.dims, hi)) for y in nodes):
             continue
-        presentation = _transpose_with_cover(node.rep)
+        presentation = _transpose_with_cover(node.rep, cover)
         node.tau = cat.find(dual_module(presentation[0]))
         if node.tau is not None:
             nodes[node.tau].tau_inv = i

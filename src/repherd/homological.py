@@ -173,9 +173,13 @@ def kernel_record(source_dims, k):
     return SyzygyRecord(source_dims, tops, cover_dims(k.algebra, top) == list(k.dims), k)
 
 
-def syzygy_record(m: Representation) -> SyzygyRecord:
-    """The SyzygyRecord of m, from one projective cover and its kernel."""
-    f, ker, _ = cover_with_kernel(m)
+def syzygy_record(m: Representation, cover=None) -> SyzygyRecord:
+    """The SyzygyRecord of m, from one projective cover and its kernel: `cover`, _cover_data(m)
+    when given, which _transpose_with_cover(m, cover) can then reuse."""
+    if cover is None:
+        f, ker, _ = cover_with_kernel(m)
+    else:
+        f, ker = cover[0], subrep_from_bases(cover[0].source, cover[2])[0]
     return kernel_record(f.source.dims, ker)
 
 
@@ -245,9 +249,9 @@ def transpose(m: Representation) -> Representation:
     return _transpose_with_cover(m)[0]
 
 
-def _transpose_with_cover(m: Representation):
+def _transpose_with_cover(m: Representation, cover=None):
     """(Tr m, the projective cover of m, the inclusion of its kernel, the SyzygyRecord of m, the
-    SyzygyRecord of Tr m over the opposite algebra).
+    SyzygyRecord of Tr m over the opposite algebra), from `cover`, _cover_data(m), when given.
 
     With g : P1 -> P0 the minimal presentation, P1 the sum of the P(a_l) and P0 that of the
     P(b_k), Tr m is the cokernel of g* : sum_k P^op(b_k) -> sum_l P^op(a_l).  g sends the top
@@ -268,7 +272,7 @@ def _transpose_with_cover(m: Representation):
     alg = m.algebra
     op = alg.opposite
     fld = alg.field
-    cover0, verts0, bases0 = _cover_data(m)
+    cover0, verts0, bases0 = cover or _cover_data(m)
     k0, incl = subrep_from_bases(cover0.source, bases0)
     nv = len(m.dims)
     if k0.is_zero():

@@ -120,13 +120,13 @@ def test_carried_cover_is_the_fresh_one(name, monkeypatch):
     transposed = []
     real, real_record = catalog._transpose_with_cover, catalog.syzygy_record
 
-    def recording(m):
-        presentation = real(m)
+    def recording(m, *args):
+        presentation = real(m, *args)
         transposed.append(presentation[3])
         return presentation
 
-    def recording_record(m):
-        transposed.append(real_record(m))
+    def recording_record(m, *args):
+        transposed.append(real_record(m, *args))
         return transposed[-1]
 
     monkeypatch.setattr(catalog, "_transpose_with_cover", recording)

@@ -8,10 +8,12 @@ import sys
 import pytest
 
 from repherd import catalog
-from repherd.catalog import Budget, _mesh_middle, enumerate_indecomposables
+from repherd.catalog import Budget, CatalogNode, _mesh_middle, enumerate_indecomposables
+from repherd.checks import check_representation_hereditary
 from repherd.errors import NonSplitEndomorphismRing, VerificationFailed
 from repherd.fields import PrimeField
 from repherd.io import algebra_from_dict
+from repherd.modules import indec_isomorphic
 
 from tests.reference import hom_dim
 from tests.conftest import ROOT, catalog_of, load_fixture_algebra
@@ -38,10 +40,18 @@ ORACLE_SHAPES = {
     "A10-rad3": lambda rng: gen.nakayama_algebra(rng, 10, 3, 101),
 }
 # The almost-split sequences that knitting builds, in every field tested; the others are read
-# off the arrows out of the two ends of their meshes and the seeds not yet knitted.
-READ_BUILT = {"h5": 5, "E6": 8, "kronecker": 2, "d4_tilde": 4, "a3_tilde": 3, "a2_tilde": 4,
-              "E7": 11, "A8-rad3": 6, "A10-rad3": 8}
+# off the arrows out of the two ends of their meshes and the seeds not yet knitted, or off the
+# in-arrows of their left ends translated by tau^{-1}.
+READ_BUILT = {"h5": 3, "E6": 4, "kronecker": 0, "d4_tilde": 1, "a3_tilde": 0, "a2_tilde": 2,
+              "E7": 7, "A8-rad3": 2, "A10-rad3": 2}
 GF101 = PrimeField(101)
+# (input, prime or None for Q) of the knitting comparisons
+KNITTING_CASES = [
+    pytest.param(name, p, id="%s-%s" % (name, "GF%d" % p if p else "Q"))
+    for names, primes in (((*COMPLETE_FIXTURES, *GENERATED), (None, 101)), (EUCLIDEAN_BUDGETS, (None, 2, 3)),
+                          (ORACLE_SHAPES, (101,)))
+    for name in names for p in primes
+]
 
 
 def _algebra(name, field):
@@ -68,46 +78,186 @@ def _node_key(node):
     )
 
 
-def _knit(alg, budget, monkeypatch, read_meshes):
-    """(catalog, number of almost-split sequences built), with the mesh read on or declining."""
-    built = []
-    real = catalog.almost_split_sequence
+def _class_key(node):
+    """_node_key up to isomorphism: all of it but the matrices."""
+    return _node_key(node)[:1] + _node_key(node)[2:]
+
+
+def _knit(alg, budget, monkeypatch, mesh=True, translated=True):
+    """(catalog, almost-split sequences built, transposes made), with the mesh read and the
+    translated read each on or declining."""
+    built, transposed = [], []
+    real_build, real_transpose = catalog.almost_split_sequence, catalog._transpose_with_cover
 
     def building(z, *args, **kwargs):
         built.append(z)
-        return real(z, *args, **kwargs)
+        return real_build(z, *args, **kwargs)
+
+    def transposing(m, *args):
+        transposed.append(m)
+        return real_transpose(m, *args)
 
     with monkeypatch.context() as m:
         m.setattr(catalog, "almost_split_sequence", building)
-        if not read_meshes:
+        m.setattr(catalog, "_transpose_with_cover", transposing)
+        if not mesh:
             m.setattr(catalog, "_mesh_middle", lambda nodes, s, t: None)
+        if not translated:
+            m.setattr(catalog, "_translated_middle", lambda nodes, s, t, kept: None)
         cat = enumerate_indecomposables(alg, budget)
-    return cat, len(built)
+    return cat, len(built), len(transposed)
 
 
-def _cases(names, primes):
-    return [pytest.param(name, p and PrimeField(p), id="%s-%s" % (name, "GF%d" % p if p else "Q"))
-            for name in names for p in primes]
+def _assert_same_catalog(cat, reference):
+    """The same completeness, names, flags, tau links and arrows, modules isomorphic node by node,
+    and the same main report."""
+    assert cat.complete == reference.complete
+    assert [_class_key(node) for node in cat.nodes] == [_class_key(node) for node in reference.nodes]
+    assert all(indec_isomorphic(x.rep, y.rep) for x, y in zip(cat.nodes, reference.nodes))
+    alg = cat.algebra
+    assert (check_representation_hereditary(alg, catalog=cat).to_json()
+            == check_representation_hereditary(alg, catalog=reference).to_json())
 
 
-@pytest.mark.parametrize("name, field", [
-    *_cases((*COMPLETE_FIXTURES, *GENERATED), (None, 101)),
-    *_cases(EUCLIDEAN_BUDGETS, (None, 2, 3)),
-    *_cases(ORACLE_SHAPES, (101,)),
-])
-def test_reading_middle_terms_off_the_meshes_changes_no_node(name, field, monkeypatch):
-    """The catalog is the one that builds every sequence: the same modules, names, flags, tau
-    links and arrows, and the same completeness."""
-    alg, budget = _algebra(name, field)
-    read, read_built = _knit(alg, budget, monkeypatch, True)
-    plain, plain_built = _knit(alg, budget, monkeypatch, False)
-    assert read.complete == plain.complete == (name not in EUCLIDEAN_BUDGETS)
-    assert [_node_key(node) for node in read.nodes] == [_node_key(node) for node in plain.nodes]
-    assert read_built <= plain_built
+@pytest.mark.parametrize("name, p", KNITTING_CASES)
+def test_reading_middle_terms_off_the_meshes_changes_no_node(name, p, monkeypatch):
+    """The mesh read changes no node: with the translated read on, the catalog is the one whose
+    mesh reads all decline, the same modules, names, flags, tau links and arrows, and the same
+    completeness.  The reference that declines both reads builds every sequence."""
+    alg, budget = _algebra(name, p and PrimeField(p))
+    read, read_built, _ = _knit(alg, budget, monkeypatch)
+    unmeshed, unmeshed_built, _ = _knit(alg, budget, monkeypatch, mesh=False)
+    plain, plain_built, _ = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
+    assert read.complete == unmeshed.complete == plain.complete == (name not in EUCLIDEAN_BUDGETS)
+    assert [_node_key(node) for node in read.nodes] == [_node_key(node) for node in unmeshed.nodes]
+    assert read_built <= unmeshed_built <= plain_built
     if plain.complete:
         assert plain_built == sum(node.proj_vertex is None for node in plain.nodes)
     if name in READ_BUILT:
         assert read_built == READ_BUILT[name]
+
+
+@pytest.mark.parametrize("name, p", KNITTING_CASES)
+def test_the_translated_read_gives_the_catalog_that_builds_every_sequence(name, p, monkeypatch):
+    """Against the reference that declines both reads: the same completeness, names, flags, tau
+    links and arrows, isomorphic modules and the same main report, from as many transposes,
+    which on a complete catalog are one per tau link."""
+    alg, budget = _algebra(name, p and PrimeField(p))
+    read, _, transposed = _knit(alg, budget, monkeypatch)
+    plain, _, plain_transposed = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
+    _assert_same_catalog(read, plain)
+    assert transposed == plain_transposed
+    if read.complete:
+        assert transposed == sum(node.tau is not None for node in read.nodes)
+
+
+def _doctored_reads(monkeypatch, doctor):
+    """Hand each translated read a copy of the nodes that doctor(nodes, s) returns, when it returns
+    one, and decline that read; the list of what those reads gave.  A transpose the read keeps
+    for a node of the copy that is no node of the knitting is dropped."""
+    gave = []
+    real = catalog._translated_middle
+
+    def read(nodes, s, t, kept):
+        view = doctor(nodes, s)
+        if view is None:
+            return real(nodes, s, t, kept)
+        seen = dict(kept)
+        gave.append(real(view, s, t, seen))
+        kept.update((k, v) for k, v in seen.items() if k < len(nodes))
+        return None
+
+    monkeypatch.setattr(catalog, "_translated_middle", read)
+    return gave
+
+
+def _copy(node, **changes):
+    out = CatalogNode(node.rep, node.name, node.proj_vertex, node.inj_vertex, node.simple_vertex, node.tau,
+                      node.tau_inv, node.arrows, node.split)
+    for attr, value in changes.items():
+        setattr(out, attr, value)
+    return out
+
+
+def _one_more(nodes, s):
+    """The nodes with one more arrow into s from its first in-neighbour that is not injective."""
+    arrows = dict(nodes[s].arrows)
+    w = next((w for w in arrows if nodes[w].inj_vertex is None), None)
+    if w is None:
+        return None
+    arrows[w] += 1
+    return [_copy(node, arrows=arrows) if k == s else node for k, node in enumerate(nodes)]
+
+
+def _split_arrow(nodes, s):
+    """The nodes with one arrow W -> s of multiplicity m > 1, from a node with no tau^{-1} link,
+    made into W^(m-1) -> s and W' -> s for a copy W' of W appended to them: the read finds two
+    pieces with one dimension vector, Tr D W and Tr D W', isomorphic but of distinct nodes."""
+    arrows = dict(nodes[s].arrows)
+    w = next((w for w, m in arrows.items() if m > 1 and nodes[w].inj_vertex is None
+              and nodes[w].tau_inv is None), None)
+    if w is None:
+        return None
+    arrows[w] -= 1
+    arrows[len(nodes)] = 1
+    return [_copy(node, arrows=arrows) if k == s else node for k, node in enumerate(nodes)] + [_copy(nodes[w])]
+
+
+@pytest.mark.parametrize("name, p, doctor", [
+    ("h5", None, _one_more), ("E6", None, _one_more), ("a2_tilde", 3, _one_more), ("A10-rad3", 101, _one_more),
+    ("kronecker", None, _split_arrow),
+])
+def test_a_doctored_translated_read_declines(name, p, doctor, monkeypatch):
+    """One more arrow into s than recorded, seen only by the read, makes its summands add up to
+    more than the middle term, and an arrow split between two nodes of one module gives two
+    pieces of one dimension vector: each read declines, the sequence is built, and the catalog
+    is the reference's."""
+    alg, budget = _algebra(name, p and PrimeField(p))
+    plain, _, _ = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
+    gave = _doctored_reads(monkeypatch, doctor)
+    read, _, _ = _knit(alg, budget, monkeypatch)
+    assert gave and gave == [None] * len(gave)
+    _assert_same_catalog(read, plain)
+
+
+@pytest.mark.parametrize("name", ["h5", "E6", "kronecker"])
+@pytest.mark.parametrize("where", ["_transpose_with_cover", "_translate_piece"])
+def test_a_failure_inside_a_translated_read_drops_its_transposes(name, where, monkeypatch):
+    """The first transpose a translated read makes, or the first check that a translate it made is
+    one piece, raises: the read declines and keeps no transpose it made, the node's own tau^{-1}
+    step transposes again, and the catalog is the reference's."""
+    alg, budget = _algebra(name, GF101)
+    plain, _, plain_transposed = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
+    real_read, real_fn = catalog._translated_middle, getattr(catalog, where)
+    reading, failed, gave = [], [], []
+
+    def read(nodes, s, t, kept):
+        before = dict(kept)
+        reading.append(s)
+        try:
+            out = real_read(nodes, s, t, kept)
+        finally:
+            reading.pop()
+        if len(gave) < len(failed):
+            gave.append((out, before, dict(kept)))
+        return out
+
+    def failing(m, *args):
+        if reading and not failed:
+            failed.append(m)
+            raise NonSplitEndomorphismRing("forced")
+        return real_fn(m, *args)
+
+    monkeypatch.setattr(catalog, "_translated_middle", read)
+    monkeypatch.setattr(catalog, where, failing)
+    read_cat, _, transposed = _knit(alg, budget, monkeypatch)
+    assert len(failed) == 1
+    (out, before, after), = gave
+    assert out is None and set(after) <= set(before)
+    assert all(presentation[0] is not failed[0] for presentation in after.values())
+    # the one that raised, or the one dropped after its piece raised, is made again
+    assert transposed == plain_transposed + 1
+    _assert_same_catalog(read_cat, plain)
 
 
 def _reading(monkeypatch):
@@ -166,11 +316,11 @@ def test_each_seed_splits_its_neighbour_module_once(name, monkeypatch):
 
 def test_a_seed_split_that_fails_inside_a_read_is_dropped(monkeypatch):
     """The first split a mesh read asks for raises: the read skips that seed, and over h5, where
-    that seed is a summand of the middle term, the sequence is built, one more than READ_BUILT.
-    The seed's own step splits it again, and the catalog is still the one that builds every
-    sequence."""
+    that seed is a summand of the middle term, the mesh read declines and the translated read
+    reads that middle term, so no more sequences are built than READ_BUILT.  The seed is split
+    again later, and the catalog is still the one whose mesh reads all decline."""
     alg, budget = _algebra("h5", GF101)
-    plain, _ = _knit(alg, budget, monkeypatch, False)
+    unmeshed, _, _ = _knit(alg, budget, monkeypatch, mesh=False)
     reading = _reading(monkeypatch)
     failed = []
     real_split = catalog.indecomposable_summands
@@ -182,10 +332,10 @@ def test_a_seed_split_that_fails_inside_a_read_is_dropped(monkeypatch):
         return real_split(rep, known)
 
     monkeypatch.setattr(catalog, "indecomposable_summands", summands)
-    read, built = _knit(alg, budget, monkeypatch, True)
+    read, built, _ = _knit(alg, budget, monkeypatch)
     assert len(failed) == 1
-    assert [_node_key(node) for node in read.nodes] == [_node_key(node) for node in plain.nodes]
-    assert built == READ_BUILT["h5"] + 1
+    assert [_node_key(node) for node in read.nodes] == [_node_key(node) for node in unmeshed.nodes]
+    assert built == READ_BUILT["h5"]
 
 
 @pytest.mark.parametrize("name", ["d4", "h5", "E6"])

@@ -72,13 +72,13 @@ def _knit(name, p, monkeypatch):
     own = []
     real, real_record = catalog._transpose_with_cover, catalog.syzygy_record
 
-    def recording(m):
-        presentation = real(m)
+    def recording(m, *args):
+        presentation = real(m, *args)
         own.append(presentation[3])
         return presentation
 
-    def recording_record(m):
-        own.append(real_record(m))
+    def recording_record(m, *args):
+        own.append(real_record(m, *args))
         return own[-1]
 
     with monkeypatch.context() as patched:

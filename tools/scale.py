@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/scale.py --parent HEAD --repeat 3 --out SCALE_38.json
+    python3 tools/scale.py --parent HEAD --repeat 3 --out SCALE_39.json
 
 Each input is a generated algebra from perfbench/gen.py: E8, D16 and A30 from
 ``dynkin_algebra(random.Random(3), ...)`` and A_24/rad^8, A_30/rad^10 and
@@ -25,6 +25,11 @@ and a stage's seconds leave out the stages nested in it:
 - ``oracle``: ``gldim_end_gen_cogen``, gl.dim End(A + DA);
 - ``suite``: ``check_no_inj_to_proj_suite``, the Hom(DA, A) = 0 suite;
 - ``total``: the whole command.
+
+Each row also counts two calls, which repeat exactly from run to run:
+``sequences_built``, the almost-split sequences that knitting builds
+(``catalog.almost_split_sequence``), and ``transposes``, the transposes it and
+the tau fill make (``catalog._transpose_with_cover``).
 
 Before any input runs, each side's process also reports ``import``: the CPU
 seconds of its first ``import repherd.cli``, the start-up that every command
@@ -87,6 +92,23 @@ INPUTS = [
 STAGES = ["enumeration", "fill_tau", "kernel_test", "node_facts", "oracle", "suite"]
 
 
+COUNTED = {"sequences_built": "almost_split_sequence", "transposes": "_transpose_with_cover"}
+
+
+def _call_counters(counts):
+    """Wrap the catalog functions of COUNTED; each call adds one to counts[its name]."""
+    from repherd import catalog
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, name in COUNTED.items():
+        setattr(catalog, name, counted(key, getattr(catalog, name)))
+
+
 def _stage_timers(seconds, nodes):
     """Wrap the functions of each stage in the modules that call them; a stage's own CPU time,
     less the stages nested in it, is added to seconds[stage]."""
@@ -133,18 +155,22 @@ def import_cli():
 
 
 def time_inputs():
-    """[{input, field, argv, nodes, exit, cpu_s}] for one run of each input in this process."""
+    """[{input, field, argv, nodes, exit, counts, cpu_s}] for one run of each input in this process."""
     from repherd import cli
 
     seconds = dict.fromkeys(STAGES, 0.0)
+    counts = dict.fromkeys(COUNTED, 0)
     nodes = []
     _stage_timers(seconds, nodes)
+    _call_counters(counts)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, field, build, argv in INPUTS:
             path = gen.write_json(tmp, "algebra.json", build())
             for stage in STAGES:
                 seconds[stage] = 0.0
+            for key in COUNTED:
+                counts[key] = 0
             del nodes[:]
             gc.collect()
             start = time.process_time()
@@ -152,7 +178,7 @@ def time_inputs():
                 code = cli.main(["check", path, *argv])
             total = time.process_time() - start
             out.append({"input": name, "field": field, "argv": " ".join(argv), "nodes": nodes[0] if nodes else None,
-                        "exit": code, "cpu_s": dict({"total": total}, **seconds)})
+                        "exit": code, "counts": dict(counts), "cpu_s": dict({"total": total}, **seconds)})
     return out
 
 
@@ -168,9 +194,11 @@ def run_side(src):
 
 
 def merge(runs):
-    """One row per input, with the median of each stage over the runs."""
+    """One row per input, with the median of each stage over the runs; the counts must repeat."""
     rows = []
     for k, row in enumerate(runs[0]):
+        if any(r[k]["counts"] != row["counts"] for r in runs):
+            raise SystemExit("the counts of %s %s differ between runs" % (row["input"], row["field"]))
         cpu = {stage: round(statistics.median(r[k]["cpu_s"][stage] for r in runs), 3) for stage in row["cpu_s"]}
         rows.append(dict(row, cpu_s=cpu))
     return rows
@@ -208,7 +236,8 @@ def main(argv=None):
         "command": "repherd check ALGEBRA, followed by each row's argv",
         "method": "CPU seconds (time.process_time) in one process per side; each stage leaves out the "
                   "stages nested in it; import_cpu_s is the first import of repherd.cli, compiled from source; "
-                  "median of %d run(s)" % args.repeat,
+                  "median of %d run(s); counts are the calls of catalog.almost_split_sequence and "
+                  "catalog._transpose_with_cover, the same in every run" % args.repeat,
         "host": {"cores": os.cpu_count(), "python": platform.python_version(),
                  "implementation": platform.python_implementation(), "system": platform.system()},
         "import_cpu_s": {side: round(statistics.median(r["import"] for r in rs), 4) for side, rs in runs.items()},
@@ -222,8 +251,10 @@ def main(argv=None):
     for side, rows in report["sides"].items():
         print("%-6s import %.4f" % (side, report["import_cpu_s"][side]))
         for row in rows:
-            print("%-6s %-11s %-7s nodes %4s  %s" % (side, row["input"], row["field"], row["nodes"], "  ".join(
-                "%s %.3f" % (stage, s) for stage, s in row["cpu_s"].items())))
+            print("%-6s %-11s %-7s nodes %4s  %s  %s" % (
+                side, row["input"], row["field"], row["nodes"],
+                "  ".join("%s %d" % item for item in row["counts"].items()),
+                "  ".join("%s %.3f" % (stage, s) for stage, s in row["cpu_s"].items())))
     return 0
 
 
