@@ -54,6 +54,7 @@ class CatalogNode:
         # rad P, or of the middle term of the almost-split sequence ending here, read
         # off the arrows out of both of its ends, and the seeds not yet knitted, when
         # they add up (see _mesh_middle), else off the arrows into its left end
+        # translated by tau^{-1}, or out of this node translated by tau
         # (_translated_middle).  None until the node is knitted.
         self.arrows = arrows
         # At a seed, a node flagged P(v), or flagged I(v) and not projective: (the
@@ -108,7 +109,8 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     cat = IndecomposableCatalog(alg, [], True)
     nodes = cat.nodes
     queue = []
-    kept = {}  # node index: the transpose of its dual that a read made for its tau^{-1} step
+    kept_inv, kept_tau = {}, {}  # node index: a transpose a read made for its tau^{-1} (tau) step
+    rad, top = {}, {}  # knitted P (I) index: its arrows from rad P (to I/soc I)
     total_dim = 0
     complete = True
 
@@ -157,17 +159,22 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     def in_arrows(s, t, z, presentation):
         """The in-arrows of node t, at the right end of the almost-split sequence that starts at
         node s; None once over budget.  They are read off the arrows out of s and out of t when
-        those add up, and otherwise off the in-arrows of s translated by tau^{-1}, when s has
-        them and they add up; the pieces of that read are committed as a split of the middle
-        term made here would commit them.  Only when both reads decline is the sequence ending
-        at z (t's module, or D of s's over A^op) built from its transpose `presentation`, and
-        its middle term split."""
+        those add up, and otherwise off the in-arrows of s translated by tau^{-1}, or off the
+        out-arrows of t translated by tau, when that end has them all and they add up; the
+        pieces of such a read are committed as a split of the middle term made here would
+        commit them.  Only when all three reads decline is the sequence ending at z (t's
+        module, or D of s's over A^op) built from its transpose `presentation`, and its middle
+        term split."""
         arrows = _mesh_middle(nodes, s, t)
         if arrows is not None:
             return arrows
-        pieces = None if nodes[s].arrows is None else _translated_middle(nodes, s, t, kept)
-        if pieces is not None:
-            return commit(pieces, len(nodes))
+        # the arrows out of t: the middle term of the sequence starting at t, or I/soc I
+        link = nodes[t].tau_inv
+        out = top.get(t) if link is None else nodes[link].arrows
+        for at, seeds, kept, by_tau in ((nodes[s].arrows, rad, kept_inv, False), (out, top, kept_tau, True)):
+            pieces = None if at is None else _translated_middle(nodes, s, t, at, seeds, kept, by_tau)
+            if pieces is not None:
+                return commit(pieces, len(nodes))
         middle = almost_split_sequence(z, presentation=presentation).middle
         return commit(*_split(nodes, middle if z.algebra is alg else dual_module(middle)))
 
@@ -190,31 +197,34 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     # node's in-arrows.  A middle term whose summands the arrows out of its
     # two ends, with the seeds not yet knitted, already account for is read
     # off them: those summands are all nodes.  Otherwise it is read off the
-    # in-arrows of its left end translated by tau^{-1}, when they are recorded
-    # and add up, and its pieces are committed as a split of the built middle
-    # term would commit them: a new node holds Tr D W, isomorphic to that
-    # split's piece, so order, names and arrows are the same either way.  A
-    # translate that read makes is kept for W's own tau^{-1} step, which then
-    # transposes no more.  The sequence is built only when both reads
-    # decline.  A seed's rad P or I/soc I is split once, maybe by an
-    # earlier read, and its pieces are committed here, in queue order: a piece
-    # that matched none of the nodes known at the split is compared with the
-    # nodes added since, so each gets the index a split made here would give.
+    # in-arrows of its left end translated by tau^{-1}, or else off the
+    # out-arrows of its right end translated by tau, when that end has them
+    # all and they add up, and its pieces are committed as a split of the
+    # built middle term would commit them: a new node holds Tr D W or D Tr Z,
+    # isomorphic to that split's piece, so order, names and arrows are the
+    # same either way.  A translate such a read makes is kept for W's own
+    # tau^{-1} step, or Z's tau step, which then transposes no more.  The
+    # sequence is built only when the three reads decline.  A seed's rad P or
+    # I/soc I is split once, maybe by an earlier read, and its pieces are
+    # committed here, in queue order: a piece that matched none of the nodes
+    # known at the split is compared with the nodes added since, so each gets
+    # the index a split made here would give.
     pos = 0
     while pos < len(queue) and complete:
         idx = queue[pos]
         pos += 1
         node = nodes[idx]
         if node.proj_vertex is not None:
-            node.arrows = commit(*_seed_split(nodes, idx))
+            node.arrows = rad[idx] = commit(*_seed_split(nodes, idx))
             if node.arrows is None:
                 break
         if node.inj_vertex is not None:
             split = _seed_split(nodes, idx) if node.proj_vertex is None else _split(nodes, _socle_quotient(node.rep))
-            if commit(*split) is None:
+            top[idx] = commit(*split)
+            if top[idx] is None:
                 break
         if node.proj_vertex is None and node.tau is None:
-            presentation = _transpose_with_cover(node.rep)
+            presentation = kept_tau.pop(idx, None) or _transpose_with_cover(node.rep)
             node.record = presentation[3]
             j = add_translate(dual_module(presentation[0]))
             if j is None:
@@ -228,7 +238,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
         if node.inj_vertex is None and node.tau_inv is None:
             # D of the sequence over A^op that ends at D(node): tau^{-1} = Tr D
             dual = node.dual
-            presentation = kept.pop(idx, None) or _transpose_with_cover(dual)
+            presentation = kept_inv.pop(idx, None) or _transpose_with_cover(dual)
             node.dual_record = presentation[3]
             j = add_translate(presentation[0])
             if j is None:
@@ -244,7 +254,7 @@ def enumerate_indecomposables(alg, budget: Budget | None = None, strict: bool = 
     if not complete and strict:
         raise BudgetExceeded("enumeration exceeded the budget", partial=cat)
 
-    _fill_tau_tables(cat)
+    _fill_tau_tables(cat, kept_tau)
     _assign_names(cat)
     return cat
 
@@ -307,49 +317,54 @@ def _read_seeds(nodes, middle, missing, s, t):
     return missing
 
 
-def _translated_middle(nodes, s, t, kept):
+def _translated_middle(nodes, s, t, arrows, seeds, kept, by_tau):
     """The summands of the middle term E of the almost-split sequence
-    0 -> nodes[s] -> E -> nodes[t] -> 0, nodes[t] = tau^{-1} nodes[s], read off the in-arrows
-    recorded at s, as modules sorted by dimension vector; None when their dimension vectors do
-    not add up to dim E, when two that are not isomorphic share one, or when a RepherdError is
-    raised.  No node is added.
+    0 -> nodes[s] -> E -> nodes[t] -> 0 read off the arrows at one end, translated: the arrows
+    into s by tau^{-1}, or with by_tau the arrows out of t by tau.  They come as modules sorted
+    by dimension vector; None when their dimension vectors do not add up to dim E, when two that
+    are not isomorphic share one, or when a RepherdError is raised.  No node is added.
 
     The irreducible maps out of s go to (tau^{-1} W)^m for each arrow W -> s of multiplicity m
-    with W not injective, and to P^m for each projective P with s a summand of rad P m times
-    (Auslander-Reiten-Smalø, ch. V; Assem-Simson-Skowroński IV.4).  tau^{-1} W is node
-    W.tau_inv when that link is set; otherwise it is Tr D W, certified one piece as
-    add_translate does, from a transpose that kept[W] holds for W's own tau^{-1} step.  A
-    knitted P gives its recorded arrow from s, and the seeds are read by _read_seeds with no
-    I(v): an injective in E is some tau^{-1} W.  With no two pieces of one dimension vector,
-    the pieces come in the order of a split of E.  A read that raises drops from kept every
-    transpose it made or used, so that W's own step transposes again.
+    with W not injective, and to P^m for each projective P with s a summand of rad P m times;
+    dually, those into t come from (tau Z)^m for each arrow t -> Z of multiplicity m with Z not
+    projective, and from I^m for each injective I with t a summand of I/soc I m times
+    (Auslander-Reiten-Smalø, ch. V; Assem-Simson-Skowroński IV.3-4).  arrows is
+    {W or Z: m}, all the arrows at that end, and seeds {index of a knitted P or I: its arrows
+    at the seed}, those of rad P or of I/soc I.  The translate is node W.tau_inv, or Z.tau,
+    when that link is set; otherwise it is Tr D W, or D Tr Z, certified one piece as
+    add_translate does, from a transpose that kept[W or Z] holds for that node's own step.
+    The seeds not yet knitted are read by _read_seeds, P(v) at s or I(v) at t: an injective in
+    E is some tau^{-1} W and a projective some tau Z.  With no two pieces of one dimension
+    vector, the pieces come in the order of a split of E.  A read that raises drops from kept
+    every transpose it made or used, so that the node's own step transposes again.
     """
+    end = t if by_tau else s
     known = [node.rep for node in nodes]
-    middle, new, used = {}, [], []
+    middle = {k: out[end] for k, out in seeds.items() if end in out}
+    new, used = [], []
     try:
-        for w, m in nodes[s].arrows.items():
+        for w, m in arrows.items():
             node = nodes[w]
-            if node.inj_vertex is not None:
+            if (node.proj_vertex if by_tau else node.inj_vertex) is not None:
                 continue
-            if node.tau_inv is not None:
-                middle[node.tau_inv] = m
+            link = node.tau if by_tau else node.tau_inv
+            if link is not None:
+                middle[link] = m
                 continue
             used.append(w)
             if w not in kept:
-                kept[w] = _transpose_with_cover(node.dual)
-            piece = _translate_piece(kept[w][0], known)
+                kept[w] = _transpose_with_cover(node.rep if by_tau else node.dual)
+            translate = kept[w][0]
+            piece = _translate_piece(dual_module(translate) if by_tau else translate, known)
             k = known_index(piece, known)
             if k is None:
                 new.append((piece, m))
             else:
                 middle[k] = m
-        for k, node in enumerate(nodes):
-            if node.proj_vertex is not None and node.arrows and node.arrows.get(s):
-                middle[k] = node.arrows[s]
         want = [a + b for a, b in zip(nodes[s].rep.dims, nodes[t].rep.dims)]
         missing = [a - d - sum(m * x.dims[v] for x, m in new)
                    for v, (a, d) in enumerate(zip(want, arrow_dims(nodes, middle, len(want))))]
-        if any(_read_seeds(nodes, middle, missing, s, None)):
+        if any(_read_seeds(nodes, middle, missing, None if by_tau else s, t if by_tau else None)):
             return None
     except RepherdError:
         for w in used:
@@ -393,15 +408,17 @@ def _seed_split(nodes, k):
     return node.split
 
 
-def _fill_tau_tables(cat: IndecomposableCatalog):
+def _fill_tau_tables(cat: IndecomposableCatalog, kept):
     """Link tau for the nodes that a knitting stopped by the budget never reached, and write the
     records of each one and of its translate as the tau step does.
 
-    Each such node X not projective gets its record, from one cover when the tau step did not
-    write it, and the bounds of _tau_dims_bounds on dim tau X.  tau X is never injective, and
-    a node whose tau^{-1} is linked is the translate of that node only.  So X is transposed,
-    from the record's cover when there is one, and its translate looked up, only when a node
-    that is neither fits in those bounds; any other lookup would find nothing.
+    Each such node X not projective gets its record, from the transpose that kept[X] holds when
+    a read made one for X's tau step, else from one cover when the tau step did not write it,
+    and the bounds of _tau_dims_bounds on dim tau X.  tau X is never injective, and a node
+    whose tau^{-1} is linked is the translate of that node only.  So X is transposed, from the
+    record's cover when there is one, and its translate looked up, only when a node that is
+    neither fits in those bounds; any other lookup would find nothing.  A kept transpose is
+    used and not made again.
 
     Knitting links every node of a complete catalog both ways.
     """
@@ -411,15 +428,17 @@ def _fill_tau_tables(cat: IndecomposableCatalog):
     for i, node in enumerate(nodes):
         if node.proj_vertex is not None or node.tau is not None:
             continue
-        cover = None
-        if node.record is None:
+        presentation, cover = kept.get(i), None
+        if presentation is not None:
+            node.record = presentation[3]
+        elif node.record is None:
             cover = _cover_data(node.rep)
             node.record = syzygy_record(node.rep, cover)
         lo, hi = _tau_dims_bounds(node.rep, node.record)
         if not any(y.inj_vertex is None and y.tau_inv is None
                    and all(a <= d <= b for a, d, b in zip(lo, y.rep.dims, hi)) for y in nodes):
             continue
-        presentation = _transpose_with_cover(node.rep, cover)
+        presentation = presentation or _transpose_with_cover(node.rep, cover)
         node.tau = cat.find(dual_module(presentation[0]))
         if node.tau is not None:
             nodes[node.tau].tau_inv = i

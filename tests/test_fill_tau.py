@@ -35,9 +35,9 @@ def test_the_nu_bounds_hold_tau(name, p):
             assert all(a <= d <= b for a, d, b in zip(lo, tau, hi)), node.name
 
 
-def _reference_fill(cat):
-    """Transpose every node that knitting did not link to its translate, and look the translate
-    up in the catalog."""
+def _reference_fill(cat, kept):
+    """Transpose every node that knitting did not link to its translate, afresh whatever a read
+    kept, and look the translate up in the catalog."""
     if cat.complete:
         return
     for i, node in enumerate(cat.nodes):
@@ -110,12 +110,12 @@ def _fill_counts(alg, budget, monkeypatch):
         counts["transposed"] += 1
         return real_transpose(m, *args)
 
-    def fill(cat):
+    def fill(cat, kept):
         before = [node.tau for node in cat.nodes]
         counts["frontier"] = sum(node.proj_vertex is None and t is None for node, t in zip(cat.nodes, before))
         with monkeypatch.context() as patched:
             patched.setattr(catalog, "_transpose_with_cover", counting)
-            real_fill(cat)
+            real_fill(cat, kept)
         counts["linked"] = sum(t is None and node.tau is not None for node, t in zip(cat.nodes, before))
 
     with monkeypatch.context() as patched:
@@ -143,24 +143,29 @@ def test_the_fill_transposes_only_the_nodes_it_links(monkeypatch):
 
 
 def test_the_fill_covers_each_node_it_links_once(monkeypatch):
-    """On every budget-stopped catalog of STOPPED, a frontier node that the fill links and that
-    had no record is covered once: its record and its transpose come from one projective cover.
-    Such nodes are found on several of the catalogs."""
-    linked = 0
+    """On every budget-stopped catalog of STOPPED no module is transposed twice, and a frontier
+    node that the fill links and that had no record is covered once over the whole knitting:
+    its record and its transpose come from one projective cover, the fill's own or that of the
+    transpose a read kept for the node's tau step.  The reads hand the fill 6 such transposes,
+    on 5 of the catalogs.  Linked nodes with no record are found on several of the catalogs."""
+    linked, handed = 0, []
+    real_fill, real_cover = catalog._fill_tau_tables, homological._cover_data
+    real_transpose = catalog._transpose_with_cover
     for name, p, modules, dim in STOPPED:
-        covered = []
-        real_fill, real_cover = catalog._fill_tau_tables, homological._cover_data
+        covered, transposed = [], []
 
         def cover(m):
             covered.append(m)
             return real_cover(m)
 
-        def fill(cat):
+        def transpose(m, *args):
+            transposed.append(m)
+            return real_transpose(m, *args)
+
+        def fill(cat, kept):
+            handed.append(len(kept))
             before = [(node.tau, node.record) for node in cat.nodes]
-            with monkeypatch.context() as patched:
-                patched.setattr(catalog, "_cover_data", cover)
-                patched.setattr(homological, "_cover_data", cover)
-                real_fill(cat)
+            real_fill(cat, kept)
             for node, (tau, record) in zip(cat.nodes, before):
                 if node.proj_vertex is None and tau is None and record is None and node.tau is not None:
                     nonlocal linked
@@ -169,5 +174,10 @@ def test_the_fill_covers_each_node_it_links_once(monkeypatch):
 
         with monkeypatch.context() as patched:
             patched.setattr(catalog, "_fill_tau_tables", fill)
+            patched.setattr(catalog, "_cover_data", cover)
+            patched.setattr(homological, "_cover_data", cover)
+            patched.setattr(catalog, "_transpose_with_cover", transpose)
             assert not enumerate_indecomposables(_stopped_algebra(name, p), Budget(modules, dim)).complete
+        assert len({id(m) for m in transposed}) == len(transposed), name
     assert linked > 0
+    assert (sum(handed), sum(n > 0 for n in handed)) == (6, 5)

@@ -40,10 +40,11 @@ ORACLE_SHAPES = {
     "A10-rad3": lambda rng: gen.nakayama_algebra(rng, 10, 3, 101),
 }
 # The almost-split sequences that knitting builds, in every field tested; the others are read
-# off the arrows out of the two ends of their meshes and the seeds not yet knitted, or off the
-# in-arrows of their left ends translated by tau^{-1}.
-READ_BUILT = {"h5": 3, "E6": 4, "kronecker": 0, "d4_tilde": 1, "a3_tilde": 0, "a2_tilde": 2,
-              "E7": 7, "A8-rad3": 2, "A10-rad3": 2}
+# off the arrows out of the two ends of their meshes and the seeds not yet knitted, off the
+# in-arrows of their left ends translated by tau^{-1}, or off the out-arrows of their right ends
+# translated by tau.
+READ_BUILT = {"h5": 0, "E6": 0, "kronecker": 0, "d4_tilde": 0, "a3_tilde": 0, "a2_tilde": 0,
+              "E7": 0, "A8-rad3": 1, "A10-rad3": 1}
 GF101 = PrimeField(101)
 # (input, prime or None for Q) of the knitting comparisons
 KNITTING_CASES = [
@@ -83,9 +84,9 @@ def _class_key(node):
     return _node_key(node)[:1] + _node_key(node)[2:]
 
 
-def _knit(alg, budget, monkeypatch, mesh=True, translated=True):
+def _knit(alg, budget, monkeypatch, mesh=True, by_tau_inv=True, by_tau=True):
     """(catalog, almost-split sequences built, transposes made), with the mesh read and the
-    translated read each on or declining."""
+    reads translated by tau^{-1} and by tau each on or declining."""
     built, transposed = [], []
     real_build, real_transpose = catalog.almost_split_sequence, catalog._transpose_with_cover
 
@@ -102,8 +103,9 @@ def _knit(alg, budget, monkeypatch, mesh=True, translated=True):
         m.setattr(catalog, "_transpose_with_cover", transposing)
         if not mesh:
             m.setattr(catalog, "_mesh_middle", lambda nodes, s, t: None)
-        if not translated:
-            m.setattr(catalog, "_translated_middle", lambda nodes, s, t, kept: None)
+        if not (by_tau_inv and by_tau):
+            real_read, on = catalog._translated_middle, {False: by_tau_inv, True: by_tau}
+            m.setattr(catalog, "_translated_middle", lambda *args: real_read(*args) if on[args[-1]] else None)
         cat = enumerate_indecomposables(alg, budget)
     return cat, len(built), len(transposed)
 
@@ -121,13 +123,13 @@ def _assert_same_catalog(cat, reference):
 
 @pytest.mark.parametrize("name, p", KNITTING_CASES)
 def test_reading_middle_terms_off_the_meshes_changes_no_node(name, p, monkeypatch):
-    """The mesh read changes no node: with the translated read on, the catalog is the one whose
+    """The mesh read changes no node: with the translated reads on, the catalog is the one whose
     mesh reads all decline, the same modules, names, flags, tau links and arrows, and the same
-    completeness.  The reference that declines both reads builds every sequence."""
+    completeness.  The reference that declines every read builds every sequence."""
     alg, budget = _algebra(name, p and PrimeField(p))
     read, read_built, _ = _knit(alg, budget, monkeypatch)
     unmeshed, unmeshed_built, _ = _knit(alg, budget, monkeypatch, mesh=False)
-    plain, plain_built, _ = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
+    plain, plain_built, _ = _knit(alg, budget, monkeypatch, mesh=False, by_tau_inv=False, by_tau=False)
     assert read.complete == unmeshed.complete == plain.complete == (name not in EUCLIDEAN_BUDGETS)
     assert [_node_key(node) for node in read.nodes] == [_node_key(node) for node in unmeshed.nodes]
     assert read_built <= unmeshed_built <= plain_built
@@ -137,33 +139,46 @@ def test_reading_middle_terms_off_the_meshes_changes_no_node(name, p, monkeypatc
         assert read_built == READ_BUILT[name]
 
 
-@pytest.mark.parametrize("name, p", KNITTING_CASES)
-def test_the_translated_read_gives_the_catalog_that_builds_every_sequence(name, p, monkeypatch):
-    """Against the reference that declines both reads: the same completeness, names, flags, tau
-    links and arrows, isomorphic modules and the same main report, from as many transposes,
-    which on a complete catalog are one per tau link."""
+def _assert_same_knitting(name, p, monkeypatch, **declined):
+    """The catalog with every read on against the one with the reads of declined declining: the
+    same completeness, names, flags, tau links and arrows, isomorphic modules and the same main
+    report, from as many transposes, which on a complete catalog are one per tau link, and no
+    more sequences built."""
     alg, budget = _algebra(name, p and PrimeField(p))
-    read, _, transposed = _knit(alg, budget, monkeypatch)
-    plain, _, plain_transposed = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
-    _assert_same_catalog(read, plain)
-    assert transposed == plain_transposed
+    read, built, transposed = _knit(alg, budget, monkeypatch)
+    reference, reference_built, reference_transposed = _knit(alg, budget, monkeypatch, **declined)
+    _assert_same_catalog(read, reference)
+    assert transposed == reference_transposed
+    assert built <= reference_built
     if read.complete:
         assert transposed == sum(node.tau is not None for node in read.nodes)
 
 
+@pytest.mark.parametrize("name, p", KNITTING_CASES)
+def test_the_translated_read_gives_the_catalog_that_builds_every_sequence(name, p, monkeypatch):
+    """Against the reference that declines every read."""
+    _assert_same_knitting(name, p, monkeypatch, mesh=False, by_tau_inv=False, by_tau=False)
+
+
+@pytest.mark.parametrize("name, p", KNITTING_CASES)
+def test_the_read_translated_by_tau_changes_no_catalog(name, p, monkeypatch):
+    """Against the reference whose reads off the out-arrows of t translated by tau decline."""
+    _assert_same_knitting(name, p, monkeypatch, by_tau=False)
+
+
 def _doctored_reads(monkeypatch, doctor):
-    """Hand each translated read a copy of the nodes that doctor(nodes, s) returns, when it returns
-    one, and decline that read; the list of what those reads gave.  A transpose the read keeps
-    for a node of the copy that is no node of the knitting is dropped."""
+    """Hand each translated read the nodes and arrows that doctor(nodes, arrows, by_tau) returns,
+    when it returns them, and decline that read; the list of what those reads gave.  A transpose
+    the read keeps for a node of the doctored nodes that is no node of the knitting is dropped."""
     gave = []
     real = catalog._translated_middle
 
-    def read(nodes, s, t, kept):
-        view = doctor(nodes, s)
+    def read(nodes, s, t, arrows, seeds, kept, by_tau):
+        view = doctor(nodes, arrows, by_tau)
         if view is None:
-            return real(nodes, s, t, kept)
+            return real(nodes, s, t, arrows, seeds, kept, by_tau)
         seen = dict(kept)
-        gave.append(real(view, s, t, seen))
+        gave.append(real(view[0], s, t, view[1], seeds, seen, by_tau))
         kept.update((k, v) for k, v in seen.items() if k < len(nodes))
         return None
 
@@ -179,71 +194,107 @@ def _copy(node, **changes):
     return out
 
 
-def _one_more(nodes, s):
-    """The nodes with one more arrow into s from its first in-neighbour that is not injective."""
-    arrows = dict(nodes[s].arrows)
-    w = next((w for w in arrows if nodes[w].inj_vertex is None), None)
-    if w is None:
-        return None
-    arrows[w] += 1
-    return [_copy(node, arrows=arrows) if k == s else node for k, node in enumerate(nodes)]
+def _first_translated(nodes, arrows, by_tau):
+    """The first node of arrows that the read translates: not projective with by_tau, else not
+    injective."""
+    return next((w for w in arrows if (nodes[w].proj_vertex if by_tau else nodes[w].inj_vertex) is None), None)
 
 
-def _split_arrow(nodes, s):
-    """The nodes with one arrow W -> s of multiplicity m > 1, from a node with no tau^{-1} link,
-    made into W^(m-1) -> s and W' -> s for a copy W' of W appended to them: the read finds two
-    pieces with one dimension vector, Tr D W and Tr D W', isomorphic but of distinct nodes."""
-    arrows = dict(nodes[s].arrows)
-    w = next((w for w, m in arrows.items() if m > 1 and nodes[w].inj_vertex is None
-              and nodes[w].tau_inv is None), None)
+def _one_more(nodes, arrows, by_tau):
+    """One more arrow into s from its first in-neighbour that is not injective."""
+    w = None if by_tau else _first_translated(nodes, arrows, by_tau)
+    return None if w is None else (nodes, {**arrows, w: arrows[w] + 1})
+
+
+def _split_arrow(nodes, arrows, by_tau):
+    """One arrow W -> s of multiplicity m > 1, from a node with no tau^{-1} link, made into
+    W^(m-1) -> s and W' -> s for a copy W' of W appended to the nodes: the read finds two pieces
+    with one dimension vector, Tr D W and Tr D W', isomorphic but of distinct nodes."""
+    w = None if by_tau else next((w for w, m in arrows.items() if m > 1 and nodes[w].inj_vertex is None
+                                  and nodes[w].tau_inv is None), None)
     if w is None:
         return None
-    arrows[w] -= 1
-    arrows[len(nodes)] = 1
-    return [_copy(node, arrows=arrows) if k == s else node for k, node in enumerate(nodes)] + [_copy(nodes[w])]
+    return nodes + [_copy(nodes[w])], {**arrows, w: arrows[w] - 1, len(nodes): 1}
+
+
+def _one_more_out(nodes, arrows, by_tau):
+    """One more arrow out of t to its first out-neighbour that is not projective."""
+    z = _first_translated(nodes, arrows, by_tau) if by_tau else None
+    return None if z is None else (nodes, {**arrows, z: arrows[z] + 1})
+
+
+def _one_out_dropped(nodes, arrows, by_tau):
+    """The arrows out of t without the one to its first out-neighbour that is not projective."""
+    z = _first_translated(nodes, arrows, by_tau) if by_tau else None
+    return None if z is None else (nodes, {w: m for w, m in arrows.items() if w != z})
 
 
 @pytest.mark.parametrize("name, p, doctor", [
     ("h5", None, _one_more), ("E6", None, _one_more), ("a2_tilde", 3, _one_more), ("A10-rad3", 101, _one_more),
     ("kronecker", None, _split_arrow),
+    ("h5", None, _one_more_out), ("E6", None, _one_out_dropped), ("d4_tilde", 2, _one_more_out),
+    ("a2_tilde", None, _one_out_dropped), ("E7", 101, _one_more_out), ("A10-rad3", 101, _one_out_dropped),
 ])
 def test_a_doctored_translated_read_declines(name, p, doctor, monkeypatch):
-    """One more arrow into s than recorded, seen only by the read, makes its summands add up to
-    more than the middle term, and an arrow split between two nodes of one module gives two
-    pieces of one dimension vector: each read declines, the sequence is built, and the catalog
-    is the reference's."""
+    """One more arrow into s, or out of t, than recorded, seen only by the read, makes its
+    summands add up to more than the middle term, one arrow out of t fewer makes them fall
+    short, and an arrow split between two nodes of one module gives two pieces of one
+    dimension vector: each read declines, the sequence is built, and the catalog is the
+    reference's."""
     alg, budget = _algebra(name, p and PrimeField(p))
-    plain, _, _ = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
+    plain, _, _ = _knit(alg, budget, monkeypatch, mesh=False, by_tau_inv=False, by_tau=False)
     gave = _doctored_reads(monkeypatch, doctor)
     read, _, _ = _knit(alg, budget, monkeypatch)
     assert gave and gave == [None] * len(gave)
     _assert_same_catalog(read, plain)
 
 
-@pytest.mark.parametrize("name", ["h5", "E6", "kronecker"])
-@pytest.mark.parametrize("where", ["_transpose_with_cover", "_translate_piece"])
-def test_a_failure_inside_a_translated_read_drops_its_transposes(name, where, monkeypatch):
-    """The first transpose a translated read makes, or the first check that a translate it made is
-    one piece, raises: the read declines and keeps no transpose it made, the node's own tau^{-1}
-    step transposes again, and the catalog is the reference's."""
+@pytest.mark.parametrize("name", ["h5", "E6", "A10-rad3"])
+def test_a_translated_read_skips_the_arrows_it_cannot_translate(name, monkeypatch):
+    """An arrow into s from an injective, or out of t to a projective, has no translate: one more
+    such arrow, to a node not among the arrows, leaves what each read gives unchanged."""
     alg, budget = _algebra(name, GF101)
-    plain, _, plain_transposed = _knit(alg, budget, monkeypatch, mesh=False, translated=False)
+    real, compared = catalog._translated_middle, []
+
+    def read(nodes, s, t, arrows, seeds, kept, by_tau):
+        out = real(nodes, s, t, arrows, seeds, kept, by_tau)
+        x = next(k for k, node in enumerate(nodes)
+                 if (node.proj_vertex if by_tau else node.inj_vertex) is not None and k not in arrows)
+        more = real(nodes, s, t, {**arrows, x: 1}, seeds, dict(kept), by_tau)
+        compared.append(by_tau)
+        assert (more is None) == (out is None)
+        assert out is None or [y.dims for y in more] == [y.dims for y in out]
+        return out
+
+    monkeypatch.setattr(catalog, "_translated_middle", read)
+    enumerate_indecomposables(alg, budget)
+    assert set(compared) == {False, True}
+
+
+def _fail_inside_a_read(name, where, by_tau, monkeypatch):
+    """The first transpose that a read translated by tau (with by_tau) or by tau^{-1} makes, or the
+    first check that a translate it made is one piece, raises: the read declines and keeps no
+    transpose it made, the node's own step transposes again, and the catalog is the
+    reference's."""
+    alg, budget = _algebra(name, GF101)
+    plain, _, plain_transposed = _knit(alg, budget, monkeypatch, mesh=False, by_tau_inv=False, by_tau=False)
     real_read, real_fn = catalog._translated_middle, getattr(catalog, where)
     reading, failed, gave = [], [], []
 
-    def read(nodes, s, t, kept):
+    def read(*args):
+        kept, side = args[-2:]
         before = dict(kept)
-        reading.append(s)
+        reading.append(side)
         try:
-            out = real_read(nodes, s, t, kept)
+            out = real_read(*args)
         finally:
             reading.pop()
-        if len(gave) < len(failed):
+        if side == by_tau and len(gave) < len(failed):
             gave.append((out, before, dict(kept)))
         return out
 
     def failing(m, *args):
-        if reading and not failed:
+        if reading and reading[-1] == by_tau and not failed:
             failed.append(m)
             raise NonSplitEndomorphismRing("forced")
         return real_fn(m, *args)
@@ -258,6 +309,20 @@ def test_a_failure_inside_a_translated_read_drops_its_transposes(name, where, mo
     # the one that raised, or the one dropped after its piece raised, is made again
     assert transposed == plain_transposed + 1
     _assert_same_catalog(read_cat, plain)
+
+
+@pytest.mark.parametrize("name", ["h5", "E6", "kronecker"])
+@pytest.mark.parametrize("where", ["_transpose_with_cover", "_translate_piece"])
+def test_a_failure_inside_a_translated_read_drops_its_transposes(name, where, monkeypatch):
+    """In a read translated by tau^{-1}."""
+    _fail_inside_a_read(name, where, False, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["h5", "E6", "d4_tilde"])
+@pytest.mark.parametrize("where", ["_transpose_with_cover", "_translate_piece"])
+def test_a_failure_inside_a_read_translated_by_tau_drops_its_transposes(name, where, monkeypatch):
+    """In a read translated by tau."""
+    _fail_inside_a_read(name, where, True, monkeypatch)
 
 
 def _reading(monkeypatch):
